@@ -13,53 +13,15 @@ import logging
 import math
 import os
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 from .experiments import EXPERIMENTS, load_config, run_experiments
+from .lattice import _solve_ksq_for_n
 
 __all__ = ["main", "solve_kfermi_for_n"]
 
 log = logging.getLogger(__name__)
 
 OUTPUT_DIR_ENV = "FERMIBALL_OUT"
-
-
-def _cumulative_counts(norm_sq_max: int) -> np.ndarray:
-    """counts[m] = number of lattice points with |p|^2 <= m."""
-    r = int(math.isqrt(norm_sq_max))
-    ax = np.arange(-r, r + 1, dtype=np.int64)
-    hist = np.zeros(norm_sq_max + 1, dtype=np.int64)
-    for x in ax.tolist():
-        q0 = x * x
-        if q0 > norm_sq_max:
-            continue
-        yy, zz = np.meshgrid(ax, ax, indexing="ij")
-        q = q0 + yy * yy + zz * zz
-        q = q[q <= norm_sq_max]
-        hist += np.bincount(q.ravel(), minlength=norm_sq_max + 1)
-    return np.cumsum(hist)
-
-
-def _solve_ksq_for_n(n_target: int) -> tuple[Fraction, int]:
-    """Smallest half-integer squared radius whose ball has n_target points,
-    or the nearest attainable count."""
-    if n_target < 1:
-        raise ValueError("n_target must be >= 1")
-    guess = (3.0 * n_target / (4.0 * math.pi)) ** (1.0 / 3.0)
-    hi = int(math.ceil((guess + 2.0) ** 2)) + 2
-    while True:
-        cum = _cumulative_counts(hi)
-        if cum[-1] >= n_target:
-            break
-        hi *= 2
-    exact = np.nonzero(cum == n_target)[0]
-    if len(exact):
-        m = int(exact[0])
-        return Fraction(2 * m + 1, 2), n_target
-    m = int(np.argmin(np.abs(cum - n_target)))
-    return Fraction(2 * m + 1, 2), int(cum[m])
 
 
 def solve_kfermi_for_n(n_target: int) -> float:

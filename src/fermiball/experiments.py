@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import bogokernel, lattice, patches, rpa
-from .lattice import FermiBall, InteractionPotential, build_fermi_ball
+from .lattice import FermiBall, InteractionPotential, _band, _solve_ksq_for_n, build_fermi_ball
 
 __all__ = ["RunConfig", "ExperimentError", "EXPERIMENTS", "run_experiments", "load_config"]
 
@@ -78,14 +79,25 @@ def default_potential(value: float = 0.05) -> InteractionPotential:
 
 
 class BallCache:
+    """Fermi balls by exact squared radius, shared by the worker threads.
+
+    A per-radius lock makes a thread that asks for a ball under construction
+    wait for it, so each radius is built once.
+    """
+
     def __init__(self):
         self._balls: dict[str, FermiBall] = {}
+        self._locks: dict[str, threading.Lock] = {}
+        self._guard = threading.Lock()
 
     def get(self, ksq) -> FermiBall:
         key = str(Fraction(ksq))
-        if key not in self._balls:
-            self._balls[key] = build_fermi_ball(k_fermi_sq=Fraction(ksq))
-        return self._balls[key]
+        with self._guard:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in self._balls:
+                self._balls[key] = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+            return self._balls[key]
 
 
 @dataclass
@@ -487,13 +499,8 @@ def exp_small_v_fit(ctx: Context):
 def boundary_shells(ball: FermiBall) -> tuple[np.ndarray, np.ndarray]:
     """Occupied and empty momenta within one unit of the Fermi surface."""
     kf = ball.k_fermi
-    holes = ball.points[ball.norms_sq >= (kf - 1.0) ** 2]
-    r = int(math.floor(kf + 1.0))
-    ax = np.arange(-r, r + 1, dtype=np.int64)
-    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-    q = x * x + y * y + z * z
-    m = (q > ball.norm_sq_max) & (q <= (kf + 1.0) ** 2)
-    particles = np.stack([x[m], y[m], z[m]], axis=1)
+    holes = _band(math.ceil((kf - 1.0) ** 2), ball.norm_sq_max)
+    particles = _band(ball.norm_sq_max + 1, math.floor((kf + 1.0) ** 2))
     return holes, particles
 
 
@@ -591,8 +598,6 @@ EXPERIMENTS = {
 
 def load_config(doc: dict, output_override=None) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, naming bad fields."""
-    from .cli import _solve_ksq_for_n  # local import to avoid a cycle
-
     radius_keys = [k for k in ("k_fermi", "k_fermi_sq", "n_particles") if k in doc]
     if len(radius_keys) != 1:
         raise ValueError("config must set exactly one of k_fermi, k_fermi_sq, n_particles")

@@ -7,9 +7,10 @@ immutable after construction and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,7 +116,7 @@ class FermiBall:
         self.k_fermi: float = math.sqrt(float(k_fermi_sq))
         # exact integer threshold: |p|^2 <= k_F^2  <=>  |p|^2 <= floor(k_F^2)
         self.norm_sq_max: int = math.floor(k_fermi_sq)
-        self._points = _enumerate_ball(self.norm_sq_max)
+        self._points = _band(0, self.norm_sq_max)
         self.n_particles: int = len(self._points)
         self.hbar: float = self.n_particles ** (-1.0 / 3.0)
         self.kappa_eff: float = self.k_fermi * self.hbar
@@ -148,10 +149,6 @@ class FermiBall:
         points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
         return (points * points).sum(axis=1) <= self.norm_sq_max
 
-    def __iter__(self) -> Iterator[Momentum]:
-        for row in self._points:
-            yield Momentum(int(row[0]), int(row[1]), int(row[2]))
-
     def __len__(self) -> int:
         return self.n_particles
 
@@ -159,32 +156,87 @@ class FermiBall:
         return f"FermiBall(k_fermi_sq={self.k_fermi_sq}, n={self.n_particles})"
 
 
-def _enumerate_ball(norm_sq_max: int) -> np.ndarray:
-    """Lattice points with |p|^2 <= norm_sq_max, lexicographically sorted."""
-    r = math.isqrt(norm_sq_max) if norm_sq_max >= 0 else -1
-    if r < 0:
-        return np.zeros((0, 3), dtype=np.int64)
+def _isqrt(a) -> np.ndarray:
+    """Exact floor(sqrt(a)) elementwise for int64 a, and -1 where a < 0."""
+    a = np.asarray(a, dtype=np.int64)
+    r = np.floor(np.sqrt(np.maximum(a, 0).astype(np.float64))).astype(np.int64)
+    # the float root can be one off next to a perfect square
+    r += (r + 1) * (r + 1) <= a
+    r -= r * r > a
+    return np.where(a < 0, -1, r)
+
+
+def _runs(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -> None:
+    """Fill out with runs one after another: run i is the lengths[i] values
+    first[i], first[i] + step, ...
+
+    Written as a running sum in place, so a slice of a larger array is filled
+    without an N-sized temporary.
+    """
+    keep = lengths > 0
+    first, lengths = first[keep], lengths[keep]
+    last = first + step * (lengths - 1)
+    out[...] = step
+    out[np.cumsum(lengths) - lengths] = first - np.concatenate([[0], last[:-1]])
+    np.cumsum(out, out=out)
+
+
+def _columns(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (x, y) with x^2 + y^2 <= q, in lexicographic order."""
+    r = math.isqrt(q) if q >= 0 else -1
     ax = np.arange(-r, r + 1, dtype=np.int64)
-    # scan per x-slab to keep peak memory at O(r^2)
-    chunks = []
-    for x in ax:
-        rem = norm_sq_max - int(x) * int(x)
-        ry = math.isqrt(rem)
-        ay = np.arange(-ry, ry + 1, dtype=np.int64)
-        rem_y = rem - ay * ay
-        rz = np.floor(np.sqrt(rem_y.astype(np.float64))).astype(np.int64)
-        # guard float sqrt at exact squares
-        rz = np.where((rz + 1) ** 2 <= rem_y, rz + 1, rz)
-        rz = np.where(rz**2 > rem_y, rz - 1, rz)
-        counts = 2 * rz + 1
-        total = int(counts.sum())
-        pts = np.empty((total, 3), dtype=np.int64)
-        pts[:, 0] = x
-        pts[:, 1] = np.repeat(ay, counts)
-        z = np.concatenate([np.arange(-n, n + 1, dtype=np.int64) for n in rz])
-        pts[:, 2] = z
-        chunks.append(pts)
-    return np.concatenate(chunks, axis=0)
+    heights = _isqrt(q - ax * ax)
+    counts = 2 * heights + 1
+    y = np.empty(int(counts.sum()), dtype=np.int64)
+    _runs(-heights, counts, 1, y)
+    return np.repeat(ax, counts), y
+
+
+def _band(q_lo: int, q_hi: int) -> np.ndarray:
+    """Integer points with q_lo <= |p|^2 <= q_hi as an (n, 3) int64 array in
+    lexicographic order.
+
+    Column (x, y) holds the z with g < |z| <= h, where h and g are the column
+    heights at q_hi and at q_lo - 1 (g = -1 when the column misses that ball):
+    one run for z < 0 and one for z >= 0.
+    """
+    x, y = _columns(q_hi)
+    s = x * x + y * y
+    h = _isqrt(q_hi - s)
+    g = _isqrt(q_lo - 1 - s)
+    starts = np.stack([-h, g + 1], axis=1).ravel()
+    lengths = np.maximum(np.stack([h - np.maximum(g, 0), h - g], axis=1), 0)
+    per_column = lengths.sum(axis=1)
+    pts = np.empty((int(per_column.sum()), 3), dtype=np.int64)
+    _runs(x, per_column, 0, pts[:, 0])
+    _runs(y, per_column, 0, pts[:, 1])
+    _runs(starts, lengths.ravel(), 1, pts[:, 2])
+    return pts
+
+
+def _ball_count(m: int) -> int:
+    """Number of lattice points with |p|^2 <= m."""
+    x, y = _columns(m)
+    return int((2 * _isqrt(m - x * x - y * y) + 1).sum())
+
+
+def _solve_ksq_for_n(n_target: int) -> tuple[Fraction, int]:
+    """Smallest half-integer squared radius whose ball has n_target points,
+    or the nearest attainable count (the smaller radius on a tie)."""
+    if n_target < 1:
+        raise ValueError("n_target must be >= 1")
+    hi = 1
+    while _ball_count(hi) < n_target:
+        hi *= 2
+    radii = range(hi + 1)  # _ball_count is nondecreasing on it
+    m = bisect.bisect_left(radii, n_target, key=_ball_count)
+    n_above = _ball_count(m)
+    if n_above != n_target:
+        n_below = _ball_count(m - 1)
+        if n_target - n_below <= n_above - n_target:
+            m_below = bisect.bisect_left(radii, n_below, key=_ball_count)
+            return Fraction(2 * m_below + 1, 2), n_below
+    return Fraction(2 * m + 1, 2), n_above
 
 
 def build_fermi_ball(k_fermi: float | None = None, *, k_fermi_sq=None) -> FermiBall:
@@ -224,9 +276,8 @@ def shell_pairs(ball: FermiBall, k: Sequence[int]) -> np.ndarray:
         return np.zeros((0, 3), dtype=np.int64)
     p = ball.points + kv
     outside = (p * p).sum(axis=1) > ball.norm_sq_max
-    p = p[outside]
-    order = np.lexsort((p[:, 2], p[:, 1], p[:, 0]))
-    return p[order]
+    # ball.points is lexicographic and a constant shift keeps that order
+    return p[outside]
 
 
 def shell_denominators(ball: FermiBall, k: Sequence[int]) -> np.ndarray:
@@ -286,33 +337,13 @@ def annulus_count_vs_area(
     if not (0 <= radius_inner < radius_outer):
         raise ValueError("need 0 <= radius_inner < radius_outer")
     lo, hi = radius_inner**2, radius_outer**2
-    xmax = int(math.floor(radius_outer / math.sqrt(d0)))
-    x = np.arange(-xmax, xmax + 1, dtype=np.int64)
-    count = 0
-    for xi in x.tolist():
-        q0 = d0 * xi * xi
-        rem = hi - q0
-        if rem < 0:
-            continue
-        ymax = int(math.floor(math.sqrt(rem)))
-        while (ymax + 1) ** 2 + q0 <= hi:
-            ymax += 1
-        while ymax >= 0 and ymax**2 + q0 > hi:
-            ymax -= 1
-        if ymax < 0:
-            continue
-        # inner exclusion: y^2 > lo - q0
-        if q0 > lo:
-            count += 2 * ymax + 1
-        else:
-            ymin = int(math.ceil(math.sqrt(lo - q0)))
-            while ymin**2 + q0 <= lo:
-                ymin += 1
-            n_side = ymax - ymin + 1
-            if n_side > 0:
-                count += 2 * n_side
-            if radius_inner == 0 and q0 == 0:
-                count += 1  # origin belongs to the full ellipse
+    xmax = math.isqrt(math.floor(hi) // d0)
+    q0 = d0 * np.arange(-xmax, xmax + 1, dtype=np.int64) ** 2
+    count = int((2 * _isqrt(math.floor(hi) - q0) + 1).sum())
+    if radius_inner > 0:
+        # d0 x^2 + y^2 <= r_in^2 is excluded; where the column misses it the
+        # root is -1 and the column loses nothing
+        count -= int((2 * _isqrt(math.floor(lo) - q0) + 1).clip(min=0).sum())
     area = math.pi * (hi - lo) / math.sqrt(d0)
     return count, area
 
@@ -393,9 +424,6 @@ class InteractionPotential:
             if k.pz > 0 or (k.pz == 0 and k.py > 0) or (k.pz == 0 and k.py == 0 and k.px > 0):
                 out.append(k)
         return out
-
-    def scaled(self, factor: float) -> "InteractionPotential":
-        return InteractionPotential({k: factor * v for k, v in self._table.items()})
 
 
 def _exchange_overlap(ball: FermiBall, k: Momentum) -> int:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .lattice import EncodedSet, FermiBall, Momentum, _as_ivec, _as_momentum
+from .lattice import EncodedSet, FermiBall, Momentum, _as_ivec, _as_momentum, _band
 
 __all__ = [
     "PatchSpec",
@@ -106,7 +107,7 @@ class PatchDecomposition:
         self.m_patches = 2 * len(north)
         omegas = np.array([s.omega for s in north], dtype=np.float64)
         self.omegas = np.vstack([omegas, -omegas])
-        self._assignments: dict[int, ShellAssignment] = {}
+        self._assignments: dict[Fraction, ShellAssignment] = {}
 
     @property
     def half(self) -> int:
@@ -156,30 +157,19 @@ class PatchDecomposition:
         return labels
 
     def shell_assignment(self, ball: FermiBall) -> ShellAssignment:
-        """Label every lattice point of the radial shell; cached per ball."""
-        key = id(ball)
+        """Label every lattice point of the radial shell; cached per k_F^2.
+
+        The shell is fixed by the decomposition; the ball enters only through
+        its squared radius, which decides the ``inside`` flags.
+        """
+        key = ball.k_fermi_sq
         if key in self._assignments:
             return self._assignments[key]
         kf, w = self.k_fermi, self.shell_halfwidth
         r_out = kf + w
         r_in = max(kf - w, 0.0)
         rmax = int(math.floor(r_out))
-        ax = np.arange(-rmax, rmax + 1, dtype=np.int64)
-        chunks = []
-        lo, hi = r_in * r_in, r_out * r_out
-        yy, zz = np.meshgrid(ax, ax, indexing="ij")
-        for x in ax.tolist():
-            q = x * x + yy * yy + zz * zz
-            m = (q >= lo) & (q <= hi) & (q > 0)
-            if m.any():
-                pts = np.empty((int(m.sum()), 3), dtype=np.int64)
-                pts[:, 0] = x
-                pts[:, 1] = yy[m]
-                pts[:, 2] = zz[m]
-                chunks.append(pts)
-        points = (
-            np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 3), dtype=np.int64)
-        )
+        points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out))
         labels = self.assign_directions(points)
         inside = ball.contains_points(points)
         enc = EncodedSet(np.zeros((0, 3), dtype=np.int64), rmax + 8)
@@ -327,10 +317,6 @@ def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> Mo
     plus = tuple(int(a) for a in np.nonzero(dots >= threshold)[0])
     minus = tuple(int(a) for a in np.nonzero(dots <= -threshold)[0])
     return ModeIndexSet(_as_momentum(k), float(delta), plus, minus)
-
-
-def _mirror(decomp: PatchDecomposition, alpha: int) -> int:
-    return alpha + decomp.half if alpha < decomp.half else alpha - decomp.half
 
 
 def pair_count(

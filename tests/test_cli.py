@@ -1,9 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fermiball
+from fermiball import experiments
 from fermiball.cli import _solve_ksq_for_n, main, solve_kfermi_for_n
 from fermiball.experiments import EXPERIMENTS, load_config, run_experiments
 
@@ -44,6 +53,19 @@ def test_solve_unattainable_returns_nearest(caplog):
     with caplog.at_level("WARNING"):
         solve_kfermi_for_n(2)
     assert "nearest attainable" in caplog.text
+
+
+def test_solve_ksq_matches_brute_force():
+    # first exact count, else the first nearest, over cumulative shell counts;
+    # the cube of half-width r holds every |p|^2 <= r^2, far beyond N = 3000
+    r = 12
+    ax = np.arange(-r, r + 1)
+    q = (ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2).ravel()
+    cum = np.cumsum(np.bincount(q[q <= r * r]))
+    for n in range(1, 3001):
+        exact = np.nonzero(cum == n)[0]
+        m = int(exact[0]) if len(exact) else int(np.argmin(np.abs(cum - n)))
+        assert _solve_ksq_for_n(n) == (Fraction(2 * m + 1, 2), int(cum[m])), n
 
 
 # ------------------------------------------------------------ config
@@ -90,6 +112,55 @@ def test_config_from_particle_number(tmp_path):
     doc["n_particles"] = 33
     config = load_config(doc)
     assert config.k_fermi_sq == Fraction(9, 2)
+
+
+def test_load_config_does_not_import_cli():
+    # the radius solve lives in the lattice layer, so experiments -> cli
+    # carries no import cycle
+    code = (
+        "import sys\n"
+        "from fermiball.experiments import load_config\n"
+        "load_config({'n_particles': 33})\n"
+        "assert 'fermiball.cli' not in sys.modules, 'load_config imported fermiball.cli'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_ball_cache_builds_each_radius_once(monkeypatch):
+    builds = []
+    real_build = experiments.build_fermi_ball
+
+    def slow_counting_build(**kwargs):
+        builds.append(kwargs["k_fermi_sq"])
+        time.sleep(0.2)
+        return real_build(**kwargs)
+
+    monkeypatch.setattr(experiments, "build_fermi_ball", slow_counting_build)
+    cache = experiments.BallCache()
+    start = threading.Barrier(4)
+    got = []
+
+    def worker():
+        start.wait(timeout=10)
+        got.append(cache.get(20.5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert len(got) == 4 and all(ball is got[0] for ball in got)
 
 
 # ------------------------------------------------------------ CLI commands

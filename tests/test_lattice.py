@@ -19,7 +19,7 @@ from fermiball import (
     kinetic_reciprocal_sum,
     shell_pairs,
 )
-from fermiball.lattice import shell_denominators
+from fermiball.lattice import _band, _isqrt, shell_denominators
 
 
 # ---------------------------------------------------------------- oracles
@@ -103,6 +103,26 @@ def test_ball_deterministic_and_sorted(ball_small):
     assert np.array_equal(order, np.arange(len(ball_small.points)))
 
 
+def test_isqrt_exact_next_to_squares():
+    r = np.arange(0, 3_000_000, 997, dtype=np.int64)
+    a = np.concatenate([r * r - 1, r * r, r * r + 1, [-5, -1]])
+    expected = [math.isqrt(v) if v >= 0 else -1 for v in a.tolist()]
+    assert _isqrt(a).tolist() == expected
+
+
+def test_band_matches_brute_force_cube():
+    r = math.isqrt(60) + 1
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    cube = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    q = (cube * cube).sum(axis=1)
+    for q_hi in range(61):
+        for q_lo in range(q_hi + 1):
+            expected = cube[(q >= q_lo) & (q <= q_hi)]
+            got = _band(q_lo, q_hi)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected), (q_lo, q_hi)
+
+
 def test_ball_reflection_symmetry(ball_small):
     pts = {tuple(p) for p in ball_small.points.tolist()}
     assert pts == {(-x, -y, -z) for x, y, z in pts}
@@ -155,6 +175,8 @@ def test_shell_pairs_properties(k):
     ball = build_fermi_ball(k_fermi_sq=Fraction("4.5"))
     pairs = shell_pairs(ball, k)
     assert {tuple(p) for p in pairs.tolist()} == brute_shell_pairs(Fraction("4.5"), k)
+    order = np.lexsort((pairs[:, 2], pairs[:, 1], pairs[:, 0]))
+    assert np.array_equal(order, np.arange(len(pairs)))
     # reflection: same cardinality at -k
     assert len(pairs) == len(shell_pairs(ball, tuple(-c for c in k)))
     if len(pairs):

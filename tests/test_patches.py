@@ -123,6 +123,14 @@ def test_assignment_is_single_valued(decomp_400, ball_400):
         assert (lab if lab is not None else -1) == asg.labels[i]
 
 
+def test_shell_assignment_shared_by_equal_radii(decomp_400, ball_400):
+    # keyed by k_F^2: an id-keyed cache could hand a new ball the shell of a
+    # collected one whose id it reuses
+    twin = build_fermi_ball(k_fermi_sq=ball_400.k_fermi_sq)
+    assert twin is not ball_400
+    assert decomp_400.shell_assignment(twin) is decomp_400.shell_assignment(ball_400)
+
+
 def test_antipodal_membership(decomp_400, ball_400):
     asg = decomp_400.shell_assignment(ball_400)
     half = decomp_400.half
