@@ -15,6 +15,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +90,9 @@ class ModeSystem:
 
     Modes are reflection paired: entries 0..I-1 are the plus side ordered by
     patch index, entry I+j is the antipodal partner of entry j, so that
-    u[j] == u[I+j] and n_vals[j] == n_vals[I+j].
+    u[j] == u[I+j] and n_vals[j] == n_vals[I+j].  The dense 2I x 2I matrices
+    D, W and W~ are built from u, v and g on first access and then kept;
+    the half-size trace route never builds them.
     """
 
     k: Momentum
@@ -103,9 +106,6 @@ class ModeSystem:
     n_vals: np.ndarray
     v_vals: np.ndarray
     g: float
-    D: np.ndarray
-    W: np.ndarray
-    W_tilde: np.ndarray
 
     @property
     def side(self) -> int:
@@ -114,6 +114,31 @@ class ModeSystem:
     @property
     def size(self) -> int:
         return 2 * self.side
+
+    def _same_side(self) -> np.ndarray:
+        """The rank-one same-side block b = g v v^T."""
+        v = self.v_vals[: self.side]
+        return self.g * np.outer(v, v)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return np.diag(self.u_vals * self.u_vals)
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        side, b = self.side, self._same_side()
+        W = np.zeros((2 * side, 2 * side))
+        W[:side, :side] = b
+        W[side:, side:] = b
+        return W
+
+    @cached_property
+    def W_tilde(self) -> np.ndarray:
+        side, b = self.side, self._same_side()
+        Wt = np.zeros((2 * side, 2 * side))
+        Wt[:side, side:] = b
+        Wt[side:, :side] = b
+        return Wt
 
 
 def _assemble(
@@ -127,20 +152,11 @@ def _assemble(
     u_side: np.ndarray,
     n_side: np.ndarray,
 ) -> ModeSystem:
-    side = len(u_side)
     knorm = math.sqrt(float(Momentum(*k).norm_sq()))
     u = np.concatenate([u_side, u_side])
     n = np.concatenate([n_side, n_side])
     v = (hbar / (KAPPA_IDEAL * math.sqrt(knorm))) * n
     g = 0.5 * KAPPA_IDEAL * vhat_k
-    D = np.diag(u * u)
-    b = g * np.outer(v[:side], v[:side])
-    W = np.zeros((2 * side, 2 * side))
-    W[:side, :side] = b
-    W[side:, side:] = b
-    Wt = np.zeros_like(W)
-    Wt[:side, side:] = b
-    Wt[side:, :side] = b
     return ModeSystem(
         k=k,
         vhat_k=vhat_k,
@@ -153,9 +169,6 @@ def _assemble(
         n_vals=n,
         v_vals=v,
         g=g,
-        D=D,
-        W=W,
-        W_tilde=Wt,
     )
 
 
@@ -388,7 +401,7 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> flo
         sol = diagonalize(ms)
     side = ms.side
     d = np.diag(ms.u_vals[:side] ** 2)
-    b = ms.g * np.outer(ms.v_vals[:side], ms.v_vals[:side])
+    b = ms._same_side()
     d2b = _sym(d + 2.0 * b)
     d_h = sym_sqrt(d, "d")
     d2b_h = sym_sqrt(d2b, "d + 2b")

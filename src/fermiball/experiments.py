@@ -281,7 +281,7 @@ def exp_patch_audit(ctx: Context):
         sep = min_patch_separation(decomp, ball)
         diam_max = 0.0
         for a in range(decomp.m_patches):
-            pts = asg.points[asg.labels == a]
+            pts = asg.points[asg.order[asg.bounds[a] : asg.bounds[a + 1]]]
             if len(pts) > 1:
                 span = pts.max(axis=0) - pts.min(axis=0)
                 diam_max = max(diam_max, float(np.linalg.norm(span)))
@@ -545,14 +545,14 @@ def exp_hf_stability(ctx: Context):
     e0 = lattice.hartree_fock_energy(ball, pot)
     rows = []
     occ0 = ball.points
-    enc_idx = {tuple(h): j for j, h in enumerate(occ0.tolist())}
+    enc = ball.encoded  # the ball is lexicographic, so code order is row order
     check_ids = rng.choice(n_swaps, size=min(n_check, n_swaps), replace=False)
     worst_rel = 0.0
     for i in sorted(int(j) for j in check_ids):
         h = holes[hi[i]]
         p = particles[pi[i]]
         occ = occ0.copy()
-        occ[enc_idx[tuple(h.tolist())]] = p
+        occ[np.searchsorted(enc.codes, enc.encode(h)[0])] = p
         full = hf_energy_of_occupation(ball, pot, occ) - e0
         rel = abs(full - gaps[i]) / max(abs(full), 1e-300)
         worst_rel = max(worst_rel, rel)

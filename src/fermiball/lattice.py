@@ -76,6 +76,15 @@ class EncodedSet:
                 raise ValueError("points exceed encoding half-width")
         self.codes = np.sort(self.encode(points))
 
+    @classmethod
+    def from_sorted_codes(cls, codes: np.ndarray, half_width: int) -> "EncodedSet":
+        """Set over codes already encoded at ``half_width`` and sorted ascending."""
+        out = cls.__new__(cls)
+        out.half = int(half_width)
+        out.stride = 2 * out.half + 1
+        out.codes = codes
+        return out
+
     def encode(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
         h, s = self.half, self.stride

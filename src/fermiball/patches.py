@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -72,14 +72,22 @@ class ModeIndexSet:
 
 @dataclass
 class ShellAssignment:
-    """Lattice points of the radial shell labelled by patch index (-1: corridor)."""
+    """Lattice points of the radial shell labelled by patch index (-1: corridor).
+
+    ``order`` lists the shell indices sorted by (label, inside, code), so patch
+    ``a`` is the run ``order[bounds[a]:bounds[a + 1]]``, its points outside
+    the ball first; ``out_codes[a]`` and ``in_sets[a].codes`` are the sorted
+    codes of those two halves under ``encoder``.
+    """
 
     points: np.ndarray
     labels: np.ndarray
     inside: np.ndarray
-    out_codes: list[np.ndarray] = field(default_factory=list)
-    in_sets: list[EncodedSet] = field(default_factory=list)
-    encoder: EncodedSet | None = None
+    order: np.ndarray
+    bounds: np.ndarray
+    out_codes: list[np.ndarray]
+    in_sets: list[EncodedSet]
+    encoder: EncodedSet
 
 
 class PatchDecomposition:
@@ -108,6 +116,16 @@ class PatchDecomposition:
         omegas = np.array([s.omega for s in north], dtype=np.float64)
         self.omegas = np.vstack([omegas, -omegas])
         self._assignments: dict[Fraction, ShellAssignment] = {}
+        # north[0] is the cap; the rest run collar by collar, each collar's
+        # patches sharing one theta interval and splitting phi evenly
+        collar_lo = np.array([s.theta_lo for s in north[1:]])
+        first = np.flatnonzero(np.diff(collar_lo, prepend=np.nan) != 0)
+        self._collar_lo = collar_lo[first]
+        self._collar_hi = np.array([north[1 + i].theta_hi for i in first])
+        self._collar_first = first + 1
+        self._collar_count = np.diff(np.r_[first, len(collar_lo)])
+        self._phi_lo = np.array([s.phi_lo for s in north])
+        self._phi_hi = np.array([s.phi_hi for s in north])
 
     @property
     def half(self) -> int:
@@ -117,10 +135,45 @@ class PatchDecomposition:
         a = np.array([s.angular_area() for s in self.north])
         return np.concatenate([a, a])
 
+    def _north_index(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Highest northern spec index whose half-open bounds hold (theta, phi), else -1.
+
+        Collars are disjoint in theta, so the collar whose lower edge is the
+        last one at or below theta is the only candidate; within it
+        floor(phi / width) is at most one patch off, so that patch and its two
+        phi neighbours are tested against the stored bounds.
+        """
+        out = np.full(len(theta), -1, dtype=np.int64)
+        out[theta < self.north[0].theta_hi] = 0
+        if not len(self._collar_lo):
+            return out
+        collar = np.searchsorted(self._collar_lo, theta, side="right") - 1
+        idx = np.flatnonzero(collar >= 0)
+        collar = collar[idx]
+        keep = theta[idx] < self._collar_hi[collar]
+        idx, collar = idx[keep], collar[keep]
+        ph = phi[idx]
+        m = self._collar_count[collar]
+        first = self._collar_first[collar]
+        j = np.minimum((ph * (m / TWO_PI)).astype(np.int64), m - 1)
+        for dj in (-1, 0, 1):  # rising spec index: the highest hit is written last
+            jj = j + dj
+            spec = first + np.clip(jj, 0, m - 1)
+            hit = (
+                (jj >= 0)
+                & (jj < m)
+                & (ph >= self._phi_lo[spec])
+                & (ph < self._phi_hi[spec])
+            )
+            out[idx[hit]] = spec[hit]
+        return out
+
     def assign_directions(self, points: np.ndarray) -> np.ndarray:
         """Patch index for each lattice point's direction, -1 for corridors.
 
-        Radial shell membership is not checked here.
+        Radial shell membership is not checked here.  A direction inside the
+        bounds of several patches (an ulp-wide float seam) takes the highest
+        northern spec index, and its southern image on a tie.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         r = np.linalg.norm(pts, axis=1)
@@ -130,30 +183,10 @@ class PatchDecomposition:
             return labels
         theta = np.arccos(np.clip(pts[ok, 2] / r[ok], -1.0, 1.0))
         phi = np.mod(np.arctan2(pts[ok, 1], pts[ok, 0]), TWO_PI)
-        sub = np.full(ok.sum(), -1, dtype=np.int64)
+        north = self._north_index(theta, phi)
         # southern points map through the antipode: -omega(t, p) = omega(pi-t, p+pi)
-        theta_s = math.pi - theta
-        phi_s = np.mod(phi + math.pi, TWO_PI)
-        for i, spec in enumerate(self.north):
-            if spec.is_cap:
-                hit_n = theta < spec.theta_hi
-                hit_s = theta_s < spec.theta_hi
-            else:
-                hit_n = (
-                    (theta >= spec.theta_lo)
-                    & (theta < spec.theta_hi)
-                    & (phi >= spec.phi_lo)
-                    & (phi < spec.phi_hi)
-                )
-                hit_s = (
-                    (theta_s >= spec.theta_lo)
-                    & (theta_s < spec.theta_hi)
-                    & (phi_s >= spec.phi_lo)
-                    & (phi_s < spec.phi_hi)
-                )
-            sub[hit_n] = i
-            sub[hit_s] = i + self.half
-        labels[ok] = sub
+        south = self._north_index(math.pi - theta, np.mod(phi + math.pi, TWO_PI))
+        labels[ok] = np.where((south >= 0) & (south >= north), south + self.half, north)
         return labels
 
     def shell_assignment(self, ball: FermiBall) -> ShellAssignment:
@@ -172,14 +205,24 @@ class PatchDecomposition:
         points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out))
         labels = self.assign_directions(points)
         inside = ball.contains_points(points)
-        enc = EncodedSet(np.zeros((0, 3), dtype=np.int64), rmax + 8)
-        out_codes, in_sets = [], []
-        for a in range(self.m_patches):
-            sel = labels == a
-            out_codes.append(np.sort(enc.encode(points[sel & ~inside])))
-            in_set = EncodedSet(points[sel & inside], rmax + 8)
-            in_sets.append(in_set)
-        asg = ShellAssignment(points, labels, inside, out_codes, in_sets, enc)
+        # shell points have |p|_inf <= rmax, so p -/+ k stays inside the code
+        # cube for every |k|_inf <= 2 rmax, the most two shell points differ
+        # by; building the encoder over the shell checks that half-width once
+        enc = EncodedSet(points, 3 * rmax)
+        codes = enc.encode(points)
+        order = np.lexsort((codes, inside, labels))
+        sorted_codes = codes[order]
+        # group 2a holds patch a's points outside the ball, 2a + 1 those inside
+        group = 2 * labels[order] + inside[order]
+        cuts = np.searchsorted(group, np.arange(2 * self.m_patches + 1))
+        out_codes = [sorted_codes[cuts[g] : cuts[g + 1]] for g in range(0, len(cuts) - 1, 2)]
+        in_sets = [
+            EncodedSet.from_sorted_codes(sorted_codes[cuts[g] : cuts[g + 1]], enc.half)
+            for g in range(1, len(cuts), 2)
+        ]
+        asg = ShellAssignment(
+            points, labels, inside, order, cuts[::2], out_codes, in_sets, enc
+        )
         self._assignments[key] = asg
         return asg
 
@@ -347,11 +390,11 @@ def pair_count(
             raise ValueError(
                 f"patch {alpha} lies below the equator cut for k={tuple(kv)}"
             )
-    if np.abs(kv).max() > 8:
-        # codes of p -/+ k must stay within the encoder's cube margin
-        raise ValueError("momentum k exceeds the shell encoding margin")
     asg = decomp.shell_assignment(ball)
     enc = asg.encoder
+    if 3 * int(np.abs(kv).max()) > 2 * enc.half:
+        # two shell points differ by at most 2 rmax = 2 half / 3 per coordinate
+        return 0
     shift = enc.shift(kv if dot > 0 else -kv)
     target = asg.out_codes[alpha] - shift
     return int(asg.in_sets[alpha].contains_codes(target).sum())
@@ -384,7 +427,7 @@ def decomposition_to_json(decomp: PatchDecomposition, ball: FermiBall | None = N
         )
     if ball is not None:
         asg = decomp.shell_assignment(ball)
-        counts = [int((asg.labels == a).sum()) for a in range(decomp.m_patches)]
-        doc["lattice_counts"] = counts
+        counts = np.bincount(asg.labels[asg.labels >= 0], minlength=decomp.m_patches)
+        doc["lattice_counts"] = counts.tolist()
         doc["corridor_lattice_count"] = int((asg.labels < 0).sum())
     return json.dumps(doc, indent=2)

@@ -14,6 +14,7 @@ from fermiball import (
     check_L_blocks,
     diagonalize,
     dump_solution_csv,
+    ground_state_shift,
     pair_count,
     sample_mode_system,
 )
@@ -180,6 +181,14 @@ def test_trace_correction_nonpositive(random_solutions):
 
 
 # ------------------------------------------------------------ errors
+
+
+def test_trace_route_builds_no_dense_matrices():
+    ms = sample_mode_system(np.random.default_rng(11))
+    shift = ground_state_shift(ms)
+    assert not {"D", "W", "W_tilde"} & set(vars(ms))
+    assert shift == pytest.approx(diagonalize(ms).trace_correction, rel=1e-9)
+    assert ms.D is ms.D  # built once, then kept
 
 
 def test_non_pd_input_rejected():

@@ -40,6 +40,54 @@ def brute_pair_count(decomp, ball, k, alpha):
     return count
 
 
+def loop_labels(decomp, points):
+    """Reference labelling: one pass over the points per northern spec, in
+    spec order, north before south, the last matching write winning."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    r = np.linalg.norm(pts, axis=1)
+    labels = np.full(len(pts), -1, dtype=np.int64)
+    ok = r > 0
+    if not ok.any():
+        return labels
+    theta = np.arccos(np.clip(pts[ok, 2] / r[ok], -1.0, 1.0))
+    phi = np.mod(np.arctan2(pts[ok, 1], pts[ok, 0]), 2 * math.pi)
+    theta_s = math.pi - theta
+    phi_s = np.mod(phi + math.pi, 2 * math.pi)
+    sub = np.full(ok.sum(), -1, dtype=np.int64)
+    for i, spec in enumerate(decomp.north):
+        if spec.is_cap:
+            hit_n = theta < spec.theta_hi
+            hit_s = theta_s < spec.theta_hi
+        else:
+            hit_n = (
+                (theta >= spec.theta_lo)
+                & (theta < spec.theta_hi)
+                & (phi >= spec.phi_lo)
+                & (phi < spec.phi_hi)
+            )
+            hit_s = (
+                (theta_s >= spec.theta_lo)
+                & (theta_s < spec.theta_hi)
+                & (phi_s >= spec.phi_lo)
+                & (phi_s < spec.phi_hi)
+            )
+        sub[hit_n] = i
+        sub[hit_s] = i + decomp.half
+    labels[ok] = sub
+    return labels
+
+
+def loop_grouping(decomp, asg):
+    """Reference per-patch split: two masks and two sorts per patch."""
+    codes = asg.encoder.encode(asg.points)
+    out_codes, in_codes = [], []
+    for a in range(decomp.m_patches):
+        sel = asg.labels == a
+        out_codes.append(np.sort(codes[sel & ~asg.inside]))
+        in_codes.append(np.sort(codes[sel & asg.inside]))
+    return out_codes, in_codes
+
+
 # ------------------------------------------------------------ construction
 
 
@@ -121,6 +169,68 @@ def test_assignment_is_single_valued(decomp_400, ball_400):
         p = asg.points[i]
         lab = patch_of(decomp_400, p)
         assert (lab if lab is not None else -1) == asg.labels[i]
+
+
+@pytest.mark.parametrize("ball_name", ["ball_400", "ball_1600", "ball_6400"])
+def test_one_pass_assignment_matches_patch_loop(ball_name, request):
+    ball = request.getfixturevalue(ball_name)
+    built = 0
+    for m in (2, 4, 8, 30, 64, 512, 2048):
+        for r_v in (0.0, 1.0, 2.0):
+            try:
+                decomp = build_patches(m, ball, r_v)
+            except PatchConstructionError:
+                continue
+            built += 1
+            asg = decomp.shell_assignment(ball)
+            assert np.array_equal(asg.labels, loop_labels(decomp, asg.points))
+            out_codes, in_codes = loop_grouping(decomp, asg)
+            for a in range(decomp.m_patches):
+                assert np.array_equal(asg.out_codes[a], out_codes[a])
+                assert np.array_equal(asg.in_sets[a].codes, in_codes[a])
+                run = asg.order[asg.bounds[a] : asg.bounds[a + 1]]
+                assert np.all(asg.labels[run] == a)
+            assert asg.bounds[-1] == len(asg.points)
+            assert asg.bounds[0] == int((asg.labels < 0).sum())
+    assert built >= 10
+
+
+def _on_sphere(theta, phi):
+    return np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    )
+
+
+def test_one_pass_labels_on_patch_edges(ball_400):
+    # directions exactly on the stored edges (up to the arccos / arctan2 round
+    # trip) and one ulp either side, plus the poles, the equator and phi = 0, 2 pi
+    for m, r_v in ((2, 0.0), (8, 0.0), (30, 0.0), (30, 1.0), (512, 0.0), (2048, 0.0)):
+        decomp = build_patches(m, ball_400, r_v)
+        dirs = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1e-17, 0.3)]
+        for spec in decomp.north:
+            for t in (spec.theta_lo, spec.theta_hi):
+                for p in (spec.phi_lo, spec.phi_hi, 0.0, 2 * math.pi):
+                    for tt in (np.nextafter(t, -1.0), t, np.nextafter(t, 4.0)):
+                        for pp in (np.nextafter(p, -1.0), p, np.nextafter(p, 7.0)):
+                            dirs.append(_on_sphere(tt, pp))
+                            dirs.append(-_on_sphere(tt, pp))
+        pts = 10.0 * np.asarray(dirs, dtype=np.float64)
+        got = decomp.assign_directions(pts)
+        assert np.array_equal(got, loop_labels(decomp, pts))
+        assert got[0] == 0 and got[1] == decomp.half  # the poles lie in the caps
+
+    # lattice points on the axis planes and diagonals: phi exactly 0, pi/2, pi,
+    # pi/4, ..., and z = 0 on the equator
+    for m, r_v in ((2, 1.0), (8, 0.0), (16, 2.0), (30, 0.0)):
+        decomp = build_patches(m, ball_400, r_v)
+        asg = decomp.shell_assignment(ball_400)
+        x, y, z = asg.points.T
+        on_seam = (x == 0) | (y == 0) | (z == 0) | (np.abs(x) == np.abs(y))
+        pts = asg.points[on_seam]
+        want = loop_labels(decomp, pts)
+        for p, lab in zip(pts[::7], want[::7]):
+            got = patch_of(decomp, p)
+            assert (got if got is not None else -1) == lab
 
 
 def test_shell_assignment_shared_by_equal_radii(decomp_400, ball_400):
@@ -228,6 +338,36 @@ def test_pair_count_reflection(ball_400, decomp_400):
 def test_pair_count_empty_when_k_leaves_shell(ball_400, decomp_400):
     # k = (0,0,6): the hole leg always falls below the shell's inner radius
     assert pair_count(decomp_400, ball_400, (0, 0, 6), 0) == 0
+
+
+def test_pair_count_large_k_matches_brute_force(ball_400, decomp_400):
+    # |k|_inf in {9, 12}: counted from the ball's own points, every hole h and
+    # particle h + sign k in patch alpha
+    pts = ball_400.points
+    hole_lab = decomp_400.assign_directions(pts)
+    r = np.sqrt((pts * pts).sum(axis=1))
+    w = decomp_400.shell_halfwidth
+    hole_lab[(r < decomp_400.k_fermi - w) | (r > decomp_400.k_fermi + w)] = -1
+    nonzero = 0
+    for k in ((9, 0, 0), (0, 9, 2), (12, 5, 0), (3, -4, 12)):
+        kv = np.asarray(k, dtype=np.int64)
+        for alpha in range(decomp_400.m_patches):
+            dot = float(decomp_400.omegas[alpha] @ kv)
+            if dot == 0.0:
+                continue
+            part = pts[hole_lab == alpha] + (kv if dot > 0 else -kv)
+            outside = ~ball_400.contains_points(part)
+            want = sum(patch_of(decomp_400, p) == alpha for p in part[outside])
+            got = pair_count(decomp_400, ball_400, k, alpha)
+            assert got == want
+            nonzero += got > 0
+    assert nonzero > 0
+    # two shell points never differ by more than 2 floor(k_F + w) per coordinate;
+    # a z-shift by the code stride would alias p - k onto the column (x, y - 1)
+    rmax = math.floor(decomp_400.k_fermi + decomp_400.shell_halfwidth)
+    stride = decomp_400.shell_assignment(ball_400).encoder.stride
+    for k in ((2 * rmax, 0, 1), (2 * rmax + 1, 0, 1), (0, 0, stride)):
+        assert pair_count(decomp_400, ball_400, k, 0) == 0
 
 
 def test_pair_count_rejections(ball_400, decomp_400):
