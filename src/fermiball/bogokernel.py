@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import KAPPA_IDEAL, FermiBall, InteractionPotential, Momentum, _as_ivec
-from .patches import PatchDecomposition, index_sets, pair_count
+from .patches import PatchDecomposition, index_sets, pair_counts
 
 __all__ = [
     "ModeSystem",
@@ -189,11 +189,12 @@ def build_mode_system(
     knorm = math.sqrt(km.norm_sq())
     idx = index_sets(decomp, kv, delta)
     half = decomp.half
+    counts = pair_counts(decomp, ball, kv)
     plus, minus, u_side, n_side = [], [], [], []
     dropped = []
     for a in idx.plus_side:
         b = a + half if a < half else a - half
-        cnt = pair_count(decomp, ball, kv, a)
+        cnt = int(counts[a])
         if cnt <= 0:
             dropped.append(a)
             continue

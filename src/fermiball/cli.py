@@ -52,8 +52,6 @@ def _cmd_run(args) -> int:
         return 1
     if args.workers:
         config.workers = args.workers
-    if not config.experiments:
-        config.experiments = []
     manifest, all_ok = run_experiments(config)
     for name, entry in manifest["experiments"].items():
         status = entry["status"]

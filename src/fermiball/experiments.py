@@ -20,7 +20,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import bogokernel, lattice, patches, rpa
 from .lattice import FermiBall, InteractionPotential, _band, _solve_ksq_for_n, build_fermi_ball
@@ -250,21 +249,28 @@ def exp_ellipse_count(ctx: Context):
 
 
 def min_patch_separation(decomp, ball) -> float:
-    """Smallest distance between lattice points of distinct patches."""
+    """Smallest distance between lattice points of distinct patches, up to
+    2 r_v + 4 (inf beyond).
+
+    Offsets d are scanned by rising |d|^2, one half-space each (d and -d join
+    the same pairs); every labelled point p is looked up at p + d in the
+    shell's code index, and the first |d|^2 that joins two labels is the answer.
+    """
     asg = decomp.shell_assignment(ball)
-    sel = asg.labels >= 0
-    pts = asg.points[sel].astype(np.float64)
-    lab = asg.labels[sel]
-    tree = cKDTree(pts)
+    enc = asg.encoder
+    src = np.flatnonzero(asg.labels >= 0)
+    codes, src_labels = enc.codes[src], asg.labels[src]
     radius = 2.0 * decomp.r_corridor + 4.0
-    best = math.inf
-    pairs = tree.query_pairs(r=radius, output_type="ndarray")
-    if len(pairs):
-        diff = lab[pairs[:, 0]] != lab[pairs[:, 1]]
-        if diff.any():
-            d = np.linalg.norm(pts[pairs[diff, 0]] - pts[pairs[diff, 1]], axis=1)
-            best = float(d.min())
-    return best
+    offsets = _band(1, math.floor(radius * radius))
+    # the band is symmetric and lexicographic: its upper half is the d > 0 half
+    offsets = offsets[len(offsets) // 2 :]
+    norms = (offsets * offsets).sum(axis=1)
+    for i in np.argsort(norms):
+        rows = enc.index_codes(codes + enc.shift(offsets[i]))
+        lab = np.where(rows >= 0, asg.labels[rows], -1)
+        if ((lab >= 0) & (lab != src_labels)).any():
+            return math.sqrt(norms[i])
+    return math.inf
 
 
 def exp_patch_audit(ctx: Context):
@@ -281,7 +287,7 @@ def exp_patch_audit(ctx: Context):
         sep = min_patch_separation(decomp, ball)
         diam_max = 0.0
         for a in range(decomp.m_patches):
-            pts = asg.points[asg.order[asg.bounds[a] : asg.bounds[a + 1]]]
+            pts = asg.points[asg.labels == a]
             if len(pts) > 1:
                 span = pts.max(axis=0) - pts.min(axis=0)
                 diam_max = max(diam_max, float(np.linalg.norm(span)))
@@ -545,14 +551,13 @@ def exp_hf_stability(ctx: Context):
     e0 = lattice.hartree_fock_energy(ball, pot)
     rows = []
     occ0 = ball.points
-    enc = ball.encoded  # the ball is lexicographic, so code order is row order
     check_ids = rng.choice(n_swaps, size=min(n_check, n_swaps), replace=False)
     worst_rel = 0.0
     for i in sorted(int(j) for j in check_ids):
         h = holes[hi[i]]
         p = particles[pi[i]]
         occ = occ0.copy()
-        occ[np.searchsorted(enc.codes, enc.encode(h)[0])] = p
+        occ[np.flatnonzero((occ0 == h).all(axis=1))[0]] = p
         full = hf_energy_of_occupation(ball, pot, occ) - e0
         rel = abs(full - gaps[i]) / max(abs(full), 1e-300)
         worst_rel = max(worst_rel, rel)
@@ -596,6 +601,15 @@ EXPERIMENTS = {
 }
 
 
+def _field(key: str, convert, value):
+    """convert(value) for config field key; a wrongly typed value raises
+    ValueError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"{key}: invalid value {value!r}") from err
+
+
 def load_config(doc: dict, output_override=None) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, naming bad fields."""
     radius_keys = [k for k in ("k_fermi", "k_fermi_sq", "n_particles") if k in doc]
@@ -603,45 +617,46 @@ def load_config(doc: dict, output_override=None) -> RunConfig:
         raise ValueError("config must set exactly one of k_fermi, k_fermi_sq, n_particles")
     key = radius_keys[0]
     if key == "n_particles":
-        n = int(doc[key])
+        n = _field(key, int, doc[key])
         if n < 1:
             raise ValueError("n_particles must be >= 1")
         ksq, n_actual = _solve_ksq_for_n(n)
         if n_actual != n:
             log.warning("n_particles=%d not attainable; using nearest N=%d", n, n_actual)
     elif key == "k_fermi":
-        if doc[key] <= 0:
+        k_fermi = _field(key, lambda v: Fraction(float(v)), doc[key])
+        if k_fermi <= 0:
             raise ValueError("k_fermi must be positive")
-        ksq = Fraction(float(doc[key])) ** 2
+        ksq = k_fermi**2
     else:
-        ksq = Fraction(str(doc[key]))
+        ksq = _field(key, lambda v: Fraction(str(v)), doc[key])
         if ksq <= 0:
             raise ValueError("k_fermi_sq must be positive")
 
-    m_patches = int(doc.get("m_patches", 8))
+    m_patches = _field("m_patches", int, doc.get("m_patches", 8))
     if m_patches < 2 or m_patches % 2:
         raise ValueError("m_patches must be even and >= 2")
-    delta = float(doc.get("delta", DEFAULT_DELTA))
+    delta = _field("delta", float, doc.get("delta", DEFAULT_DELTA))
     if not (0.0 < delta < 1.0 / 6.0):
         raise ValueError("delta must lie in (0, 1/6)")
     try:
         potential = InteractionPotential.from_pairs(
             (tuple(k), v) for k, v in doc.get("potential", [])
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ValueError(f"potential: {err}") from err
-    experiments = list(doc.get("experiments", []))
+    experiments = _field("experiments", list, doc.get("experiments", []))
     for name in experiments:
-        if name not in EXPERIMENTS:
+        if not isinstance(name, str) or name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
-    out = Path(output_override or doc.get("output_dir", "out"))
-    seed = int(doc.get("seed", 0))
-    workers = int(doc.get("workers", 1))
+    out = _field("output_dir", Path, output_override or doc.get("output_dir", "out"))
+    seed = _field("seed", int, doc.get("seed", 0))
+    workers = _field("workers", int, doc.get("workers", 1))
     if workers < 1:
         raise ValueError("workers must be >= 1")
     options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise ValueError("options must be a mapping")
+    if not isinstance(options, dict) or not all(isinstance(o, dict) for o in options.values()):
+        raise ValueError("options must be a mapping of experiment names to mappings")
     return RunConfig(
         k_fermi_sq=ksq,
         m_patches=m_patches,

@@ -63,9 +63,10 @@ def _as_ivec(p: Sequence[int]) -> np.ndarray:
 class EncodedSet:
     """Sorted-integer encoding of a finite set of lattice points.
 
-    Points are packed into a single int64 per point so that membership queries
-    reduce to searchsorted, and so that a query for ``p + k`` is a constant
-    shift of the code of ``p``.
+    Points are packed into a single int64 per point so that a lookup is one
+    searchsorted, and so that a query for ``p + d`` is a constant shift of the
+    code of ``p``.  The code is monotone in lexicographic order, so for points
+    given in that order the sorted codes are in row order.
     """
 
     def __init__(self, points: np.ndarray, half_width: int):
@@ -76,15 +77,6 @@ class EncodedSet:
                 raise ValueError("points exceed encoding half-width")
         self.codes = np.sort(self.encode(points))
 
-    @classmethod
-    def from_sorted_codes(cls, codes: np.ndarray, half_width: int) -> "EncodedSet":
-        """Set over codes already encoded at ``half_width`` and sorted ascending."""
-        out = cls.__new__(cls)
-        out.half = int(half_width)
-        out.stride = 2 * out.half + 1
-        out.codes = codes
-        return out
-
     def encode(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
         h, s = self.half, self.stride
@@ -94,19 +86,20 @@ class EncodedSet:
         kx, ky, kz = (int(c) for c in k)
         return (kx * self.stride + ky) * self.stride + kz
 
-    def contains_codes(self, codes: np.ndarray) -> np.ndarray:
+    def index_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Position of each code in ``codes`` (the point's row, for points
+        given in lexicographic order), or -1 where the set lacks it."""
         if not len(self.codes):
-            return np.zeros(len(codes), dtype=bool)
-        idx = np.searchsorted(self.codes, codes)
-        idx = np.minimum(idx, len(self.codes) - 1)
-        return self.codes[idx] == codes
+            return np.full(len(codes), -1, dtype=np.int64)
+        idx = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        return np.where(self.codes[idx] == codes, idx, -1)
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
         ok = (np.abs(points) <= self.half).all(axis=1)
         out = np.zeros(len(points), dtype=bool)
         if ok.any():
-            out[ok] = self.contains_codes(self.encode(points[ok]))
+            out[ok] = self.index_codes(self.encode(points[ok])) >= 0
         return out
 
 
@@ -129,7 +122,6 @@ class FermiBall:
         self.n_particles: int = len(self._points)
         self.hbar: float = self.n_particles ** (-1.0 / 3.0)
         self.kappa_eff: float = self.k_fermi * self.hbar
-        self._encoded: EncodedSet | None = None
         self._norm_sq: np.ndarray | None = None
 
     @property
@@ -143,13 +135,6 @@ class FermiBall:
             p = self._points
             self._norm_sq = (p * p).sum(axis=1)
         return self._norm_sq
-
-    @property
-    def encoded(self) -> EncodedSet:
-        if self._encoded is None:
-            half = int(math.isqrt(self.norm_sq_max)) if self.norm_sq_max else 0
-            self._encoded = EncodedSet(self._points, half)
-        return self._encoded
 
     def contains(self, p: Sequence[int]) -> bool:
         return _as_momentum(p).norm_sq() <= self.norm_sq_max
@@ -279,14 +264,17 @@ def shell_pairs(ball: FermiBall, k: Sequence[int]) -> np.ndarray:
     """Particle momenta p outside the ball with hole p - k inside.
 
     Returns an (n, 3) int64 array in lexicographic order; empty for k = 0.
+    Only the band q < |p|^2 <= (sqrt(q) + |k|)^2 around the ball (q =
+    floor(k_F^2)) is enumerated, so the cost follows the surface, not N.
     """
     kv = _as_ivec(k)
     if not kv.any():
         return np.zeros((0, 3), dtype=np.int64)
-    p = ball.points + kv
-    outside = (p * p).sum(axis=1) > ball.norm_sq_max
-    # ball.points is lexicographic and a constant shift keeps that order
-    return p[outside]
+    q, kk = ball.norm_sq_max, int(kv @ kv)
+    # the integer |p|^2 <= (sqrt(q) + |k|)^2 < q + kk + 2 (isqrt(q kk) + 1)
+    p = _band(q + 1, q + kk + 2 * math.isqrt(q * kk) + 1)
+    h = p - kv
+    return p[(h * h).sum(axis=1) <= q]
 
 
 def shell_denominators(ball: FermiBall, k: Sequence[int]) -> np.ndarray:
@@ -435,25 +423,19 @@ class InteractionPotential:
         return out
 
 
-def _exchange_overlap(ball: FermiBall, k: Momentum) -> int:
-    """|B_F intersect (B_F + k)| via the encoded member set."""
-    enc = ball.encoded
-    shifted = ball.points + np.asarray(k, dtype=np.int64)
-    return int(enc.contains_points(shifted).sum())
-
-
 def hartree_fock_energy(ball: FermiBall, v: InteractionPotential) -> float:
     """Energy of the plane-wave Slater determinant filling the ball.
 
     kinetic + (lambda/2) [N(N-1) V(0) - sum_{p != q} V(p - q)], lambda = 1/N.
-    The exchange double sum collapses to one overlap count per support vector.
+    The exchange double sum collapses to one overlap count per support vector,
+    |B_F intersect (B_F + k)| = N - #shell_pairs(k).
     """
     n = ball.n_particles
     lam = 1.0 / n
     kinetic = ball.hbar**2 * float(ball.norms_sq.sum())
     direct = v((0, 0, 0)) * n * (n - 1)
     exchange = math.fsum(
-        val * _exchange_overlap(ball, k)
+        val * (n - len(shell_pairs(ball, k)))
         for k, val in v.items()
         if val != 0.0 and k != Momentum(0, 0, 0)
     )

@@ -29,6 +29,7 @@ __all__ = [
     "patch_of",
     "index_sets",
     "pair_count",
+    "pair_counts",
     "decomposition_to_json",
 ]
 
@@ -74,19 +75,13 @@ class ModeIndexSet:
 class ShellAssignment:
     """Lattice points of the radial shell labelled by patch index (-1: corridor).
 
-    ``order`` lists the shell indices sorted by (label, inside, code), so patch
-    ``a`` is the run ``order[bounds[a]:bounds[a + 1]]``, its points outside
-    the ball first; ``out_codes[a]`` and ``in_sets[a].codes`` are the sorted
-    codes of those two halves under ``encoder``.
+    ``points`` are in lexicographic order, so ``encoder.codes`` is ascending
+    in row order and ``encoder.index_codes`` returns shell rows.
     """
 
     points: np.ndarray
     labels: np.ndarray
     inside: np.ndarray
-    order: np.ndarray
-    bounds: np.ndarray
-    out_codes: list[np.ndarray]
-    in_sets: list[EncodedSet]
     encoder: EncodedSet
 
 
@@ -208,21 +203,7 @@ class PatchDecomposition:
         # shell points have |p|_inf <= rmax, so p -/+ k stays inside the code
         # cube for every |k|_inf <= 2 rmax, the most two shell points differ
         # by; building the encoder over the shell checks that half-width once
-        enc = EncodedSet(points, 3 * rmax)
-        codes = enc.encode(points)
-        order = np.lexsort((codes, inside, labels))
-        sorted_codes = codes[order]
-        # group 2a holds patch a's points outside the ball, 2a + 1 those inside
-        group = 2 * labels[order] + inside[order]
-        cuts = np.searchsorted(group, np.arange(2 * self.m_patches + 1))
-        out_codes = [sorted_codes[cuts[g] : cuts[g + 1]] for g in range(0, len(cuts) - 1, 2)]
-        in_sets = [
-            EncodedSet.from_sorted_codes(sorted_codes[cuts[g] : cuts[g + 1]], enc.half)
-            for g in range(1, len(cuts), 2)
-        ]
-        asg = ShellAssignment(
-            points, labels, inside, order, cuts[::2], out_codes, in_sets, enc
-        )
+        asg = ShellAssignment(points, labels, inside, EncodedSet(points, 3 * rmax))
         self._assignments[key] = asg
         return asg
 
@@ -390,14 +371,30 @@ def pair_count(
             raise ValueError(
                 f"patch {alpha} lies below the equator cut for k={tuple(kv)}"
             )
+    return int(pair_counts(decomp, ball, kv)[alpha])
+
+
+def pair_counts(decomp: PatchDecomposition, ball: FermiBall, k: Sequence[int]) -> np.ndarray:
+    """Pair counts of every patch at relative momentum k, indexed by patch.
+
+    A particle p outside the ball in patch alpha pairs with the hole p - k
+    (k . omega_alpha > 0) or p + k (k . omega_alpha < 0) when that hole lies
+    inside the ball and in the same patch; patches orthogonal to k count 0.
+    """
+    kv = _as_ivec(k)
+    if not kv.any():
+        raise ValueError("k = 0 admits no particle-hole pairs")
     asg = decomp.shell_assignment(ball)
     enc = asg.encoder
     if 3 * int(np.abs(kv).max()) > 2 * enc.half:
         # two shell points differ by at most 2 rmax = 2 half / 3 per coordinate
-        return 0
-    shift = enc.shift(kv if dot > 0 else -kv)
-    target = asg.out_codes[alpha] - shift
-    return int(asg.in_sets[alpha].contains_codes(target).sum())
+        return np.zeros(decomp.m_patches, dtype=np.int64)
+    sign = np.sign(decomp.omegas @ kv.astype(np.float64)).astype(np.int64)
+    part = np.flatnonzero((asg.labels >= 0) & ~asg.inside)
+    lab = asg.labels[part]
+    rows = enc.index_codes(enc.codes[part] - sign[lab] * enc.shift(kv))
+    hit = (rows >= 0) & asg.inside[rows] & (asg.labels[rows] == lab)
+    return np.bincount(lab[hit], minlength=decomp.m_patches)
 
 
 def decomposition_to_json(decomp: PatchDecomposition, ball: FermiBall | None = None) -> str:

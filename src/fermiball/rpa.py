@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bogokernel import DiagonalizationError, build_mode_system, ground_state_shift
 from .lattice import KAPPA_IDEAL, FermiBall, InteractionPotential, Momentum
@@ -55,6 +54,8 @@ def g_power_integral(power: int, cutoff: float = 200.0) -> float:
     """
     if power not in (1, 2, 3):
         raise ValueError("power must be 1, 2 or 3")
+    from scipy.integrate import quad  # deferred: most of the package import time
+
     val, _ = quad(lambda t: g_profile(t) ** power, 0.0, cutoff, limit=500, epsabs=1e-13, epsrel=1e-13)
     lam = cutoff
     if power == 1:
@@ -76,6 +77,8 @@ def rpa_mode_integral_with_error(c: float) -> tuple[float, float]:
         raise ValueError(f"coupling must be nonnegative, got {c}")
     if c == 0.0:
         return 0.0, 0.0
+    from scipy.integrate import quad  # deferred: most of the package import time
+
     cutoff = max(100.0, 2.0 * c)
 
     def integrand(t: float) -> float:

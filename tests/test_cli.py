@@ -104,6 +104,26 @@ def test_load_config_field_errors(tmp_path):
     bad["n_particles"] = 10
     with pytest.raises(ValueError, match="exactly one"):
         load_config(bad)
+    # wrongly typed JSON values name their field instead of raising TypeError
+    radius_free = {k: v for k, v in base.items() if k != "k_fermi_sq"}
+    cases = [(radius_free, f, v) for f, v in (("k_fermi", "abc"), ("k_fermi_sq", "abc"), ("n_particles", None))]
+    cases += [
+        (base, f, v)
+        for f, v in (
+            ("m_patches", None),
+            ("workers", None),
+            ("delta", "x"),
+            ("seed", [1]),
+            ("potential", 5),
+            ("potential", None),
+            ("experiments", 5),
+            ("experiments", None),
+            ("options", {"patch_audit": 3}),
+        )
+    ]
+    for doc, field, value in cases:
+        with pytest.raises(ValueError, match=field):
+            load_config(dict(doc, **{field: value}))
 
 
 def test_config_from_particle_number(tmp_path):
@@ -122,6 +142,22 @@ def test_load_config_does_not_import_cli():
         "from fermiball.experiments import load_config\n"
         "load_config({'n_particles': 33})\n"
         "assert 'fermiball.cli' not in sys.modules, 'load_config imported fermiball.cli'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_load_config_does_not_import_scipy():
+    # scipy.integrate is most of the package import time; only the
+    # quadrature of the rpa layer needs it
+    code = (
+        "import sys\n"
+        "from fermiball.experiments import load_config\n"
+        "load_config({'n_particles': 33})\n"
+        "assert 'scipy' not in sys.modules, 'load_config imported scipy'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
     proc = subprocess.run(

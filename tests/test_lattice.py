@@ -184,6 +184,20 @@ def test_shell_pairs_properties(k):
         assert den.min() >= 1
 
 
+def ball_shift_shell_pairs(ball, k):
+    """Reference shell pairs: shift every ball point by k and keep those
+    outside (a constant shift keeps the lexicographic order)."""
+    p = ball.points + np.asarray(k, dtype=np.int64)
+    return p[(p * p).sum(axis=1) > ball.norm_sq_max]
+
+
+@pytest.mark.parametrize("ksq", ["2.5", "400.5", "6400.5", "9"])
+def test_shell_pairs_match_ball_shift(ksq):
+    ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+    for k in ((1, 0, 0), (0, -1, 0), (1, 1, 1), (3, -2, 5), (9, 0, 0), (-4, 7, -12)):
+        assert np.array_equal(shell_pairs(ball, k), ball_shift_shell_pairs(ball, k))
+
+
 def test_shell_cardinality_scales_like_surface():
     sizes = []
     for ksq in ["100.5", "400.5", "1600.5"]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fermiball import (
     PatchConstructionError,
@@ -15,6 +16,7 @@ from fermiball import (
     patch_of,
 )
 from fermiball.experiments import min_patch_separation
+from fermiball.patches import pair_counts
 
 
 @pytest.fixture(scope="module")
@@ -77,15 +79,38 @@ def loop_labels(decomp, points):
     return labels
 
 
-def loop_grouping(decomp, asg):
-    """Reference per-patch split: two masks and two sorts per patch."""
-    codes = asg.encoder.encode(asg.points)
-    out_codes, in_codes = [], []
+def loop_pair_counts(decomp, asg, ks):
+    """Reference per-patch route: each patch's particle codes (outside the
+    ball) shifted by -/+ k and matched against its own hole codes (inside)."""
+    enc = asg.encoder
+    codes = enc.encode(asg.points)
+    counts = np.zeros((len(ks), decomp.m_patches), dtype=np.int64)
     for a in range(decomp.m_patches):
         sel = asg.labels == a
-        out_codes.append(np.sort(codes[sel & ~asg.inside]))
-        in_codes.append(np.sort(codes[sel & asg.inside]))
-    return out_codes, in_codes
+        part, hole = codes[sel & ~asg.inside], codes[sel & asg.inside]
+        for i, k in enumerate(ks):
+            kv = np.asarray(k, dtype=np.int64)
+            dot = float(decomp.omegas[a] @ kv)
+            if dot != 0.0:
+                shift = enc.shift(kv if dot > 0 else -kv)
+                counts[i, a] = np.isin(part - shift, hole).sum()
+    return counts
+
+
+def kdtree_min_patch_separation(decomp, ball):
+    """Reference separation: every pair of labelled shell points within
+    2 r_v + 4 from a KD-tree, the closest pair with distinct labels."""
+    asg = decomp.shell_assignment(ball)
+    sel = asg.labels >= 0
+    pts = asg.points[sel].astype(np.float64)
+    lab = asg.labels[sel]
+    pairs = cKDTree(pts).query_pairs(r=2.0 * decomp.r_corridor + 4.0, output_type="ndarray")
+    if len(pairs):
+        diff = lab[pairs[:, 0]] != lab[pairs[:, 1]]
+        if diff.any():
+            d = np.linalg.norm(pts[pairs[diff, 0]] - pts[pairs[diff, 1]], axis=1)
+            return float(d.min())
+    return math.inf
 
 
 # ------------------------------------------------------------ construction
@@ -184,14 +209,15 @@ def test_one_pass_assignment_matches_patch_loop(ball_name, request):
             built += 1
             asg = decomp.shell_assignment(ball)
             assert np.array_equal(asg.labels, loop_labels(decomp, asg.points))
-            out_codes, in_codes = loop_grouping(decomp, asg)
-            for a in range(decomp.m_patches):
-                assert np.array_equal(asg.out_codes[a], out_codes[a])
-                assert np.array_equal(asg.in_sets[a].codes, in_codes[a])
-                run = asg.order[asg.bounds[a] : asg.bounds[a + 1]]
-                assert np.all(asg.labels[run] == a)
-            assert asg.bounds[-1] == len(asg.points)
-            assert asg.bounds[0] == int((asg.labels < 0).sum())
+            # the shell is lexicographic, so its codes ascend in row order and
+            # a lookup in the encoder returns shell rows
+            codes = asg.encoder.encode(asg.points)
+            assert np.all(np.diff(codes) > 0)
+            assert np.array_equal(asg.encoder.codes, codes)
+            ks = [(0, 0, 1), (1, -2, 3)]
+            want = loop_pair_counts(decomp, asg, ks)
+            for k, row in zip(ks, want):
+                assert np.array_equal(pair_counts(decomp, ball, k), row)
     assert built >= 10
 
 
@@ -259,6 +285,23 @@ def test_lattice_separation_exceeds_corridor_bound(decomp_400, ball_400):
     assert sep > 2.0 * decomp_400.r_corridor
 
 
+@pytest.mark.parametrize(
+    "ball_name, r_v",
+    [("ball_400", 0.0), ("ball_400", 1.0), ("ball_400", 2.0), ("ball_1600", 0.0), ("ball_1600", 1.0)],
+)
+def test_separation_matches_kdtree(ball_name, r_v, request):
+    ball = request.getfixturevalue(ball_name)
+    built = 0
+    for m in (2, 6, 8, 16, 30):
+        try:
+            decomp = build_patches(m, ball, r_v)
+        except PatchConstructionError:
+            continue
+        built += 1
+        assert min_patch_separation(decomp, ball) == kdtree_min_patch_separation(decomp, ball)
+    assert built >= 3
+
+
 def test_patch_diameter_bound(decomp_400, ball_400):
     asg = decomp_400.shell_assignment(ball_400)
     n13 = ball_400.n_particles ** (1.0 / 3.0)
@@ -323,6 +366,9 @@ def test_pair_count_matches_enumeration(ball_400, decomp_400):
         got = pair_count(decomp_400, ball_400, (0, 0, 1), alpha)
         assert got == brute_pair_count(decomp_400, ball_400, (0, 0, 1), alpha)
         assert got > 0
+    k = (1, -1, 2)  # no patch of decomp_400 is orthogonal to it
+    want = [brute_pair_count(decomp_400, ball_400, k, a) for a in range(decomp_400.m_patches)]
+    assert pair_counts(decomp_400, ball_400, k).tolist() == want
 
 
 def test_pair_count_reflection(ball_400, decomp_400):
