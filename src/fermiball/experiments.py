@@ -195,12 +195,13 @@ def exp_slice_count_bound(ctx: Context):
         p = lattice.shell_pairs(ball, k)
         dots = p @ kv
         scale = ball.n_particles ** (gamma / 3.0)
-        c_fit, s_worst = 0.0, 0
-        for s in range(int(dots.min()), int(dots.max()) + 1):
-            cnt = int(np.count_nonzero(dots == s))
-            c = cnt / (abs(s) + scale)
-            if c > c_fit:
-                c_fit, s_worst = c, s
+        # slice s = lo + i holds cnt[i] pairs; slice lo holds at least one, so
+        # the first largest ratio is positive and wins
+        lo = int(dots.min())
+        s = np.arange(lo, int(dots.max()) + 1)
+        ratio = np.bincount(dots - lo) / (np.abs(s) + scale)
+        i = int(np.argmax(ratio))
+        c_fit, s_worst = float(ratio[i]), int(s[i])
         rows.append(
             {
                 "k_fermi": ball.k_fermi,
@@ -550,7 +551,7 @@ def exp_hf_stability(ctx: Context):
         gaps[i] = lattice.excitation_energy(ball, pot, holes[hi[i]], particles[pi[i]])
     e0 = lattice.hartree_fock_energy(ball, pot)
     rows = []
-    occ0 = ball.points
+    occ0 = _band(0, ball.norm_sq_max)
     check_ids = rng.choice(n_swaps, size=min(n_check, n_swaps), replace=False)
     worst_rel = 0.0
     for i in sorted(int(j) for j in check_ids):

@@ -104,7 +104,8 @@ class EncodedSet:
 
 
 class FermiBall:
-    """All integer momenta with |p|^2 <= k_F^2, plus the derived scaling data.
+    """The integer momenta with |p|^2 <= k_F^2, held as the exact radius and
+    the counts derived from it; no point is stored.
 
     The squared radius is stored as an exact rational; membership compares the
     integer |p|^2 against floor(k_F^2) (against k_F^2 itself when it is an
@@ -118,23 +119,9 @@ class FermiBall:
         self.k_fermi: float = math.sqrt(float(k_fermi_sq))
         # exact integer threshold: |p|^2 <= k_F^2  <=>  |p|^2 <= floor(k_F^2)
         self.norm_sq_max: int = math.floor(k_fermi_sq)
-        self._points = _band(0, self.norm_sq_max)
-        self.n_particles: int = len(self._points)
+        self.n_particles: int = _ball_count(self.norm_sq_max)
         self.hbar: float = self.n_particles ** (-1.0 / 3.0)
         self.kappa_eff: float = self.k_fermi * self.hbar
-        self._norm_sq: np.ndarray | None = None
-
-    @property
-    def points(self) -> np.ndarray:
-        """Members as an (N, 3) int64 array in lexicographic order."""
-        return self._points
-
-    @property
-    def norms_sq(self) -> np.ndarray:
-        if self._norm_sq is None:
-            p = self._points
-            self._norm_sq = (p * p).sum(axis=1)
-        return self._norm_sq
 
     def contains(self, p: Sequence[int]) -> bool:
         return _as_momentum(p).norm_sq() <= self.norm_sq_max
@@ -142,9 +129,6 @@ class FermiBall:
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
         return (points * points).sum(axis=1) <= self.norm_sq_max
-
-    def __len__(self) -> int:
-        return self.n_particles
 
     def __repr__(self) -> str:
         return f"FermiBall(k_fermi_sq={self.k_fermi_sq}, n={self.n_particles})"
@@ -212,6 +196,16 @@ def _ball_count(m: int) -> int:
     """Number of lattice points with |p|^2 <= m."""
     x, y = _columns(m)
     return int((2 * _isqrt(m - x * x - y * y) + 1).sum())
+
+
+def _ball_kinetic_sum(m: int) -> int:
+    """sum |p|^2 over the lattice points with |p|^2 <= m. Over column (x, y)
+    with s = x^2 + y^2 and height h the 2h + 1 points add
+    (2h + 1) s + 2 (1^2 + ... + h^2) = (2h + 1) s + h (h + 1) (2h + 1) / 3."""
+    x, y = _columns(m)
+    s = x * x + y * y
+    h = _isqrt(m - s)
+    return int(((2 * h + 1) * s + h * (h + 1) * (2 * h + 1) // 3).sum())
 
 
 def _solve_ksq_for_n(n_target: int) -> tuple[Fraction, int]:
@@ -432,7 +426,7 @@ def hartree_fock_energy(ball: FermiBall, v: InteractionPotential) -> float:
     """
     n = ball.n_particles
     lam = 1.0 / n
-    kinetic = ball.hbar**2 * float(ball.norms_sq.sum())
+    kinetic = ball.hbar**2 * float(_ball_kinetic_sum(ball.norm_sq_max))
     direct = v((0, 0, 0)) * n * (n - 1)
     exchange = math.fsum(
         val * (n - len(shell_pairs(ball, k)))

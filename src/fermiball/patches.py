@@ -362,14 +362,16 @@ def pair_count(
         raise ValueError("k = 0 admits no particle-hole pairs")
     if not (0 <= alpha < decomp.m_patches):
         raise IndexError(f"patch index {alpha} out of range")
-    dot = float(decomp.omegas[alpha] @ kv)
+    # the matrix-vector product of index_sets and pair_counts, so the three
+    # agree to the last bit
+    dot = float((decomp.omegas @ kv.astype(np.float64))[alpha])
     if dot == 0.0:
-        raise ValueError(f"patch {alpha} is orthogonal to k={tuple(kv)}; no modes")
+        raise ValueError(f"patch {alpha} is orthogonal to k={tuple(kv.tolist())}; no modes")
     if delta is not None:
         threshold = decomp.n_particles ** (-float(delta))
         if abs(dot) < threshold:
             raise ValueError(
-                f"patch {alpha} lies below the equator cut for k={tuple(kv)}"
+                f"patch {alpha} lies below the equator cut for k={tuple(kv.tolist())}"
             )
     return int(pair_counts(decomp, ball, kv)[alpha])
 

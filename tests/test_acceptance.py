@@ -33,6 +33,7 @@ from fermiball import (
     shell_pairs,
 )
 from fermiball.experiments import ENERGY_DELTA, boundary_shells, hf_energy_of_occupation
+from fermiball.lattice import _band
 from fermiball.rpa import g_power_integral, rpa_mode_integral
 
 DELTA_DEFAULT = 1.0 / 24.0
@@ -309,14 +310,15 @@ def test_criterion_10_hf_stability(ball_400, unit_potential):
     all_positive = bool((gaps > 0).all())
 
     # full re-summation oracle on 50 sampled swaps
-    e0 = hf_energy_of_occupation(ball, pot, ball.points)
+    occ0 = _band(0, ball.norm_sq_max)
+    e0 = hf_energy_of_occupation(ball, pot, occ0)
     assert e0 == pytest.approx(hartree_fock_energy(ball, pot), rel=1e-12)
-    hole_index = {tuple(h): i for i, h in enumerate(ball.points.tolist())}
+    hole_index = {tuple(h): i for i, h in enumerate(occ0.tolist())}
     check = rng.choice(1000, size=50, replace=False)
     worst_rel = 0.0
     for i in check:
         h, p = holes[hi[i]], particles[pi_[i]]
-        occ = ball.points.copy()
+        occ = occ0.copy()
         occ[hole_index[tuple(h.tolist())]] = p
         full = hf_energy_of_occupation(ball, pot, occ) - e0
         worst_rel = max(worst_rel, abs(full - gaps[i]) / abs(full))

@@ -260,6 +260,35 @@ def test_run_reproducible_csv_bytes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+#: sha256 of each integer-driven lattice CSV at seed 1 with default options.
+#: These experiments feed exact lattice counts into fixed float expressions, so
+#: a change to the lattice layer that keeps the counts keeps these bytes.
+LATTICE_CSV_SHA256 = {
+    "gauss_count": "0d966da8b4ce9ff1a2955c7adcd9a9c8bc4280c3a93c2ca15ad5b65427279ed5",
+    "kinetic_sum_scaling": "a6d8d6b64af46fe7deb3280fcedd68b3c58cdfb9c29ddd32c11d49be7363a459",
+    "equator_sum_scaling": "12e2a424cde6496fe8d63082967f82317263ce01d788b9ec5c7325ee6175838b",
+    "slice_count_bound": "b42087a2288c5bea414cf931993c3551b7e1b77db9de24c6f56819d705a02de6",
+    "ellipse_count": "066a45cf532d07fc003577769e4aaa52f5eac0b0931ba03d849ac5f084a3675c",
+    "hf_stability": "ddaffa8f9a8d66f46b3661803a86eb5ccd4f2360c7b6d05e661e488b63151dfe",
+}
+
+
+def test_lattice_csv_golden_bytes(tmp_path):
+    import hashlib
+
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"k_fermi_sq": 400.5, "experiments": list(LATTICE_CSV_SHA256), "seed": 1})
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    got = {
+        name: hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+        for name in LATTICE_CSV_SHA256
+    }
+    assert got == LATTICE_CSV_SHA256
+
+
 def test_run_manifest_hashes_match(tmp_path):
     import hashlib
 

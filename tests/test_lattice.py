@@ -19,7 +19,7 @@ from fermiball import (
     kinetic_reciprocal_sum,
     shell_pairs,
 )
-from fermiball.lattice import _band, _isqrt, shell_denominators
+from fermiball.lattice import _band, _ball_kinetic_sum, _isqrt, shell_denominators
 
 
 # ---------------------------------------------------------------- oracles
@@ -63,7 +63,7 @@ def brute_annulus(r_in, r_out, d0):
 
 
 def brute_hf_energy(ball, v):
-    pts = [tuple(p) for p in ball.points.tolist()]
+    pts = [tuple(p) for p in _band(0, ball.norm_sq_max).tolist()]
     n = len(pts)
     lam = 1.0 / n
     kin = ball.hbar**2 * sum(x * x + y * y + z * z for x, y, z in pts)
@@ -98,9 +98,41 @@ def test_ball_integer_radius_includes_boundary():
 
 def test_ball_deterministic_and_sorted(ball_small):
     other = build_fermi_ball(k_fermi_sq=ball_small.k_fermi_sq)
-    assert np.array_equal(ball_small.points, other.points)
-    order = np.lexsort((ball_small.points[:, 2], ball_small.points[:, 1], ball_small.points[:, 0]))
-    assert np.array_equal(order, np.arange(len(ball_small.points)))
+    assert other.n_particles == ball_small.n_particles
+    pts = _band(0, ball_small.norm_sq_max)
+    assert np.array_equal(pts, _band(0, other.norm_sq_max))
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    assert np.array_equal(order, np.arange(len(pts)))
+
+
+def test_ball_holds_no_arrays():
+    ball = build_fermi_ball(k_fermi_sq=400.5)
+    assert not any(isinstance(v, np.ndarray) for v in vars(ball).values())
+
+
+def test_ball_counts_match_band():
+    # every q in 0..3000 from one enumeration: _band(0, q) is the part of
+    # _band(0, 3000) with |p|^2 <= q, so its size and kinetic sum are prefix
+    # sums over |p|^2
+    p = _band(0, 3000)
+    shells = np.bincount((p * p).sum(axis=1), minlength=3001)
+    counts = np.cumsum(shells)
+    kinetic = np.cumsum(np.arange(3001) * shells)
+    for q in range(3001):
+        ball = build_fermi_ball(k_fermi_sq=Fraction(2 * q + 1, 2))
+        assert ball.norm_sq_max == q
+        assert ball.n_particles == counts[q], q
+        assert _ball_kinetic_sum(q) == kinetic[q], q
+    p = _band(0, 6400)
+    assert build_fermi_ball(k_fermi_sq=6400).n_particles == len(p)
+    assert _ball_kinetic_sum(6400) == int((p * p).sum())
+
+
+def test_ball_reaches_a_billion_points():
+    # N = 1.1e9 is counted column by column; no point is materialised
+    ball = build_fermi_ball(k_fermi_sq=Fraction("409600.5"))
+    volume = 4.0 * math.pi / 3.0 * ball.k_fermi**3
+    assert abs(ball.n_particles - volume) / ball.n_particles < 1e-4
 
 
 def test_isqrt_exact_next_to_squares():
@@ -124,7 +156,7 @@ def test_band_matches_brute_force_cube():
 
 
 def test_ball_reflection_symmetry(ball_small):
-    pts = {tuple(p) for p in ball_small.points.tolist()}
+    pts = {tuple(p) for p in _band(0, ball_small.norm_sq_max).tolist()}
     assert pts == {(-x, -y, -z) for x, y, z in pts}
 
 
@@ -187,7 +219,7 @@ def test_shell_pairs_properties(k):
 def ball_shift_shell_pairs(ball, k):
     """Reference shell pairs: shift every ball point by k and keep those
     outside (a constant shift keeps the lexicographic order)."""
-    p = ball.points + np.asarray(k, dtype=np.int64)
+    p = _band(0, ball.norm_sq_max) + np.asarray(k, dtype=np.int64)
     return p[(p * p).sum(axis=1) > ball.norm_sq_max]
 
 
@@ -359,6 +391,28 @@ def test_hf_energy_matches_brute_force(ball_small, unit_potential):
     assert got == pytest.approx(brute_hf_energy(ball_small, unit_potential), rel=1e-12)
 
 
+def enumerated_hf_energy(ball, v):
+    """hartree_fock_energy with the kinetic sum taken over every ball point."""
+    n = ball.n_particles
+    p = _band(0, ball.norm_sq_max)
+    kinetic = ball.hbar**2 * float((p * p).sum(axis=1).sum())
+    direct = v((0, 0, 0)) * n * (n - 1)
+    exchange = math.fsum(
+        val * (n - len(shell_pairs(ball, k)))
+        for k, val in v.items()
+        if val != 0.0 and k != Momentum(0, 0, 0)
+    )
+    return kinetic + 0.5 * (1.0 / n) * (direct - exchange)
+
+
+@pytest.mark.parametrize("ksq", ["400.5", "6400.5"])
+def test_hf_energy_bit_identical_to_enumeration(ksq, unit_potential):
+    ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+    v = InteractionPotential.from_pairs([((0, 0, 0), 0.3), *unit_potential.items()])
+    for pot in (unit_potential, v):
+        assert hartree_fock_energy(ball, pot) == enumerated_hf_energy(ball, pot)
+
+
 def test_excitation_free_gap(ball_small):
     v = InteractionPotential({})
     hole, particle = (4, 1, 0), (4, 2, 1)
@@ -379,13 +433,14 @@ def test_excitation_matches_full_difference(ball_small, unit_potential):
     e0 = hartree_fock_energy(ball_small, unit_potential)
     rng = np.random.default_rng(7)
     kf = ball_small.k_fermi
-    holes = ball_small.points[ball_small.norms_sq >= (kf - 1) ** 2]
+    occ = _band(0, ball_small.norm_sq_max)
+    holes = occ[(occ * occ).sum(axis=1) >= (kf - 1) ** 2]
     for _ in range(12):
         h = holes[rng.integers(0, len(holes))]
         p = h + np.array([0, 0, 1 + rng.integers(0, 2)])
         if ball_small.contains(p):
             continue
-        pts = [tuple(q) for q in ball_small.points.tolist()]
+        pts = [tuple(q) for q in occ.tolist()]
         pts.remove(tuple(h.tolist()))
         pts.append(tuple(p.tolist()))
         swapped = _brute_energy_of(ball_small, unit_potential, pts)
@@ -415,7 +470,8 @@ def test_excitation_positive_in_stable_regime(ball_small, unit_potential):
     assert lam_v1 < ball_small.hbar**2 / 2
     rng = np.random.default_rng(11)
     kf = ball_small.k_fermi
-    holes = ball_small.points[ball_small.norms_sq >= (kf - 1) ** 2]
+    occ = _band(0, ball_small.norm_sq_max)
+    holes = occ[(occ * occ).sum(axis=1) >= (kf - 1) ** 2]
     for _ in range(200):
         h = holes[rng.integers(0, len(holes))]
         step = rng.integers(-1, 2, size=3)

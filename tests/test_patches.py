@@ -16,6 +16,7 @@ from fermiball import (
     patch_of,
 )
 from fermiball.experiments import min_patch_separation
+from fermiball.lattice import _band
 from fermiball.patches import pair_counts
 
 
@@ -387,9 +388,9 @@ def test_pair_count_empty_when_k_leaves_shell(ball_400, decomp_400):
 
 
 def test_pair_count_large_k_matches_brute_force(ball_400, decomp_400):
-    # |k|_inf in {9, 12}: counted from the ball's own points, every hole h and
+    # |k|_inf in {9, 12}: counted from every point of the ball, every hole h and
     # particle h + sign k in patch alpha
-    pts = ball_400.points
+    pts = _band(0, ball_400.norm_sq_max)
     hole_lab = decomp_400.assign_directions(pts)
     r = np.sqrt((pts * pts).sum(axis=1))
     w = decomp_400.shell_halfwidth
@@ -435,6 +436,21 @@ def test_pair_count_rejections(ball_400, decomp_400):
                 break
         assert equator_alpha is not None
         pair_count(decomp_400, ball_400, (0, 0, 1), equator_alpha, delta=0.02)
+
+
+def test_pair_count_keeps_every_index_set_patch(ball_6400):
+    # |k . omega_9| sits on the cut N^-delta: a row dot and the matrix-vector
+    # product of index_sets differ in the last bit there
+    decomp = build_patches(30, ball_6400, 0.0)
+    k, delta = (-3, -2, 3), 0.12549054681879854
+    ix = index_sets(decomp, k, delta)
+    kept = ix.plus_side + ix.minus_side
+    assert 9 in kept
+    for alpha in kept:
+        pair_count(decomp, ball_6400, k, alpha, delta=delta)
+    below = next(a for a in range(decomp.m_patches) if a not in kept)
+    with pytest.raises(ValueError, match=r"below the equator cut for k=\(-3, -2, 3\)$"):
+        pair_count(decomp, ball_6400, k, below, delta=delta)
 
 
 def test_pair_count_normalization_ballpark(ball_400):
