@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import math
+import resource
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from . import bogokernel, lattice, patches, rpa
-from .lattice import FermiBall, InteractionPotential, _band, _solve_ksq_for_n, build_fermi_ball
+from .lattice import (
+    FermiBall,
+    InteractionPotential,
+    Momentum,
+    _as_ivec,
+    _ball_count,
+    _ball_kinetic_sum,
+    _band,
+    _solve_ksq_for_n,
+    build_fermi_ball,
+)
 
 __all__ = ["RunConfig", "ExperimentError", "EXPERIMENTS", "run_experiments", "load_config"]
 
@@ -184,6 +195,15 @@ def exp_equator_sum_scaling(ctx: Context):
     return ["k_fermi", "n", "delta", "total", "ratio"], rows
 
 
+def slice_counts(ball: FermiBall, k) -> tuple[int, np.ndarray]:
+    """(lo, counts): counts[i] shell pairs at k have p.k = lo + i, where lo is
+    the smallest p.k, so counts[0] > 0."""
+    kv = _as_ivec(k)
+    dots = lattice.shell_pairs(ball, kv) @ kv
+    lo = int(dots.min())
+    return lo, np.bincount(dots - lo)
+
+
 def exp_slice_count_bound(ctx: Context):
     grid = ctx.config.opt("slice_count_bound", "k_fermi_sq_grid", [400.5, 1600.5, 6400.5])
     k = tuple(ctx.config.opt("slice_count_bound", "k", (0, 0, 1)))
@@ -191,22 +211,19 @@ def exp_slice_count_bound(ctx: Context):
     rows = []
     for ksq in grid:
         ball = ctx.balls.get(ksq)
-        kv = np.asarray(k, dtype=np.int64)
-        p = lattice.shell_pairs(ball, k)
-        dots = p @ kv
+        lo, counts = slice_counts(ball, k)
         scale = ball.n_particles ** (gamma / 3.0)
-        # slice s = lo + i holds cnt[i] pairs; slice lo holds at least one, so
-        # the first largest ratio is positive and wins
-        lo = int(dots.min())
-        s = np.arange(lo, int(dots.max()) + 1)
-        ratio = np.bincount(dots - lo) / (np.abs(s) + scale)
+        # slice lo holds at least one pair, so the first largest ratio is
+        # positive and wins
+        s = np.arange(lo, lo + len(counts))
+        ratio = counts / (np.abs(s) + scale)
         i = int(np.argmax(ratio))
         c_fit, s_worst = float(ratio[i]), int(s[i])
         rows.append(
             {
                 "k_fermi": ball.k_fermi,
                 "n": ball.n_particles,
-                "pairs": len(p),
+                "pairs": int(counts.sum()),
                 "c_fit": c_fit,
                 "s_worst": s_worst,
             }
@@ -511,21 +528,63 @@ def boundary_shells(ball: FermiBall) -> tuple[np.ndarray, np.ndarray]:
     return holes, particles
 
 
-def hf_energy_of_occupation(ball: FermiBall, v: InteractionPotential, occupied: np.ndarray) -> float:
-    """Determinant energy for an arbitrary occupation set (re-summation oracle)."""
-    occ = np.asarray(occupied, dtype=np.int64)
-    n = len(occ)
-    lam = 1.0 / ball.n_particles
-    enc = lattice.EncodedSet(occ, int(np.abs(occ).max()) + 1)
-    kinetic = ball.hbar**2 * float((occ * occ).sum())
-    exchange = 0.0
-    for k, val in v.items():
-        if val == 0.0 or k == lattice.Momentum(0, 0, 0):
-            continue
-        shifted = occ + np.asarray(k, dtype=np.int64)
-        exchange += val * float(enc.contains_points(shifted).sum())
-    direct = v((0, 0, 0)) * n * (n - 1)
-    return kinetic + 0.5 * lam * (direct - exchange)
+class SwapOracle:
+    """Determinant energy of the ball with one hole h swapped for a particle
+    p, re-summed from the occupation (the oracle for the closed-form gap).
+
+    Only the band a swap can touch is counted point by point. With R =
+    ceil(max |k|) over the support of V and r_in = isqrt(q_hole) - R - 1,
+    every a with |a| <= r_in has |a + k| <= r_in + R < |h| <= k_F for every
+    hole h with |h|^2 >= q_hole, so a keeps all its exchange partners after
+    any such swap; that interior enters through its exact counts, and only
+    the band r_in^2 < |a|^2 <= floor(k_F^2) is enumerated, once.
+    """
+
+    def __init__(self, ball: FermiBall, v: InteractionPotential, q_hole: int):
+        self.ball, self.v, self.q_hole = ball, v, int(q_hole)
+        # ceil(sqrt(m)) = isqrt(m - 1) + 1 for m >= 1
+        reach = max(
+            (math.isqrt(k.norm_sq() - 1) + 1 for k in v.support if k.norm_sq()), default=0
+        )
+        r_in = math.isqrt(self.q_hole) - reach - 1
+        # q_in = -1 leaves no interior: the band is the whole ball
+        q_in = r_in * r_in if r_in >= 0 else -1
+        self.band = _band(q_in + 1, ball.norm_sq_max)
+        self.norms = (self.band * self.band).sum(axis=1)
+        self.n_interior = _ball_count(q_in)
+        self.kinetic = _ball_kinetic_sum(q_in) + int(self.norms.sum())
+
+    def energy(self, hole, particle) -> float:
+        h, p = _as_ivec(hole), _as_ivec(particle)
+        hh, pp = int(h @ h), int(p @ p)
+        q = self.ball.norm_sq_max
+        if not self.q_hole <= hh <= q:
+            raise ValueError(f"hole {h} is not in the shell {self.q_hole} <= |h|^2 <= {q}")
+        if pp <= q:
+            raise ValueError(f"particle {p} is not outside the Fermi ball")
+
+        def partners(a: np.ndarray, norms, kv: np.ndarray) -> int:
+            """Rows of a whose a + k is occupied after the swap."""
+            n2 = norms + 2 * (a @ kv) + int(kv @ kv)
+            # a + k can be h or p only where |a + k|^2 is |h|^2 or |p|^2
+            to_h = (a[n2 == hh] + kv == h).all(axis=1)
+            to_p = (a[n2 == pp] + kv == p).all(axis=1)
+            return int(np.count_nonzero(n2 <= q)) - int(to_h.sum()) + int(to_p.sum())
+
+        n = self.ball.n_particles
+        lam = 1.0 / n
+        kinetic = self.ball.hbar**2 * float(self.kinetic - hh + pp)
+        exchange = 0.0
+        for k, val in self.v.items():
+            if val == 0.0 or k == Momentum(0, 0, 0):
+                continue
+            kv = np.asarray(k, dtype=np.int64)
+            # the swapped band is the band without h and with p
+            count = partners(self.band, self.norms, kv)
+            count += partners(p[None], pp, kv) - partners(h[None], hh, kv)
+            exchange += val * float(self.n_interior + count)
+        direct = self.v((0, 0, 0)) * n * (n - 1)
+        return kinetic + 0.5 * lam * (direct - exchange)
 
 
 def exp_hf_stability(ctx: Context):
@@ -551,15 +610,13 @@ def exp_hf_stability(ctx: Context):
         gaps[i] = lattice.excitation_energy(ball, pot, holes[hi[i]], particles[pi[i]])
     e0 = lattice.hartree_fock_energy(ball, pot)
     rows = []
-    occ0 = _band(0, ball.norm_sq_max)
+    oracle = SwapOracle(ball, pot, int((holes * holes).sum(axis=1).min()))
     check_ids = rng.choice(n_swaps, size=min(n_check, n_swaps), replace=False)
     worst_rel = 0.0
     for i in sorted(int(j) for j in check_ids):
         h = holes[hi[i]]
         p = particles[pi[i]]
-        occ = occ0.copy()
-        occ[np.flatnonzero((occ0 == h).all(axis=1))[0]] = p
-        full = hf_energy_of_occupation(ball, pot, occ) - e0
+        full = oracle.energy(h, p) - e0
         rel = abs(full - gaps[i]) / max(abs(full), 1e-300)
         worst_rel = max(worst_rel, rel)
         rows.append(
@@ -683,6 +740,7 @@ def run_experiments(config: RunConfig) -> tuple[dict, bool]:
     Experiments run concurrently up to the worker count; CSV rows follow the
     parameter grids, never completion order, so outputs are reproducible.
     """
+    t_run = time.perf_counter()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     ctx = Context(config=config, balls=BallCache())
     results: dict[str, dict] = {}
@@ -720,6 +778,9 @@ def run_experiments(config: RunConfig) -> tuple[dict, bool]:
         "config": config.echo(),
         "version": __version__,
         "experiments": results,
+        "wall_s": time.perf_counter() - t_run,
+        # ru_maxrss is in KiB on Linux: the process's peak, not this run's alone
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     manifest_path = config.output_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))

@@ -25,7 +25,6 @@ __all__ = [
     "shell_denominators",
     "kinetic_reciprocal_sum",
     "equator_reciprocal_sum",
-    "count_slice",
     "annulus_count_vs_area",
     "hartree_fock_energy",
     "excitation_energy",
@@ -303,15 +302,6 @@ def equator_reciprocal_sum(ball: FermiBall, k: Sequence[int], delta: float) -> f
     cut = 4.0 * ball.n_particles ** (1.0 / 3.0 - delta)
     den = den[den <= cut]
     return math.fsum(1.0 / d for d in den.tolist())
-
-
-def count_slice(ball: FermiBall, k: Sequence[int], s: int) -> int:
-    """Number of shell pairs with p.k = s."""
-    kv = _as_ivec(k)
-    if not kv.any():
-        raise ValueError("k = 0 has no particle-hole pairs (empty domain)")
-    p = shell_pairs(ball, kv)
-    return int(np.count_nonzero(p @ kv == int(s)))
 
 
 def annulus_count_vs_area(

@@ -32,9 +32,10 @@ from fermiball import (
     sample_mode_system,
     shell_pairs,
 )
-from fermiball.experiments import ENERGY_DELTA, boundary_shells, hf_energy_of_occupation
+from fermiball.experiments import ENERGY_DELTA, boundary_shells
 from fermiball.lattice import _band
 from fermiball.rpa import g_power_integral, rpa_mode_integral
+from oracles import hf_energy_of_occupation
 
 DELTA_DEFAULT = 1.0 / 24.0
 

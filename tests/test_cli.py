@@ -289,6 +289,35 @@ def test_lattice_csv_golden_bytes(tmp_path):
     assert got == LATTICE_CSV_SHA256
 
 
+def test_hf_stability_golden_bytes_at_benchmark_radius(tmp_path):
+    # the hf_stability options of perfbench's lattice_reach workload
+    import hashlib
+
+    path = tmp_path / "config.json"
+    options = {"hf_stability": {"k_fermi_sq": 6400.5, "n_check": 1}}
+    path.write_text(
+        json.dumps(
+            {"k_fermi_sq": 400.5, "experiments": ["hf_stability"], "seed": 1, "options": options}
+        )
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "hf_stability.csv").read_bytes()).hexdigest()
+    assert digest == "52659c9810fe91d6ff24f75f8f980680484228b6a95fa9dde49fe2f4dff72dbe"
+
+
+def test_manifest_records_wall_time_and_peak_rss(tmp_path):
+    path = write_config(
+        tmp_path,
+        experiments=["gauss_count"],
+        options={"gauss_count": {"k_fermi_sq_grid": [4.5]}},
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["wall_s"] > 0
+    assert manifest["peak_rss_mb"] > 0
+
+
 def test_run_manifest_hashes_match(tmp_path):
     import hashlib
 

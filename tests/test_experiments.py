@@ -1,0 +1,132 @@
+"""Experiment internals against their slow oracles: the band-local
+Hartree-Fock swap oracle, the slice histogram, and the memory and reach of
+hf_stability."""
+
+import csv
+import math
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fermiball import InteractionPotential, build_fermi_ball
+from fermiball.experiments import (
+    SwapOracle,
+    boundary_shells,
+    default_potential,
+    load_config,
+    run_experiments,
+    slice_counts,
+)
+from fermiball.lattice import _band
+from oracles import count_slice, hf_energy_of_occupation
+
+POTENTIALS = {
+    "unit": default_potential(),
+    # reach 2: ceil(|k|) = 2 on every support vector
+    "reach_2": InteractionPotential.from_pairs(
+        [((2, 0, 0), 0.05), ((0, 1, 1), 0.05), ((0, 1, -1), 0.05)]
+    ),
+    "with_v0": InteractionPotential.from_pairs([((0, 0, 0), 0.3), *default_potential().items()]),
+}
+
+
+def assert_band_oracle_exact(ball, pot, swaps, q_hole):
+    oracle = SwapOracle(ball, pot, q_hole)
+    occ0 = _band(0, ball.norm_sq_max)
+    for h, p in swaps:
+        occ = occ0.copy()
+        occ[np.flatnonzero((occ0 == h).all(axis=1))[0]] = p
+        assert oracle.energy(h, p) == hf_energy_of_occupation(ball, pot, occ), (h, p)
+
+
+@pytest.mark.parametrize("name", list(POTENTIALS))
+@pytest.mark.parametrize("ksq, n_swaps", [("400.5", 20), ("6400.5", 3)])
+def test_band_oracle_matches_full_oracle(ksq, n_swaps, name):
+    ball, pot = build_fermi_ball(k_fermi_sq=Fraction(ksq)), POTENTIALS[name]
+    holes, particles = boundary_shells(ball)
+    rng = np.random.default_rng(2024)
+    hi = rng.integers(0, len(holes), size=n_swaps)
+    pi = rng.integers(0, len(particles), size=n_swaps)
+    swaps = zip(holes[hi], particles[pi])
+    assert_band_oracle_exact(ball, pot, swaps, int((holes * holes).sum(axis=1).min()))
+
+
+@pytest.mark.parametrize("name", list(POTENTIALS))
+def test_band_oracle_exact_on_deepest_partners(name):
+    # k_F^2 = 441 puts the innermost holes on the perfect square |h|^2 = 20^2,
+    # where a + k = h is possible for |a| = 20 - R: the one case that needs
+    # the unit of slack in r_in. For each support vector k the swap takes the
+    # hole whose partner h - k lies deepest.
+    ball, pot = build_fermi_ball(k_fermi_sq=Fraction(441)), POTENTIALS[name]
+    holes, particles = boundary_shells(ball)
+    q_hole = int((holes * holes).sum(axis=1).min())
+    assert q_hole == 400
+    deepest = [np.argmin(((holes - np.asarray(k)) ** 2).sum(axis=1)) for k in pot.support]
+    swaps = [(holes[i], particles[j]) for j, i in enumerate(deepest)]
+    assert_band_oracle_exact(ball, pot, swaps, q_hole)
+
+
+def test_band_oracle_rejects_swaps_outside_its_band(ball_400, unit_potential):
+    holes, particles = boundary_shells(ball_400)
+    q_hole = int((holes * holes).sum(axis=1).min())
+    oracle = SwapOracle(ball_400, unit_potential, q_hole)
+    with pytest.raises(ValueError, match="hole"):
+        oracle.energy((0, 0, 0), particles[0])
+    with pytest.raises(ValueError, match="particle"):
+        oracle.energy(holes[0], holes[1])
+
+
+@pytest.mark.parametrize("ksq", ["400.5", "1600.5"])
+@pytest.mark.parametrize("k", [(0, 0, 1), (1, -2, 3)])
+def test_slice_counts_match_count_slice(ksq, k):
+    ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+    lo, counts = slice_counts(ball, k)
+    assert counts[0] > 0 and counts.sum() > 0
+    for i, c in enumerate(counts.tolist()):
+        assert c == count_slice(ball, k, lo + i)
+    # no pair lies outside the histogram's range
+    assert count_slice(ball, k, lo - 1) == 0
+    assert count_slice(ball, k, lo + len(counts)) == 0
+
+
+def hf_config(tmp_path, ksq: float, **options):
+    doc = {
+        "k_fermi_sq": ksq,
+        "experiments": ["hf_stability"],
+        "seed": 1,
+        "options": {"hf_stability": {"k_fermi_sq": ksq, **options}},
+    }
+    return load_config(doc, tmp_path / "out")
+
+
+def test_hf_stability_memory_below_one_ball_array(tmp_path):
+    # one (N, 3) int64 array of the occupied ball is 24 N bytes (49 MiB here);
+    # the band oracle must not build anything that size
+    config = hf_config(tmp_path, 6400.5, n_swaps=20, n_check=1)
+    n = build_fermi_ball(k_fermi_sq=Fraction("6400.5")).n_particles
+    tracemalloc.start()
+    try:
+        manifest, ok = run_experiments(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok, manifest
+    assert peak < 24 * n, f"peak {peak / 2**20:.1f} MiB >= {24 * n / 2**20:.1f} MiB"
+
+
+def test_hf_stability_reaches_n_1e7(tmp_path):
+    ksq = 25600.5
+    config = hf_config(tmp_path, ksq, n_check=2)
+    manifest, ok = run_experiments(config)
+    assert ok, manifest
+    with open(tmp_path / "out" / "hf_stability.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))[1:]  # the first row is the summary
+    assert len(rows) == 2
+    # round-off bound on the re-summed gap: a few ulp of the total energy
+    # scale k_F^2 N^(1/3) (N from the volume law) relative to the gap
+    scale = ksq * (4.0 * math.pi / 3.0 * ksq**1.5) ** (1.0 / 3.0)
+    for row in rows:
+        tol = 16.0 * 2.0**-52 * scale / abs(float(row["excitation"]))
+        assert float(row["rel_dev"]) <= tol, row

@@ -11,7 +11,6 @@ from fermiball import (
     Momentum,
     annulus_count_vs_area,
     build_fermi_ball,
-    count_slice,
     dispersion,
     equator_reciprocal_sum,
     excitation_energy,
@@ -20,6 +19,7 @@ from fermiball import (
     shell_pairs,
 )
 from fermiball.lattice import _band, _ball_kinetic_sum, _isqrt, shell_denominators
+from oracles import count_slice
 
 
 # ---------------------------------------------------------------- oracles
