@@ -24,7 +24,6 @@ from .lattice import (
     Momentum,
     annulus_count_vs_area,
     build_fermi_ball,
-    dispersion,
     equator_reciprocal_sum,
     excitation_energy,
     hartree_fock_energy,
@@ -36,10 +35,8 @@ from .patches import (
     PatchConstructionError,
     PatchDecomposition,
     build_patches,
-    decomposition_to_json,
     index_sets,
     pair_count,
-    patch_of,
 )
 from .rpa import (
     RpaReport,
@@ -57,7 +54,6 @@ __all__ = [
     "FermiBall",
     "InteractionPotential",
     "build_fermi_ball",
-    "dispersion",
     "shell_pairs",
     "kinetic_reciprocal_sum",
     "equator_reciprocal_sum",
@@ -68,10 +64,8 @@ __all__ = [
     "PatchConstructionError",
     "ModeIndexSet",
     "build_patches",
-    "patch_of",
     "index_sets",
     "pair_count",
-    "decomposition_to_json",
     "ModeSystem",
     "BogoliubovSolution",
     "DiagonalizationError",

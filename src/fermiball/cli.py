@@ -10,31 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
 from .experiments import EXPERIMENTS, load_config, run_experiments
-from .lattice import _solve_ksq_for_n
 
-__all__ = ["main", "solve_kfermi_for_n"]
-
-log = logging.getLogger(__name__)
+__all__ = ["main"]
 
 OUTPUT_DIR_ENV = "FERMIBALL_OUT"
-
-
-def solve_kfermi_for_n(n_target: int) -> float:
-    """Fermi radius whose ball holds n_target momenta (nearest match, warned)."""
-    ksq, n_actual = _solve_ksq_for_n(n_target)
-    if n_actual != n_target:
-        log.warning(
-            "no radius yields exactly N=%d; nearest attainable is N=%d at k_F^2=%s",
-            n_target,
-            n_actual,
-            ksq,
-        )
-    return math.sqrt(float(ksq))
 
 
 def _read_config(path: str, output_override=None):

@@ -271,23 +271,30 @@ def min_patch_separation(decomp, ball) -> float:
     2 r_v + 4 (inf beyond).
 
     Offsets d are scanned by rising |d|^2, one half-space each (d and -d join
-    the same pairs); every labelled point p is looked up at p + d in the
-    shell's code index, and the first |d|^2 that joins two labels is the answer.
+    the same pairs), and the first |d|^2 that joins two labels is the answer.
+    Both ends of a pair that joins two labels at length D have a tile
+    clearance of at most D, so at that length only those labelled points are
+    looked up at p + d in the shell's code index; they stay in code order, so
+    the queries stay sorted.
     """
     asg = decomp.shell_assignment(ball)
     enc = asg.encoder
     src = np.flatnonzero(asg.labels >= 0)
-    codes, src_labels = enc.codes[src], asg.labels[src]
+    clearance = decomp.tile_clearance(asg.points[src], asg.labels[src])
     radius = 2.0 * decomp.r_corridor + 4.0
     offsets = _band(1, math.floor(radius * radius))
     # the band is symmetric and lexicographic: its upper half is the d > 0 half
     offsets = offsets[len(offsets) // 2 :]
     norms = (offsets * offsets).sum(axis=1)
-    for i in np.argsort(norms):
-        rows = enc.index_codes(codes + enc.shift(offsets[i]))
-        lab = np.where(rows >= 0, asg.labels[rows], -1)
-        if ((lab >= 0) & (lab != src_labels)).any():
-            return math.sqrt(norms[i])
+    for norm in np.unique(norms):
+        length = math.sqrt(norm)
+        near = src[clearance <= length]
+        codes, near_labels = enc.codes[near], asg.labels[near]
+        for d in offsets[norms == norm]:
+            rows = enc.index_codes(codes + enc.shift(d))
+            lab = np.where(rows >= 0, asg.labels[rows], -1)
+            if ((lab >= 0) & (lab != near_labels)).any():
+                return length
     return math.inf
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "InteractionPotential",
     "EncodedSet",
     "build_fermi_ball",
-    "dispersion",
     "shell_pairs",
     "shell_denominators",
     "kinetic_reciprocal_sum",
@@ -242,15 +241,6 @@ def build_fermi_ball(k_fermi: float | None = None, *, k_fermi_sq=None) -> FermiB
             raise ValueError("k_fermi must be positive")
         ksq = Fraction(k_fermi) ** 2
     return FermiBall(ksq)
-
-
-def dispersion(ball: FermiBall, p: Sequence[int]) -> float:
-    """Kinetic distance from the Fermi surface, |hbar^2 |p|^2 - kappa_eff^2|.
-
-    Uses kappa_eff = k_F * hbar, so the value vanishes exactly for |p| = k_F.
-    """
-    gap = Fraction(_as_momentum(p).norm_sq()) - ball.k_fermi_sq
-    return ball.hbar**2 * abs(float(gap))
 
 
 def shell_pairs(ball: FermiBall, k: Sequence[int]) -> np.ndarray:

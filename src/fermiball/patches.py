@@ -9,7 +9,6 @@ angular patches intersected with the lattice.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,14 +25,21 @@ __all__ = [
     "ShellAssignment",
     "PatchConstructionError",
     "build_patches",
-    "patch_of",
     "index_sets",
     "pair_count",
     "pair_counts",
-    "decomposition_to_json",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+
+def _angles(x: np.ndarray, y: np.ndarray, z: np.ndarray, r: np.ndarray):
+    """Polar angle in [0, pi] and azimuth in [0, 2 pi) of points with norms r > 0."""
+    theta = z / r
+    np.arccos(np.clip(theta, -1.0, 1.0, out=theta), out=theta)
+    phi = np.arctan2(y, x)
+    np.mod(phi, TWO_PI, out=phi)
+    return theta, phi
 
 
 class PatchConstructionError(ValueError):
@@ -176,13 +182,75 @@ class PatchDecomposition:
         ok = r > 0
         if not ok.any():
             return labels
-        theta = np.arccos(np.clip(pts[ok, 2] / r[ok], -1.0, 1.0))
-        phi = np.mod(np.arctan2(pts[ok, 1], pts[ok, 0]), TWO_PI)
+        theta, phi = _angles(pts[ok, 0], pts[ok, 1], pts[ok, 2], r[ok])
         north = self._north_index(theta, phi)
         # southern points map through the antipode: -omega(t, p) = omega(pi-t, p+pi)
         south = self._north_index(math.pi - theta, np.mod(phi + math.pi, TWO_PI))
         labels[ok] = np.where((south >= 0) & (south >= north), south + self.half, north)
         return labels
+
+    def tile_clearance(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Per labelled point p, a length below which no point of another
+        patch lies from p: |p| sin(min(mu, pi/2)).
+
+        A patch's tile is the cell its corridors were carved from: the cap
+        theta < theta_cap, a collar cell [t_lo, t_hi) x [phi_lo, phi_hi), or
+        the antipodal image of one.  Tile edges lie halfway between the stored
+        bounds of neighbouring patches (the equator halfway between a patch
+        and its southern image), so tiles are disjoint and each holds its
+        patch.  A point q of patch b != a = label(p) is therefore at least the
+        angle mu(p) from p's direction, mu being the angular distance to the
+        outside of tile a; the angle between p and p + d is at most
+        asin(|d| / |p|), so |q - p| >= |p| sin(min(mu, pi/2)).  The value
+        returned is that bound less 1e-9 of it and less 1e-9, so that float
+        angles on an ulp seam (where the bound can hold with equality) never
+        overstate it.
+        """
+        n_collars = len(self._collar_lo)
+        tops = np.r_[self.north[0].theta_hi, self._collar_hi]
+        bottoms = np.r_[self._collar_lo, math.pi - tops[-1]]
+        edges = 0.5 * (tops + bottoms)  # top of the cap tile, then of each collar's
+        collar = np.repeat(np.arange(n_collars), self._collar_count)
+        t_lo = np.r_[-np.inf, edges[collar]]
+        t_hi = edges[np.r_[0, collar + 1]]
+        mid = 0.5 * (self._phi_hi[:-1] + self._phi_lo[1:])
+        p_lo, p_hi = np.r_[0.0, mid], np.r_[mid, TWO_PI]
+        p_lo[self._collar_first] = 0.0
+        p_hi[self._collar_first + self._collar_count - 1] = TWO_PI
+
+        # in place where possible, so that few point-sized arrays live at once
+        points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+        r = np.einsum("ij,ij->i", points, points).astype(np.float64)
+        np.sqrt(r, out=r)
+        theta, phi = _angles(points[:, 0], points[:, 1], points[:, 2], r)
+        # southern points map through the antipode, as in assign_directions
+        south = labels >= self.half
+        np.subtract(math.pi, theta, out=theta, where=south)
+        np.add(phi, math.pi, out=phi, where=south)
+        np.mod(phi, TWO_PI, out=phi, where=south)
+        spec = np.where(south, labels - self.half, labels)
+        mu = t_lo[spec]
+        np.subtract(theta, mu, out=mu)
+        edge = t_hi[spec]
+        np.subtract(edge, theta, out=edge)
+        np.minimum(mu, edge, out=mu)
+        # distance to the meridian half-circle dphi away: asin(sin theta
+        # sin dphi), or to the nearer pole once dphi passes pi/2
+        np.take(p_lo, spec, out=edge)
+        np.subtract(phi, edge, out=edge)
+        np.subtract(p_hi[spec], phi, out=phi)
+        np.minimum(edge, phi, out=edge)
+        np.minimum(edge, math.pi / 2, out=edge)
+        np.sin(edge, out=edge)
+        edge *= np.sin(theta, out=theta)
+        np.arcsin(edge, out=edge)
+        np.minimum(mu, edge, out=mu, where=spec > 0)  # the cap has no phi edge
+        np.minimum(mu, math.pi / 2, out=mu)
+        np.sin(mu, out=mu)
+        mu *= r
+        mu *= 1.0 - 1e-9
+        mu -= 1e-9
+        return mu
 
     def shell_assignment(self, ball: FermiBall) -> ShellAssignment:
         """Label every lattice point of the radial shell; cached per k_F^2.
@@ -319,16 +387,6 @@ def build_patches(
     )
 
 
-def patch_of(decomp: PatchDecomposition, p: Sequence[int]) -> int | None:
-    """Patch index containing p, or None for corridor / out-of-shell points."""
-    pv = _as_ivec(p)
-    r = math.sqrt(float(pv @ pv))
-    if not (decomp.k_fermi - decomp.shell_halfwidth <= r <= decomp.k_fermi + decomp.shell_halfwidth):
-        return None
-    label = int(decomp.assign_directions(pv[None, :])[0])
-    return None if label < 0 else label
-
-
 def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> ModeIndexSet:
     """Patches with |k . omega| above the equator cut N^(-delta), by side."""
     kv = _as_ivec(k)
@@ -397,36 +455,3 @@ def pair_counts(decomp: PatchDecomposition, ball: FermiBall, k: Sequence[int]) -
     rows = enc.index_codes(enc.codes[part] - sign[lab] * enc.shift(kv))
     hit = (rows >= 0) & asg.inside[rows] & (asg.labels[rows] == lab)
     return np.bincount(lab[hit], minlength=decomp.m_patches)
-
-
-def decomposition_to_json(decomp: PatchDecomposition, ball: FermiBall | None = None) -> str:
-    """JSON document with patch bounds, direction vectors, and areas."""
-    doc = {
-        "m_requested": decomp.m_requested,
-        "m_patches": decomp.m_patches,
-        "k_fermi": decomp.k_fermi,
-        "r_corridor": decomp.r_corridor,
-        "shell_halfwidth": decomp.shell_halfwidth,
-        "patches": [],
-    }
-    areas = decomp.angular_areas()
-    for a in range(decomp.m_patches):
-        spec = decomp.north[a % decomp.half]
-        south = a >= decomp.half
-        doc["patches"].append(
-            {
-                "index": a,
-                "southern": south,
-                "is_cap": spec.is_cap,
-                "theta": [spec.theta_lo, spec.theta_hi],
-                "phi": [spec.phi_lo, spec.phi_hi],
-                "omega": list(decomp.omegas[a]),
-                "angular_area": float(areas[a]),
-            }
-        )
-    if ball is not None:
-        asg = decomp.shell_assignment(ball)
-        counts = np.bincount(asg.labels[asg.labels >= 0], minlength=decomp.m_patches)
-        doc["lattice_counts"] = counts.tolist()
-        doc["corridor_lattice_count"] = int((asg.labels < 0).sum())
-    return json.dumps(doc, indent=2)

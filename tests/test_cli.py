@@ -13,8 +13,10 @@ import pytest
 
 import fermiball
 from fermiball import experiments
-from fermiball.cli import _solve_ksq_for_n, main, solve_kfermi_for_n
+from fermiball.cli import main
 from fermiball.experiments import EXPERIMENTS, load_config, run_experiments
+from fermiball.lattice import _solve_ksq_for_n
+from oracles import solve_kfermi_for_n
 
 
 def write_config(tmp_path, **overrides):
@@ -304,6 +306,18 @@ def test_hf_stability_golden_bytes_at_benchmark_radius(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "hf_stability.csv").read_bytes()).hexdigest()
     assert digest == "52659c9810fe91d6ff24f75f8f980680484228b6a95fa9dde49fe2f4dff72dbe"
+
+
+def test_patch_audit_golden_bytes(tmp_path):
+    # default options: k_F^2 = 1600.5, r_v = 2, M in {6, 16, 30}
+    import hashlib
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"k_fermi_sq": 400.5, "experiments": ["patch_audit"], "seed": 1}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "patch_audit.csv").read_bytes()).hexdigest()
+    assert digest == "149cb8b5a5c8439347df7d04e5690a4db6e461b81d8606049c0cc559c7817dcc"
 
 
 def test_manifest_records_wall_time_and_peak_rss(tmp_path):

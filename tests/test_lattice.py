@@ -11,7 +11,6 @@ from fermiball import (
     Momentum,
     annulus_count_vs_area,
     build_fermi_ball,
-    dispersion,
     equator_reciprocal_sum,
     excitation_energy,
     hartree_fock_energy,
@@ -19,7 +18,7 @@ from fermiball import (
     shell_pairs,
 )
 from fermiball.lattice import _band, _ball_kinetic_sum, _isqrt, shell_denominators
-from oracles import count_slice
+from oracles import count_slice, dispersion
 
 
 # ---------------------------------------------------------------- oracles

@@ -10,14 +10,13 @@ from fermiball import (
     PatchConstructionError,
     build_fermi_ball,
     build_patches,
-    decomposition_to_json,
     index_sets,
     pair_count,
-    patch_of,
 )
 from fermiball.experiments import min_patch_separation
 from fermiball.lattice import _band
 from fermiball.patches import pair_counts
+from oracles import decomposition_to_json, patch_of, scan_min_patch_separation
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +300,52 @@ def test_separation_matches_kdtree(ball_name, r_v, request):
         built += 1
         assert min_patch_separation(decomp, ball) == kdtree_min_patch_separation(decomp, ball)
     assert built >= 3
+
+
+def test_separation_matches_full_scan_at_benchmark_setting(ball_1600):
+    # patch_audit's default grid
+    for m in (6, 16, 30):
+        decomp = build_patches(m, ball_1600, 2.0)
+        assert min_patch_separation(decomp, ball_1600) == scan_min_patch_separation(decomp, ball_1600)
+
+
+def test_separation_matches_full_scan_small_radii():
+    built = 0
+    for ksq in ("100.5", "400.5", "441", "900.5"):
+        ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+        for r_v in (0.0, 0.5, 1.0, 2.0, 3.0):
+            for m in (2, 4, 6, 8, 10, 16, 30, 64):
+                try:
+                    decomp = build_patches(m, ball, r_v)
+                except PatchConstructionError:
+                    continue
+                built += 1
+                want = scan_min_patch_separation(decomp, ball)
+                assert min_patch_separation(decomp, ball) == want, (ksq, r_v, m)
+    assert built >= 100
+
+
+@pytest.mark.parametrize("r_v", [0.0, 1.0, 2.0])
+def test_tile_clearance_bounds_every_joining_pair(ball_400, r_v):
+    checked = 0
+    for m in (2, 6, 8, 16, 30):
+        try:
+            decomp = build_patches(m, ball_400, r_v)
+        except PatchConstructionError:
+            continue
+        asg = decomp.shell_assignment(ball_400)
+        sel = asg.labels >= 0
+        pts, lab = asg.points[sel], asg.labels[sel]
+        clearance = decomp.tile_clearance(pts, lab)
+        # every point lies in its own tile, up to the returned slack
+        assert clearance.min() > -2e-9
+        pairs = cKDTree(pts.astype(np.float64)).query_pairs(r=2.0 * r_v + 4.0, output_type="ndarray")
+        pairs = pairs[lab[pairs[:, 0]] != lab[pairs[:, 1]]]
+        dist = np.linalg.norm((pts[pairs[:, 0]] - pts[pairs[:, 1]]).astype(np.float64), axis=1)
+        assert np.all(dist >= clearance[pairs[:, 0]])
+        assert np.all(dist >= clearance[pairs[:, 1]])
+        checked += len(pairs)
+    assert checked > 0
 
 
 def test_patch_diameter_bound(decomp_400, ball_400):
