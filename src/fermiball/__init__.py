@@ -9,12 +9,9 @@ from .bogokernel import (
     ModeSystem,
     build_mode_system,
     check_frakK_minus_D_bound,
-    check_frakK_vs_E,
     check_kernel_bound,
     check_L_blocks,
     diagonalize,
-    dump_solution_csv,
-    ground_state_shift,
     sample_mode_system,
 )
 from .lattice import (
@@ -40,6 +37,7 @@ from .patches import (
 )
 from .rpa import (
     RpaReport,
+    ground_state_shift,
     rpa_energy_analytic,
     rpa_energy_trace,
     rpa_mode_integral,
@@ -76,9 +74,7 @@ __all__ = [
     "ground_state_shift",
     "check_kernel_bound",
     "check_L_blocks",
-    "check_frakK_vs_E",
     "check_frakK_minus_D_bound",
-    "dump_solution_csv",
     "RpaReport",
     "rpa_mode_integral",
     "rpa_energy_analytic",

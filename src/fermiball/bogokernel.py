@@ -6,12 +6,14 @@ same-side rank-one coupling W, and a cross-side coupling W~.  The Bogoliubov
 kernel K diagonalizes D + W + W~ against D + W - W~; the ground-state shift is
 tr(E - D - W) / 2.  All matrix functions go through one dense symmetric
 eigendecomposition; positive definiteness is a checked precondition, never
-silently clamped.
+silently clamped.  The energy path solves no matrix: `rpa.ground_state_shift`
+reads the shift from u, v and g by quadrature.  `diagonalize` serves the
+kernel experiments, and the tests use it as the dense reference of that
+shift.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -31,19 +33,17 @@ __all__ = [
     "build_mode_system",
     "sample_mode_system",
     "diagonalize",
-    "ground_state_shift",
     "check_kernel_bound",
     "check_L_blocks",
-    "check_frakK_vs_E",
     "check_frakK_minus_D_bound",
-    "dump_solution_csv",
 ]
 
 log = logging.getLogger(__name__)
 
 
 class DiagonalizationError(ValueError):
-    """A matrix that must be positive definite is not."""
+    """A matrix that must be positive definite is not, or is too near
+    singular for the trace quadrature to resolve."""
 
 
 class EmptyModeSystemError(ValueError):
@@ -92,7 +92,7 @@ class ModeSystem:
     patch index, entry I+j is the antipodal partner of entry j, so that
     u[j] == u[I+j] and n_vals[j] == n_vals[I+j].  The dense 2I x 2I matrices
     D, W and W~ are built from u, v and g on first access and then kept;
-    the half-size trace route never builds them.
+    the trace route (`rpa.ground_state_shift`) never builds them.
     """
 
     k: Momentum
@@ -190,6 +190,7 @@ def build_mode_system(
     idx = index_sets(decomp, kv, delta)
     half = decomp.half
     counts = pair_counts(decomp, ball, kv)
+    dots = decomp.k_dots(kv)
     plus, minus, u_side, n_side = [], [], [], []
     dropped = []
     for a in idx.plus_side:
@@ -200,7 +201,7 @@ def build_mode_system(
             continue
         plus.append(a)
         minus.append(b)
-        u_side.append(math.sqrt(abs(float(decomp.omegas[a] @ kv)) / knorm))
+        u_side.append(math.sqrt(abs(float(dots[a])) / knorm))
         n_side.append(math.sqrt(cnt))
     if dropped:
         log.warning(
@@ -338,31 +339,6 @@ def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
     )
 
 
-def ground_state_shift(ms: ModeSystem) -> float:
-    """tr(E - D - W)/2 from the half-size block, without the 2n solve.
-
-    Reflection pairing splits E into two n x n blocks of equal trace, both
-    similar to [d^1/2 (d+2b) d^1/2]^1/2 with d, b the same-side blocks of D
-    and W, so the shift is sum sqrt(eig(d^1/2 (d+2b) d^1/2)) - tr d - tr b.
-    Agrees with `diagonalize(ms).trace_correction` to round-off.
-    """
-    side = ms.side
-    d = ms.u_vals[:side] ** 2
-    if d.min() <= 0.0:
-        raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
-    v = ms.v_vals[:side]
-    x = np.sqrt(d) * v
-    a = 2.0 * ms.g * np.outer(x, x)
-    a[np.diag_indices(side)] += d * d
-    w = np.linalg.eigvalsh(a)
-    tol = 1e-12 * max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] <= tol:
-        raise DiagonalizationError(
-            f"d^1/2 (d+2b) d^1/2 is not positive definite: smallest eigenvalue {w[0]:.3e}"
-        )
-    return float(np.sqrt(w).sum() - d.sum() - ms.g * (v @ v))
-
-
 def _ratio_matrix(n_vals: np.ndarray) -> np.ndarray:
     """min(n_a/n_b, n_b/n_a) entrywise."""
     return np.minimum.outer(n_vals, n_vals) / np.maximum.outer(n_vals, n_vals)
@@ -421,45 +397,9 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> flo
     return float(np.abs(k_rebuilt - sol.K).max())
 
 
-def check_frakK_vs_E(sol: BogoliubovSolution) -> float:
-    """Max deviation between frakK and O^T E O (their spectra coincide)."""
-    return float(np.abs(sol.frakK - _sym(sol.O.T @ sol.E @ sol.O)).max())
-
-
 def check_frakK_minus_D_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
     """Fitted constant of |(frakK - D)_ab| <= C V(k) u_a u_b / M."""
     if ms.vhat_k <= 0:
         return 0.0
     scale = ms.vhat_k * np.outer(ms.u_vals, ms.u_vals) / ms.m_patches
     return float((np.abs(sol.frakK - ms.D) / scale).max())
-
-
-def dump_solution_csv(sol: BogoliubovSolution, ms: ModeSystem, path) -> None:
-    """Row-major CSV dump of every solution matrix, one block per matrix."""
-    matrices = {
-        "E": sol.E,
-        "S1": sol.S1,
-        "S2": sol.S2,
-        "O": sol.O,
-        "K": sol.K,
-        "coshK": sol.coshK,
-        "sinhK": sol.sinhK,
-        "frakK": sol.frakK,
-    }
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "k",
-                f"{ms.k.px} {ms.k.py} {ms.k.pz}",
-                "M",
-                ms.m_patches,
-                "N",
-                ms.n_particles,
-                "size",
-                ms.size,
-            ]
-        )
-        for name, mat in matrices.items():
-            for i, row in enumerate(mat):
-                writer.writerow([name, i] + [repr(float(x)) for x in row])

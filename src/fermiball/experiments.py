@@ -355,11 +355,12 @@ def exp_normalization_asymptotics(ctx: Context):
     ball = ctx.balls.get(ksq)
     decomp = patches.build_patches(m, ball, r_v)
     idx = patches.index_sets(decomp, k, delta)
+    dots = decomp.k_dots(k)
     kv = np.asarray(k, dtype=np.float64)
     knorm = float(np.linalg.norm(kv))
     rows = []
     for alpha in sorted(idx.plus_side + idx.minus_side):
-        dot = float(decomp.omegas[alpha] @ kv)
+        dot = float(dots[alpha])
         count = patches.pair_count(decomp, ball, k, alpha, delta=delta)
         predicted = 4.0 * math.pi * ball.k_fermi**2 / decomp.m_patches * abs(dot)
         rows.append(

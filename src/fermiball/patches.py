@@ -136,6 +136,14 @@ class PatchDecomposition:
         a = np.array([s.angular_area() for s in self.north])
         return np.concatenate([a, a])
 
+    def k_dots(self, k: Sequence[int]) -> np.ndarray:
+        """k . omega_alpha of every patch, as one matrix-vector product.
+
+        Every layer reads k . omega from here, so the index sets, the pair
+        counts and the mode energies agree to the last bit.
+        """
+        return self.omegas @ _as_ivec(k).astype(np.float64)
+
     def _north_index(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Highest northern spec index whose half-open bounds hold (theta, phi), else -1.
 
@@ -395,7 +403,7 @@ def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> Mo
     if not (0.0 < delta < 1.0 / 6.0):
         raise ValueError(f"delta must lie in (0, 1/6), got {delta}")
     threshold = decomp.n_particles ** (-delta)
-    dots = decomp.omegas @ kv.astype(np.float64)
+    dots = decomp.k_dots(kv)
     plus = tuple(int(a) for a in np.nonzero(dots >= threshold)[0])
     minus = tuple(int(a) for a in np.nonzero(dots <= -threshold)[0])
     return ModeIndexSet(_as_momentum(k), float(delta), plus, minus)
@@ -420,9 +428,7 @@ def pair_count(
         raise ValueError("k = 0 admits no particle-hole pairs")
     if not (0 <= alpha < decomp.m_patches):
         raise IndexError(f"patch index {alpha} out of range")
-    # the matrix-vector product of index_sets and pair_counts, so the three
-    # agree to the last bit
-    dot = float((decomp.omegas @ kv.astype(np.float64))[alpha])
+    dot = float(decomp.k_dots(kv)[alpha])
     if dot == 0.0:
         raise ValueError(f"patch {alpha} is orthogonal to k={tuple(kv.tolist())}; no modes")
     if delta is not None:
@@ -449,7 +455,7 @@ def pair_counts(decomp: PatchDecomposition, ball: FermiBall, k: Sequence[int]) -
     if 3 * int(np.abs(kv).max()) > 2 * enc.half:
         # two shell points differ by at most 2 rmax = 2 half / 3 per coordinate
         return np.zeros(decomp.m_patches, dtype=np.int64)
-    sign = np.sign(decomp.omegas @ kv.astype(np.float64)).astype(np.int64)
+    sign = np.sign(decomp.k_dots(kv)).astype(np.int64)
     part = np.flatnonzero((asg.labels >= 0) & ~asg.inside)
     lab = asg.labels[part]
     rows = enc.index_codes(enc.codes[part] - sign[lab] * enc.shift(kv))

@@ -2,23 +2,31 @@
 
 The analytic per-mode value is (1/pi) int_0^inf log[1 + c g(l)] dl - c/4 with
 g(l) = 1 - l arctan(1/l).  Since int_0^inf g = pi/4 exactly, the linear
-subtraction folds inside the integrand as log1p(c g) - c g, which is free of
-catastrophic cancellation down to c ~ 1e-6.  The trace route sums the
-ground-state shifts of the per-momentum mode systems, each from its half-size
-block.
+subtraction folds inside the integrand as log1p(c g) - c g, which is read
+from its series where it is small, so no cancellation is left at any c.
+The trace route sums the ground-state shifts of the per-momentum mode
+systems.  By the determinant lemma each shift is the same kind of integral,
+with c g(t) replaced by the patch sum
+s(t) = 2 g sum_a d_a v_a^2 / (d_a^2 + t^2), so no matrix is diagonalized.
+
+Every integral over [0, inf) is one fixed-node rule: composite 20-point
+Gauss-Legendre on [0, 2^-12], on the dyadic panels [2^j, 2^(j+1)] for
+j = -12..11 and on the tail t = 2^12 / s, s in (0, 1].  The 10-point rule on
+the same panels gives the error estimate.  Every integrand here is even in t
+and analytic off the imaginary axis; while its singularities there lie
+between 2^-12 and 2^12 in modulus, each panel stays at least its own width
+away from them, and the 20-point rule converges to round-off.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bogokernel import DiagonalizationError, build_mode_system, ground_state_shift
+from .bogokernel import DiagonalizationError, ModeSystem, build_mode_system
 from .lattice import KAPPA_IDEAL, FermiBall, InteractionPotential, Momentum
 from .patches import PatchDecomposition
 
@@ -26,6 +34,7 @@ __all__ = [
     "RpaReport",
     "g_profile",
     "g_power_integral",
+    "ground_state_shift",
     "rpa_mode_integral",
     "rpa_mode_integral_with_error",
     "rpa_energy_analytic",
@@ -34,37 +43,95 @@ __all__ = [
     "SMALL_V_REFERENCE_MAGNITUDE",
 ]
 
-log = logging.getLogger(__name__)
-
 #: magnitude of the quadratic small-coupling coefficient, pi (1 - log 2) / 2
 SMALL_V_REFERENCE_MAGNITUDE = 0.5 * math.pi * (1.0 - math.log(2.0))
+
+#: panel edges 0, 2^-12, ..., 2^12; the tail beyond the last edge is mapped
+_EDGES = np.array([0.0] + [2.0**j for j in range(-12, 13)])
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n-point Gauss-Legendre on [-1, 1].
+
+    Newton's method on P_n from the asymptotic roots; P_n and P_(n-1) come
+    from the three-term recurrence.  It runs at import, so it uses plain
+    arithmetic only: numpy.polynomial would add 0.17 s and about 2 MB to
+    every import of the package, and numpy's cos another 0.35 MB of code.
+    """
+    x = np.array([math.cos(math.pi * (i - 0.25) / (n + 0.5)) for i in range(1, n + 1)])
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of composite n-point Gauss-Legendre on [0, inf)."""
+    x, w = _gauss_legendre(n)
+    half = 0.5 * (_EDGES[1:] - _EDGES[:-1])[:, None]
+    mid = 0.5 * (_EDGES[1:] + _EDGES[:-1])[:, None]
+    s = 0.5 * (x + 1.0)
+    top = _EDGES[-1]
+    nodes = np.concatenate([(mid + half * x).ravel(), top / s])
+    weights = np.concatenate([(half * w).ravel(), 0.5 * w * top / s**2])
+    return nodes, weights
+
+
+_T_HI, _W_HI = _panel_rule(20)
+_T_LO, _W_LO = _panel_rule(10)
+#: every node an integrand is evaluated on: the 20-point rule's, then the 10-point rule's
+_NODES = np.concatenate([_T_HI, _T_LO])
+
+
+def _integrate(values: np.ndarray) -> tuple[float, float]:
+    """int_0^inf f dt from f at `_NODES`, and the gap to the lower-order rule."""
+    n = len(_W_HI)
+    hi = float((values[:n] * _W_HI).sum())
+    lo = float((values[n:] * _W_LO).sum())
+    return hi, abs(hi - lo)
+
+
+def _g(t: np.ndarray) -> np.ndarray:
+    """g(t) = 1 - t arctan(1/t), by its series above t = 8.
+
+    The closed form cancels at large t; there the series
+    g = sum_n (-1)^(n+1) t^(-2n) / (2n+1) converges by a factor 64 a term.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    far = t > 8.0
+    x = 1.0 / np.where(far, t, 8.0) ** 2
+    series = np.zeros_like(x)
+    for n in range(10, 0, -1):
+        series = 1.0 / (2 * n + 1) - x * series
+    return np.where(far, x * series, 1.0 - t * np.arctan2(1.0, t))
+
+
+def _log1p_minus(s: np.ndarray) -> np.ndarray:
+    """log1p(s) - s for s >= 0, by its series below s = 1/8.
+
+    The difference cancels for small s; there
+    s^2 sum_n (-1)^(n+1) s^(n-2) / n (n >= 2) is exact to round-off.
+    """
+    y = np.where(s < 0.125, s, 0.0)
+    series = np.zeros_like(y)
+    for n in range(20, 1, -1):
+        series = (1.0 if n % 2 else -1.0) / n + y * series
+    return np.where(s < 0.125, y * y * series, np.log1p(s) - s)
 
 
 def g_profile(lam: float) -> float:
     """1 - lam * arctan(1/lam), extended by its limit g(0) = 1."""
-    if lam == 0.0:
-        return 1.0
-    return 1.0 - lam * math.atan(1.0 / lam)
+    return float(_g(lam))
 
 
-def g_power_integral(power: int, cutoff: float = 200.0) -> float:
-    """int_0^inf g(l)^p dl by adaptive quadrature plus a series tail.
-
-    g(l) = 1/(3 l^2) - 1/(5 l^4) + 1/(7 l^6) - ... for large l.
-    """
-    if power not in (1, 2, 3):
-        raise ValueError("power must be 1, 2 or 3")
-    from scipy.integrate import quad  # deferred: most of the package import time
-
-    val, _ = quad(lambda t: g_profile(t) ** power, 0.0, cutoff, limit=500, epsabs=1e-13, epsrel=1e-13)
-    lam = cutoff
-    if power == 1:
-        tail = 1.0 / (3.0 * lam) - 1.0 / (15.0 * lam**3) + 1.0 / (35.0 * lam**5)
-    elif power == 2:
-        tail = 1.0 / (27.0 * lam**3) - 2.0 / (75.0 * lam**5)
-    else:
-        tail = 1.0 / (135.0 * lam**5)
-    return val + tail
+def g_power_integral(power: int) -> float:
+    """int_0^inf g(l)^p dl for an integer p >= 1."""
+    if power < 1:
+        raise ValueError(f"power must be a positive integer, got {power}")
+    return _integrate(_g(_NODES) ** power)[0]
 
 
 def rpa_mode_integral_with_error(c: float) -> tuple[float, float]:
@@ -77,30 +144,40 @@ def rpa_mode_integral_with_error(c: float) -> tuple[float, float]:
         raise ValueError(f"coupling must be nonnegative, got {c}")
     if c == 0.0:
         return 0.0, 0.0
-    from scipy.integrate import quad  # deferred: most of the package import time
-
-    cutoff = max(100.0, 2.0 * c)
-
-    def integrand(t: float) -> float:
-        gt = g_profile(t)
-        return math.log1p(c * gt) - c * gt
-
-    scale = c * c * 0.06 / (1.0 + c) + 0.25 * c * min(1.0, c)
-    val, err = quad(
-        integrand, 0.0, cutoff, limit=500, epsabs=scale * 1e-12 + 1e-300, epsrel=1e-12
-    )
-    # tail of log1p(c g) - c g = -(c g)^2/2 + (c g)^3/3 - ...
-    tail = -(c * c / 2.0) * (1.0 / (27.0 * cutoff**3) - 2.0 / (75.0 * cutoff**5))
-    tail += (c**3 / 3.0) * (1.0 / (135.0 * cutoff**5))
-    tail_err = (c**4 / 4.0) * (1.0 / (7.0 * 81.0 * cutoff**7)) + (c * c / 2.0) * (
-        1.0 / cutoff**7
-    )
-    return (val + tail) / math.pi, (err + tail_err) / math.pi
+    val, err = _integrate(_log1p_minus(c * _g(_NODES)))
+    return val / math.pi, err / math.pi
 
 
 def rpa_mode_integral(c: float) -> float:
     """Per-mode correlation value; strictly negative for c > 0."""
     return rpa_mode_integral_with_error(c)[0]
+
+
+def ground_state_shift(ms: ModeSystem) -> float:
+    """tr(E - D - W)/2 of one mode system, by quadrature.
+
+    Reflection pairing splits E into two n x n blocks of equal trace, both
+    similar to A^1/2 with A = d^1/2 (d+2b) d^1/2 = d^2 + 2 g x x^T, where d, b
+    are the same-side blocks of D and W and x = d^1/2 v.  With
+    sqrt(l) - sqrt(m) = (1/pi) int_0^inf log((l + t^2)/(m + t^2)) dt and
+    det(A + t^2) / det(d^2 + t^2) = 1 + s(t), the shift is
+    (1/pi) int_0^inf [log1p(s) - s] dt with s = 2 g sum_a d_a v_a^2 / (d_a^2 + t^2);
+    the -s term is tr b = g |v|^2.  The integrand is <= 0, so the shift is.
+    """
+    side = ms.side
+    d = ms.u_vals[:side] ** 2
+    if d.min() <= 0.0:
+        raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
+    v = ms.v_vals[:side]
+    weights = 2.0 * ms.g * d * v * v
+    s = (weights / (d * d + (_NODES * _NODES)[:, None])).sum(axis=1)
+    val, err = _integrate(_log1p_minus(s))
+    if err > 1e-8 * abs(val):
+        raise DiagonalizationError(
+            f"d^1/2 (d+2b) d^1/2 is too near singular for the quadrature: smallest d "
+            f"{d.min():.3e}, error estimate {err:.1e} against {abs(val):.3e}"
+        )
+    return val / math.pi
 
 
 def rpa_energy_analytic(ball: FermiBall, v: InteractionPotential) -> float:
@@ -136,20 +213,6 @@ class RpaReport:
             return 0.0 if self.e_trace == 0.0 else math.inf
         return abs(self.e_trace - self.e_analytic) / abs(self.e_analytic)
 
-    def to_json(self) -> str:
-        doc = {
-            "e_analytic": self.e_analytic,
-            "e_trace": self.e_trace,
-            "relative_gap": self.relative_gap,
-            "quadrature_error_estimate": self.quadrature_error_estimate,
-            "params": self.params,
-            "per_k_terms": {
-                f"{k.px} {k.py} {k.pz}": {"analytic": a, "trace": t}
-                for k, (a, t) in self.per_k_terms.items()
-            },
-        }
-        return json.dumps(doc, indent=2)
-
 
 def rpa_energy_trace(
     decomp: PatchDecomposition,
@@ -182,8 +245,6 @@ def rpa_energy_trace(
         quad_err += weight * mode_err
         per_k[k] = (analytic_pair, trace_term)
         trace_terms.append(trace_term)
-        if shift > 1e-12 * ms.size:
-            log.warning("positive trace correction at k=%s: %.3e", tuple(k), shift)
     e_trace = math.fsum(trace_terms)
     e_analytic = rpa_energy_analytic(ball, v)
     return RpaReport(

@@ -1,6 +1,7 @@
 """Slow reference implementations that the package's fast paths are tested
 against; they live here because no experiment needs them."""
 
+import csv
 import json
 import logging
 import math
@@ -8,8 +9,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from scipy.integrate import quad
 
 from fermiball import lattice
+from fermiball.bogokernel import BogoliubovSolution, DiagonalizationError, ModeSystem, _sym
 from fermiball.lattice import (
     FermiBall,
     InteractionPotential,
@@ -19,6 +22,7 @@ from fermiball.lattice import (
     _solve_ksq_for_n,
 )
 from fermiball.patches import PatchDecomposition
+from fermiball.rpa import RpaReport
 
 log = logging.getLogger(__name__)
 
@@ -131,3 +135,108 @@ def scan_min_patch_separation(decomp: PatchDecomposition, ball: FermiBall) -> fl
         if ((lab >= 0) & (lab != src_labels)).any():
             return math.sqrt(norms[i])
     return math.inf
+
+
+def eigvalsh_ground_state_shift(ms: ModeSystem) -> float:
+    """tr(E - D - W)/2 from one n x n eigvalsh of the half-size block.
+
+    Reflection pairing splits E into two n x n blocks of equal trace, both
+    similar to [d^1/2 (d+2b) d^1/2]^1/2 with d, b the same-side blocks of D
+    and W, so the shift is sum sqrt(eig(d^1/2 (d+2b) d^1/2)) - tr d - tr b.
+    """
+    side = ms.side
+    d = ms.u_vals[:side] ** 2
+    if d.min() <= 0.0:
+        raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
+    v = ms.v_vals[:side]
+    x = np.sqrt(d) * v
+    a = 2.0 * ms.g * np.outer(x, x)
+    a[np.diag_indices(side)] += d * d
+    w = np.linalg.eigvalsh(a)
+    tol = 1e-12 * max(abs(w[0]), abs(w[-1]), 1e-300)
+    if w[0] <= tol:
+        raise DiagonalizationError(
+            f"d^1/2 (d+2b) d^1/2 is not positive definite: smallest eigenvalue {w[0]:.3e}"
+        )
+    return float(np.sqrt(w).sum() - d.sum() - ms.g * (v @ v))
+
+
+def quad_mode_integral(c: float) -> tuple[float, float]:
+    """(1/pi) int_0^inf [log1p(c g) - c g] dl by adaptive quadrature to a
+    cutoff plus a series tail, with quad's error estimate."""
+    cutoff = max(100.0, 2.0 * c)
+
+    def integrand(t: float) -> float:
+        gt = 1.0 - t * math.atan(1.0 / t) if t > 0.0 else 1.0
+        return math.log1p(c * gt) - c * gt
+
+    scale = c * c * 0.06 / (1.0 + c) + 0.25 * c * min(1.0, c)
+    val, err = quad(
+        integrand, 0.0, cutoff, limit=500, epsabs=scale * 1e-12 + 1e-300, epsrel=1e-12
+    )
+    # tail of log1p(c g) - c g = -(c g)^2/2 + (c g)^3/3 - ...
+    tail = -(c * c / 2.0) * (1.0 / (27.0 * cutoff**3) - 2.0 / (75.0 * cutoff**5))
+    tail += (c**3 / 3.0) * (1.0 / (135.0 * cutoff**5))
+    tail_err = (c**4 / 4.0) * (1.0 / (7.0 * 81.0 * cutoff**7)) + (c * c / 2.0) * (
+        1.0 / cutoff**7
+    )
+    return (val + tail) / math.pi, (err + tail_err) / math.pi
+
+
+def g_series_exact(t: float, terms: int = 30) -> Fraction:
+    """g(t) = sum_n (-1)^(n+1) t^(-2n) / (2n+1) in exact rationals, for t >= 8;
+    the first omitted term is below 64^-terms of the leading one."""
+    x = 1 / Fraction(t) ** 2
+    return sum((-1) ** (n + 1) * x**n / (2 * n + 1) for n in range(1, terms + 1))
+
+
+def check_frakK_vs_E(sol: BogoliubovSolution) -> float:
+    """Max deviation between frakK and O^T E O (their spectra coincide)."""
+    return float(np.abs(sol.frakK - _sym(sol.O.T @ sol.E @ sol.O)).max())
+
+
+def dump_solution_csv(sol: BogoliubovSolution, ms: ModeSystem, path) -> None:
+    """Row-major CSV dump of every solution matrix, one block per matrix."""
+    matrices = {
+        "E": sol.E,
+        "S1": sol.S1,
+        "S2": sol.S2,
+        "O": sol.O,
+        "K": sol.K,
+        "coshK": sol.coshK,
+        "sinhK": sol.sinhK,
+        "frakK": sol.frakK,
+    }
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [
+                "k",
+                f"{ms.k.px} {ms.k.py} {ms.k.pz}",
+                "M",
+                ms.m_patches,
+                "N",
+                ms.n_particles,
+                "size",
+                ms.size,
+            ]
+        )
+        for name, mat in matrices.items():
+            for i, row in enumerate(mat):
+                writer.writerow([name, i] + [repr(float(x)) for x in row])
+
+
+def report_to_json(report: RpaReport) -> str:
+    """JSON document of an RPA report, per-k terms included."""
+    doc = {
+        "e_analytic": report.e_analytic,
+        "e_trace": report.e_trace,
+        "relative_gap": report.relative_gap,
+        "quadrature_error_estimate": report.quadrature_error_estimate,
+        "params": report.params,
+        "per_k_terms": {
+            f"{k.px} {k.py} {k.pz}": {"analytic": a, "trace": t}
+            for k, (a, t) in report.per_k_terms.items()
+        },
+    }
+    return json.dumps(doc, indent=2)

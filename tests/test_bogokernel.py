@@ -9,17 +9,16 @@ from fermiball import (
     build_mode_system,
     build_patches,
     check_frakK_minus_D_bound,
-    check_frakK_vs_E,
     check_kernel_bound,
     check_L_blocks,
     diagonalize,
-    dump_solution_csv,
     ground_state_shift,
     pair_count,
     sample_mode_system,
 )
 from fermiball.bogokernel import _assemble
 from fermiball.lattice import InteractionPotential, Momentum
+from oracles import check_frakK_vs_E, dump_solution_csv
 
 
 def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):
@@ -69,6 +68,18 @@ def test_mode_matrix_entries_match_pair_counts(ball_100, unit_potential):
         for j in range(side):
             nj = pair_count(decomp, ball_100, (0, 0, 1), ms.plus_modes[j])
             assert ms.W[i, j] == pytest.approx(coeff * math.sqrt(ni * nj), rel=1e-12)
+
+
+def test_mode_energies_read_the_matvec_dots(ball_6400):
+    # at this k the row dots omega_a . k differ from the matrix-vector product
+    # in the last bit for some patches; u must follow the product
+    k = (-3, -2, 3)
+    pot = InteractionPotential({k: 0.05, (3, 2, -3): 0.05})
+    decomp = build_patches(30, ball_6400, 1.0)
+    ms = build_mode_system(decomp, ball_6400, pot, k, 0.16)
+    kv = np.array(k, dtype=np.float64)
+    expected = np.sqrt(np.abs(decomp.omegas @ kv)[list(ms.plus_modes)] / math.sqrt(22.0))
+    assert np.array_equal(ms.u_vals[: ms.side], expected)
 
 
 def test_free_case_is_trivial():

@@ -153,13 +153,51 @@ def test_load_config_does_not_import_cli():
 
 
 def test_load_config_does_not_import_scipy():
-    # scipy.integrate is most of the package import time; only the
-    # quadrature of the rpa layer needs it
+    # the package never imports scipy; the tests use it only as an oracle
     code = (
         "import sys\n"
         "from fermiball.experiments import load_config\n"
         "load_config({'n_particles': 33})\n"
         "assert 'scipy' not in sys.modules, 'load_config imported scipy'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+#: every experiment of the registry at its smallest grid
+SMALLEST_OPTIONS = {
+    "gauss_count": {"k_fermi_sq_grid": [4.5]},
+    "kinetic_sum_scaling": {"k_fermi_sq_grid": [20.5]},
+    "equator_sum_scaling": {"k_fermi_sq_grid": [20.5]},
+    "slice_count_bound": {"k_fermi_sq_grid": [20.5]},
+    "ellipse_count": {"axis_ratios": [1], "radii": [10]},
+    "patch_audit": {"k_fermi_sq": 100.5, "m_grid": [6], "r_v": 1.0},
+    "normalization_asymptotics": {"k_fermi_sq": 100.5, "m_patches": 6},
+    "kernel_identities": {"n_systems": 1, "max_side": 4},
+    "kernel_bound_fit": {"k_fermi_sq": 100.5, "m_grid": [6]},
+    "rpa_compare": {"schedule": [[400.5, 8]]},
+    "hf_stability": {"k_fermi_sq": 20.5, "n_swaps": 5, "n_check": 2},
+}
+
+
+def test_run_of_every_experiment_does_not_import_scipy(tmp_path):
+    assert set(SMALLEST_OPTIONS) | {"small_v_fit"} == set(EXPERIMENTS)
+    doc = {
+        "k_fermi_sq": 20.5,
+        "experiments": list(EXPERIMENTS),
+        "seed": 1,
+        "options": SMALLEST_OPTIONS,
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = (
+        "import json, sys\n"
+        "from fermiball.experiments import load_config, run_experiments\n"
+        f"manifest, ok = run_experiments(load_config(json.loads({json.dumps(doc)!r})))\n"
+        "assert ok, manifest['experiments']\n"
+        "assert 'scipy' not in sys.modules, 'a run imported scipy'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,19 +8,30 @@ from scipy.integrate import quad
 
 import fermiball.rpa as rpa_mod
 from fermiball import (
+    DiagonalizationError,
     InteractionPotential,
     KAPPA_IDEAL,
+    build_mode_system,
     build_patches,
+    ground_state_shift,
     rpa_energy_analytic,
     rpa_energy_trace,
     rpa_mode_integral,
+    sample_mode_system,
     small_v_quadratic_coefficient,
 )
+from fermiball.experiments import ENERGY_DELTA, default_potential
 from fermiball.rpa import (
     SMALL_V_REFERENCE_MAGNITUDE,
     g_power_integral,
     g_profile,
     rpa_mode_integral_with_error,
+)
+from oracles import (
+    eigvalsh_ground_state_shift,
+    g_series_exact,
+    quad_mode_integral,
+    report_to_json,
 )
 
 # frozen from the quadrature oracle: (1/2pi) int_0^inf g(l)^2 dl
@@ -37,6 +49,35 @@ def test_profile_endpoint():
 
 def test_profile_integral_is_quarter_pi():
     assert g_power_integral(1) == pytest.approx(math.pi / 4.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_gauss_legendre_rule(n):
+    x, w = rpa_mod._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    order = np.argsort(x)
+    assert np.abs(x[order] - ref_x).max() <= 2e-16
+    assert np.abs(w[order] - ref_w).max() <= 4e-15
+    # exact for every even monomial up to degree 2n - 2
+    for k in range(n):
+        assert abs((w * x ** (2 * k)).sum() - 2.0 / (2 * k + 1)) <= 2e-15
+
+
+def test_profile_series_region_matches_exact_series():
+    # above t = 8, where 1 - t arctan(1/t) cancels, g is read from its series
+    grid = np.concatenate([[8.0 + 2.0**-40, 8.5, 9.0], np.geomspace(10.0, 1e6, 40)])
+    worst = max(abs(g_profile(t) - float(g_series_exact(t))) / float(g_series_exact(t)) for t in grid)
+    assert worst <= 4e-16
+    # the integral the series feeds: pi/4 to round-off, not only to 1e-10
+    assert abs(g_power_integral(1) - math.pi / 4.0) <= 4.5e-16
+
+
+def test_log1p_minus_series_branch_matches_exact_series():
+    # below s = 1/8 log1p(s) - s is read from its series; oracle: the series in rationals
+    for s in (1e-12, 1e-6, 1e-3, 0.01, 0.0625, 0.125 - 2.0**-30):
+        exact = sum((-1) ** (n + 1) * Fraction(s) ** n / n for n in range(2, 60))
+        got = float(rpa_mod._log1p_minus(np.array([s]))[0])
+        assert abs(got - float(exact)) <= 4.5e-16 * abs(float(exact))  # 2 ulp
 
 
 def test_profile_square_integral_frozen_constant():
@@ -70,6 +111,14 @@ def test_mode_integral_matches_unfolded_form():
     tail = c / (3.0 * cutoff) - (c / 5.0 + c * c / 6.0) / (3.0 * cutoff**3)
     direct = (direct + tail) / math.pi - c / 4.0
     assert rpa_mode_integral(c) == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e-3, 0.01, 0.1, 0.19489, 1.0, 5.0, 50.0, 100.0])
+def test_mode_integral_matches_adaptive_quadrature(c):
+    val, err = rpa_mode_integral_with_error(c)
+    ref, ref_err = quad_mode_integral(c)
+    assert abs(val - ref) <= max(1e-11 * abs(ref), ref_err)
+    assert err <= 1e-12 * abs(val)
 
 
 def test_mode_integral_error_estimate():
@@ -164,12 +213,55 @@ def test_trace_energy_report_fields(ball_400, unit_potential):
     assert set(report.per_k_terms) == set(unit_potential.gamma_nor())
     assert report.params["m_actual"] == decomp.m_patches
     assert report.quadrature_error_estimate < 1e-9
-    doc = json.loads(report.to_json())
+    doc = json.loads(report_to_json(report))
     assert doc["e_trace"] == report.e_trace
     assert len(doc["per_k_terms"]) == 3
     assert report.relative_gap == pytest.approx(
         abs(report.e_trace - report.e_analytic) / abs(report.e_analytic)
     )
+
+
+def test_trace_route_solves_no_matrix(ball_400, unit_potential, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the trace route called a dense eigensolver")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, boom)
+    decomp = build_patches(8, ball_400, 0.0)
+    report = rpa_energy_trace(decomp, ball_400, unit_potential, 0.16)
+    assert report.e_trace < 0.0
+
+
+def test_shift_matches_eigvalsh_on_sample_systems():
+    rng = np.random.default_rng(20261018)
+    for _ in range(30):
+        ms = sample_mode_system(rng, max_side=60)
+        ref = eigvalsh_ground_state_shift(ms)
+        assert abs(ground_state_shift(ms) - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("m_patches", [512, 1024, 2048])
+def test_shift_matches_eigvalsh_at_many_patches(ball_6400, m_patches):
+    # the rpa_compare setting of the many-patch benchmark: every k at k_F^2 = 6400.5
+    pot = default_potential()
+    decomp = build_patches(m_patches, ball_6400, 0.0)
+    for k in pot.gamma_nor():
+        ms = build_mode_system(decomp, ball_6400, pot, k, ENERGY_DELTA)
+        ref = eigvalsh_ground_state_shift(ms)
+        assert abs(ground_state_shift(ms) - ref) <= 1e-9 * abs(ref)
+
+
+def test_shift_rejects_unresolvable_d():
+    ms = sample_mode_system(np.random.default_rng(3), max_side=20)
+    ms.u_vals[0] = ms.u_vals[ms.side] = 0.0
+    with pytest.raises(DiagonalizationError, match="not positive definite"):
+        ground_state_shift(ms)
+    # resolved down to d ~ 2^-12, the lowest panel edge; far below it, a named error
+    ms.u_vals[0] = ms.u_vals[ms.side] = math.sqrt(2.0**-12)
+    assert ground_state_shift(ms) == pytest.approx(eigvalsh_ground_state_shift(ms), rel=1e-12)
+    ms.u_vals[0] = ms.u_vals[ms.side] = math.sqrt(1e-7)
+    with pytest.raises(DiagonalizationError, match="too near singular"):
+        ground_state_shift(ms)
 
 
 def test_trace_energy_propagates_failures(ball_400, unit_potential, monkeypatch):
