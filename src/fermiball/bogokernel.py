@@ -4,12 +4,13 @@ For each interaction momentum k the particle-hole modes on the patched Fermi
 surface carry three real symmetric matrices: a diagonal kinetic part D, a
 same-side rank-one coupling W, and a cross-side coupling W~.  The Bogoliubov
 kernel K diagonalizes D + W + W~ against D + W - W~; the ground-state shift is
-tr(E - D - W) / 2.  All matrix functions go through one dense symmetric
-eigendecomposition; positive definiteness is a checked precondition, never
-silently clamped.  The energy path solves no matrix: `rpa.ground_state_shift`
-reads the shift from u, v and g by quadrature.  `diagonalize` serves the
-kernel experiments, and the tests use it as the dense reference of that
-shift.
+tr(E - D - W) / 2.  A mode system takes its pair counts, N and hbar from
+the one ball its patch decomposition was built from (`decomp.ball`).  All
+matrix functions go through one dense symmetric eigendecomposition; positive
+definiteness is a checked precondition, never silently clamped.  The energy
+path solves no matrix: `rpa.ground_state_shift` reads the shift from u, v
+and g by quadrature.  `diagonalize` serves the kernel experiments, and the
+tests use it as the dense reference of that shift.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import KAPPA_IDEAL, FermiBall, InteractionPotential, Momentum, _as_ivec
+from .lattice import KAPPA_IDEAL, InteractionPotential, Momentum, _as_ivec
 from .patches import PatchDecomposition, index_sets, pair_counts
 
 __all__ = [
@@ -174,7 +175,6 @@ def _assemble(
 
 def build_mode_system(
     decomp: PatchDecomposition,
-    ball: FermiBall,
     v: InteractionPotential,
     k: Sequence[int],
     delta: float,
@@ -189,7 +189,7 @@ def build_mode_system(
     knorm = math.sqrt(km.norm_sq())
     idx = index_sets(decomp, kv, delta)
     half = decomp.half
-    counts = pair_counts(decomp, ball, kv)
+    counts = pair_counts(decomp, kv)
     dots = decomp.k_dots(kv)
     plus, minus, u_side, n_side = [], [], [], []
     dropped = []
@@ -219,8 +219,8 @@ def build_mode_system(
         km,
         v(kv),
         decomp.m_patches,
-        ball.n_particles,
-        ball.hbar,
+        decomp.ball.n_particles,
+        decomp.ball.hbar,
         plus,
         minus,
         np.asarray(u_side),

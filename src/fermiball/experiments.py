@@ -16,7 +16,7 @@ import resource
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -266,7 +266,7 @@ def exp_ellipse_count(ctx: Context):
 # patch experiments
 
 
-def min_patch_separation(decomp, ball) -> float:
+def min_patch_separation(decomp) -> float:
     """Smallest distance between lattice points of distinct patches, up to
     2 r_v + 4 (inf beyond).
 
@@ -277,7 +277,7 @@ def min_patch_separation(decomp, ball) -> float:
     looked up at p + d in the shell's code index; they stay in code order, so
     the queries stay sorted.
     """
-    asg = decomp.shell_assignment(ball)
+    asg = decomp.shell_assignment()
     enc = asg.encoder
     src = np.flatnonzero(asg.labels >= 0)
     clearance = decomp.tile_clearance(asg.points[src], asg.labels[src])
@@ -307,9 +307,9 @@ def exp_patch_audit(ctx: Context):
     rows = []
     for m in m_grid:
         decomp = patches.build_patches(m, ball, r_v)
-        asg = decomp.shell_assignment(ball)
+        asg = decomp.shell_assignment()
         areas = decomp.angular_areas()
-        sep = min_patch_separation(decomp, ball)
+        sep = min_patch_separation(decomp)
         diam_max = 0.0
         for a in range(decomp.m_patches):
             pts = asg.points[asg.labels == a]
@@ -355,13 +355,14 @@ def exp_normalization_asymptotics(ctx: Context):
     ball = ctx.balls.get(ksq)
     decomp = patches.build_patches(m, ball, r_v)
     idx = patches.index_sets(decomp, k, delta)
+    counts = patches.pair_counts(decomp, k)
     dots = decomp.k_dots(k)
     kv = np.asarray(k, dtype=np.float64)
     knorm = float(np.linalg.norm(kv))
     rows = []
     for alpha in sorted(idx.plus_side + idx.minus_side):
         dot = float(dots[alpha])
-        count = patches.pair_count(decomp, ball, k, alpha, delta=delta)
+        count = int(counts[alpha])
         predicted = 4.0 * math.pi * ball.k_fermi**2 / decomp.m_patches * abs(dot)
         rows.append(
             {
@@ -433,7 +434,7 @@ def exp_kernel_bound_fit(ctx: Context):
     for m in m_grid:
         decomp = patches.build_patches(m, ball, r_v)
         for k in pot.gamma_nor():
-            ms = bogokernel.build_mode_system(decomp, ball, pot, k, delta)
+            ms = bogokernel.build_mode_system(decomp, pot, k, delta)
             sol = bogokernel.diagonalize(ms)
             c_star, worst = bogokernel.check_kernel_bound(sol, ms)
             rows.append(
@@ -479,7 +480,7 @@ def exp_rpa_compare(ctx: Context):
     for ksq, m in schedule:
         ball = ctx.balls.get(ksq)
         decomp = patches.build_patches(m, ball, r_v)
-        report = rpa.rpa_energy_trace(decomp, ball, pot, delta)
+        report = rpa.rpa_energy_trace(decomp, pot, delta)
         rows.append(
             {
                 "k_fermi_sq": str(Fraction(ksq)),
@@ -676,8 +677,17 @@ def _field(key: str, convert, value):
         raise ValueError(f"{key}: invalid value {value!r}") from err
 
 
+#: every top-level key `load_config` reads: the fields and the other two radii
+CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"k_fermi", "n_particles"}
+
+
 def load_config(doc: dict, output_override=None) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, naming bad fields."""
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    for key in doc:
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
     radius_keys = [k for k in ("k_fermi", "k_fermi_sq", "n_particles") if k in doc]
     if len(radius_keys) != 1:
         raise ValueError("config must set exactly one of k_fermi, k_fermi_sq, n_particles")
@@ -712,7 +722,10 @@ def load_config(doc: dict, output_override=None) -> RunConfig:
     except (TypeError, ValueError) as err:
         raise ValueError(f"potential: {err}") from err
     experiments = _field("experiments", list, doc.get("experiments", []))
-    for name in experiments:
+    options = doc.get("options", {})
+    if not isinstance(options, dict) or not all(isinstance(o, dict) for o in options.values()):
+        raise ValueError("options must be a mapping of experiment names to mappings")
+    for name in experiments + list(options):
         if not isinstance(name, str) or name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
     out = _field("output_dir", Path, output_override or doc.get("output_dir", "out"))
@@ -720,9 +733,6 @@ def load_config(doc: dict, output_override=None) -> RunConfig:
     workers = _field("workers", int, doc.get("workers", 1))
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    options = doc.get("options", {})
-    if not isinstance(options, dict) or not all(isinstance(o, dict) for o in options.values()):
-        raise ValueError("options must be a mapping of experiment names to mappings")
     return RunConfig(
         k_fermi_sq=ksq,
         m_patches=m_patches,

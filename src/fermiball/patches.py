@@ -5,13 +5,15 @@ hemisphere is cut into collars of equal-area patches, corridors are carved
 between neighbouring patches, and the southern hemisphere is the point
 reflection of the north.  Extended patches are the radial thickening of the
 angular patches intersected with the lattice.
+
+A decomposition owns the `FermiBall` it was built from, counts pairs against
+that ball only, and labels its shell once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -92,7 +94,7 @@ class ShellAssignment:
 
 
 class PatchDecomposition:
-    """M patches with corridors on the Fermi sphere of a given ball.
+    """M patches with corridors on the Fermi sphere of the ball they tile, ``ball``.
 
     Northern patches are stored explicitly; patch ``alpha + M/2`` is the
     antipodal image of patch ``alpha`` for ``alpha < M/2`` (0-based indices).
@@ -101,22 +103,20 @@ class PatchDecomposition:
     def __init__(
         self,
         m_requested: int,
-        k_fermi: float,
-        n_particles: int,
+        ball: FermiBall,
         r_corridor: float,
         shell_halfwidth: float,
         north: list[PatchSpec],
     ):
         self.m_requested = m_requested
-        self.k_fermi = k_fermi
-        self.n_particles = n_particles
+        self.ball = ball
         self.r_corridor = r_corridor
         self.shell_halfwidth = shell_halfwidth
         self.north = north
         self.m_patches = 2 * len(north)
         omegas = np.array([s.omega for s in north], dtype=np.float64)
         self.omegas = np.vstack([omegas, -omegas])
-        self._assignments: dict[Fraction, ShellAssignment] = {}
+        self._assignment: ShellAssignment | None = None
         # north[0] is the cap; the rest run collar by collar, each collar's
         # patches sharing one theta interval and splitting phi evenly
         collar_lo = np.array([s.theta_lo for s in north[1:]])
@@ -260,33 +260,27 @@ class PatchDecomposition:
         mu -= 1e-9
         return mu
 
-    def shell_assignment(self, ball: FermiBall) -> ShellAssignment:
-        """Label every lattice point of the radial shell; cached per k_F^2.
-
-        The shell is fixed by the decomposition; the ball enters only through
-        its squared radius, which decides the ``inside`` flags.
-        """
-        key = ball.k_fermi_sq
-        if key in self._assignments:
-            return self._assignments[key]
-        kf, w = self.k_fermi, self.shell_halfwidth
+    def shell_assignment(self) -> ShellAssignment:
+        """Label every lattice point of the radial shell; built on the first call."""
+        if self._assignment is not None:
+            return self._assignment
+        kf, w = self.ball.k_fermi, self.shell_halfwidth
         r_out = kf + w
         r_in = max(kf - w, 0.0)
         rmax = int(math.floor(r_out))
         points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out))
         labels = self.assign_directions(points)
-        inside = ball.contains_points(points)
+        inside = self.ball.contains_points(points)
         # shell points have |p|_inf <= rmax, so p -/+ k stays inside the code
         # cube for every |k|_inf <= 2 rmax, the most two shell points differ
         # by; building the encoder over the shell checks that half-width once
-        asg = ShellAssignment(points, labels, inside, EncodedSet(points, 3 * rmax))
-        self._assignments[key] = asg
-        return asg
+        self._assignment = ShellAssignment(points, labels, inside, EncodedSet(points, 3 * rmax))
+        return self._assignment
 
     def __repr__(self) -> str:
         return (
             f"PatchDecomposition(M={self.m_patches} of {self.m_requested} requested, "
-            f"k_fermi={self.k_fermi:.4f}, r_corridor={self.r_corridor})"
+            f"k_fermi={self.ball.k_fermi:.4f}, r_corridor={self.r_corridor})"
         )
 
 
@@ -316,15 +310,13 @@ def build_patches(
     m_patches: int,
     ball: FermiBall,
     r_v: float,
-    *,
-    shell_halfwidth: float | None = None,
 ) -> PatchDecomposition:
     """Build the patch decomposition with corridors sized for half-width r_v.
 
     Corridors separate extended patches by strictly more than 2 r_v (one
     lattice spacing of margin); r_v = 0 keeps the full tiling, where pairwise
     disjointness alone already separates the lattice sets by >= 1.  The radial
-    shell half-width defaults to max(r_v, 1) so unit-momentum pairs always fit.
+    shell half-width is max(r_v, 1) so unit-momentum pairs always fit.
     """
     if m_patches < 2 or m_patches % 2:
         raise PatchConstructionError(f"m_patches must be even and >= 2, got {m_patches}")
@@ -336,8 +328,7 @@ def build_patches(
             f"corridor width {2 * r_v} is not below the patch scale "
             f"{kf / math.sqrt(m_patches):.3f}; reduce m_patches or r_v"
         )
-    if shell_halfwidth is None:
-        shell_halfwidth = max(r_v, 1.0)
+    shell_halfwidth = float(max(r_v, 1.0))
     if shell_halfwidth >= kf:
         raise PatchConstructionError("shell half-width must be below k_fermi")
 
@@ -390,9 +381,7 @@ def build_patches(
                     omega,
                 )
             )
-    return PatchDecomposition(
-        m_patches, kf, ball.n_particles, r_v, float(shell_halfwidth), north
-    )
+    return PatchDecomposition(m_patches, ball, r_v, shell_halfwidth, north)
 
 
 def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> ModeIndexSet:
@@ -402,7 +391,7 @@ def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> Mo
         raise ValueError("k = 0 admits no particle-hole modes")
     if not (0.0 < delta < 1.0 / 6.0):
         raise ValueError(f"delta must lie in (0, 1/6), got {delta}")
-    threshold = decomp.n_particles ** (-delta)
+    threshold = decomp.ball.n_particles ** (-delta)
     dots = decomp.k_dots(kv)
     plus = tuple(int(a) for a in np.nonzero(dots >= threshold)[0])
     minus = tuple(int(a) for a in np.nonzero(dots <= -threshold)[0])
@@ -411,7 +400,6 @@ def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> Mo
 
 def pair_count(
     decomp: PatchDecomposition,
-    ball: FermiBall,
     k: Sequence[int],
     alpha: int,
     *,
@@ -432,25 +420,25 @@ def pair_count(
     if dot == 0.0:
         raise ValueError(f"patch {alpha} is orthogonal to k={tuple(kv.tolist())}; no modes")
     if delta is not None:
-        threshold = decomp.n_particles ** (-float(delta))
+        threshold = decomp.ball.n_particles ** (-float(delta))
         if abs(dot) < threshold:
             raise ValueError(
                 f"patch {alpha} lies below the equator cut for k={tuple(kv.tolist())}"
             )
-    return int(pair_counts(decomp, ball, kv)[alpha])
+    return int(pair_counts(decomp, kv)[alpha])
 
 
-def pair_counts(decomp: PatchDecomposition, ball: FermiBall, k: Sequence[int]) -> np.ndarray:
+def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
     """Pair counts of every patch at relative momentum k, indexed by patch.
 
     A particle p outside the ball in patch alpha pairs with the hole p - k
     (k . omega_alpha > 0) or p + k (k . omega_alpha < 0) when that hole lies
-    inside the ball and in the same patch; patches orthogonal to k count 0.
+    inside ``decomp.ball`` and in the same patch; patches orthogonal to k count 0.
     """
     kv = _as_ivec(k)
     if not kv.any():
         raise ValueError("k = 0 admits no particle-hole pairs")
-    asg = decomp.shell_assignment(ball)
+    asg = decomp.shell_assignment()
     enc = asg.encoder
     if 3 * int(np.abs(kv).max()) > 2 * enc.half:
         # two shell points differ by at most 2 rmax = 2 half / 3 per coordinate

@@ -216,11 +216,10 @@ class RpaReport:
 
 def rpa_energy_trace(
     decomp: PatchDecomposition,
-    ball: FermiBall,
     v: InteractionPotential,
     delta: float,
 ) -> RpaReport:
-    """Correlation energy from the per-momentum mode systems.
+    """Correlation energy on `decomp.ball` from the per-momentum mode systems.
 
     Each k in the normal half-support contributes 2 hbar kappa |k| times the
     ground-state shift tr(E - D - W)/2; the paired analytic value for the same
@@ -231,8 +230,8 @@ def rpa_energy_trace(
     trace_terms = []
     for k in v.gamma_nor():
         knorm = math.sqrt(k.norm_sq())
-        weight = 2.0 * ball.hbar * KAPPA_IDEAL * knorm
-        ms = build_mode_system(decomp, ball, v, k, delta)
+        weight = 2.0 * decomp.ball.hbar * KAPPA_IDEAL * knorm
+        ms = build_mode_system(decomp, v, k, delta)
         try:
             shift = ground_state_shift(ms)
         except DiagonalizationError as err:
@@ -246,15 +245,15 @@ def rpa_energy_trace(
         per_k[k] = (analytic_pair, trace_term)
         trace_terms.append(trace_term)
     e_trace = math.fsum(trace_terms)
-    e_analytic = rpa_energy_analytic(ball, v)
+    e_analytic = rpa_energy_analytic(decomp.ball, v)
     return RpaReport(
         e_analytic=e_analytic,
         e_trace=e_trace,
         per_k_terms=per_k,
         quadrature_error_estimate=abs(quad_err),
         params={
-            "n_particles": ball.n_particles,
-            "k_fermi_sq": str(ball.k_fermi_sq),
+            "n_particles": decomp.ball.n_particles,
+            "k_fermi_sq": str(decomp.ball.k_fermi_sq),
             "m_requested": decomp.m_requested,
             "m_actual": decomp.m_patches,
             "delta": delta,

@@ -79,18 +79,20 @@ def patch_of(decomp: PatchDecomposition, p: Sequence[int]) -> int | None:
     """Patch index containing p, or None for corridor / out-of-shell points."""
     pv = _as_ivec(p)
     r = math.sqrt(float(pv @ pv))
-    if not (decomp.k_fermi - decomp.shell_halfwidth <= r <= decomp.k_fermi + decomp.shell_halfwidth):
+    kf, w = decomp.ball.k_fermi, decomp.shell_halfwidth
+    if not (kf - w <= r <= kf + w):
         return None
     label = int(decomp.assign_directions(pv[None, :])[0])
     return None if label < 0 else label
 
 
-def decomposition_to_json(decomp: PatchDecomposition, ball: FermiBall | None = None) -> str:
-    """JSON document with patch bounds, direction vectors, and areas."""
+def decomposition_to_json(decomp: PatchDecomposition) -> str:
+    """JSON document with patch bounds, direction vectors, areas and the
+    lattice counts of the shell."""
     doc = {
         "m_requested": decomp.m_requested,
         "m_patches": decomp.m_patches,
-        "k_fermi": decomp.k_fermi,
+        "k_fermi": decomp.ball.k_fermi,
         "r_corridor": decomp.r_corridor,
         "shell_halfwidth": decomp.shell_halfwidth,
         "patches": [],
@@ -110,18 +112,17 @@ def decomposition_to_json(decomp: PatchDecomposition, ball: FermiBall | None = N
                 "angular_area": float(areas[a]),
             }
         )
-    if ball is not None:
-        asg = decomp.shell_assignment(ball)
-        counts = np.bincount(asg.labels[asg.labels >= 0], minlength=decomp.m_patches)
-        doc["lattice_counts"] = counts.tolist()
-        doc["corridor_lattice_count"] = int((asg.labels < 0).sum())
+    asg = decomp.shell_assignment()
+    counts = np.bincount(asg.labels[asg.labels >= 0], minlength=decomp.m_patches)
+    doc["lattice_counts"] = counts.tolist()
+    doc["corridor_lattice_count"] = int((asg.labels < 0).sum())
     return json.dumps(doc, indent=2)
 
 
-def scan_min_patch_separation(decomp: PatchDecomposition, ball: FermiBall) -> float:
+def scan_min_patch_separation(decomp: PatchDecomposition) -> float:
     """Full offset scan: every labelled shell point looked up at p + d for
     each half-space offset d by rising |d|^2, up to 2 r_v + 4 (inf beyond)."""
-    asg = decomp.shell_assignment(ball)
+    asg = decomp.shell_assignment()
     enc = asg.encoder
     src = np.flatnonzero(asg.labels >= 0)
     codes, src_labels = enc.codes[src], asg.labels[src]

@@ -132,7 +132,7 @@ def test_criterion_4_kernel_bound_stability(ball_1600):
         decomp = build_patches(m, ball_1600, 1.0)
         worst = 0.0
         for k in pot.gamma_nor():
-            ms = build_mode_system(decomp, ball_1600, pot, k, ENERGY_DELTA)
+            ms = build_mode_system(decomp, pot, k, ENERGY_DELTA)
             sol = diagonalize(ms)
             c_star, _ = check_kernel_bound(sol, ms)
             worst = max(worst, c_star)
@@ -156,7 +156,7 @@ def test_criterion_5_rpa_convergence(ball_400, ball_1600, ball_6400, unit_potent
     gaps = []
     for ball, m in schedule:
         decomp = build_patches(m, ball, 0.0)
-        rep = rpa_energy_trace(decomp, ball, unit_potential, ENERGY_DELTA)
+        rep = rpa_energy_trace(decomp, unit_potential, ENERGY_DELTA)
         assert rep.e_trace <= 0.0 and rep.e_analytic < 0.0
         gaps.append(rep.relative_gap)
     elapsed = time.perf_counter() - t0
@@ -278,7 +278,7 @@ def test_criterion_9_normalization(ball_3600):
         u = abs(float(decomp.omegas[alpha] @ kv))
         if u < 0.3:
             continue
-        count = pair_count(decomp, ball_3600, k, alpha)
+        count = pair_count(decomp, k, alpha)
         predicted = 4.0 * math.pi * ball_3600.k_fermi**2 / decomp.m_patches * u
         ratios[alpha] = count / predicted
     lo, hi = min(ratios.values()), max(ratios.values())

@@ -42,7 +42,7 @@ def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):
 
 def test_mode_matrices_m2(ball_400, unit_potential):
     decomp = build_patches(2, ball_400, 1.0)
-    ms = build_mode_system(decomp, ball_400, unit_potential, (0, 0, 1), 0.05)
+    ms = build_mode_system(decomp, unit_potential, (0, 0, 1), 0.05)
     assert ms.size == 2
     assert np.allclose(ms.D, np.eye(2))
     g_prime = unit_potential((0, 0, 1)) / (
@@ -57,16 +57,16 @@ def test_mode_matrices_m2(ball_400, unit_potential):
 
 def test_mode_matrix_entries_match_pair_counts(ball_100, unit_potential):
     decomp = build_patches(6, ball_100, 1.0)
-    ms = build_mode_system(decomp, ball_100, unit_potential, (0, 0, 1), 0.16)
+    ms = build_mode_system(decomp, unit_potential, (0, 0, 1), 0.16)
     coeff = unit_potential((0, 0, 1)) / (
         2.0 * ball_100.hbar * KAPPA_IDEAL * ball_100.n_particles
     )
     side = ms.side
     for i in range(side):
-        ni = pair_count(decomp, ball_100, (0, 0, 1), ms.plus_modes[i])
+        ni = pair_count(decomp, (0, 0, 1), ms.plus_modes[i])
         assert ms.n_vals[i] ** 2 == pytest.approx(ni)
         for j in range(side):
-            nj = pair_count(decomp, ball_100, (0, 0, 1), ms.plus_modes[j])
+            nj = pair_count(decomp, (0, 0, 1), ms.plus_modes[j])
             assert ms.W[i, j] == pytest.approx(coeff * math.sqrt(ni * nj), rel=1e-12)
 
 
@@ -76,7 +76,7 @@ def test_mode_energies_read_the_matvec_dots(ball_6400):
     k = (-3, -2, 3)
     pot = InteractionPotential({k: 0.05, (3, 2, -3): 0.05})
     decomp = build_patches(30, ball_6400, 1.0)
-    ms = build_mode_system(decomp, ball_6400, pot, k, 0.16)
+    ms = build_mode_system(decomp, pot, k, 0.16)
     kv = np.array(k, dtype=np.float64)
     expected = np.sqrt(np.abs(decomp.omegas @ kv)[list(ms.plus_modes)] / math.sqrt(22.0))
     assert np.array_equal(ms.u_vals[: ms.side], expected)

@@ -242,6 +242,37 @@ def test_ball_cache_builds_each_radius_once(monkeypatch):
 # ------------------------------------------------------------ CLI commands
 
 
+def test_unread_config_keys_are_named_errors(tmp_path, capsys):
+    # a misspelt top-level key or option name would otherwise be ignored
+    cases = [
+        ("gauss_cout", {"options": {"gauss_cout": {"k_fermi_sq_grid": [25.5]}}}),
+        ("m_patch", {"m_patch": 16}),
+    ]
+    for name, extra in cases:
+        doc = {"k_fermi_sq": 400.5, "experiments": ["gauss_count"], **extra}
+        with pytest.raises(ValueError, match=repr(name)):
+            load_config(doc)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert repr(name) in capsys.readouterr().err
+    with pytest.raises(ValueError, match="JSON object"):
+        load_config([["k_fermi_sq", 400.5]])
+
+
+def test_benchmark_workload_configs_load():
+    # the benchmark's configs must stay valid under the config key checks
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(perfbench))
+    assert WORKLOADS
+    for workload in WORKLOADS.values():
+        load_config(workload.config(1))
+
+
 def test_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out.split()

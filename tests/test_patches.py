@@ -26,7 +26,7 @@ def decomp_400(ball_400):
 
 def brute_pair_count(decomp, ball, k, alpha):
     """Enumerate the shell and count pairs with both legs in patch alpha."""
-    asg = decomp.shell_assignment(ball)
+    asg = decomp.shell_assignment()
     kv = np.asarray(k, dtype=np.int64)
     dot = float(decomp.omegas[alpha] @ kv)
     sign = 1 if dot > 0 else -1
@@ -97,10 +97,10 @@ def loop_pair_counts(decomp, asg, ks):
     return counts
 
 
-def kdtree_min_patch_separation(decomp, ball):
+def kdtree_min_patch_separation(decomp):
     """Reference separation: every pair of labelled shell points within
     2 r_v + 4 from a KD-tree, the closest pair with distinct labels."""
-    asg = decomp.shell_assignment(ball)
+    asg = decomp.shell_assignment()
     sel = asg.labels >= 0
     pts = asg.points[sel].astype(np.float64)
     lab = asg.labels[sel]
@@ -163,7 +163,7 @@ def test_area_accounting_with_corridors(decomp_400):
     corridor = 4 * math.pi - areas.sum()
     assert corridor > 0
     # corridor area stays a modest multiple of sqrt(M) N^(-1/3) in angular units
-    n13 = decomp_400.n_particles ** (1.0 / 3.0)
+    n13 = decomp_400.ball.n_particles ** (1.0 / 3.0)
     assert corridor / (4 * math.pi) < 8 * math.sqrt(decomp_400.m_patches) / n13
 
 
@@ -175,7 +175,7 @@ def test_reflection_symmetry(decomp_400):
 def test_omega_inside_own_patch(decomp_400, ball_400):
     # the lattice point nearest to k_F omega_alpha lands in patch alpha
     for alpha in range(decomp_400.m_patches):
-        target = decomp_400.k_fermi * decomp_400.omegas[alpha]
+        target = decomp_400.ball.k_fermi * decomp_400.omegas[alpha]
         p = np.rint(target).astype(np.int64)
         assert patch_of(decomp_400, p) == alpha
 
@@ -186,7 +186,7 @@ def test_patch_of_origin_and_shell(decomp_400):
 
 
 def test_assignment_is_single_valued(decomp_400, ball_400):
-    asg = decomp_400.shell_assignment(ball_400)
+    asg = decomp_400.shell_assignment()
     # exhaustive: scalar classification agrees with the vectorized labels
     rng = np.random.default_rng(3)
     idx = rng.choice(len(asg.points), size=500, replace=False)
@@ -207,7 +207,7 @@ def test_one_pass_assignment_matches_patch_loop(ball_name, request):
             except PatchConstructionError:
                 continue
             built += 1
-            asg = decomp.shell_assignment(ball)
+            asg = decomp.shell_assignment()
             assert np.array_equal(asg.labels, loop_labels(decomp, asg.points))
             # the shell is lexicographic, so its codes ascend in row order and
             # a lookup in the encoder returns shell rows
@@ -217,7 +217,7 @@ def test_one_pass_assignment_matches_patch_loop(ball_name, request):
             ks = [(0, 0, 1), (1, -2, 3)]
             want = loop_pair_counts(decomp, asg, ks)
             for k, row in zip(ks, want):
-                assert np.array_equal(pair_counts(decomp, ball, k), row)
+                assert np.array_equal(pair_counts(decomp, k), row)
     assert built >= 10
 
 
@@ -249,7 +249,7 @@ def test_one_pass_labels_on_patch_edges(ball_400):
     # pi/4, ..., and z = 0 on the equator
     for m, r_v in ((2, 1.0), (8, 0.0), (16, 2.0), (30, 0.0)):
         decomp = build_patches(m, ball_400, r_v)
-        asg = decomp.shell_assignment(ball_400)
+        asg = decomp.shell_assignment()
         x, y, z = asg.points.T
         on_seam = (x == 0) | (y == 0) | (z == 0) | (np.abs(x) == np.abs(y))
         pts = asg.points[on_seam]
@@ -259,16 +259,14 @@ def test_one_pass_labels_on_patch_edges(ball_400):
             assert (got if got is not None else -1) == lab
 
 
-def test_shell_assignment_shared_by_equal_radii(decomp_400, ball_400):
-    # keyed by k_F^2: an id-keyed cache could hand a new ball the shell of a
-    # collected one whose id it reuses
-    twin = build_fermi_ball(k_fermi_sq=ball_400.k_fermi_sq)
-    assert twin is not ball_400
-    assert decomp_400.shell_assignment(twin) is decomp_400.shell_assignment(ball_400)
+def test_decomposition_owns_its_ball_and_labels_its_shell_once(decomp_400, ball_400):
+    assert decomp_400.ball is ball_400
+    asg = decomp_400.shell_assignment()
+    assert decomp_400.shell_assignment() is asg
 
 
 def test_antipodal_membership(decomp_400, ball_400):
-    asg = decomp_400.shell_assignment(ball_400)
+    asg = decomp_400.shell_assignment()
     half = decomp_400.half
     rng = np.random.default_rng(5)
     idx = rng.choice(len(asg.points), size=300, replace=False)
@@ -281,7 +279,7 @@ def test_antipodal_membership(decomp_400, ball_400):
 
 
 def test_lattice_separation_exceeds_corridor_bound(decomp_400, ball_400):
-    sep = min_patch_separation(decomp_400, ball_400)
+    sep = min_patch_separation(decomp_400)
     assert sep > 2.0 * decomp_400.r_corridor
 
 
@@ -298,7 +296,7 @@ def test_separation_matches_kdtree(ball_name, r_v, request):
         except PatchConstructionError:
             continue
         built += 1
-        assert min_patch_separation(decomp, ball) == kdtree_min_patch_separation(decomp, ball)
+        assert min_patch_separation(decomp) == kdtree_min_patch_separation(decomp)
     assert built >= 3
 
 
@@ -306,7 +304,7 @@ def test_separation_matches_full_scan_at_benchmark_setting(ball_1600):
     # patch_audit's default grid
     for m in (6, 16, 30):
         decomp = build_patches(m, ball_1600, 2.0)
-        assert min_patch_separation(decomp, ball_1600) == scan_min_patch_separation(decomp, ball_1600)
+        assert min_patch_separation(decomp) == scan_min_patch_separation(decomp)
 
 
 def test_separation_matches_full_scan_small_radii():
@@ -320,8 +318,8 @@ def test_separation_matches_full_scan_small_radii():
                 except PatchConstructionError:
                     continue
                 built += 1
-                want = scan_min_patch_separation(decomp, ball)
-                assert min_patch_separation(decomp, ball) == want, (ksq, r_v, m)
+                want = scan_min_patch_separation(decomp)
+                assert min_patch_separation(decomp) == want, (ksq, r_v, m)
     assert built >= 100
 
 
@@ -333,7 +331,7 @@ def test_tile_clearance_bounds_every_joining_pair(ball_400, r_v):
             decomp = build_patches(m, ball_400, r_v)
         except PatchConstructionError:
             continue
-        asg = decomp.shell_assignment(ball_400)
+        asg = decomp.shell_assignment()
         sel = asg.labels >= 0
         pts, lab = asg.points[sel], asg.labels[sel]
         clearance = decomp.tile_clearance(pts, lab)
@@ -349,7 +347,7 @@ def test_tile_clearance_bounds_every_joining_pair(ball_400, r_v):
 
 
 def test_patch_diameter_bound(decomp_400, ball_400):
-    asg = decomp_400.shell_assignment(ball_400)
+    asg = decomp_400.shell_assignment()
     n13 = ball_400.n_particles ** (1.0 / 3.0)
     worst = 0.0
     for a in range(decomp_400.m_patches):
@@ -388,7 +386,7 @@ def test_index_sets_mirror_and_threshold(decomp_400):
     idx = index_sets(decomp_400, (0, 0, 1), 0.16)
     half = decomp_400.half
     assert set(idx.minus_side) == {(a + half) % decomp_400.m_patches for a in idx.plus_side}
-    thr = decomp_400.n_particles ** (-0.16)
+    thr = decomp_400.ball.n_particles ** (-0.16)
     kv = np.array([0.0, 0.0, 1.0])
     for a in idx.plus_side + idx.minus_side:
         assert abs(decomp_400.omegas[a] @ kv) >= thr
@@ -409,12 +407,27 @@ def test_index_fraction_grows_as_cut_shrinks(decomp_400):
 
 def test_pair_count_matches_enumeration(ball_400, decomp_400):
     for alpha in (0, 1):
-        got = pair_count(decomp_400, ball_400, (0, 0, 1), alpha)
+        got = pair_count(decomp_400, (0, 0, 1), alpha)
         assert got == brute_pair_count(decomp_400, ball_400, (0, 0, 1), alpha)
         assert got > 0
     k = (1, -1, 2)  # no patch of decomp_400 is orthogonal to it
     want = [brute_pair_count(decomp_400, ball_400, k, a) for a in range(decomp_400.m_patches)]
-    assert pair_counts(decomp_400, ball_400, k).tolist() == want
+    assert pair_counts(decomp_400, k).tolist() == want
+
+
+def test_pair_counts_use_the_decompositions_own_ball():
+    # at two nearby radii each decomposition counts against the ball it was
+    # built from; no other ball can be passed in
+    counts = []
+    for ksq in ("400.5", "420.5"):
+        ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+        decomp = build_patches(8, ball, 2.0)
+        assert decomp.ball is ball
+        for k in ((0, 0, 1), (1, -1, 2)):
+            want = [brute_pair_count(decomp, ball, k, a) for a in range(decomp.m_patches)]
+            assert pair_counts(decomp, k).tolist() == want, (ksq, k)
+            counts.append(want)
+    assert counts[:2] != counts[2:]  # the radii are told apart
 
 
 def test_pair_count_reflection(ball_400, decomp_400):
@@ -422,14 +435,12 @@ def test_pair_count_reflection(ball_400, decomp_400):
     half = decomp_400.half
     for a in idx.plus_side:
         b = (a + half) % decomp_400.m_patches
-        assert pair_count(decomp_400, ball_400, (0, 0, 1), a) == pair_count(
-            decomp_400, ball_400, (0, 0, 1), b
-        )
+        assert pair_count(decomp_400, (0, 0, 1), a) == pair_count(decomp_400, (0, 0, 1), b)
 
 
 def test_pair_count_empty_when_k_leaves_shell(ball_400, decomp_400):
     # k = (0,0,6): the hole leg always falls below the shell's inner radius
-    assert pair_count(decomp_400, ball_400, (0, 0, 6), 0) == 0
+    assert pair_count(decomp_400, (0, 0, 6), 0) == 0
 
 
 def test_pair_count_large_k_matches_brute_force(ball_400, decomp_400):
@@ -439,7 +450,7 @@ def test_pair_count_large_k_matches_brute_force(ball_400, decomp_400):
     hole_lab = decomp_400.assign_directions(pts)
     r = np.sqrt((pts * pts).sum(axis=1))
     w = decomp_400.shell_halfwidth
-    hole_lab[(r < decomp_400.k_fermi - w) | (r > decomp_400.k_fermi + w)] = -1
+    hole_lab[(r < decomp_400.ball.k_fermi - w) | (r > decomp_400.ball.k_fermi + w)] = -1
     nonzero = 0
     for k in ((9, 0, 0), (0, 9, 2), (12, 5, 0), (3, -4, 12)):
         kv = np.asarray(k, dtype=np.int64)
@@ -450,25 +461,25 @@ def test_pair_count_large_k_matches_brute_force(ball_400, decomp_400):
             part = pts[hole_lab == alpha] + (kv if dot > 0 else -kv)
             outside = ~ball_400.contains_points(part)
             want = sum(patch_of(decomp_400, p) == alpha for p in part[outside])
-            got = pair_count(decomp_400, ball_400, k, alpha)
+            got = pair_count(decomp_400, k, alpha)
             assert got == want
             nonzero += got > 0
     assert nonzero > 0
     # two shell points never differ by more than 2 floor(k_F + w) per coordinate;
     # a z-shift by the code stride would alias p - k onto the column (x, y - 1)
-    rmax = math.floor(decomp_400.k_fermi + decomp_400.shell_halfwidth)
-    stride = decomp_400.shell_assignment(ball_400).encoder.stride
+    rmax = math.floor(decomp_400.ball.k_fermi + decomp_400.shell_halfwidth)
+    stride = decomp_400.shell_assignment().encoder.stride
     for k in ((2 * rmax, 0, 1), (2 * rmax + 1, 0, 1), (0, 0, stride)):
-        assert pair_count(decomp_400, ball_400, k, 0) == 0
+        assert pair_count(decomp_400, k, 0) == 0
 
 
 def test_pair_count_rejections(ball_400, decomp_400):
     with pytest.raises(ValueError):
-        pair_count(decomp_400, ball_400, (0, 0, 0), 0)
+        pair_count(decomp_400, (0, 0, 0), 0)
     with pytest.raises(ValueError):
         # cap is orthogonal to (1,0,0) exactly
         decomp = build_patches(2, ball_400, 1.0)
-        pair_count(decomp, ball_400, (1, 0, 0), 0)
+        pair_count(decomp, (1, 0, 0), 0)
     with pytest.raises(ValueError):
         # below the equator cut when delta is enforced
         equator_alpha = None
@@ -480,7 +491,7 @@ def test_pair_count_rejections(ball_400, decomp_400):
                 equator_alpha = a
                 break
         assert equator_alpha is not None
-        pair_count(decomp_400, ball_400, (0, 0, 1), equator_alpha, delta=0.02)
+        pair_count(decomp_400, (0, 0, 1), equator_alpha, delta=0.02)
 
 
 def test_pair_count_keeps_every_index_set_patch(ball_6400):
@@ -492,17 +503,17 @@ def test_pair_count_keeps_every_index_set_patch(ball_6400):
     kept = ix.plus_side + ix.minus_side
     assert 9 in kept
     for alpha in kept:
-        pair_count(decomp, ball_6400, k, alpha, delta=delta)
+        pair_count(decomp, k, alpha, delta=delta)
     below = next(a for a in range(decomp.m_patches) if a not in kept)
     with pytest.raises(ValueError, match=r"below the equator cut for k=\(-3, -2, 3\)$"):
-        pair_count(decomp, ball_6400, k, below, delta=delta)
+        pair_count(decomp, k, below, delta=delta)
 
 
 def test_pair_count_normalization_ballpark(ball_400):
     decomp = build_patches(8, ball_400, 1.0)
     kv = np.array([0.0, 0.0, 1.0])
     for alpha in (0,):
-        count = pair_count(decomp, ball_400, (0, 0, 1), alpha)
+        count = pair_count(decomp, (0, 0, 1), alpha)
         predicted = (
             4 * math.pi * ball_400.k_fermi**2 / decomp.m_patches * abs(decomp.omegas[alpha] @ kv)
         )
@@ -519,7 +530,7 @@ def test_normalization_deviation_shrinks_with_radius(ball_400, ball_1600):
             dot = float(decomp.omegas[alpha] @ kv)
             if abs(dot) < 0.3:
                 continue
-            count = pair_count(decomp, ball, (0, 0, 1), alpha)
+            count = pair_count(decomp, (0, 0, 1), alpha)
             predicted = 4 * math.pi * ball.k_fermi**2 / decomp.m_patches * abs(dot)
             devs.append(abs(count / predicted - 1.0))
         worst.append(max(devs))
@@ -530,7 +541,7 @@ def test_normalization_deviation_shrinks_with_radius(ball_400, ball_1600):
 
 
 def test_json_export_roundtrip(decomp_400, ball_400):
-    doc = json.loads(decomposition_to_json(decomp_400, ball_400))
+    doc = json.loads(decomposition_to_json(decomp_400))
     assert doc["m_patches"] == decomp_400.m_patches
     assert len(doc["patches"]) == decomp_400.m_patches
     assert doc["corridor_lattice_count"] >= 0

@@ -179,7 +179,7 @@ def test_analytic_energy_uses_half_support_symmetry(ball_tiny, unit_potential):
 def test_trace_energy_zero_potential(ball_400):
     decomp = build_patches(2, ball_400, 1.0)
     zero = InteractionPotential({(0, 0, 1): 0.0, (0, 0, -1): 0.0})
-    report = rpa_energy_trace(decomp, ball_400, zero, 0.16)
+    report = rpa_energy_trace(decomp, zero, 0.16)
     assert report.e_trace == pytest.approx(0.0, abs=1e-14)
     assert report.e_analytic == 0.0
 
@@ -189,10 +189,10 @@ def test_trace_energy_one_mode_closed_form(ball_400):
     decomp = build_patches(2, ball_400, 1.0)
     value = 0.3
     pot = InteractionPotential({(0, 0, 1): value, (0, 0, -1): value})
-    report = rpa_energy_trace(decomp, ball_400, pot, 0.16)
+    report = rpa_energy_trace(decomp, pot, 0.16)
     from fermiball import pair_count
 
-    n_sq = pair_count(decomp, ball_400, (0, 0, 1), 0)
+    n_sq = pair_count(decomp, (0, 0, 1), 0)
     hbar = ball_400.hbar
     d = 1.0
     v_sq = (hbar / KAPPA_IDEAL) ** 2 * n_sq
@@ -209,7 +209,7 @@ def test_trace_energy_one_mode_closed_form(ball_400):
 
 def test_trace_energy_report_fields(ball_400, unit_potential):
     decomp = build_patches(8, ball_400, 0.0)
-    report = rpa_energy_trace(decomp, ball_400, unit_potential, 0.16)
+    report = rpa_energy_trace(decomp, unit_potential, 0.16)
     assert set(report.per_k_terms) == set(unit_potential.gamma_nor())
     assert report.params["m_actual"] == decomp.m_patches
     assert report.quadrature_error_estimate < 1e-9
@@ -228,7 +228,7 @@ def test_trace_route_solves_no_matrix(ball_400, unit_potential, monkeypatch):
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, boom)
     decomp = build_patches(8, ball_400, 0.0)
-    report = rpa_energy_trace(decomp, ball_400, unit_potential, 0.16)
+    report = rpa_energy_trace(decomp, unit_potential, 0.16)
     assert report.e_trace < 0.0
 
 
@@ -246,7 +246,7 @@ def test_shift_matches_eigvalsh_at_many_patches(ball_6400, m_patches):
     pot = default_potential()
     decomp = build_patches(m_patches, ball_6400, 0.0)
     for k in pot.gamma_nor():
-        ms = build_mode_system(decomp, ball_6400, pot, k, ENERGY_DELTA)
+        ms = build_mode_system(decomp, pot, k, ENERGY_DELTA)
         ref = eigvalsh_ground_state_shift(ms)
         assert abs(ground_state_shift(ms) - ref) <= 1e-9 * abs(ref)
 
@@ -273,7 +273,7 @@ def test_trace_energy_propagates_failures(ball_400, unit_potential, monkeypatch)
     monkeypatch.setattr(rpa_mod, "ground_state_shift", boom)
     decomp = build_patches(8, ball_400, 0.0)
     with pytest.raises(DiagonalizationError, match=r"k=\(0, 0, 1\)|k=\(0, 1, 0\)|k=\(1, 0, 0\)"):
-        rpa_energy_trace(decomp, ball_400, unit_potential, 0.16)
+        rpa_energy_trace(decomp, unit_potential, 0.16)
 
 
 # ------------------------------------------------------------ small-V fit
