@@ -33,7 +33,6 @@ from .patches import (
     PatchDecomposition,
     build_patches,
     index_sets,
-    pair_count,
 )
 from .rpa import (
     RpaReport,
@@ -63,7 +62,6 @@ __all__ = [
     "ModeIndexSet",
     "build_patches",
     "index_sets",
-    "pair_count",
     "ModeSystem",
     "BogoliubovSolution",
     "DiagonalizationError",

@@ -70,15 +70,24 @@ class EncodedSet:
     def __init__(self, points: np.ndarray, half_width: int):
         self.half = int(half_width)
         self.stride = 2 * self.half + 1
-        if len(points):
-            if np.abs(points).max() > self.half:
-                raise ValueError("points exceed encoding half-width")
-        self.codes = np.sort(self.encode(points))
+        points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+        if len(points) and (points.min() < -self.half or points.max() > self.half):
+            raise ValueError("points exceed encoding half-width")
+        self.codes = self.encode(points)
+        self.codes.sort()
 
     def encode(self, points: np.ndarray) -> np.ndarray:
+        """One code per row, built in place in the one array returned."""
         points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
         h, s = self.half, self.stride
-        return ((points[:, 0] + h) * s + (points[:, 1] + h)) * s + (points[:, 2] + h)
+        codes = points[:, 0] + h
+        codes *= s
+        codes += points[:, 1]
+        codes += h
+        codes *= s
+        codes += points[:, 2]
+        codes += h
+        return codes
 
     def shift(self, k: Sequence[int]) -> int:
         kx, ky, kz = (int(c) for c in k)
@@ -91,14 +100,6 @@ class EncodedSet:
             return np.full(len(codes), -1, dtype=np.int64)
         idx = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
         return np.where(self.codes[idx] == codes, idx, -1)
-
-    def contains_points(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-        ok = (np.abs(points) <= self.half).all(axis=1)
-        out = np.zeros(len(points), dtype=bool)
-        if ok.any():
-            out[ok] = self.index_codes(self.encode(points[ok])) >= 0
-        return out
 
 
 class FermiBall:
@@ -383,9 +384,6 @@ class InteractionPotential:
 
     def ell1(self) -> float:
         return math.fsum(abs(v) for v in self._table.values())
-
-    def ell_inf(self) -> float:
-        return max((abs(v) for v in self._table.values()), default=0.0)
 
     def gamma_nor(self) -> list[Momentum]:
         """Normal half of the punctured support: the union with its negation

@@ -28,11 +28,14 @@ __all__ = [
     "PatchConstructionError",
     "build_patches",
     "index_sets",
-    "pair_count",
     "pair_counts",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+#: shell rows labelled or looked up at once; bounds the transient memory of
+#: `shell_assignment` and `pair_counts` to a few MB at any radius
+_BLOCK_ROWS = 1 << 15
 
 
 def _angles(x: np.ndarray, y: np.ndarray, z: np.ndarray, r: np.ndarray):
@@ -269,8 +272,13 @@ class PatchDecomposition:
         r_in = max(kf - w, 0.0)
         rmax = int(math.floor(r_out))
         points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out))
-        labels = self.assign_directions(points)
-        inside = self.ball.contains_points(points)
+        labels = np.empty(len(points), dtype=np.int64)
+        inside = np.empty(len(points), dtype=bool)
+        # row blocks bound the float temporaries of labelling to one block's
+        for lo in range(0, len(points), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            labels[block] = self.assign_directions(points[block])
+            inside[block] = self.ball.contains_points(points[block])
         # shell points have |p|_inf <= rmax, so p -/+ k stays inside the code
         # cube for every |k|_inf <= 2 rmax, the most two shell points differ
         # by; building the encoder over the shell checks that half-width once
@@ -398,36 +406,6 @@ def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> Mo
     return ModeIndexSet(_as_momentum(k), float(delta), plus, minus)
 
 
-def pair_count(
-    decomp: PatchDecomposition,
-    k: Sequence[int],
-    alpha: int,
-    *,
-    delta: float | None = None,
-) -> int:
-    """Number of particle-hole pairs with relative momentum k inside patch alpha.
-
-    For k . omega_alpha > 0 the hole is p - k, for k . omega_alpha < 0 it is
-    p + k; a patch orthogonal to k carries no modes and is rejected, as is any
-    alpha below the equator cut when `delta` is given.
-    """
-    kv = _as_ivec(k)
-    if not kv.any():
-        raise ValueError("k = 0 admits no particle-hole pairs")
-    if not (0 <= alpha < decomp.m_patches):
-        raise IndexError(f"patch index {alpha} out of range")
-    dot = float(decomp.k_dots(kv)[alpha])
-    if dot == 0.0:
-        raise ValueError(f"patch {alpha} is orthogonal to k={tuple(kv.tolist())}; no modes")
-    if delta is not None:
-        threshold = decomp.ball.n_particles ** (-float(delta))
-        if abs(dot) < threshold:
-            raise ValueError(
-                f"patch {alpha} lies below the equator cut for k={tuple(kv.tolist())}"
-            )
-    return int(pair_counts(decomp, kv)[alpha])
-
-
 def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
     """Pair counts of every patch at relative momentum k, indexed by patch.
 
@@ -444,8 +422,15 @@ def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
         # two shell points differ by at most 2 rmax = 2 half / 3 per coordinate
         return np.zeros(decomp.m_patches, dtype=np.int64)
     sign = np.sign(decomp.k_dots(kv)).astype(np.int64)
-    part = np.flatnonzero((asg.labels >= 0) & ~asg.inside)
-    lab = asg.labels[part]
-    rows = enc.index_codes(enc.codes[part] - sign[lab] * enc.shift(kv))
-    hit = (rows >= 0) & asg.inside[rows] & (asg.labels[rows] == lab)
-    return np.bincount(lab[hit], minlength=decomp.m_patches)
+    shift = enc.shift(kv)
+    counts = np.zeros(decomp.m_patches, dtype=np.int64)
+    # the shell's row blocks, so the lookup's temporaries stay one block's
+    for lo in range(0, len(asg.labels), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        labels = asg.labels[block]
+        part = np.flatnonzero((labels >= 0) & ~asg.inside[block])
+        lab = labels[part]
+        rows = enc.index_codes(enc.codes[block][part] - sign[lab] * shift)
+        hit = (rows >= 0) & asg.inside[rows] & (asg.labels[rows] == lab)
+        counts += np.bincount(lab[hit], minlength=decomp.m_patches)
+    return counts

@@ -32,7 +32,6 @@ from .patches import PatchDecomposition
 
 __all__ = [
     "RpaReport",
-    "g_profile",
     "g_power_integral",
     "ground_state_shift",
     "rpa_mode_integral",
@@ -122,11 +121,6 @@ def _log1p_minus(s: np.ndarray) -> np.ndarray:
     return np.where(s < 0.125, y * y * series, np.log1p(s) - s)
 
 
-def g_profile(lam: float) -> float:
-    """1 - lam * arctan(1/lam), extended by its limit g(0) = 1."""
-    return float(_g(lam))
-
-
 def g_power_integral(power: int) -> float:
     """int_0^inf g(l)^p dl for an integer p >= 1."""
     if power < 1:
@@ -170,7 +164,10 @@ def ground_state_shift(ms: ModeSystem) -> float:
         raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
     v = ms.v_vals[:side]
     weights = 2.0 * ms.g * d * v * v
-    s = (weights / (d * d + (_NODES * _NODES)[:, None])).sum(axis=1)
+    # one nodes x modes array, divided into in place
+    s = np.add.outer(_NODES * _NODES, d * d)
+    np.divide(weights, s, out=s)
+    s = s.sum(axis=1)
     val, err = _integrate(_log1p_minus(s))
     if err > 1e-8 * abs(val):
         raise DiagonalizationError(

@@ -21,8 +21,8 @@ from fermiball.lattice import (
     _band,
     _solve_ksq_for_n,
 )
-from fermiball.patches import PatchDecomposition
-from fermiball.rpa import RpaReport
+from fermiball.patches import PatchDecomposition, ShellAssignment, pair_counts
+from fermiball.rpa import RpaReport, _g
 
 log = logging.getLogger(__name__)
 
@@ -39,9 +39,29 @@ def hf_energy_of_occupation(ball: FermiBall, v: InteractionPotential, occupied: 
         if val == 0.0 or k == lattice.Momentum(0, 0, 0):
             continue
         shifted = occ + np.asarray(k, dtype=np.int64)
-        exchange += val * float(enc.contains_points(shifted).sum())
+        exchange += val * float(encoded_contains(enc, shifted).sum())
     direct = v((0, 0, 0)) * n * (n - 1)
     return kinetic + 0.5 * lam * (direct - exchange)
+
+
+def encoded_contains(enc: lattice.EncodedSet, points: np.ndarray) -> np.ndarray:
+    """Per point, whether the encoded set holds it (False outside the code cube)."""
+    points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+    ok = (np.abs(points) <= enc.half).all(axis=1)
+    out = np.zeros(len(points), dtype=bool)
+    if ok.any():
+        out[ok] = enc.index_codes(enc.encode(points[ok])) >= 0
+    return out
+
+
+def ell_inf(v: InteractionPotential) -> float:
+    """Largest |V(k)| over the support (0 for the zero potential)."""
+    return max((abs(val) for _, val in v.items()), default=0.0)
+
+
+def g_profile(lam: float) -> float:
+    """1 - lam * arctan(1/lam), extended by its limit g(0) = 1."""
+    return float(_g(lam))
 
 
 def count_slice(ball: FermiBall, k, s: int) -> int:
@@ -84,6 +104,64 @@ def patch_of(decomp: PatchDecomposition, p: Sequence[int]) -> int | None:
         return None
     label = int(decomp.assign_directions(pv[None, :])[0])
     return None if label < 0 else label
+
+
+def pair_count(
+    decomp: PatchDecomposition,
+    k: Sequence[int],
+    alpha: int,
+    *,
+    delta: float | None = None,
+) -> int:
+    """Number of particle-hole pairs with relative momentum k inside patch alpha.
+
+    For k . omega_alpha > 0 the hole is p - k, for k . omega_alpha < 0 it is
+    p + k; a patch orthogonal to k carries no modes and is rejected, as is any
+    alpha below the equator cut when `delta` is given.
+    """
+    kv = _as_ivec(k)
+    if not kv.any():
+        raise ValueError("k = 0 admits no particle-hole pairs")
+    if not (0 <= alpha < decomp.m_patches):
+        raise IndexError(f"patch index {alpha} out of range")
+    dot = float(decomp.k_dots(kv)[alpha])
+    if dot == 0.0:
+        raise ValueError(f"patch {alpha} is orthogonal to k={tuple(kv.tolist())}; no modes")
+    if delta is not None:
+        threshold = decomp.ball.n_particles ** (-float(delta))
+        if abs(dot) < threshold:
+            raise ValueError(
+                f"patch {alpha} lies below the equator cut for k={tuple(kv.tolist())}"
+            )
+    return int(pair_counts(decomp, kv)[alpha])
+
+
+def one_shot_shell_assignment(decomp: PatchDecomposition) -> ShellAssignment:
+    """The decomposition's shell labelled in one pass over every row, with no
+    row blocks: the reference for the block-wise `shell_assignment`."""
+    kf, w = decomp.ball.k_fermi, decomp.shell_halfwidth
+    r_out = kf + w
+    r_in = max(kf - w, 0.0)
+    points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out))
+    labels = decomp.assign_directions(points)
+    inside = decomp.ball.contains_points(points)
+    enc = lattice.EncodedSet(points, 3 * int(math.floor(r_out)))
+    return ShellAssignment(points, labels, inside, enc)
+
+
+def one_shot_pair_counts(decomp: PatchDecomposition, asg: ShellAssignment, k) -> np.ndarray:
+    """`pair_counts` with one code lookup over every particle row of `asg`
+    at once: the reference for the block-wise count."""
+    kv = _as_ivec(k)
+    enc = asg.encoder
+    if 3 * int(np.abs(kv).max()) > 2 * enc.half:
+        return np.zeros(decomp.m_patches, dtype=np.int64)
+    sign = np.sign(decomp.k_dots(kv)).astype(np.int64)
+    part = np.flatnonzero((asg.labels >= 0) & ~asg.inside)
+    lab = asg.labels[part]
+    rows = enc.index_codes(enc.codes[part] - sign[lab] * enc.shift(kv))
+    hit = (rows >= 0) & asg.inside[rows] & (asg.labels[rows] == lab)
+    return np.bincount(lab[hit], minlength=decomp.m_patches)
 
 
 def decomposition_to_json(decomp: PatchDecomposition) -> str:

@@ -13,12 +13,11 @@ from fermiball import (
     check_L_blocks,
     diagonalize,
     ground_state_shift,
-    pair_count,
     sample_mode_system,
 )
 from fermiball.bogokernel import _assemble
 from fermiball.lattice import InteractionPotential, Momentum
-from oracles import check_frakK_vs_E, dump_solution_csv
+from oracles import check_frakK_vs_E, dump_solution_csv, pair_count
 
 
 def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):

@@ -273,6 +273,15 @@ def test_benchmark_workload_configs_load():
         load_config(workload.config(1))
 
 
+def test_reach_config_loads():
+    # validated only: running it takes about 2 GB and half a minute
+    path = Path(__file__).resolve().parent.parent / "configs" / "reach.json"
+    config = load_config(json.loads(path.read_text()))
+    assert config.experiments == ["rpa_compare"]
+    schedule = config.opt("rpa_compare", "schedule", None)
+    assert schedule == [[102400.5, 128], [409600.5, 256], [1638400.5, 512]]
+
+
 def test_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out.split()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,18 @@ from fermiball import (
     build_fermi_ball,
     build_patches,
     index_sets,
-    pair_count,
 )
 from fermiball.experiments import min_patch_separation
 from fermiball.lattice import _band
-from fermiball.patches import pair_counts
-from oracles import decomposition_to_json, patch_of, scan_min_patch_separation
+from fermiball.patches import _BLOCK_ROWS, pair_counts
+from oracles import (
+    decomposition_to_json,
+    one_shot_pair_counts,
+    one_shot_shell_assignment,
+    pair_count,
+    patch_of,
+    scan_min_patch_separation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +435,41 @@ def test_pair_counts_use_the_decompositions_own_ball():
             assert pair_counts(decomp, k).tolist() == want, (ksq, k)
             counts.append(want)
     assert counts[:2] != counts[2:]  # the radii are told apart
+
+
+@pytest.mark.parametrize("m", [30, 512])
+def test_block_labelling_and_counts_match_one_shot(ball_6400, m):
+    # 161k shell rows, so several row blocks and a partial last one
+    decomp = build_patches(m, ball_6400, 0.0)
+    asg = decomp.shell_assignment()
+    ref = one_shot_shell_assignment(decomp)
+    assert len(asg.points) > 4 * _BLOCK_ROWS and len(asg.points) % _BLOCK_ROWS
+    assert np.array_equal(asg.points, ref.points)
+    assert np.array_equal(asg.labels, ref.labels)
+    assert np.array_equal(asg.inside, ref.inside)
+    # codes encoded in place equal the one-expression encoding, sorted
+    h, s = asg.encoder.half, asg.encoder.stride
+    x, y, z = ref.points.T
+    assert np.array_equal(asg.encoder.codes, np.sort(((x + h) * s + (y + h)) * s + (z + h)))
+    for k in ((0, 0, 1), (1, -1, 2), (5, 1, -2)):
+        got = pair_counts(decomp, k)
+        assert np.array_equal(got, one_shot_pair_counts(decomp, ref, k)), k
+        assert got.sum() > 0
+
+
+def test_shell_index_memory_is_kept_arrays_plus_bounded_transient(ball_6400):
+    # the traced peak of labelling the 6400.5 shell and counting its pairs
+    # exceeds the arrays the index keeps by at most 8 MB (17 MB one-shot)
+    decomp = build_patches(30, ball_6400, 0.0)
+    tracemalloc.start()
+    try:
+        asg = decomp.shell_assignment()
+        pair_counts(decomp, (1, -1, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = asg.points.nbytes + asg.labels.nbytes + asg.inside.nbytes + asg.encoder.codes.nbytes
+    assert peak - kept <= 8e6, (peak, kept)
 
 
 def test_pair_count_reflection(ball_400, decomp_400):

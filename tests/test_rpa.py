@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,12 +25,13 @@ from fermiball.experiments import ENERGY_DELTA, default_potential
 from fermiball.rpa import (
     SMALL_V_REFERENCE_MAGNITUDE,
     g_power_integral,
-    g_profile,
     rpa_mode_integral_with_error,
 )
 from oracles import (
     eigvalsh_ground_state_shift,
+    g_profile,
     g_series_exact,
+    pair_count,
     quad_mode_integral,
     report_to_json,
 )
@@ -190,8 +192,6 @@ def test_trace_energy_one_mode_closed_form(ball_400):
     value = 0.3
     pot = InteractionPotential({(0, 0, 1): value, (0, 0, -1): value})
     report = rpa_energy_trace(decomp, pot, 0.16)
-    from fermiball import pair_count
-
     n_sq = pair_count(decomp, (0, 0, 1), 0)
     hbar = ball_400.hbar
     d = 1.0
@@ -249,6 +249,22 @@ def test_shift_matches_eigvalsh_at_many_patches(ball_6400, m_patches):
         ms = build_mode_system(decomp, pot, k, ENERGY_DELTA)
         ref = eigvalsh_ground_state_shift(ms)
         assert abs(ground_state_shift(ms) - ref) <= 1e-9 * abs(ref)
+
+
+def test_shift_allocates_one_nodes_by_modes_array(ball_6400):
+    # at M = 2048 the shift's traced peak is one nodes x modes float64 array
+    # and a little more; two such arrays were built before
+    decomp = build_patches(2048, ball_6400, 0.0)
+    ms = build_mode_system(decomp, default_potential(), (0, 0, 1), ENERGY_DELTA)
+    one = len(rpa_mod._NODES) * ms.side * 8
+    tracemalloc.start()
+    try:
+        ground_state_shift(ms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ms.side > 500
+    assert peak <= 1.25 * one, (peak, one)
 
 
 def test_shift_rejects_unresolvable_d():
