@@ -57,8 +57,8 @@ def _cmd_validate(args) -> int:
         print(f"invalid: {err}", file=sys.stderr)
         return 1
     print(
-        f"ok: k_fermi_sq={config.k_fermi_sq} m_patches={config.m_patches} "
-        f"delta={config.delta} experiments={config.experiments}"
+        f"ok: k_fermi_sq={config.k_fermi_sq} delta={config.delta} "
+        f"experiments={config.experiments}"
     )
     return 0
 

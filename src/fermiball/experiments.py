@@ -1,14 +1,17 @@
 """Batch experiments: convergence scans, invariant suites, bound-constant fits.
 
 Every experiment maps onto one operation family of the library and emits one
-CSV.  Grids default to the standard verification points and can be overridden
-per experiment through the config's ``options`` mapping.
+CSV.  Each experiment declares its settable options once, as keyword-only
+parameters whose defaults are the standard verification points; the config's
+``options`` mapping overrides them, and a key that no experiment parameter
+names is a config error.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -45,6 +48,8 @@ DEFAULT_DELTA = 1.0 / 24.0
 #: tangential modes at reachable particle numbers
 ENERGY_DELTA = 0.16
 UNIT_VECTORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+#: the interaction momentum of the single-k lattice and normalisation scans
+AXIS_K = (0, 0, 1)
 
 
 class ExperimentError(RuntimeError):
@@ -56,7 +61,6 @@ class RunConfig:
     """Validated run configuration."""
 
     k_fermi_sq: Fraction
-    m_patches: int
     delta: float
     potential: InteractionPotential
     experiments: list[str]
@@ -65,13 +69,9 @@ class RunConfig:
     workers: int = 1
     options: dict = field(default_factory=dict)
 
-    def opt(self, experiment: str, key: str, default):
-        return self.options.get(experiment, {}).get(key, default)
-
     def echo(self) -> dict:
         return {
             "k_fermi_sq": str(self.k_fermi_sq),
-            "m_patches": self.m_patches,
             "delta": self.delta,
             "potential": [
                 [list(k), v] for k, v in sorted(self.potential.items())
@@ -84,8 +84,8 @@ class RunConfig:
         }
 
 
-def default_potential(value: float = 0.05) -> InteractionPotential:
-    return InteractionPotential({k: value for k in UNIT_VECTORS})
+def default_potential() -> InteractionPotential:
+    return InteractionPotential({k: 0.05 for k in UNIT_VECTORS})
 
 
 class BallCache:
@@ -136,10 +136,9 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 # lattice experiments
 
 
-def exp_gauss_count(ctx: Context):
-    grid = ctx.config.opt("gauss_count", "k_fermi_sq_grid", [25.5, 100.5, 400.5, 1600.5, 3600.5])
+def exp_gauss_count(ctx: Context, *, k_fermi_sq_grid=(25.5, 100.5, 400.5, 1600.5, 3600.5)):
     rows = []
-    for ksq in grid:
+    for ksq in k_fermi_sq_grid:
         ball = ctx.balls.get(ksq)
         volume = 4.0 * math.pi / 3.0 * ball.k_fermi**3
         rows.append(
@@ -153,15 +152,11 @@ def exp_gauss_count(ctx: Context):
     return ["k_fermi", "n", "ball_volume", "rel_error"], rows
 
 
-def exp_kinetic_sum_scaling(ctx: Context):
-    grid = ctx.config.opt(
-        "kinetic_sum_scaling", "k_fermi_sq_grid", [100.5, 400.5, 1600.5, 6400.5]
-    )
-    k = tuple(ctx.config.opt("kinetic_sum_scaling", "k", (0, 0, 1)))
+def exp_kinetic_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600.5, 6400.5)):
     rows = []
-    for ksq in grid:
+    for ksq in k_fermi_sq_grid:
         ball = ctx.balls.get(ksq)
-        total = lattice.kinetic_reciprocal_sum(ball, k)
+        total = lattice.kinetic_reciprocal_sum(ball, AXIS_K)
         rows.append(
             {
                 "k_fermi": ball.k_fermi,
@@ -173,16 +168,12 @@ def exp_kinetic_sum_scaling(ctx: Context):
     return ["k_fermi", "n", "total", "ratio_n13"], rows
 
 
-def exp_equator_sum_scaling(ctx: Context):
-    grid = ctx.config.opt(
-        "equator_sum_scaling", "k_fermi_sq_grid", [100.5, 400.5, 1600.5, 6400.5]
-    )
-    k = tuple(ctx.config.opt("equator_sum_scaling", "k", (0, 0, 1)))
-    delta = ctx.config.opt("equator_sum_scaling", "delta", ctx.config.delta)
+def exp_equator_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600.5, 6400.5)):
+    delta = ctx.config.delta
     rows = []
-    for ksq in grid:
+    for ksq in k_fermi_sq_grid:
         ball = ctx.balls.get(ksq)
-        total = lattice.equator_reciprocal_sum(ball, k, delta)
+        total = lattice.equator_reciprocal_sum(ball, AXIS_K, delta)
         rows.append(
             {
                 "k_fermi": ball.k_fermi,
@@ -204,14 +195,12 @@ def slice_counts(ball: FermiBall, k) -> tuple[int, np.ndarray]:
     return lo, np.bincount(dots - lo)
 
 
-def exp_slice_count_bound(ctx: Context):
-    grid = ctx.config.opt("slice_count_bound", "k_fermi_sq_grid", [400.5, 1600.5, 6400.5])
-    k = tuple(ctx.config.opt("slice_count_bound", "k", (0, 0, 1)))
+def exp_slice_count_bound(ctx: Context, *, k_fermi_sq_grid=(400.5, 1600.5, 6400.5)):
     gamma = 2.0 / 3.0
     rows = []
-    for ksq in grid:
+    for ksq in k_fermi_sq_grid:
         ball = ctx.balls.get(ksq)
-        lo, counts = slice_counts(ball, k)
+        lo, counts = slice_counts(ball, AXIS_K)
         scale = ball.n_particles ** (gamma / 3.0)
         # slice lo holds at least one pair, so the first largest ratio is
         # positive and wins
@@ -231,11 +220,9 @@ def exp_slice_count_bound(ctx: Context):
     return ["k_fermi", "n", "pairs", "c_fit", "s_worst"], rows
 
 
-def exp_ellipse_count(ctx: Context):
-    d0s = ctx.config.opt("ellipse_count", "axis_ratios", [1, 2, 5])
-    radii = ctx.config.opt("ellipse_count", "radii", list(range(10, 301, 10)))
+def exp_ellipse_count(ctx: Context, *, axis_ratios=(1, 2, 5), radii=range(10, 301, 10)):
     rows = []
-    for d0 in d0s:
+    for d0 in axis_ratios:
         for r in radii:
             count, area = lattice.annulus_count_vs_area(0.0, float(r), d0)
             rows.append(
@@ -298,12 +285,9 @@ def min_patch_separation(decomp) -> float:
     return math.inf
 
 
-def exp_patch_audit(ctx: Context):
+def exp_patch_audit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30), r_v=2.0):
     # k_F = 40 keeps 2 r_v = 4 below the patch scale k_F / sqrt(M) at M = 30
-    ksq = ctx.config.opt("patch_audit", "k_fermi_sq", 1600.5)
-    m_grid = ctx.config.opt("patch_audit", "m_grid", [6, 16, 30])
-    r_v = ctx.config.opt("patch_audit", "r_v", 2.0)
-    ball = ctx.balls.get(ksq)
+    ball = ctx.balls.get(k_fermi_sq)
     rows = []
     for m in m_grid:
         decomp = patches.build_patches(m, ball, r_v)
@@ -346,19 +330,13 @@ def exp_patch_audit(ctx: Context):
     return cols, rows
 
 
-def exp_normalization_asymptotics(ctx: Context):
-    ksq = ctx.config.opt("normalization_asymptotics", "k_fermi_sq", 3600.5)
-    m = ctx.config.opt("normalization_asymptotics", "m_patches", 16)
-    k = tuple(ctx.config.opt("normalization_asymptotics", "k", (0, 0, 1)))
-    r_v = ctx.config.opt("normalization_asymptotics", "r_v", 1.0)
-    delta = ctx.config.opt("normalization_asymptotics", "delta", ENERGY_DELTA)
-    ball = ctx.balls.get(ksq)
-    decomp = patches.build_patches(m, ball, r_v)
-    idx = patches.index_sets(decomp, k, delta)
-    counts = patches.pair_counts(decomp, k)
-    dots = decomp.k_dots(k)
-    kv = np.asarray(k, dtype=np.float64)
-    knorm = float(np.linalg.norm(kv))
+def exp_normalization_asymptotics(ctx: Context, *, k_fermi_sq=3600.5, m_patches=16):
+    ball = ctx.balls.get(k_fermi_sq)
+    decomp = patches.build_patches(m_patches, ball, r_v=1.0)
+    idx = patches.index_sets(decomp, AXIS_K, ENERGY_DELTA)
+    counts = patches.pair_counts(decomp, AXIS_K)
+    # AXIS_K is a unit vector, so k.omega is the cosine to the axis
+    dots = decomp.k_dots(AXIS_K)
     rows = []
     for alpha in sorted(idx.plus_side + idx.minus_side):
         dot = float(dots[alpha])
@@ -367,7 +345,7 @@ def exp_normalization_asymptotics(ctx: Context):
         rows.append(
             {
                 "alpha": alpha,
-                "k_dot_omega": dot / knorm,
+                "k_dot_omega": dot,
                 "pair_count": count,
                 "predicted": predicted,
                 "ratio": count / predicted if predicted > 0 else math.nan,
@@ -380,9 +358,7 @@ def exp_normalization_asymptotics(ctx: Context):
 # kernel experiments
 
 
-def exp_kernel_identities(ctx: Context):
-    n_systems = ctx.config.opt("kernel_identities", "n_systems", 200)
-    max_side = ctx.config.opt("kernel_identities", "max_side", 30)
+def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
     rng = np.random.default_rng(ctx.config.seed)
     rows = []
     for i in range(n_systems):
@@ -420,21 +396,16 @@ def exp_kernel_identities(ctx: Context):
     return cols, rows
 
 
-def exp_kernel_bound_fit(ctx: Context):
-    ksq = ctx.config.opt("kernel_bound_fit", "k_fermi_sq", 1600.5)
-    m_grid = ctx.config.opt("kernel_bound_fit", "m_grid", [6, 16, 30])
-    value = ctx.config.opt("kernel_bound_fit", "potential_value", 0.1)
-    r_v = ctx.config.opt("kernel_bound_fit", "r_v", 1.0)
-    delta = ctx.config.opt("kernel_bound_fit", "delta", ENERGY_DELTA)
+def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30)):
     # polar support: coarse layouts (M = 6) have patches exactly orthogonal
     # to the equatorial axes, which would empty those mode systems
-    pot = InteractionPotential({(0, 0, 1): value, (0, 0, -1): value})
-    ball = ctx.balls.get(ksq)
+    pot = InteractionPotential({(0, 0, 1): 0.1, (0, 0, -1): 0.1})
+    ball = ctx.balls.get(k_fermi_sq)
     rows = []
     for m in m_grid:
-        decomp = patches.build_patches(m, ball, r_v)
+        decomp = patches.build_patches(m, ball, r_v=1.0)
         for k in pot.gamma_nor():
-            ms = bogokernel.build_mode_system(decomp, pot, k, delta)
+            ms = bogokernel.build_mode_system(decomp, pot, k, ENERGY_DELTA)
             sol = bogokernel.diagonalize(ms)
             c_star, worst = bogokernel.check_kernel_bound(sol, ms)
             rows.append(
@@ -468,26 +439,20 @@ def exp_kernel_bound_fit(ctx: Context):
 # rpa experiments
 
 
-def exp_rpa_compare(ctx: Context):
-    schedule = ctx.config.opt(
-        "rpa_compare", "schedule", [[400.5, 8], [1600.5, 16], [6400.5, 30]]
-    )
-    delta = ctx.config.opt("rpa_compare", "delta", ENERGY_DELTA)
-    r_v = ctx.config.opt("rpa_compare", "r_v", 0.0)
-    value = ctx.config.opt("rpa_compare", "potential_value", 0.05)
-    pot = default_potential(value)
+def exp_rpa_compare(ctx: Context, *, schedule=((400.5, 8), (1600.5, 16), (6400.5, 30))):
+    pot = default_potential()
     rows = []
     for ksq, m in schedule:
         ball = ctx.balls.get(ksq)
-        decomp = patches.build_patches(m, ball, r_v)
-        report = rpa.rpa_energy_trace(decomp, pot, delta)
+        decomp = patches.build_patches(m, ball, r_v=0.0)
+        report = rpa.rpa_energy_trace(decomp, pot, ENERGY_DELTA)
         rows.append(
             {
                 "k_fermi_sq": str(Fraction(ksq)),
                 "m_requested": m,
                 "m_actual": decomp.m_patches,
                 "n": ball.n_particles,
-                "delta": delta,
+                "delta": ENERGY_DELTA,
                 "e_analytic": report.e_analytic,
                 "e_trace": report.e_trace,
                 "rel_gap": report.relative_gap,
@@ -596,11 +561,8 @@ class SwapOracle:
         return kinetic + 0.5 * lam * (direct - exchange)
 
 
-def exp_hf_stability(ctx: Context):
-    ksq = ctx.config.opt("hf_stability", "k_fermi_sq", 400.5)
-    n_swaps = ctx.config.opt("hf_stability", "n_swaps", 1000)
-    n_check = ctx.config.opt("hf_stability", "n_check", 50)
-    ball = ctx.balls.get(ksq)
+def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50):
+    ball = ctx.balls.get(k_fermi_sq)
     pot = ctx.config.potential
     if not pot.support:
         pot = default_potential()
@@ -681,6 +643,12 @@ def _field(key: str, convert, value):
 CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"k_fermi", "n_particles"}
 
 
+def _option_names(fn) -> set[str]:
+    """The keyword-only parameters of experiment fn, its settable options."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+
+
 def load_config(doc: dict, output_override=None) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, naming bad fields."""
     if not isinstance(doc, dict):
@@ -709,12 +677,10 @@ def load_config(doc: dict, output_override=None) -> RunConfig:
         if ksq <= 0:
             raise ValueError("k_fermi_sq must be positive")
 
-    m_patches = _field("m_patches", int, doc.get("m_patches", 8))
-    if m_patches < 2 or m_patches % 2:
-        raise ValueError("m_patches must be even and >= 2")
     delta = _field("delta", float, doc.get("delta", DEFAULT_DELTA))
-    if not (0.0 < delta < 1.0 / 6.0):
-        raise ValueError("delta must lie in (0, 1/6)")
+    # equator_sum_scaling, its only reader, needs the equator sum's range
+    if not (0.0 < delta < float(lattice.EQUATOR_DELTA_MAX)):
+        raise ValueError(f"delta must lie in (0, {lattice.EQUATOR_DELTA_MAX})")
     try:
         potential = InteractionPotential.from_pairs(
             (tuple(k), v) for k, v in doc.get("potential", [])
@@ -728,6 +694,10 @@ def load_config(doc: dict, output_override=None) -> RunConfig:
     for name in experiments + list(options):
         if not isinstance(name, str) or name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
+    for name, opts in options.items():
+        for key in opts:
+            if key not in _option_names(EXPERIMENTS[name]):
+                raise ValueError(f"unknown option {key!r} of experiment {name!r}")
     out = _field("output_dir", Path, output_override or doc.get("output_dir", "out"))
     seed = _field("seed", int, doc.get("seed", 0))
     workers = _field("workers", int, doc.get("workers", 1))
@@ -735,7 +705,6 @@ def load_config(doc: dict, output_override=None) -> RunConfig:
         raise ValueError("workers must be >= 1")
     return RunConfig(
         k_fermi_sq=ksq,
-        m_patches=m_patches,
         delta=delta,
         potential=potential,
         experiments=experiments,
@@ -765,7 +734,7 @@ def run_experiments(config: RunConfig) -> tuple[dict, bool]:
 
     def job(name: str):
         t0 = time.perf_counter()
-        columns, rows = EXPERIMENTS[name](ctx)
+        columns, rows = EXPERIMENTS[name](ctx, **config.options.get(name, {}))
         return name, columns, rows, time.perf_counter() - t0
 
     all_ok = True

@@ -372,16 +372,6 @@ class InteractionPotential:
     def items(self):
         return self._table.items()
 
-    @property
-    def radius(self) -> float:
-        """Diameter of the support as a point set (0 for <= 1 support point)."""
-        supp = self.support
-        if len(supp) < 2:
-            return 0.0
-        arr = np.asarray(supp, dtype=np.float64)
-        d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=-1)
-        return float(np.sqrt(d2.max()))
-
     def ell1(self) -> float:
         return math.fsum(abs(v) for v in self._table.values())
 

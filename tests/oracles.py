@@ -59,6 +59,16 @@ def ell_inf(v: InteractionPotential) -> float:
     return max((abs(val) for _, val in v.items()), default=0.0)
 
 
+def support_diameter(v: InteractionPotential) -> float:
+    """Diameter of the support as a point set (0 for <= 1 support point)."""
+    supp = v.support
+    if len(supp) < 2:
+        return 0.0
+    arr = np.asarray(supp, dtype=np.float64)
+    d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=-1)
+    return float(np.sqrt(d2.max()))
+
+
 def g_profile(lam: float) -> float:
     """1 - lam * arctan(1/lam), extended by its limit g(0) = 1."""
     return float(_g(lam))

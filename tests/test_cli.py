@@ -22,7 +22,6 @@ from oracles import solve_kfermi_for_n
 def write_config(tmp_path, **overrides):
     doc = {
         "k_fermi_sq": 20.5,
-        "m_patches": 8,
         "delta": 1.0 / 24.0,
         "potential": [[[0, 0, 1], 0.05], [[0, 1, 0], 0.05], [[1, 0, 0], 0.05]],
         "experiments": [],
@@ -94,9 +93,10 @@ def test_load_config_field_errors(tmp_path):
     bad["delta"] = 0.5
     with pytest.raises(ValueError, match="delta"):
         load_config(bad)
+    # inside (0, 1/6) but outside equator_sum_scaling's range (0, 77/624)
     bad = dict(base)
-    bad["m_patches"] = 7
-    with pytest.raises(ValueError, match="m_patches"):
+    bad["delta"] = 0.14
+    with pytest.raises(ValueError, match="delta must lie in"):
         load_config(bad)
     bad = dict(base)
     bad["experiments"] = ["no_such_thing"]
@@ -112,7 +112,6 @@ def test_load_config_field_errors(tmp_path):
     cases += [
         (base, f, v)
         for f, v in (
-            ("m_patches", None),
             ("workers", None),
             ("delta", "x"),
             ("seed", [1]),
@@ -243,16 +242,23 @@ def test_ball_cache_builds_each_radius_once(monkeypatch):
 
 
 def test_unread_config_keys_are_named_errors(tmp_path, capsys):
-    # a misspelt top-level key or option name would otherwise be ignored
+    # a top-level key, experiment name or option key that nothing reads
+    # would otherwise be ignored
     cases = [
         ("gauss_cout", {"options": {"gauss_cout": {"k_fermi_sq_grid": [25.5]}}}),
         ("m_patch", {"m_patch": 16}),
+        ("m_patches", {"m_patches": 8}),
+        ("m_patches", {"m_patches": 7}),
+        ("m_patches", {"m_patches": None}),
+        ("m_gird", {"options": {"patch_audit": {"m_gird": [6]}}}),
+        ("potential_value", {"options": {"rpa_compare": {"potential_value": 0.2}}}),
+        ("ctx", {"options": {"gauss_count": {"ctx": 1}}}),
     ]
-    for name, extra in cases:
+    for i, (name, extra) in enumerate(cases):
         doc = {"k_fermi_sq": 400.5, "experiments": ["gauss_count"], **extra}
         with pytest.raises(ValueError, match=repr(name)):
             load_config(doc)
-        path = tmp_path / f"{name}.json"
+        path = tmp_path / f"{i}.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--config", str(path)]) == 1
         assert repr(name) in capsys.readouterr().err
@@ -278,7 +284,7 @@ def test_reach_config_loads():
     path = Path(__file__).resolve().parent.parent / "configs" / "reach.json"
     config = load_config(json.loads(path.read_text()))
     assert config.experiments == ["rpa_compare"]
-    schedule = config.opt("rpa_compare", "schedule", None)
+    schedule = config.options["rpa_compare"]["schedule"]
     assert schedule == [[102400.5, 128], [409600.5, 256], [1638400.5, 512]]
 
 
@@ -396,6 +402,40 @@ def test_patch_audit_golden_bytes(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "patch_audit.csv").read_bytes()).hexdigest()
     assert digest == "149cb8b5a5c8439347df7d04e5690a4db6e461b81d8606049c0cc559c7817dcc"
+
+
+#: sha256 of the experiments whose corridor, equator exponent, potential and
+#: k are fixed in the code, at seed 1 with default options
+FIXED_SETTING_CSV_SHA256 = {
+    "normalization_asymptotics": "1142f7e97eaf6a6b9a96529df0c542408388e1544c3bbb2a296f2835a052625b",
+    "rpa_compare": "54f4b1e2a259b6b62edec3310c1d37e95005ab46bc34ad5eb09da8340e3eb5e9",
+    "kernel_bound_fit": "0fedb6235082bbf6765a468bee19bcea99506db460385ae132872af2d86685b6",
+}
+
+
+def test_fixed_setting_csv_golden_bytes(tmp_path):
+    import hashlib
+
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"k_fermi_sq": 400.5, "experiments": list(FIXED_SETTING_CSV_SHA256), "seed": 1})
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    got = {
+        name: hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+        for name in FIXED_SETTING_CSV_SHA256
+    }
+    assert got == FIXED_SETTING_CSV_SHA256
+
+
+def test_readme_example_config_loads():
+    # the README's example config must stay valid under the config key checks
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```json\n")[1:]
+    assert len(blocks) == 1
+    config = load_config(json.loads(blocks[0].split("```")[0]))
+    assert config.experiments
 
 
 def test_manifest_records_wall_time_and_peak_rss(tmp_path):

@@ -18,7 +18,7 @@ from fermiball import (
     shell_pairs,
 )
 from fermiball.lattice import _band, _ball_kinetic_sum, _isqrt, shell_denominators
-from oracles import count_slice, dispersion
+from oracles import count_slice, dispersion, support_diameter
 
 
 # ---------------------------------------------------------------- oracles
@@ -347,7 +347,7 @@ def test_annulus_validation():
 def test_potential_symmetrization_and_radius():
     v = InteractionPotential.from_pairs([((1, 0, 0), 0.3), ((0, 0, 1), 0.2), ((0, 0, -1), 0.2)])
     assert v((-1, 0, 0)) == 0.3
-    assert v.radius == 2.0
+    assert support_diameter(v) == 2.0
     assert v.ell1() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         InteractionPotential.from_pairs([((1, 0, 0), 0.3), ((-1, 0, 0), 0.4)])
