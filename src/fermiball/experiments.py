@@ -524,7 +524,7 @@ class SwapOracle:
         # q_in = -1 leaves no interior: the band is the whole ball
         q_in = r_in * r_in if r_in >= 0 else -1
         self.band = _band(q_in + 1, ball.norm_sq_max)
-        self.norms = (self.band * self.band).sum(axis=1)
+        self.norms = np.einsum("ij,ij->i", self.band, self.band)
         self.n_interior = _ball_count(q_in)
         self.kinetic = _ball_kinetic_sum(q_in) + int(self.norms.sum())
 
@@ -539,7 +539,11 @@ class SwapOracle:
 
         def partners(a: np.ndarray, norms, kv: np.ndarray) -> int:
             """Rows of a whose a + k is occupied after the swap."""
-            n2 = norms + 2 * (a @ kv) + int(kv @ kv)
+            # |a + k|^2, built in place in one array
+            n2 = a @ kv
+            n2 *= 2
+            n2 += norms
+            n2 += int(kv @ kv)
             # a + k can be h or p only where |a + k|^2 is |h|^2 or |p|^2
             to_h = (a[n2 == hh] + kv == h).all(axis=1)
             to_p = (a[n2 == pp] + kv == p).all(axis=1)
@@ -643,10 +647,25 @@ def _field(key: str, convert, value):
 CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"k_fermi", "n_particles"}
 
 
-def _option_names(fn) -> set[str]:
-    """The keyword-only parameters of experiment fn, its settable options."""
+def _option_defaults(fn) -> dict:
+    """The keyword-only parameters of experiment fn, its settable options,
+    each with its default."""
     params = inspect.signature(fn).parameters.values()
-    return {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    return {p.name: p.default for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _expected_type(value, default) -> str | None:
+    """What a JSON value for an option with this default must be, or None if
+    it is that: a list for a tuple or range default, a number for a number."""
+    if isinstance(default, (tuple, range)) and not isinstance(value, list):
+        return "a list"
+    if _is_number(default) and not _is_number(value):
+        return "a number"
+    return None
 
 
 def load_config(doc: dict, output_override=None) -> RunConfig:
@@ -695,9 +714,15 @@ def load_config(doc: dict, output_override=None) -> RunConfig:
         if not isinstance(name, str) or name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
     for name, opts in options.items():
-        for key in opts:
-            if key not in _option_names(EXPERIMENTS[name]):
+        defaults = _option_defaults(EXPERIMENTS[name])
+        for key, value in opts.items():
+            if key not in defaults:
                 raise ValueError(f"unknown option {key!r} of experiment {name!r}")
+            expected = _expected_type(value, defaults[key])
+            if expected:
+                raise ValueError(
+                    f"option {key!r} of experiment {name!r} must be {expected}, got {value!r}"
+                )
     out = _field("output_dir", Path, output_override or doc.get("output_dir", "out"))
     seed = _field("seed", int, doc.get("seed", 0))
     workers = _field("workers", int, doc.get("workers", 1))

@@ -169,6 +169,19 @@ def _columns(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(ax, counts), y
 
 
+def _fill(x: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The points of columns (x, y) as an (n, 3) int64 array: column i holds
+    the z-runs starts[i, j], starts[i, j] + 1, ... of lengths[i, j] >= 0.
+    Rows are in lexicographic order when the columns are and each column's
+    runs rise."""
+    per_column = lengths.sum(axis=1)
+    pts = np.empty((int(per_column.sum()), 3), dtype=np.int64)
+    _runs(x, per_column, 0, pts[:, 0])
+    _runs(y, per_column, 0, pts[:, 1])
+    _runs(starts.ravel(), lengths.ravel(), 1, pts[:, 2])
+    return pts
+
+
 def _band(q_lo: int, q_hi: int) -> np.ndarray:
     """Integer points with q_lo <= |p|^2 <= q_hi as an (n, 3) int64 array in
     lexicographic order.
@@ -181,14 +194,31 @@ def _band(q_lo: int, q_hi: int) -> np.ndarray:
     s = x * x + y * y
     h = _isqrt(q_hi - s)
     g = _isqrt(q_lo - 1 - s)
-    starts = np.stack([-h, g + 1], axis=1).ravel()
+    starts = np.stack([-h, g + 1], axis=1)
     lengths = np.maximum(np.stack([h - np.maximum(g, 0), h - g], axis=1), 0)
-    per_column = lengths.sum(axis=1)
-    pts = np.empty((int(per_column.sum()), 3), dtype=np.int64)
-    _runs(x, per_column, 0, pts[:, 0])
-    _runs(y, per_column, 0, pts[:, 1])
-    _runs(starts, lengths.ravel(), 1, pts[:, 2])
-    return pts
+    return _fill(x, y, starts, lengths)
+
+
+def _lune(q: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns and z-runs of the lune |p|^2 > q >= |p - k|^2, as _fill takes
+    them: (x, y, starts, lengths), so lengths.sum() is the lune's size.
+
+    Particle column (x, y) is a hole column of _columns(q) shifted by (kx,
+    ky). With h' the hole column's height and h the particle column's (-1
+    where it misses the ball), its pairs are z in [kz - h', kz + h'] outside
+    [-h, h]: a run below that ends at -max(h, 0) - 1 and a run above that
+    starts at h + 1, as in _band.
+    """
+    kx, ky, kz = (int(c) for c in k)
+    x, y = _columns(q)
+    hole = _isqrt(q - x * x - y * y)
+    x += kx
+    y += ky
+    h = _isqrt(q - x * x - y * y)
+    lo, hi = kz - hole, kz + hole
+    starts = np.stack([lo, np.maximum(lo, h + 1)], axis=1)
+    ends = np.stack([np.minimum(hi, -np.maximum(h, 0) - 1), hi], axis=1)
+    return x, y, starts, np.maximum(ends - starts + 1, 0)
 
 
 def _ball_count(m: int) -> int:
@@ -248,17 +278,10 @@ def shell_pairs(ball: FermiBall, k: Sequence[int]) -> np.ndarray:
     """Particle momenta p outside the ball with hole p - k inside.
 
     Returns an (n, 3) int64 array in lexicographic order; empty for k = 0.
-    Only the band q < |p|^2 <= (sqrt(q) + |k|)^2 around the ball (q =
-    floor(k_F^2)) is enumerated, so the cost follows the surface, not N.
+    Only the lune is enumerated, column by column from the column heights,
+    so the cost follows the surface, not N.
     """
-    kv = _as_ivec(k)
-    if not kv.any():
-        return np.zeros((0, 3), dtype=np.int64)
-    q, kk = ball.norm_sq_max, int(kv @ kv)
-    # the integer |p|^2 <= (sqrt(q) + |k|)^2 < q + kk + 2 (isqrt(q kk) + 1)
-    p = _band(q + 1, q + kk + 2 * math.isqrt(q * kk) + 1)
-    h = p - kv
-    return p[(h * h).sum(axis=1) <= q]
+    return _fill(*_lune(ball.norm_sq_max, _as_ivec(k)))
 
 
 def shell_denominators(ball: FermiBall, k: Sequence[int]) -> np.ndarray:
@@ -390,14 +413,15 @@ def hartree_fock_energy(ball: FermiBall, v: InteractionPotential) -> float:
 
     kinetic + (lambda/2) [N(N-1) V(0) - sum_{p != q} V(p - q)], lambda = 1/N.
     The exchange double sum collapses to one overlap count per support vector,
-    |B_F intersect (B_F + k)| = N - #shell_pairs(k).
+    |B_F intersect (B_F + k)| = N - #shell_pairs(k), where #shell_pairs(k) is
+    the summed length of the lune's z-runs: no pair is enumerated.
     """
     n = ball.n_particles
     lam = 1.0 / n
     kinetic = ball.hbar**2 * float(_ball_kinetic_sum(ball.norm_sq_max))
     direct = v((0, 0, 0)) * n * (n - 1)
     exchange = math.fsum(
-        val * (n - len(shell_pairs(ball, k)))
+        val * (n - int(_lune(ball.norm_sq_max, _as_ivec(k))[3].sum()))
         for k, val in v.items()
         if val != 0.0 and k != Momentum(0, 0, 0)
     )

@@ -87,7 +87,8 @@ class ShellAssignment:
     """Lattice points of the radial shell labelled by patch index (-1: corridor).
 
     ``points`` are in lexicographic order, so ``encoder.codes`` is ascending
-    in row order and ``encoder.index_codes`` returns shell rows.
+    in row order and ``encoder.index_codes`` returns shell rows. Points and
+    labels are int32 and ``inside`` is bool: 25 B a point with its code.
     """
 
     points: np.ndarray
@@ -272,17 +273,20 @@ class PatchDecomposition:
         r_in = max(kf - w, 0.0)
         rmax = int(math.floor(r_out))
         points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out))
-        labels = np.empty(len(points), dtype=np.int64)
+        # shell points have |p|_inf <= rmax, so p -/+ k stays inside the code
+        # cube for every |k|_inf <= 2 rmax, the most two shell points differ
+        # by; building the encoder over the shell checks that half-width once
+        encoder = EncodedSet(points, 3 * rmax)
+        # |p|_inf <= rmax and M patches fit int32, so the index keeps 25 B a point
+        points = points.astype(np.int32)
+        labels = np.empty(len(points), dtype=np.int32)
         inside = np.empty(len(points), dtype=bool)
         # row blocks bound the float temporaries of labelling to one block's
         for lo in range(0, len(points), _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
             labels[block] = self.assign_directions(points[block])
             inside[block] = self.ball.contains_points(points[block])
-        # shell points have |p|_inf <= rmax, so p -/+ k stays inside the code
-        # cube for every |k|_inf <= 2 rmax, the most two shell points differ
-        # by; building the encoder over the shell checks that half-width once
-        self._assignment = ShellAssignment(points, labels, inside, EncodedSet(points, 3 * rmax))
+        self._assignment = ShellAssignment(points, labels, inside, encoder)
         return self._assignment
 
     def __repr__(self) -> str:

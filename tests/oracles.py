@@ -74,6 +74,20 @@ def g_profile(lam: float) -> float:
     return float(_g(lam))
 
 
+def band_shell_pairs(ball: FermiBall, k) -> np.ndarray:
+    """Shell pairs from the band q < |p|^2 <= (sqrt(q) + |k|)^2 around the
+    ball (q = floor(k_F^2)), masked to |p - k|^2 <= q: the reference for the
+    lune's column runs in `lattice.shell_pairs`."""
+    kv = _as_ivec(k)
+    if not kv.any():
+        return np.zeros((0, 3), dtype=np.int64)
+    q, kk = ball.norm_sq_max, int(kv @ kv)
+    # the integer |p|^2 <= (sqrt(q) + |k|)^2 < q + kk + 2 (isqrt(q kk) + 1)
+    p = _band(q + 1, q + kk + 2 * math.isqrt(q * kk) + 1)
+    h = p - kv
+    return p[(h * h).sum(axis=1) <= q]
+
+
 def count_slice(ball: FermiBall, k, s: int) -> int:
     """Number of shell pairs with p.k = s."""
     kv = _as_ivec(k)

@@ -243,7 +243,8 @@ def test_ball_cache_builds_each_radius_once(monkeypatch):
 
 def test_unread_config_keys_are_named_errors(tmp_path, capsys):
     # a top-level key, experiment name or option key that nothing reads
-    # would otherwise be ignored
+    # would otherwise be ignored, and a wrongly typed option value would
+    # fail only once its experiment runs
     cases = [
         ("gauss_cout", {"options": {"gauss_cout": {"k_fermi_sq_grid": [25.5]}}}),
         ("m_patch", {"m_patch": 16}),
@@ -253,6 +254,12 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
         ("m_gird", {"options": {"patch_audit": {"m_gird": [6]}}}),
         ("potential_value", {"options": {"rpa_compare": {"potential_value": 0.2}}}),
         ("ctx", {"options": {"gauss_count": {"ctx": 1}}}),
+        # option values of the wrong JSON type, named with their experiment
+        ("m_grid", {"options": {"patch_audit": {"m_grid": 6}}}),
+        ("patch_audit", {"options": {"patch_audit": {"m_grid": 6}}}),
+        ("n_swaps", {"options": {"hf_stability": {"n_swaps": True}}}),
+        ("r_v", {"options": {"patch_audit": {"r_v": "2"}}}),
+        ("schedule", {"options": {"rpa_compare": {"schedule": "400.5"}}}),
     ]
     for i, (name, extra) in enumerate(cases):
         doc = {"k_fermi_sq": 400.5, "experiments": ["gauss_count"], **extra}

@@ -78,6 +78,23 @@ def test_band_oracle_rejects_swaps_outside_its_band(ball_400, unit_potential):
         oracle.energy(holes[0], holes[1])
 
 
+def test_band_oracle_memory_is_kept_arrays_plus_bounded_transient(ball_6400, unit_potential):
+    # building the oracle and re-summing one swap at k_F^2 = 6400.5 traces at
+    # most 3 MB beyond the band and norms it keeps (5.6 MB with the (n, 3)
+    # product and the out-of-place |a + k|^2)
+    holes, particles = boundary_shells(ball_6400)
+    q_hole = int((holes * holes).sum(axis=1).min())
+    tracemalloc.start()
+    try:
+        oracle = SwapOracle(ball_6400, unit_potential, q_hole)
+        oracle.energy(holes[0], particles[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = oracle.band.nbytes + oracle.norms.nbytes
+    assert peak - kept <= 3e6, (peak, kept)
+
+
 @pytest.mark.parametrize("ksq", ["400.5", "1600.5"])
 @pytest.mark.parametrize("k", [(0, 0, 1), (1, -2, 3)])
 def test_slice_counts_match_count_slice(ksq, k):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +19,8 @@ from fermiball import (
     kinetic_reciprocal_sum,
     shell_pairs,
 )
-from fermiball.lattice import _band, _ball_kinetic_sum, _isqrt, shell_denominators
-from oracles import count_slice, dispersion, support_diameter
+from fermiball.lattice import _band, _ball_kinetic_sum, _isqrt, _lune, shell_denominators
+from oracles import band_shell_pairs, count_slice, dispersion, support_diameter
 
 
 # ---------------------------------------------------------------- oracles
@@ -229,6 +231,35 @@ def test_shell_pairs_match_ball_shift(ksq):
         assert np.array_equal(shell_pairs(ball, k), ball_shift_shell_pairs(ball, k))
 
 
+LUNE_KS = [k for k in itertools.product(range(-2, 3), repeat=3) if any(k)]
+LUNE_KS += [(3, -3, 3), (5, 1, -2), (0, 0, 9), (7, -6, 0)]
+
+
+@pytest.mark.parametrize("ksq", ["0.5", "1.5", "2.5", "3", "25.5", "100.5", "400.5", "401"])
+def test_shell_pairs_match_band_oracle(ksq):
+    # the lune's column runs give the band-and-mask rows exactly, in order,
+    # and their summed length is the overlap count hartree_fock_energy uses
+    ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+    for k in LUNE_KS:
+        want = band_shell_pairs(ball, k)
+        assert np.array_equal(shell_pairs(ball, k), want), k
+        assert _lune(ball.norm_sq_max, np.asarray(k))[3].sum() == len(want), k
+
+
+@pytest.mark.parametrize("k", [(0, 0, 1), (1, 1, 0), (2, -1, 1)])
+def test_shell_pairs_memory_is_output_plus_columns(k):
+    # at k_F^2 = 25600.5 the band-and-mask route traced 24-59 MB beyond its
+    # 2-5 MB of pairs; the lune's column arrays take under 10 MB
+    ball = build_fermi_ball(k_fermi_sq=Fraction("25600.5"))
+    tracemalloc.start()
+    try:
+        pairs = shell_pairs(ball, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - pairs.nbytes <= 10e6, (peak, pairs.nbytes)
+
+
 def test_shell_cardinality_scales_like_surface():
     sizes = []
     for ksq in ["100.5", "400.5", "1600.5"]:
@@ -391,13 +422,14 @@ def test_hf_energy_matches_brute_force(ball_small, unit_potential):
 
 
 def enumerated_hf_energy(ball, v):
-    """hartree_fock_energy with the kinetic sum taken over every ball point."""
+    """hartree_fock_energy with the kinetic sum taken over every ball point
+    and the overlaps counted from the band oracle's pairs."""
     n = ball.n_particles
     p = _band(0, ball.norm_sq_max)
     kinetic = ball.hbar**2 * float((p * p).sum(axis=1).sum())
     direct = v((0, 0, 0)) * n * (n - 1)
     exchange = math.fsum(
-        val * (n - len(shell_pairs(ball, k)))
+        val * (n - len(band_shell_pairs(ball, k)))
         for k, val in v.items()
         if val != 0.0 and k != Momentum(0, 0, 0)
     )

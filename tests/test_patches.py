@@ -459,7 +459,8 @@ def test_block_labelling_and_counts_match_one_shot(ball_6400, m):
 
 def test_shell_index_memory_is_kept_arrays_plus_bounded_transient(ball_6400):
     # the traced peak of labelling the 6400.5 shell and counting its pairs
-    # exceeds the arrays the index keeps by at most 8 MB (17 MB one-shot)
+    # exceeds the arrays the index keeps by at most 8 MB (17 MB one-shot);
+    # with int32 points and labels the index keeps 25 B a point
     decomp = build_patches(30, ball_6400, 0.0)
     tracemalloc.start()
     try:
@@ -469,6 +470,7 @@ def test_shell_index_memory_is_kept_arrays_plus_bounded_transient(ball_6400):
     finally:
         tracemalloc.stop()
     kept = asg.points.nbytes + asg.labels.nbytes + asg.inside.nbytes + asg.encoder.codes.nbytes
+    assert kept <= 25 * len(asg.points), kept / len(asg.points)
     assert peak - kept <= 8e6, (peak, kept)
 
 
