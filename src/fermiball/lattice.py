@@ -34,6 +34,14 @@ EQUATOR_DELTA_MAX = Fraction(77, 624)
 #: ideal Fermi-radius constant: k_F = KAPPA_IDEAL * N^(1/3) as N grows
 KAPPA_IDEAL = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
 
+#: rows encoded, labelled or looked up at once; bounds the transient memory of
+#: `EncodedSet` and of the shell index in `patches` to about 1 MB at any radius
+_BLOCK_ROWS = 1 << 13
+
+#: columns (x, y) per x-slab of `_band`, whose column arrays are the only
+#: ones alive at a time
+_SLAB_COLUMNS = 1 << 14
+
 
 class Momentum(NamedTuple):
     """Integer momentum vector on the Z^3 lattice."""
@@ -70,17 +78,23 @@ class EncodedSet:
     def __init__(self, points: np.ndarray, half_width: int):
         self.half = int(half_width)
         self.stride = 2 * self.half + 1
-        points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+        if self.stride**3 > np.iinfo(np.int64).max:
+            raise ValueError(f"half-width {self.half} gives codes beyond int64")
+        points = np.asarray(points).reshape(-1, 3)
         if len(points) and (points.min() < -self.half or points.max() > self.half):
             raise ValueError("points exceed encoding half-width")
-        self.codes = self.encode(points)
+        # row blocks, so points of any integer dtype are never copied whole
+        self.codes = np.empty(len(points), dtype=np.int64)
+        for lo in range(0, len(points), _BLOCK_ROWS):
+            self.codes[lo : lo + _BLOCK_ROWS] = self.encode(points[lo : lo + _BLOCK_ROWS])
         self.codes.sort()
 
     def encode(self, points: np.ndarray) -> np.ndarray:
-        """One code per row, built in place in the one array returned."""
-        points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+        """One int64 code per row, built in place in the one array returned."""
+        points = np.asarray(points).reshape(-1, 3)
         h, s = self.half, self.stride
-        codes = points[:, 0] + h
+        codes = points[:, 0].astype(np.int64)
+        codes += h
         codes *= s
         codes += points[:, 1]
         codes += h
@@ -147,21 +161,24 @@ def _runs(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) ->
     """Fill out with runs one after another: run i is the lengths[i] values
     first[i], first[i] + step, ...
 
-    Written as a running sum in place, so a slice of a larger array is filled
-    without an N-sized temporary.
+    Written as a running sum in place, so a slice of a larger array, of any
+    integer dtype that holds the values, is filled without an N-sized
+    temporary.
     """
     keep = lengths > 0
     first, lengths = first[keep], lengths[keep]
     last = first + step * (lengths - 1)
     out[...] = step
     out[np.cumsum(lengths) - lengths] = first - np.concatenate([[0], last[:-1]])
-    np.cumsum(out, out=out)
+    np.cumsum(out, out=out, dtype=out.dtype)
 
 
-def _columns(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns (x, y) with x^2 + y^2 <= q, in lexicographic order."""
-    r = math.isqrt(q) if q >= 0 else -1
-    ax = np.arange(-r, r + 1, dtype=np.int64)
+def _columns(q: int, ax: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (x, y) with x^2 + y^2 <= q, in lexicographic order; with ax,
+    only the columns over its rising x, each with x^2 <= q."""
+    if ax is None:
+        r = math.isqrt(q) if q >= 0 else -1
+        ax = np.arange(-r, r + 1, dtype=np.int64)
     heights = _isqrt(q - ax * ax)
     counts = 2 * heights + 1
     y = np.empty(int(counts.sum()), dtype=np.int64)
@@ -169,34 +186,62 @@ def _columns(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(ax, counts), y
 
 
-def _fill(x: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The points of columns (x, y) as an (n, 3) int64 array: column i holds
-    the z-runs starts[i, j], starts[i, j] + 1, ... of lengths[i, j] >= 0.
+def _fill(
+    x: np.ndarray,
+    y: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The points of columns (x, y) as (n, 3) rows, written into out (an
+    int64 array is made when out is None): column i holds the z-runs
+    starts[i, j], starts[i, j] + 1, ... of lengths[i, j] >= 0.
     Rows are in lexicographic order when the columns are and each column's
     runs rise."""
     per_column = lengths.sum(axis=1)
-    pts = np.empty((int(per_column.sum()), 3), dtype=np.int64)
-    _runs(x, per_column, 0, pts[:, 0])
-    _runs(y, per_column, 0, pts[:, 1])
-    _runs(starts.ravel(), lengths.ravel(), 1, pts[:, 2])
-    return pts
+    if out is None:
+        out = np.empty((int(per_column.sum()), 3), dtype=np.int64)
+    _runs(x, per_column, 0, out[:, 0])
+    _runs(y, per_column, 0, out[:, 1])
+    _runs(starts.ravel(), lengths.ravel(), 1, out[:, 2])
+    return out
 
 
-def _band(q_lo: int, q_hi: int) -> np.ndarray:
-    """Integer points with q_lo <= |p|^2 <= q_hi as an (n, 3) int64 array in
-    lexicographic order.
-
-    Column (x, y) holds the z with g < |z| <= h, where h and g are the column
-    heights at q_hi and at q_lo - 1 (g = -1 when the column misses that ball):
-    one run for z < 0 and one for z >= 0.
-    """
-    x, y = _columns(q_hi)
+def _band_slab(q_lo: int, q_hi: int, ax: np.ndarray):
+    """_band's columns with x in ax, as _fill takes them: (x, y, starts,
+    lengths)."""
+    x, y = _columns(q_hi, ax)
     s = x * x + y * y
     h = _isqrt(q_hi - s)
     g = _isqrt(q_lo - 1 - s)
     starts = np.stack([-h, g + 1], axis=1)
     lengths = np.maximum(np.stack([h - np.maximum(g, 0), h - g], axis=1), 0)
-    return _fill(x, y, starts, lengths)
+    return x, y, starts, lengths
+
+
+def _band(q_lo: int, q_hi: int, dtype=np.int64) -> np.ndarray:
+    """Integer points with q_lo <= |p|^2 <= q_hi as an (n, 3) array of the
+    integer dtype, in lexicographic order.
+
+    Column (x, y) holds the z with g < |z| <= h, where h and g are the column
+    heights at q_hi and at q_lo - 1 (g = -1 when the column misses that ball):
+    one run for z < 0 and one for z >= 0.  The x-range is cut into slabs of
+    about _SLAB_COLUMNS columns: each slab's rows are counted from its run
+    lengths, the output is allocated once, and each slab's rows are then
+    filled, so only one slab's column arrays live at a time.
+    """
+    r = math.isqrt(q_hi) if q_hi >= 0 else -1
+    if r > np.iinfo(dtype).max:
+        raise ValueError(f"coordinates up to {r} do not fit {np.dtype(dtype)}")
+    width = max(1, _SLAB_COLUMNS // (2 * r + 1))
+    slabs = [np.arange(x, min(x + width, r + 1), dtype=np.int64) for x in range(-r, r + 1, width)]
+    sizes = [int(_band_slab(q_lo, q_hi, ax)[3].sum()) for ax in slabs]
+    out = np.empty((sum(sizes), 3), dtype=dtype)
+    row = 0
+    for ax, size in zip(slabs, sizes):
+        _fill(*_band_slab(q_lo, q_hi, ax), out=out[row : row + size])
+        row += size
+    return out
 
 
 def _lune(q: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import EncodedSet, FermiBall, Momentum, _as_ivec, _as_momentum, _band
+from .lattice import _BLOCK_ROWS, EncodedSet, FermiBall, Momentum, _as_ivec, _as_momentum, _band
 
 __all__ = [
     "PatchSpec",
@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-#: shell rows labelled or looked up at once; bounds the transient memory of
-#: `shell_assignment` and `pair_counts` to a few MB at any radius
-_BLOCK_ROWS = 1 << 15
 
 
 def _angles(x: np.ndarray, y: np.ndarray, z: np.ndarray, r: np.ndarray):
@@ -272,13 +268,12 @@ class PatchDecomposition:
         r_out = kf + w
         r_in = max(kf - w, 0.0)
         rmax = int(math.floor(r_out))
-        points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out))
+        # |p|_inf <= rmax and M patches fit int32, so the index keeps 25 B a point
+        points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out), np.int32)
         # shell points have |p|_inf <= rmax, so p -/+ k stays inside the code
         # cube for every |k|_inf <= 2 rmax, the most two shell points differ
         # by; building the encoder over the shell checks that half-width once
         encoder = EncodedSet(points, 3 * rmax)
-        # |p|_inf <= rmax and M patches fit int32, so the index keeps 25 B a point
-        points = points.astype(np.int32)
         labels = np.empty(len(points), dtype=np.int32)
         inside = np.empty(len(points), dtype=bool)
         # row blocks bound the float temporaries of labelling to one block's

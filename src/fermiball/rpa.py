@@ -83,6 +83,9 @@ _T_HI, _W_HI = _panel_rule(20)
 _T_LO, _W_LO = _panel_rule(10)
 #: every node an integrand is evaluated on: the 20-point rule's, then the 10-point rule's
 _NODES = np.concatenate([_T_HI, _T_LO])
+#: nodes summed at once in `ground_state_shift`: one block's nodes x modes
+#: array is its largest temporary
+_NODE_BLOCK = 64
 
 
 def _integrate(values: np.ndarray) -> tuple[float, float]:
@@ -164,10 +167,15 @@ def ground_state_shift(ms: ModeSystem) -> float:
         raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
     v = ms.v_vals[:side]
     weights = 2.0 * ms.g * d * v * v
-    # one nodes x modes array, divided into in place
-    s = np.add.outer(_NODES * _NODES, d * d)
-    np.divide(weights, s, out=s)
-    s = s.sum(axis=1)
+    t2, d2 = _NODES * _NODES, d * d
+    s = np.empty(len(_NODES))
+    # node blocks, each a nodes x modes array divided into in place; each row
+    # is summed alone, so the blocking leaves every bit of s as it was
+    for lo in range(0, len(_NODES), _NODE_BLOCK):
+        rows = slice(lo, lo + _NODE_BLOCK)
+        block = np.add.outer(t2[rows], d2)
+        np.divide(weights, block, out=block)
+        block.sum(axis=1, out=s[rows])
     val, err = _integrate(_log1p_minus(s))
     if err > 1e-8 * abs(val):
         raise DiagonalizationError(

@@ -19,10 +19,13 @@ from fermiball.lattice import (
     _as_ivec,
     _as_momentum,
     _band,
+    _columns,
+    _fill,
+    _isqrt,
     _solve_ksq_for_n,
 )
 from fermiball.patches import PatchDecomposition, ShellAssignment, pair_counts
-from fermiball.rpa import RpaReport, _g
+from fermiball.rpa import _NODES, RpaReport, _g, _integrate, _log1p_minus
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +75,18 @@ def support_diameter(v: InteractionPotential) -> float:
 def g_profile(lam: float) -> float:
     """1 - lam * arctan(1/lam), extended by its limit g(0) = 1."""
     return float(_g(lam))
+
+
+def one_pass_band(q_lo: int, q_hi: int) -> np.ndarray:
+    """`lattice._band` with every column of the band built at once and no
+    x-slabs, as int64: the reference for the slab-wise fill."""
+    x, y = _columns(q_hi)
+    s = x * x + y * y
+    h = _isqrt(q_hi - s)
+    g = _isqrt(q_lo - 1 - s)
+    starts = np.stack([-h, g + 1], axis=1)
+    lengths = np.maximum(np.stack([h - np.maximum(g, 0), h - g], axis=1), 0)
+    return _fill(x, y, starts, lengths)
 
 
 def band_shell_pairs(ball: FermiBall, k) -> np.ndarray:
@@ -262,6 +277,23 @@ def eigvalsh_ground_state_shift(ms: ModeSystem) -> float:
             f"d^1/2 (d+2b) d^1/2 is not positive definite: smallest eigenvalue {w[0]:.3e}"
         )
     return float(np.sqrt(w).sum() - d.sum() - ms.g * (v @ v))
+
+
+def one_array_ground_state_shift(ms: ModeSystem) -> float:
+    """`rpa.ground_state_shift` with s(t) summed from one nodes x modes array
+    and no node blocks: the reference for the block-wise sum."""
+    side = ms.side
+    d = ms.u_vals[:side] ** 2
+    if d.min() <= 0.0:
+        raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
+    v = ms.v_vals[:side]
+    weights = 2.0 * ms.g * d * v * v
+    s = np.add.outer(_NODES * _NODES, d * d)
+    np.divide(weights, s, out=s)
+    val, err = _integrate(_log1p_minus(s.sum(axis=1)))
+    if err > 1e-8 * abs(val):
+        raise DiagonalizationError(f"too near singular: error estimate {err:.1e}")
+    return val / math.pi
 
 
 def quad_mode_integral(c: float) -> tuple[float, float]:

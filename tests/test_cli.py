@@ -436,6 +436,25 @@ def test_fixed_setting_csv_golden_bytes(tmp_path):
     assert got == FIXED_SETTING_CSV_SHA256
 
 
+def test_rpa_compare_golden_bytes_at_many_patches(tmp_path):
+    # the schedule of perfbench's rpa_many_patches workload, M = 512..2048;
+    # rpa_compare draws nothing from the seed
+    import hashlib
+
+    path = tmp_path / "config.json"
+    schedule = [[6400.5, 512], [6400.5, 1024], [6400.5, 2048]]
+    options = {"rpa_compare": {"schedule": schedule}}
+    path.write_text(
+        json.dumps(
+            {"k_fermi_sq": 400.5, "experiments": ["rpa_compare"], "seed": 1, "options": options}
+        )
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "rpa_compare.csv").read_bytes()).hexdigest()
+    assert digest == "3f3c3b19d0afee45f8dbbb32d6564ca4fcf27805d4e182820739d2a27a18ff83"
+
+
 def test_readme_example_config_loads():
     # the README's example config must stay valid under the config key checks
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

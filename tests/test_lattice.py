@@ -19,8 +19,16 @@ from fermiball import (
     kinetic_reciprocal_sum,
     shell_pairs,
 )
-from fermiball.lattice import _band, _ball_kinetic_sum, _isqrt, _lune, shell_denominators
-from oracles import band_shell_pairs, count_slice, dispersion, support_diameter
+import fermiball.lattice as lattice_mod
+from fermiball.lattice import (
+    EncodedSet,
+    _band,
+    _ball_kinetic_sum,
+    _isqrt,
+    _lune,
+    shell_denominators,
+)
+from oracles import band_shell_pairs, count_slice, dispersion, one_pass_band, support_diameter
 
 
 # ---------------------------------------------------------------- oracles
@@ -154,6 +162,65 @@ def test_band_matches_brute_force_cube():
             got = _band(q_lo, q_hi)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected), (q_lo, q_hi)
+
+
+def slab_edge_radii(count: int) -> list[int]:
+    """Radii r whose x-range -r..r ends exactly on an x-slab edge of _band,
+    and radii whose last slab holds a single x, at the module's slab size."""
+    on_edge, one_past = [], []
+    for r in range(1, 2000):
+        width = max(1, lattice_mod._SLAB_COLUMNS // (2 * r + 1))
+        rest = (2 * r + 1) % width
+        if rest == 0 and len(on_edge) < count:
+            on_edge.append(r)
+        if rest == 1 and width > 1 and len(one_past) < count:
+            one_past.append(r)
+    assert len(on_edge) == len(one_past) == count
+    return on_edge + one_past
+
+
+def band_cases() -> list[tuple[int, int]]:
+    cases = [(5, 3), (2, 1), (1, 0), (0, 0), (1, 1), (0, 1), (4, 4), (9, 9)]
+    for r in slab_edge_radii(3):
+        q = r * r
+        cases += [(q - 2 * r, q), (q - r, q + r), (q + 1, q + 2 * r)]
+    # the radial shells shell_assignment builds at k_F^2 = 6400.5 and 25600.5
+    for ksq in (6400.5, 25600.5):
+        kf = math.sqrt(ksq)
+        cases.append((math.ceil((kf - 1.0) ** 2), math.floor((kf + 1.0) ** 2)))
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_band_matches_one_pass_oracle(dtype):
+    # the slab-wise fill gives the one-pass band's rows in its order
+    for q_lo, q_hi in band_cases():
+        got = _band(q_lo, q_hi, dtype)
+        assert got.dtype == dtype
+        assert np.array_equal(got, one_pass_band(q_lo, q_hi)), (q_lo, q_hi)
+
+
+@pytest.mark.parametrize("slab_columns", [1, 7, 64])
+def test_band_matches_one_pass_oracle_on_small_slabs(monkeypatch, slab_columns):
+    # slabs of one x and of a few x cut the small bands at every edge
+    monkeypatch.setattr(lattice_mod, "_SLAB_COLUMNS", slab_columns)
+    for q_lo, q_hi in [(5, 3), (0, 0), (0, 1), (1, 1), (0, 50), (30, 61), (350, 420)]:
+        for dtype in (np.int32, np.int64):
+            got = _band(q_lo, q_hi, dtype)
+            assert np.array_equal(got, one_pass_band(q_lo, q_hi)), (q_lo, q_hi, dtype)
+
+
+def test_overflowing_widths_are_named_errors():
+    # both checks run before anything is allocated
+    with pytest.raises(ValueError, match="do not fit int32"):
+        _band(0, 2**62, np.int32)
+    none = np.zeros((0, 3), dtype=np.int64)
+    # (2 h + 1)^3 fits int64 up to h = 2^20 - 1
+    assert len(EncodedSet(none, 2**20 - 1).codes) == 0
+    with pytest.raises(ValueError, match="beyond int64"):
+        EncodedSet(none, 2**20)
+    with pytest.raises(ValueError, match="beyond int64"):
+        EncodedSet(none, 10**12)
 
 
 def test_ball_reflection_symmetry(ball_small):

@@ -457,11 +457,9 @@ def test_block_labelling_and_counts_match_one_shot(ball_6400, m):
         assert got.sum() > 0
 
 
-def test_shell_index_memory_is_kept_arrays_plus_bounded_transient(ball_6400):
-    # the traced peak of labelling the 6400.5 shell and counting its pairs
-    # exceeds the arrays the index keeps by at most 8 MB (17 MB one-shot);
-    # with int32 points and labels the index keeps 25 B a point
-    decomp = build_patches(30, ball_6400, 0.0)
+def shell_index_transient(decomp) -> tuple[int, int]:
+    """Traced peak of labelling the shell and counting one k's pairs, less
+    the arrays the index keeps; and the number of shell points."""
     tracemalloc.start()
     try:
         asg = decomp.shell_assignment()
@@ -470,8 +468,25 @@ def test_shell_index_memory_is_kept_arrays_plus_bounded_transient(ball_6400):
     finally:
         tracemalloc.stop()
     kept = asg.points.nbytes + asg.labels.nbytes + asg.inside.nbytes + asg.encoder.codes.nbytes
+    # with int32 points and labels the index keeps 25 B a point
     assert kept <= 25 * len(asg.points), kept / len(asg.points)
-    assert peak - kept <= 8e6, (peak, kept)
+    return peak - kept, len(asg.points)
+
+
+def test_shell_index_memory_is_kept_arrays_plus_bounded_transient(ball_6400):
+    # the int32 band is built slab by slab and encoded block by block, so the
+    # transient is at most 2 MB (4.3 MB with an int64 band, 17 MB one-shot)
+    transient, _ = shell_index_transient(build_patches(30, ball_6400, 0.0))
+    assert transient <= 2e6, transient
+
+
+def test_shell_index_transient_does_not_grow_with_n():
+    # N = 1.4e8: sixteen times the shell of 6400.5 under the same 2 MB
+    # bound (the int64 band left 49.9 MB here)
+    ball = build_fermi_ball(k_fermi_sq=Fraction("102400.5"))
+    transient, n_points = shell_index_transient(build_patches(30, ball, 0.0))
+    assert n_points > 2.5e6
+    assert transient <= 2e6, transient
 
 
 def test_pair_count_reflection(ball_400, decomp_400):

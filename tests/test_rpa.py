@@ -31,6 +31,7 @@ from oracles import (
     eigvalsh_ground_state_shift,
     g_profile,
     g_series_exact,
+    one_array_ground_state_shift,
     pair_count,
     quad_mode_integral,
     report_to_json,
@@ -238,6 +239,8 @@ def test_shift_matches_eigvalsh_on_sample_systems():
         ms = sample_mode_system(rng, max_side=60)
         ref = eigvalsh_ground_state_shift(ms)
         assert abs(ground_state_shift(ms) - ref) <= 1e-9 * abs(ref)
+        # the node blocks sum every row as the one nodes x modes array did
+        assert ground_state_shift(ms) == one_array_ground_state_shift(ms)
 
 
 @pytest.mark.parametrize("m_patches", [512, 1024, 2048])
@@ -249,11 +252,12 @@ def test_shift_matches_eigvalsh_at_many_patches(ball_6400, m_patches):
         ms = build_mode_system(decomp, pot, k, ENERGY_DELTA)
         ref = eigvalsh_ground_state_shift(ms)
         assert abs(ground_state_shift(ms) - ref) <= 1e-9 * abs(ref)
+        assert ground_state_shift(ms) == one_array_ground_state_shift(ms)
 
 
-def test_shift_allocates_one_nodes_by_modes_array(ball_6400):
-    # at M = 2048 the shift's traced peak is one nodes x modes float64 array
-    # and a little more; two such arrays were built before
+def test_shift_allocates_one_node_block(ball_6400):
+    # at M = 2048 the shift's traced peak is a fraction of one nodes x modes
+    # float64 array: s(t) is summed over node blocks (one whole array before)
     decomp = build_patches(2048, ball_6400, 0.0)
     ms = build_mode_system(decomp, default_potential(), (0, 0, 1), ENERGY_DELTA)
     one = len(rpa_mod._NODES) * ms.side * 8
@@ -264,7 +268,7 @@ def test_shift_allocates_one_nodes_by_modes_array(ball_6400):
     finally:
         tracemalloc.stop()
     assert ms.side > 500
-    assert peak <= 1.25 * one, (peak, one)
+    assert peak <= 0.25 * one, (peak, one)
 
 
 def test_shift_rejects_unresolvable_d():
