@@ -25,7 +25,7 @@ from .lattice import (
     excitation_energy,
     hartree_fock_energy,
     kinetic_reciprocal_sum,
-    shell_pairs,
+    pair_gap_histogram,
 )
 from .patches import (
     ModeIndexSet,
@@ -51,7 +51,7 @@ __all__ = [
     "FermiBall",
     "InteractionPotential",
     "build_fermi_ball",
-    "shell_pairs",
+    "pair_gap_histogram",
     "kinetic_reciprocal_sum",
     "equator_reciprocal_sum",
     "annulus_count_vs_area",

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import bogokernel, lattice, patches, rpa
 from .lattice import (
+    EncodedSet,
     FermiBall,
     InteractionPotential,
     Momentum,
@@ -34,6 +35,7 @@ from .lattice import (
     _ball_count,
     _ball_kinetic_sum,
     _band,
+    _band_blocks,
     _solve_ksq_for_n,
     build_fermi_ball,
 )
@@ -186,21 +188,12 @@ def exp_equator_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600
     return ["k_fermi", "n", "delta", "total", "ratio"], rows
 
 
-def slice_counts(ball: FermiBall, k) -> tuple[int, np.ndarray]:
-    """(lo, counts): counts[i] shell pairs at k have p.k = lo + i, where lo is
-    the smallest p.k, so counts[0] > 0."""
-    kv = _as_ivec(k)
-    dots = lattice.shell_pairs(ball, kv) @ kv
-    lo = int(dots.min())
-    return lo, np.bincount(dots - lo)
-
-
 def exp_slice_count_bound(ctx: Context, *, k_fermi_sq_grid=(400.5, 1600.5, 6400.5)):
     gamma = 2.0 / 3.0
     rows = []
     for ksq in k_fermi_sq_grid:
         ball = ctx.balls.get(ksq)
-        lo, counts = slice_counts(ball, AXIS_K)
+        lo, counts = lattice.pair_gap_histogram(ball, AXIS_K)
         scale = ball.n_particles ** (gamma / 3.0)
         # slice lo holds at least one pair, so the first largest ratio is
         # positive and wins
@@ -495,11 +488,20 @@ def exp_small_v_fit(ctx: Context):
 
 
 def boundary_shells(ball: FermiBall) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied and empty momenta within one unit of the Fermi surface."""
+    """Occupied and empty momenta within one unit of the Fermi surface, as
+    int32 rows."""
     kf = ball.k_fermi
-    holes = _band(math.ceil((kf - 1.0) ** 2), ball.norm_sq_max)
-    particles = _band(ball.norm_sq_max + 1, math.floor((kf + 1.0) ** 2))
+    holes = _band(math.ceil((kf - 1.0) ** 2), ball.norm_sq_max, np.int32)
+    particles = _band(ball.norm_sq_max + 1, math.floor((kf + 1.0) ** 2), np.int32)
     return holes, particles
+
+
+def _holds(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Whether each point is one of the rows, given in lexicographic order."""
+    enc = EncodedSet(rows, int(np.abs(rows).max()))
+    # a point outside the rows' code cube is none of them
+    inside = (np.abs(points) <= enc.half).all(axis=1)
+    return inside & (enc.index_codes(enc.encode(points)) >= 0)
 
 
 class SwapOracle:
@@ -510,8 +512,9 @@ class SwapOracle:
     ceil(max |k|) over the support of V and r_in = isqrt(q_hole) - R - 1,
     every a with |a| <= r_in has |a + k| <= r_in + R < |h| <= k_F for every
     hole h with |h|^2 >= q_hole, so a keeps all its exchange partners after
-    any such swap; that interior enters through its exact counts, and only
-    the band r_in^2 < |a|^2 <= floor(k_F^2) is enumerated, once.
+    any such swap; that interior enters through its exact count, and only
+    the band r_in^2 < |a|^2 <= floor(k_F^2) is walked, in row blocks at each
+    call, so no array the size of the band is kept.
     """
 
     def __init__(self, ball: FermiBall, v: InteractionPotential, q_hole: int):
@@ -522,11 +525,12 @@ class SwapOracle:
         )
         r_in = math.isqrt(self.q_hole) - reach - 1
         # q_in = -1 leaves no interior: the band is the whole ball
-        q_in = r_in * r_in if r_in >= 0 else -1
-        self.band = _band(q_in + 1, ball.norm_sq_max)
-        self.norms = np.einsum("ij,ij->i", self.band, self.band)
-        self.n_interior = _ball_count(q_in)
-        self.kinetic = _ball_kinetic_sum(q_in) + int(self.norms.sum())
+        self.q_in = r_in * r_in if r_in >= 0 else -1
+        self.n_interior = _ball_count(self.q_in)
+        self.kinetic = _ball_kinetic_sum(ball.norm_sq_max)
+        terms = [(k, val) for k, val in v.items() if val != 0.0 and k != Momentum(0, 0, 0)]
+        self.values = [val for _, val in terms]
+        self.ks = np.array([k for k, _ in terms], dtype=np.int64).reshape(-1, 3)
 
     def energy(self, hole, particle) -> float:
         h, p = _as_ivec(hole), _as_ivec(particle)
@@ -536,30 +540,31 @@ class SwapOracle:
             raise ValueError(f"hole {h} is not in the shell {self.q_hole} <= |h|^2 <= {q}")
         if pp <= q:
             raise ValueError(f"particle {p} is not outside the Fermi ball")
+        ks = self.ks
+        kk = np.einsum("ij,ij->i", ks, ks)
 
-        def partners(a: np.ndarray, norms, kv: np.ndarray) -> int:
-            """Rows of a whose a + k is occupied after the swap."""
-            # |a + k|^2, built in place in one array
-            n2 = a @ kv
+        def partners(a: np.ndarray) -> np.ndarray:
+            """Per support vector k, the rows of a (in lexicographic order)
+            whose a + k is occupied after the swap."""
+            # |a + k|^2 for every k and row, built in place in one array
+            n2 = ks @ a.T
             n2 *= 2
-            n2 += norms
-            n2 += int(kv @ kv)
-            # a + k can be h or p only where |a + k|^2 is |h|^2 or |p|^2
-            to_h = (a[n2 == hh] + kv == h).all(axis=1)
-            to_p = (a[n2 == pp] + kv == p).all(axis=1)
-            return int(np.count_nonzero(n2 <= q)) - int(to_h.sum()) + int(to_p.sum())
+            n2 += np.einsum("ij,ij->i", a, a)
+            n2 += kk[:, None]
+            # the row h - k, where a holds it, loses its partner h; the row
+            # p - k gains p
+            lost, gained = _holds(a, np.concatenate([h - ks, p - ks])).reshape(2, -1)
+            return np.count_nonzero(n2 <= q, axis=1) - lost + gained
 
+        # the swapped band is the band without h and with p
+        counts = partners(p[None]) - partners(h[None])
+        for band in _band_blocks(self.q_in + 1, q):
+            counts += partners(band)
         n = self.ball.n_particles
         lam = 1.0 / n
         kinetic = self.ball.hbar**2 * float(self.kinetic - hh + pp)
         exchange = 0.0
-        for k, val in self.v.items():
-            if val == 0.0 or k == Momentum(0, 0, 0):
-                continue
-            kv = np.asarray(k, dtype=np.int64)
-            # the swapped band is the band without h and with p
-            count = partners(self.band, self.norms, kv)
-            count += partners(p[None], pp, kv) - partners(h[None], hh, kv)
+        for val, count in zip(self.values, counts.tolist()):
             exchange += val * float(self.n_interior + count)
         direct = self.v((0, 0, 0)) * n * (n - 1)
         return kinetic + 0.5 * lam * (direct - exchange)

@@ -8,6 +8,7 @@ immutable after construction and safe to evaluate concurrently.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -20,8 +21,7 @@ __all__ = [
     "InteractionPotential",
     "EncodedSet",
     "build_fermi_ball",
-    "shell_pairs",
-    "shell_denominators",
+    "pair_gap_histogram",
     "kinetic_reciprocal_sum",
     "equator_reciprocal_sum",
     "annulus_count_vs_area",
@@ -38,9 +38,12 @@ KAPPA_IDEAL = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
 #: `EncodedSet` and of the shell index in `patches` to about 1 MB at any radius
 _BLOCK_ROWS = 1 << 13
 
-#: columns (x, y) per x-slab of `_band`, whose column arrays are the only
-#: ones alive at a time
+#: columns (x, y) per x-slab of the lattice walk `_slabs`, whose column
+#: arrays are the only ones alive at a time
 _SLAB_COLUMNS = 1 << 14
+
+#: largest squared radius `_slabs` walks; see its docstring for why
+_Q_MAX = 1 << 30
 
 
 class Momentum(NamedTuple):
@@ -173,17 +176,32 @@ def _runs(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) ->
     np.cumsum(out, out=out, dtype=out.dtype)
 
 
-def _columns(q: int, ax: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Columns (x, y) with x^2 + y^2 <= q, in lexicographic order; with ax,
-    only the columns over its rising x, each with x^2 <= q."""
-    if ax is None:
-        r = math.isqrt(q) if q >= 0 else -1
-        ax = np.arange(-r, r + 1, dtype=np.int64)
+def _columns(q: int, ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (x, y) with x^2 + y^2 <= q over the rising x of ax, each with
+    x^2 <= q, in lexicographic order."""
     heights = _isqrt(q - ax * ax)
     counts = 2 * heights + 1
     y = np.empty(int(counts.sum()), dtype=np.int64)
     _runs(-heights, counts, 1, y)
     return np.repeat(ax, counts), y
+
+
+def _slabs(q: int):
+    """The columns (x, y) with x^2 + y^2 <= q, one x-slab of about
+    _SLAB_COLUMNS columns at a time, by rising x: a generator, so only one
+    slab's arrays live at a time.
+
+    The walk serves q <= _Q_MAX = 2^30 (k_F <= 32768, N up to 1.5e14)
+    exactly: every coordinate, column height and slab row count fits int64,
+    and so does a slab's summed |p|^2, below (2 isqrt(q) + 1)^2 q < 2^63.
+    A larger q raises ValueError before the first slab.
+    """
+    if q > _Q_MAX:
+        raise ValueError(f"q = {q} is beyond the slab walk's exact range q <= 2^30")
+    r = math.isqrt(q) if q >= 0 else -1
+    width = max(1, _SLAB_COLUMNS // (2 * r + 1))
+    for x in range(-r, r + 1, width):
+        yield _columns(q, np.arange(x, min(x + width, r + 1), dtype=np.int64))
 
 
 def _fill(
@@ -207,79 +225,115 @@ def _fill(
     return out
 
 
-def _band_slab(q_lo: int, q_hi: int, ax: np.ndarray):
-    """_band's columns with x in ax, as _fill takes them: (x, y, starts,
-    lengths)."""
-    x, y = _columns(q_hi, ax)
-    s = x * x + y * y
-    h = _isqrt(q_hi - s)
-    g = _isqrt(q_lo - 1 - s)
-    starts = np.stack([-h, g + 1], axis=1)
-    lengths = np.maximum(np.stack([h - np.maximum(g, 0), h - g], axis=1), 0)
-    return x, y, starts, lengths
+def _band_runs(q_lo: int, q_hi: int):
+    """_band's columns and z-runs, one x-slab at a time, as _fill takes
+    them: (x, y, starts, lengths).
+
+    Column (x, y) holds the z with g < |z| <= h, where h and g are the column
+    heights at q_hi and at q_lo - 1 (g = -1 when the column misses that ball):
+    one run for z < 0 and one for z >= 0. Each slab is a call mapped over the
+    walk, so its temporaries are freed before the next slab is built.
+    """
+
+    def runs(x, y):
+        s = x * x + y * y
+        h = _isqrt(q_hi - s)
+        g = _isqrt(q_lo - 1 - s)
+        starts = np.stack([-h, g + 1], axis=1)
+        lengths = np.maximum(np.stack([h - np.maximum(g, 0), h - g], axis=1), 0)
+        return x, y, starts, lengths
+
+    return itertools.starmap(runs, _slabs(q_hi))
 
 
 def _band(q_lo: int, q_hi: int, dtype=np.int64) -> np.ndarray:
     """Integer points with q_lo <= |p|^2 <= q_hi as an (n, 3) array of the
     integer dtype, in lexicographic order.
 
-    Column (x, y) holds the z with g < |z| <= h, where h and g are the column
-    heights at q_hi and at q_lo - 1 (g = -1 when the column misses that ball):
-    one run for z < 0 and one for z >= 0.  The x-range is cut into slabs of
-    about _SLAB_COLUMNS columns: each slab's rows are counted from its run
-    lengths, the output is allocated once, and each slab's rows are then
-    filled, so only one slab's column arrays live at a time.
+    Each x-slab's rows are counted from its run lengths, the output is
+    allocated once, and the slabs are walked again to fill it, so only one
+    slab's column arrays live at a time. An empty band (q_lo > q_hi) is
+    returned without a walk; coordinates that would not fit the dtype, or a
+    q_hi beyond the walk's range (see _slabs), raise ValueError before any
+    allocation.
     """
     r = math.isqrt(q_hi) if q_hi >= 0 else -1
     if r > np.iinfo(dtype).max:
         raise ValueError(f"coordinates up to {r} do not fit {np.dtype(dtype)}")
-    width = max(1, _SLAB_COLUMNS // (2 * r + 1))
-    slabs = [np.arange(x, min(x + width, r + 1), dtype=np.int64) for x in range(-r, r + 1, width)]
-    sizes = [int(_band_slab(q_lo, q_hi, ax)[3].sum()) for ax in slabs]
+    if q_lo > q_hi:
+        return np.empty((0, 3), dtype=dtype)
+    sizes = [int(runs[3].sum()) for runs in _band_runs(q_lo, q_hi)]
     out = np.empty((sum(sizes), 3), dtype=dtype)
     row = 0
-    for ax, size in zip(slabs, sizes):
-        _fill(*_band_slab(q_lo, q_hi, ax), out=out[row : row + size])
+    for runs, size in zip(_band_runs(q_lo, q_hi), sizes):
+        _fill(*runs, out=out[row : row + size])
         row += size
     return out
 
 
-def _lune(q: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columns and z-runs of the lune |p|^2 > q >= |p - k|^2, as _fill takes
-    them: (x, y, starts, lengths), so lengths.sum() is the lune's size.
+def _band_blocks(q_lo: int, q_hi: int):
+    """_band's rows as int64 blocks of whole columns, in its order: a
+    generator of nonempty blocks of at most _BLOCK_ROWS rows plus one
+    column."""
+    for x, y, starts, lengths in _band_runs(q_lo, q_hi):
+        per_column = lengths.sum(axis=1)
+        # the block of each column is that of its first row
+        block = (np.cumsum(per_column) - per_column) // _BLOCK_ROWS
+        edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(x)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if per_column[lo:hi].any():
+                yield _fill(x[lo:hi], y[lo:hi], starts[lo:hi], lengths[lo:hi])
 
-    Particle column (x, y) is a hole column of _columns(q) shifted by (kx,
+
+def _lune(q: int, k: np.ndarray):
+    """Columns and z-runs of the lune |p|^2 > q >= |p - k|^2, one x-slab of
+    the disc q at a time, as _fill takes them: (x, y, starts, lengths), each
+    slab built as _band_runs builds its slabs. Rows filled slab after slab
+    are in lexicographic order.
+
+    Particle column (x, y) is a hole column of the disc q shifted by (kx,
     ky). With h' the hole column's height and h the particle column's (-1
     where it misses the ball), its pairs are z in [kz - h', kz + h'] outside
     [-h, h]: a run below that ends at -max(h, 0) - 1 and a run above that
     starts at h + 1, as in _band.
     """
     kx, ky, kz = (int(c) for c in k)
-    x, y = _columns(q)
-    hole = _isqrt(q - x * x - y * y)
-    x += kx
-    y += ky
-    h = _isqrt(q - x * x - y * y)
-    lo, hi = kz - hole, kz + hole
-    starts = np.stack([lo, np.maximum(lo, h + 1)], axis=1)
-    ends = np.stack([np.minimum(hi, -np.maximum(h, 0) - 1), hi], axis=1)
-    return x, y, starts, np.maximum(ends - starts + 1, 0)
+
+    def runs(x, y):
+        hole = _isqrt(q - x * x - y * y)
+        x += kx
+        y += ky
+        h = _isqrt(q - x * x - y * y)
+        lo, hi = kz - hole, kz + hole
+        starts = np.stack([lo, np.maximum(lo, h + 1)], axis=1)
+        ends = np.stack([np.minimum(hi, -np.maximum(h, 0) - 1), hi], axis=1)
+        return x, y, starts, np.maximum(ends - starts + 1, 0)
+
+    return itertools.starmap(runs, _slabs(q))
+
+
+def _lune_size(q: int, k: np.ndarray) -> int:
+    """Number of lattice points p with |p|^2 > q >= |p - k|^2."""
+    return sum(int(runs[3].sum()) for runs in _lune(q, k))
 
 
 def _ball_count(m: int) -> int:
-    """Number of lattice points with |p|^2 <= m."""
-    x, y = _columns(m)
-    return int((2 * _isqrt(m - x * x - y * y) + 1).sum())
+    """Number of lattice points with |p|^2 <= m, summed slab by slab."""
+    return sum(int((2 * _isqrt(m - x * x - y * y) + 1).sum()) for x, y in _slabs(m))
 
 
 def _ball_kinetic_sum(m: int) -> int:
-    """sum |p|^2 over the lattice points with |p|^2 <= m. Over column (x, y)
-    with s = x^2 + y^2 and height h the 2h + 1 points add
-    (2h + 1) s + 2 (1^2 + ... + h^2) = (2h + 1) s + h (h + 1) (2h + 1) / 3."""
-    x, y = _columns(m)
-    s = x * x + y * y
-    h = _isqrt(m - s)
-    return int(((2 * h + 1) * s + h * (h + 1) * (2 * h + 1) // 3).sum())
+    """sum |p|^2 over the lattice points with |p|^2 <= m, summed slab by
+    slab. Over column (x, y) with s = x^2 + y^2 and height h the 2h + 1
+    points add (2h + 1) s + 2 (1^2 + ... + h^2) = (2h + 1) s + h (h + 1)
+    (2h + 1) / 3."""
+
+    def slab(x, y):
+        s = x * x + y * y
+        h = _isqrt(m - s)
+        return int(((2 * h + 1) * s + h * (h + 1) * (2 * h + 1) // 3).sum())
+
+    return sum(itertools.starmap(slab, _slabs(m)))
 
 
 def _solve_ksq_for_n(n_target: int) -> tuple[Fraction, int]:
@@ -319,31 +373,68 @@ def build_fermi_ball(k_fermi: float | None = None, *, k_fermi_sq=None) -> FermiB
     return FermiBall(ksq)
 
 
-def shell_pairs(ball: FermiBall, k: Sequence[int]) -> np.ndarray:
-    """Particle momenta p outside the ball with hole p - k inside.
+def pair_gap_histogram(ball: FermiBall, k: Sequence[int]) -> tuple[int, np.ndarray]:
+    """(lo, counts): counts[i] particle-hole pairs at k have p.k = lo + i,
+    where lo is the smallest p.k, so counts[0] > 0 and counts[-1] > 0.
 
-    Returns an (n, 3) int64 array in lexicographic order; empty for k = 0.
-    Only the lune is enumerated, column by column from the column heights,
-    so the cost follows the surface, not N.
+    A pair's kinetic gap is |p|^2 - |p - k|^2 = 2 p.k - |k|^2, so this is the
+    histogram of the gaps. It is summed over the lune's x-slabs: a z-run is
+    an arithmetic progression in p.k with step kz, entered into a difference
+    array of stride |kz| (one value times the run length when kz = 0), so
+    no pair is built and the memory is O(k_F |k|).
     """
-    return _fill(*_lune(ball.norm_sq_max, _as_ivec(k)))
-
-
-def shell_denominators(ball: FermiBall, k: Sequence[int]) -> np.ndarray:
-    """Integer kinetic gaps |p|^2 - |p-k|^2 = 2 p.k - |k|^2 over shell_pairs."""
     kv = _as_ivec(k)
-    p = shell_pairs(ball, kv)
-    return 2 * (p @ kv) - int(kv @ kv)
+    if not kv.any():
+        raise ValueError("k = 0 has no particle-hole pairs (empty domain)")
+    q, kk = ball.norm_sq_max, int(kv @ kv)
+    kx, ky, kz = (int(c) for c in kv)
+    step = abs(kz)
+    # a gap 2 p.k - |k|^2 is >= 1, and p.k = (p - k).k + |k|^2 lies within
+    # |k|^2 +- sqrt(q |k|^2)
+    reach = math.isqrt(q * kk)
+    base = max(kk // 2 + 1, kk - reach)
+    diff = np.zeros(kk + reach - base + 1 + step, dtype=np.int64)
+    for x, y, starts, lengths in _lune(q, kv):
+        keep = lengths > 0
+        n = lengths[keep]
+        first = ((kx * x + ky * y)[:, None] + kz * starts)[keep] - base
+        if step:
+            # the run's smallest p.k, then one past its largest
+            first += np.minimum(kz, 0) * (n - 1)
+            np.add.at(diff, first, 1)
+            np.add.at(diff, first + step * n, -1)
+        else:
+            np.add.at(diff, first, n)
+    if step:
+        # a cumulative sum within each residue class mod step
+        diff = np.concatenate([diff, np.zeros(-len(diff) % step, dtype=np.int64)])
+        diff = diff.reshape(-1, step).cumsum(axis=0).ravel()
+    hit = np.flatnonzero(diff)
+    return base + int(hit[0]), diff[hit[0] : hit[-1] + 1]
+
+
+def _reciprocal_sum(ball: FermiBall, k: Sequence[int], max_gap: float = math.inf) -> float:
+    """Sum of 1 / gap over the pairs at k with gap <= max_gap.
+
+    Each count * fl(1 / gap) is added exactly as a rational and the total is
+    rounded once: the correctly rounded sum that math.fsum gives over every
+    pair's term.
+    """
+    lo, counts = pair_gap_histogram(ball, k)
+    kv = _as_ivec(k)
+    # p.k = lo + i has the gap 2 (lo + i) - |k|^2
+    first = 2 * lo - int(kv @ kv)
+    total = sum(
+        count * Fraction(1.0 / (first + 2 * i))
+        for i, count in enumerate(counts.tolist())
+        if count and first + 2 * i <= max_gap
+    )
+    return float(total)
 
 
 def kinetic_reciprocal_sum(ball: FermiBall, k: Sequence[int]) -> float:
     """Sum of 1 / (|p|^2 - |p-k|^2) over all particle-hole pairs at momentum k."""
-    kv = _as_ivec(k)
-    if not kv.any():
-        raise ValueError("k = 0 has no particle-hole pairs (empty domain)")
-    den = shell_denominators(ball, kv)
-    # every denominator is a positive integer, so fsum keeps this exact to ulp
-    return math.fsum(1.0 / d for d in den.tolist())
+    return _reciprocal_sum(ball, k)
 
 
 def equator_reciprocal_sum(ball: FermiBall, k: Sequence[int], delta: float) -> float:
@@ -354,13 +445,7 @@ def equator_reciprocal_sum(ball: FermiBall, k: Sequence[int], delta: float) -> f
     """
     if not (0.0 < delta < float(EQUATOR_DELTA_MAX)):
         raise ValueError(f"delta must lie in (0, 77/624), got {delta}")
-    kv = _as_ivec(k)
-    if not kv.any():
-        raise ValueError("k = 0 has no particle-hole pairs (empty domain)")
-    den = shell_denominators(ball, kv)
-    cut = 4.0 * ball.n_particles ** (1.0 / 3.0 - delta)
-    den = den[den <= cut]
-    return math.fsum(1.0 / d for d in den.tolist())
+    return _reciprocal_sum(ball, k, 4.0 * ball.n_particles ** (1.0 / 3.0 - delta))
 
 
 def annulus_count_vs_area(
@@ -466,7 +551,7 @@ def hartree_fock_energy(ball: FermiBall, v: InteractionPotential) -> float:
     kinetic = ball.hbar**2 * float(_ball_kinetic_sum(ball.norm_sq_max))
     direct = v((0, 0, 0)) * n * (n - 1)
     exchange = math.fsum(
-        val * (n - int(_lune(ball.norm_sq_max, _as_ivec(k))[3].sum()))
+        val * (n - _lune_size(ball.norm_sq_max, _as_ivec(k)))
         for k, val in v.items()
         if val != 0.0 and k != Momentum(0, 0, 0)
     )

@@ -22,6 +22,7 @@ from fermiball.lattice import (
     _columns,
     _fill,
     _isqrt,
+    _lune,
     _solve_ksq_for_n,
 )
 from fermiball.patches import PatchDecomposition, ShellAssignment, pair_counts
@@ -77,10 +78,16 @@ def g_profile(lam: float) -> float:
     return float(_g(lam))
 
 
+def one_pass_columns(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every column (x, y) with x^2 + y^2 <= q at once, with no x-slabs."""
+    r = math.isqrt(q) if q >= 0 else -1
+    return _columns(q, np.arange(-r, r + 1, dtype=np.int64))
+
+
 def one_pass_band(q_lo: int, q_hi: int) -> np.ndarray:
     """`lattice._band` with every column of the band built at once and no
     x-slabs, as int64: the reference for the slab-wise fill."""
-    x, y = _columns(q_hi)
+    x, y = one_pass_columns(q_hi)
     s = x * x + y * y
     h = _isqrt(q_hi - s)
     g = _isqrt(q_lo - 1 - s)
@@ -89,10 +96,38 @@ def one_pass_band(q_lo: int, q_hi: int) -> np.ndarray:
     return _fill(x, y, starts, lengths)
 
 
+def one_pass_ball_count(m: int) -> int:
+    """`lattice._ball_count` over every column at once."""
+    x, y = one_pass_columns(m)
+    return int((2 * _isqrt(m - x * x - y * y) + 1).sum())
+
+
+def one_pass_ball_kinetic_sum(m: int) -> int:
+    """`lattice._ball_kinetic_sum` over every column at once."""
+    x, y = one_pass_columns(m)
+    s = x * x + y * y
+    h = _isqrt(m - s)
+    return int(((2 * h + 1) * s + h * (h + 1) * (2 * h + 1) // 3).sum())
+
+
+def shell_pairs(ball: FermiBall, k) -> np.ndarray:
+    """Particle momenta p outside the ball with hole p - k inside, as an
+    (n, 3) int64 array in lexicographic order (empty for k = 0), filled from
+    the lune's column runs slab by slab."""
+    slabs = [_fill(*runs) for runs in _lune(ball.norm_sq_max, _as_ivec(k))]
+    return np.concatenate([np.zeros((0, 3), dtype=np.int64), *slabs])
+
+
+def shell_denominators(ball: FermiBall, k) -> np.ndarray:
+    """Integer kinetic gaps |p|^2 - |p-k|^2 = 2 p.k - |k|^2 over shell_pairs."""
+    kv = _as_ivec(k)
+    return 2 * (shell_pairs(ball, kv) @ kv) - int(kv @ kv)
+
+
 def band_shell_pairs(ball: FermiBall, k) -> np.ndarray:
     """Shell pairs from the band q < |p|^2 <= (sqrt(q) + |k|)^2 around the
     ball (q = floor(k_F^2)), masked to |p - k|^2 <= q: the reference for the
-    lune's column runs in `lattice.shell_pairs`."""
+    lune's column runs in `shell_pairs`."""
     kv = _as_ivec(k)
     if not kv.any():
         return np.zeros((0, 3), dtype=np.int64)
@@ -108,7 +143,7 @@ def count_slice(ball: FermiBall, k, s: int) -> int:
     kv = _as_ivec(k)
     if not kv.any():
         raise ValueError("k = 0 has no particle-hole pairs (empty domain)")
-    p = lattice.shell_pairs(ball, kv)
+    p = shell_pairs(ball, kv)
     return int(np.count_nonzero(p @ kv == int(s)))
 
 

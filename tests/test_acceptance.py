@@ -27,9 +27,9 @@ from fermiball import (
     hartree_fock_energy,
     index_sets,
     kinetic_reciprocal_sum,
+    pair_gap_histogram,
     rpa_energy_trace,
     sample_mode_system,
-    shell_pairs,
 )
 from fermiball.experiments import ENERGY_DELTA, boundary_shells
 from fermiball.lattice import _band
@@ -236,14 +236,9 @@ def test_criterion_8_counting(ball_400, ball_1600, ball_6400):
     # slice-count constant across k_F in {20, 40, 80}
     slice_consts = []
     for ball in (ball_400, ball_1600, ball_6400):
-        kv = np.array([0, 0, 1])
-        p = shell_pairs(ball, (0, 0, 1))
-        dots = p @ kv
+        lo, counts = pair_gap_histogram(ball, (0, 0, 1))
         scale = ball.n_particles ** (2.0 / 9.0)
-        counts = np.bincount(dots)
-        c_fit = max(
-            counts[s] / (s + scale) for s in range(1, len(counts)) if counts[s]
-        )
+        c_fit = max(c / (s + scale) for s, c in enumerate(counts.tolist(), start=lo) if c)
         slice_consts.append(float(c_fit))
     slice_spread = max(slice_consts) / min(slice_consts)
     # ellipse annulus deviation over R <= 300

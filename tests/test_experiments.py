@@ -1,6 +1,6 @@
 """Experiment internals against their slow oracles: the band-local
-Hartree-Fock swap oracle, the slice histogram, and the memory and reach of
-hf_stability."""
+Hartree-Fock swap oracle, the slice histogram that slice_count_bound reads,
+and the memory and reach of hf_stability."""
 
 import csv
 import math
@@ -17,8 +17,8 @@ from fermiball.experiments import (
     default_potential,
     load_config,
     run_experiments,
-    slice_counts,
 )
+from fermiball.lattice import pair_gap_histogram
 from fermiball.lattice import _band
 from oracles import count_slice, hf_energy_of_occupation
 
@@ -80,8 +80,8 @@ def test_band_oracle_rejects_swaps_outside_its_band(ball_400, unit_potential):
 
 def test_band_oracle_memory_is_kept_arrays_plus_bounded_transient(ball_6400, unit_potential):
     # building the oracle and re-summing one swap at k_F^2 = 6400.5 traces at
-    # most 3 MB beyond the band and norms it keeps (5.6 MB with the (n, 3)
-    # product and the out-of-place |a + k|^2)
+    # most 3 MB in all: the band is walked in row blocks and none is kept
+    # (the kept band and norms alone were 7.6 MB)
     holes, particles = boundary_shells(ball_6400)
     q_hole = int((holes * holes).sum(axis=1).min())
     tracemalloc.start()
@@ -91,15 +91,23 @@ def test_band_oracle_memory_is_kept_arrays_plus_bounded_transient(ball_6400, uni
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = oracle.band.nbytes + oracle.norms.nbytes
-    assert peak - kept <= 3e6, (peak, kept)
+    # it keeps the support vectors, not the band
+    assert sum(v.nbytes for v in vars(oracle).values() if isinstance(v, np.ndarray)) < 1024
+    assert peak <= 3e6, peak
+
+
+def test_boundary_shells_are_int32(ball_400):
+    holes, particles = boundary_shells(ball_400)
+    assert holes.dtype == particles.dtype == np.int32
+    assert ball_400.contains_points(holes).all() and not ball_400.contains_points(particles).any()
 
 
 @pytest.mark.parametrize("ksq", ["400.5", "1600.5"])
 @pytest.mark.parametrize("k", [(0, 0, 1), (1, -2, 3)])
 def test_slice_counts_match_count_slice(ksq, k):
+    # the slice counts slice_count_bound reads are the pair-gap histogram
     ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
-    lo, counts = slice_counts(ball, k)
+    lo, counts = pair_gap_histogram(ball, k)
     assert counts[0] > 0 and counts.sum() > 0
     for i, c in enumerate(counts.tolist()):
         assert c == count_slice(ball, k, lo + i)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,18 +18,29 @@ from fermiball import (
     excitation_energy,
     hartree_fock_energy,
     kinetic_reciprocal_sum,
-    shell_pairs,
+    pair_gap_histogram,
 )
 import fermiball.lattice as lattice_mod
 from fermiball.lattice import (
     EncodedSet,
     _band,
+    _band_blocks,
+    _ball_count,
     _ball_kinetic_sum,
     _isqrt,
-    _lune,
-    shell_denominators,
+    _lune_size,
 )
-from oracles import band_shell_pairs, count_slice, dispersion, one_pass_band, support_diameter
+from oracles import (
+    band_shell_pairs,
+    count_slice,
+    dispersion,
+    one_pass_ball_count,
+    one_pass_ball_kinetic_sum,
+    one_pass_band,
+    shell_denominators,
+    shell_pairs,
+    support_diameter,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -210,6 +222,18 @@ def test_band_matches_one_pass_oracle_on_small_slabs(monkeypatch, slab_columns):
             assert np.array_equal(got, one_pass_band(q_lo, q_hi)), (q_lo, q_hi, dtype)
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, 1 << 13])
+def test_band_blocks_cover_the_band_in_order(monkeypatch, block_rows):
+    # nonempty blocks of whole columns, each within block_rows plus one
+    # column, that concatenate to the band; q = 7 and 15 have no points
+    monkeypatch.setattr(lattice_mod, "_BLOCK_ROWS", block_rows)
+    for q_lo, q_hi in [(7, 7), (15, 15), (0, 0), (0, 50), (30, 61), (290, 400), (5800, 6400)]:
+        blocks = list(_band_blocks(q_lo, q_hi))
+        assert all(0 < len(b) <= block_rows + 2 * math.isqrt(q_hi) + 1 for b in blocks)
+        rows = np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
+        assert np.array_equal(rows, _band(q_lo, q_hi)), (q_lo, q_hi)
+
+
 def test_overflowing_widths_are_named_errors():
     # both checks run before anything is allocated
     with pytest.raises(ValueError, match="do not fit int32"):
@@ -221,6 +245,60 @@ def test_overflowing_widths_are_named_errors():
         EncodedSet(none, 2**20)
     with pytest.raises(ValueError, match="beyond int64"):
         EncodedSet(none, 10**12)
+
+
+def test_walk_refuses_empty_and_out_of_range_bands_at_once():
+    # an empty band returns before the walk, and a radius beyond the walk's
+    # exact range raises before its first slab: neither walks 2^32 x-slabs
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        empty = _band(2**62, 2**62 - 1)
+        with pytest.raises(ValueError, match="exact range"):
+            _band(0, 2**62)
+        with pytest.raises(ValueError, match="exact range"):
+            _band(0, lattice_mod._Q_MAX + 1, np.int32)
+        with pytest.raises(ValueError, match="exact range"):
+            build_fermi_ball(k_fermi_sq=2**62)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert empty.shape == (0, 3) and empty.dtype == np.int64
+    assert peak < 1e6, peak
+    assert time.perf_counter() - t0 < 1.0
+
+
+def ball_count_cases() -> list[int]:
+    cases = [-1, 0, 1, 2, 3, 50, 400, 3000]
+    for r in slab_edge_radii(3):
+        cases += [r * r - 1, r * r, r * r + r]
+    return cases
+
+
+def test_ball_counts_match_one_pass_oracle():
+    for q in ball_count_cases():
+        assert _ball_count(q) == one_pass_ball_count(q), q
+        assert _ball_kinetic_sum(q) == one_pass_ball_kinetic_sum(q), q
+
+
+@pytest.mark.parametrize("slab_columns", [1, 7, 64])
+def test_ball_counts_match_one_pass_oracle_on_small_slabs(monkeypatch, slab_columns):
+    monkeypatch.setattr(lattice_mod, "_SLAB_COLUMNS", slab_columns)
+    for q in [-1, 0, 1, 2, 3, 50, 400, 3000]:
+        assert _ball_count(q) == one_pass_ball_count(q), q
+        assert _ball_kinetic_sum(q) == one_pass_ball_kinetic_sum(q), q
+
+
+def test_building_the_ball_traces_a_few_mb():
+    # whole-disc column arrays traced 247 MB at N = 8.8e9
+    tracemalloc.start()
+    try:
+        ball = build_fermi_ball(k_fermi_sq=Fraction("1638400.5"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ball.n_particles > 8.7e9
+    assert peak <= 8e6, peak
 
 
 def test_ball_reflection_symmetry(ball_small):
@@ -302,7 +380,10 @@ LUNE_KS = [k for k in itertools.product(range(-2, 3), repeat=3) if any(k)]
 LUNE_KS += [(3, -3, 3), (5, 1, -2), (0, 0, 9), (7, -6, 0)]
 
 
-@pytest.mark.parametrize("ksq", ["0.5", "1.5", "2.5", "3", "25.5", "100.5", "400.5", "401"])
+LUNE_RADII = ["0.5", "1.5", "2.5", "3", "25.5", "100.5", "400.5", "401"]
+
+
+@pytest.mark.parametrize("ksq", LUNE_RADII)
 def test_shell_pairs_match_band_oracle(ksq):
     # the lune's column runs give the band-and-mask rows exactly, in order,
     # and their summed length is the overlap count hartree_fock_energy uses
@@ -310,21 +391,66 @@ def test_shell_pairs_match_band_oracle(ksq):
     for k in LUNE_KS:
         want = band_shell_pairs(ball, k)
         assert np.array_equal(shell_pairs(ball, k), want), k
-        assert _lune(ball.norm_sq_max, np.asarray(k))[3].sum() == len(want), k
+        assert _lune_size(ball.norm_sq_max, np.asarray(k)) == len(want), k
+
+
+def band_oracle_histograms(ksq: str) -> list:
+    """(ball, k, lo, counts) for each of LUNE_KS, with (lo, counts) the
+    bincount of p.k over the band oracle's pairs."""
+    ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+    out = []
+    for k in LUNE_KS:
+        dots = band_shell_pairs(ball, k) @ np.asarray(k)
+        out.append((ball, k, int(dots.min()), np.bincount(dots - dots.min())))
+    return out
+
+
+def assert_histograms_match(cases):
+    for ball, k, lo, counts in cases:
+        got_lo, got = pair_gap_histogram(ball, k)
+        assert got_lo == lo and got.dtype == np.int64, k
+        assert np.array_equal(got, counts), k
+
+
+@pytest.mark.parametrize("ksq", LUNE_RADII)
+def test_pair_gap_histogram_matches_band_oracle(ksq):
+    assert_histograms_match(band_oracle_histograms(ksq))
+
+
+@pytest.mark.parametrize("slab_columns", [1, 7, 64])
+def test_pair_gap_histogram_matches_band_oracle_on_small_slabs(monkeypatch, slab_columns):
+    # the oracle is taken at the module's slab size, then the lune is cut
+    # into slabs of one x and of a few x
+    cases = [c for ksq in LUNE_RADII for c in band_oracle_histograms(ksq)]
+    monkeypatch.setattr(lattice_mod, "_SLAB_COLUMNS", slab_columns)
+    assert_histograms_match(cases)
+
+
+def test_pair_gap_histogram_rejects_zero(ball_tiny):
+    with pytest.raises(ValueError, match="k = 0"):
+        pair_gap_histogram(ball_tiny, (0, 0, 0))
+
+
+def histogram_peak(ksq: str, k) -> int:
+    ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+    tracemalloc.start()
+    try:
+        pair_gap_histogram(ball, k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("k", [(0, 0, 1), (1, 1, 0), (2, -1, 1)])
-def test_shell_pairs_memory_is_output_plus_columns(k):
-    # at k_F^2 = 25600.5 the band-and-mask route traced 24-59 MB beyond its
-    # 2-5 MB of pairs; the lune's column arrays take under 10 MB
-    ball = build_fermi_ball(k_fermi_sq=Fraction("25600.5"))
-    tracemalloc.start()
-    try:
-        pairs = shell_pairs(ball, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - pairs.nbytes <= 10e6, (peak, pairs.nbytes)
+def test_pair_gap_histogram_memory_is_bounded(k):
+    # at k_F^2 = 25600.5 building every pair traced 9.6-12.1 MB, and the
+    # band-and-mask route before it 24-59 MB beyond its pairs
+    assert histogram_peak("25600.5", k) <= 4e6
+
+
+def test_pair_gap_histogram_memory_does_not_grow_with_pairs():
+    # 47 MB when every pair was built (7.8e5 pairs at N = 1.4e8)
+    assert histogram_peak("102400.5", (1, -1, 2)) <= 8e6
 
 
 def test_shell_cardinality_scales_like_surface():
@@ -363,6 +489,19 @@ def test_equator_sum_inactive_threshold_equals_full():
     ball = build_fermi_ball(1.0)
     k = (1, 0, 0)
     assert equator_reciprocal_sum(ball, k, 0.01) == kinetic_reciprocal_sum(ball, k)
+
+
+@pytest.mark.parametrize("ksq", ["400.5", "6400.5", "102400.5"])
+@pytest.mark.parametrize("k", [(0, 0, 1), (1, -1, 2), (2, 1, 0)])
+def test_reciprocal_sums_bit_equal_fsum_over_oracle(ksq, k):
+    # the histogram's exact rational sum equals fsum over every pair's term
+    ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+    den = shell_denominators(ball, k).tolist()
+    assert kinetic_reciprocal_sum(ball, k) == math.fsum(1.0 / d for d in den)
+    for delta in (1.0 / 24.0, 0.1):
+        cut = 4.0 * ball.n_particles ** (1.0 / 3.0 - delta)
+        want = math.fsum(1.0 / d for d in den if d <= cut)
+        assert equator_reciprocal_sum(ball, k, delta) == want
 
 
 def test_equator_sum_empty_restriction():
