@@ -55,14 +55,19 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _eigh_pd(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with a positive-definiteness guard."""
-    w, q = np.linalg.eigh(_sym(a))
+def _require_pd(w: np.ndarray, name: str) -> None:
+    """Raise unless the ascending eigenvalues w are all clearly positive."""
     tol = 1e-12 * max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] <= tol:
         raise DiagonalizationError(
             f"{name} is not positive definite: smallest eigenvalue {w[0]:.3e}"
         )
+
+
+def _eigh_pd(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition with a positive-definiteness guard."""
+    w, q = np.linalg.eigh(_sym(a))
+    _require_pd(w, name)
     return w, q
 
 
@@ -277,7 +282,7 @@ def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
     a_minus = _sym(D + W - Wt)
     a_plus = _sym(D + W + Wt)
     w_m, q_m = _eigh_pd(a_minus, "D + W - W~")
-    _eigh_pd(a_plus, "D + W + W~")
+    _require_pd(np.linalg.eigvalsh(a_plus), "D + W + W~")
     rm = _apply(w_m, q_m, np.sqrt)
     rm_inv = _apply(w_m, q_m, lambda x: 1.0 / np.sqrt(x))
     e_sq = _sym(rm @ a_plus @ rm)

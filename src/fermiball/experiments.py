@@ -31,7 +31,6 @@ from .lattice import (
     FermiBall,
     InteractionPotential,
     Momentum,
-    _as_ivec,
     _ball_count,
     _ball_kinetic_sum,
     _band,
@@ -253,9 +252,9 @@ def min_patch_separation(decomp) -> float:
     Offsets d are scanned by rising |d|^2, one half-space each (d and -d join
     the same pairs), and the first |d|^2 that joins two labels is the answer.
     Both ends of a pair that joins two labels at length D have a tile
-    clearance of at most D, so at that length only those labelled points are
-    looked up at p + d in the shell's code index; they stay in code order, so
-    the queries stay sorted.
+    clearance of at most D (`PatchDecomposition.tile_clearance`, taken over
+    every labelled shell point), so at that length only those points are
+    looked up, at p + d for every offset d of that length in one index call.
     """
     asg = decomp.shell_assignment()
     enc = asg.encoder
@@ -269,12 +268,12 @@ def min_patch_separation(decomp) -> float:
     for norm in np.unique(norms):
         length = math.sqrt(norm)
         near = src[clearance <= length]
-        codes, near_labels = enc.codes[near], asg.labels[near]
-        for d in offsets[norms == norm]:
-            rows = enc.index_codes(codes + enc.shift(d))
-            lab = np.where(rows >= 0, asg.labels[rows], -1)
-            if ((lab >= 0) & (lab != near_labels)).any():
-                return length
+        shifts = [enc.shift(d) for d in offsets[norms == norm]]
+        queries = enc.codes[near] + np.array(shifts, dtype=np.int64)[:, None]
+        rows = enc.index_codes(queries.ravel()).reshape(queries.shape)
+        lab = np.where(rows >= 0, asg.labels[rows], -1)
+        if ((lab >= 0) & (lab != asg.labels[near])).any():
+            return length
     return math.inf
 
 
@@ -287,12 +286,16 @@ def exp_patch_audit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30), r_v=
         asg = decomp.shell_assignment()
         areas = decomp.angular_areas()
         sep = min_patch_separation(decomp)
-        diam_max = 0.0
-        for a in range(decomp.m_patches):
-            pts = asg.points[asg.labels == a]
-            if len(pts) > 1:
-                span = pts.max(axis=0) - pts.min(axis=0)
-                diam_max = max(diam_max, float(np.linalg.norm(span)))
+        # each patch's coordinate span from its minima and maxima, taken in
+        # one pass over the labelled shell; spans are exact integer vectors
+        sel = asg.labels >= 0
+        labels, points = asg.labels[sel], asg.points[sel].astype(np.int64)
+        lo = np.full((decomp.m_patches, 3), np.iinfo(np.int64).max)
+        hi = np.full((decomp.m_patches, 3), np.iinfo(np.int64).min)
+        np.minimum.at(lo, labels, points)
+        np.maximum.at(hi, labels, points)
+        span = (hi - lo)[np.bincount(labels, minlength=decomp.m_patches) > 0]
+        diam_max = float(np.sqrt((span * span).sum(axis=1)).max(initial=0.0))
         n13 = ball.n_particles ** (1.0 / 3.0)
         rows.append(
             {
@@ -513,8 +516,9 @@ class SwapOracle:
     every a with |a| <= r_in has |a + k| <= r_in + R < |h| <= k_F for every
     hole h with |h|^2 >= q_hole, so a keeps all its exchange partners after
     any such swap; that interior enters through its exact count, and only
-    the band r_in^2 < |a|^2 <= floor(k_F^2) is walked, in row blocks at each
-    call, so no array the size of the band is kept.
+    the band r_in^2 < |a|^2 <= floor(k_F^2) is walked, in row blocks, once
+    for all the swaps of an `energies` call, so no array the size of the
+    band is kept.
     """
 
     def __init__(self, ball: FermiBall, v: InteractionPotential, q_hole: int):
@@ -532,42 +536,63 @@ class SwapOracle:
         self.values = [val for _, val in terms]
         self.ks = np.array([k for k, _ in terms], dtype=np.int64).reshape(-1, 3)
 
-    def energy(self, hole, particle) -> float:
-        h, p = _as_ivec(hole), _as_ivec(particle)
-        hh, pp = int(h @ h), int(p @ p)
+    def energies(self, holes, particles) -> list[float]:
+        """Energy after each swap of holes[i] (|h|^2 >= q_hole) for
+        particles[i] (outside the ball), given as (n, 3) arrays."""
+        h = np.asarray(holes, dtype=np.int64).reshape(-1, 3)
+        p = np.asarray(particles, dtype=np.int64).reshape(-1, 3)
+        hh = np.einsum("ij,ij->i", h, h)
+        pp = np.einsum("ij,ij->i", p, p)
         q = self.ball.norm_sq_max
-        if not self.q_hole <= hh <= q:
-            raise ValueError(f"hole {h} is not in the shell {self.q_hole} <= |h|^2 <= {q}")
-        if pp <= q:
-            raise ValueError(f"particle {p} is not outside the Fermi ball")
+        bad = (hh < self.q_hole) | (hh > q)
+        if bad.any():
+            raise ValueError(
+                f"hole {h[np.argmax(bad)]} is not in the shell {self.q_hole} <= |h|^2 <= {q}"
+            )
+        if (pp <= q).any():
+            raise ValueError(f"particle {p[np.argmax(pp <= q)]} is not outside the Fermi ball")
         ks = self.ks
         kk = np.einsum("ij,ij->i", ks, ks)
 
-        def partners(a: np.ndarray) -> np.ndarray:
-            """Per support vector k, the rows of a (in lexicographic order)
-            whose a + k is occupied after the swap."""
-            # |a + k|^2 for every k and row, built in place in one array
+        def occupied(a: np.ndarray) -> np.ndarray:
+            """Per support vector k (rows) and row of a (columns), whether
+            a + k is in the ball, built in place in one array."""
             n2 = ks @ a.T
             n2 *= 2
             n2 += np.einsum("ij,ij->i", a, a)
             n2 += kk[:, None]
-            # the row h - k, where a holds it, loses its partner h; the row
-            # p - k gains p
-            lost, gained = _holds(a, np.concatenate([h - ks, p - ks])).reshape(2, -1)
-            return np.count_nonzero(n2 <= q, axis=1) - lost + gained
+            return n2 <= q
 
-        # the swapped band is the band without h and with p
-        counts = partners(p[None]) - partners(h[None])
+        # one walk for every swap: the band's partner counts in the ball do
+        # not depend on the swap, and each block looks up every swap's rows
+        # h - k and p - k at once
+        targets = np.concatenate([h[:, None] - ks, p[:, None] - ks]).reshape(-1, 3)
+        moved = np.zeros(len(targets), dtype=np.int64)
+        base = np.zeros(len(ks), dtype=np.int64)
         for band in _band_blocks(self.q_in + 1, q):
-            counts += partners(band)
+            base += np.count_nonzero(occupied(band), axis=1)
+            moved += _holds(band, targets)
+        lost, gained = moved.reshape(2, len(h), len(ks))
+        # counts[i, j]: rows a of the band after swap i with a + ks[j]
+        # occupied after it. The row h - k loses its partner h and the row
+        # p - k gains p; the swapped band drops the row h, partners p
+        # included, and takes the row p, whose partner h is gone.
+        counts = base - lost + gained
+        counts -= occupied(h).T
+        counts -= ((h[:, None] + ks) == p[:, None]).all(axis=2)
+        counts += occupied(p).T
+        counts -= ((p[:, None] + ks) == h[:, None]).all(axis=2)
         n = self.ball.n_particles
         lam = 1.0 / n
-        kinetic = self.ball.hbar**2 * float(self.kinetic - hh + pp)
-        exchange = 0.0
-        for val, count in zip(self.values, counts.tolist()):
-            exchange += val * float(self.n_interior + count)
         direct = self.v((0, 0, 0)) * n * (n - 1)
-        return kinetic + 0.5 * lam * (direct - exchange)
+        out = []
+        for swap_counts, h2, p2 in zip(counts.tolist(), hh.tolist(), pp.tolist()):
+            kinetic = self.ball.hbar**2 * float(self.kinetic - h2 + p2)
+            exchange = 0.0
+            for val, count in zip(self.values, swap_counts):
+                exchange += val * float(self.n_interior + count)
+            out.append(kinetic + 0.5 * lam * (direct - exchange))
+        return out
 
 
 def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50):
@@ -585,18 +610,17 @@ def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50
     rng = np.random.default_rng(ctx.config.seed)
     hi = rng.integers(0, len(holes), size=n_swaps)
     pi = rng.integers(0, len(particles), size=n_swaps)
-    gaps = np.empty(n_swaps)
-    for i in range(n_swaps):
-        gaps[i] = lattice.excitation_energy(ball, pot, holes[hi[i]], particles[pi[i]])
+    gaps = lattice.excitation_energy(ball, pot, holes[hi], particles[pi])
     e0 = lattice.hartree_fock_energy(ball, pot)
     rows = []
     oracle = SwapOracle(ball, pot, int((holes * holes).sum(axis=1).min()))
-    check_ids = rng.choice(n_swaps, size=min(n_check, n_swaps), replace=False)
+    check_ids = np.sort(rng.choice(n_swaps, size=min(n_check, n_swaps), replace=False))
+    energies = oracle.energies(holes[hi[check_ids]], particles[pi[check_ids]])
     worst_rel = 0.0
-    for i in sorted(int(j) for j in check_ids):
+    for i, energy in zip(check_ids.tolist(), energies):
         h = holes[hi[i]]
         p = particles[pi[i]]
-        full = oracle.energy(h, p) - e0
+        full = energy - e0
         rel = abs(full - gaps[i]) / max(abs(full), 1e-300)
         worst_rel = max(worst_rel, rel)
         rows.append(

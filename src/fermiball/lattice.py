@@ -558,34 +558,42 @@ def hartree_fock_energy(ball: FermiBall, v: InteractionPotential) -> float:
     return kinetic + 0.5 * lam * (direct - exchange)
 
 
-def _exchange_field(ball: FermiBall, v: InteractionPotential, q: Momentum) -> float:
-    """sum_{a in B_F} V(q - a), evaluated over the finite support of V."""
-    total = 0.0
+def excitation_energy(ball: FermiBall, v: InteractionPotential, hole, particle):
+    """Energy cost of moving one particle from `hole` to `particle`.
+
+    Closed-form difference of the two determinant energies; O(|supp V|) work
+    a swap. `hole` and `particle` are one momentum each, for which the gap is
+    a float, or (n, 3) arrays of n swaps, for which it is an (n,) array.  The
+    exchange fields sum_{a in B_F} V(q - a) add the support values in
+    ``v.items()`` order, so a batch gives every swap's gap to the bit.
+    """
+    h = np.asarray(hole, dtype=np.int64)
+    p = np.asarray(particle, dtype=np.int64)
+    one = h.shape == (3,)
+    h, p = h.reshape(-1, 3), p.reshape(-1, 3)
+    q = ball.norm_sq_max
+    hh = (h * h).sum(axis=1)
+    pp = (p * p).sum(axis=1)
+    if (hh > q).any():
+        raise ValueError(f"hole {h[np.argmax(hh > q)]} is not inside the Fermi ball")
+    if (pp <= q).any():
+        raise ValueError(f"particle {p[np.argmax(pp <= q)]} is not outside the Fermi ball")
+    lam = 1.0 / ball.n_particles
+    kinetic = ball.hbar**2 * (pp - hh).astype(np.float64)
+    g_p = np.zeros(len(p))
+    g_h = np.zeros(len(h))
+    v_rel = np.zeros(len(p))
     for k, val in v.items():
         if val == 0.0:
             continue
-        a = (q.px - k.px, q.py - k.py, q.pz - k.pz)
-        if ball.contains(a):
-            total += val
-    return total
-
-
-def excitation_energy(
-    ball: FermiBall, v: InteractionPotential, hole: Sequence[int], particle: Sequence[int]
-) -> float:
-    """Energy cost of moving one particle from `hole` to `particle`.
-
-    Closed-form difference of the two determinant energies; O(|supp V|) work.
-    """
-    h = _as_momentum(hole)
-    p = _as_momentum(particle)
-    if not ball.contains(h):
-        raise ValueError(f"hole {h} is not inside the Fermi ball")
-    if ball.contains(p):
-        raise ValueError(f"particle {p} is not outside the Fermi ball")
-    lam = 1.0 / ball.n_particles
-    kinetic = ball.hbar**2 * float(p.norm_sq() - h.norm_sq())
-    g_p = _exchange_field(ball, v, p)
-    g_h = _exchange_field(ball, v, h)
-    rel = Momentum(p.px - h.px, p.py - h.py, p.pz - h.pz)
-    return kinetic - lam * (g_p - g_h) + lam * (v(rel) - v((0, 0, 0)))
+        kv = np.asarray(k, dtype=np.int64)
+        kk = int(kv @ kv)
+        for g, x, xx in ((g_p, p, pp), (g_h, h, hh)):
+            # |x - k|^2 <= q as |x|^2 - 2 x.k <= q - |k|^2, built in place
+            n2 = x @ kv
+            n2 *= -2
+            n2 += xx
+            g += np.where(n2 <= q - kk, val, 0.0)
+        v_rel[(h + kv == p).all(axis=1)] = val
+    gap = kinetic - lam * (g_p - g_h) + lam * (v_rel - v((0, 0, 0)))
+    return float(gap[0]) if one else gap

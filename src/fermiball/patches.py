@@ -198,18 +198,25 @@ class PatchDecomposition:
         return labels
 
     def tile_clearance(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Per labelled point p, a length below which no point of another
-        patch lies from p: |p| sin(min(mu, pi/2)).
+        """Per labelled point p, a length below which no other of the given
+        points with another label lies from p: |p| sin(min(mu_p + mu_min, pi/2)).
 
         A patch's tile is the cell its corridors were carved from: the cap
         theta < theta_cap, a collar cell [t_lo, t_hi) x [phi_lo, phi_hi), or
         the antipodal image of one.  Tile edges lie halfway between the stored
         bounds of neighbouring patches (the equator halfway between a patch
         and its southern image), so tiles are disjoint and each holds its
-        patch.  A point q of patch b != a = label(p) is therefore at least the
-        angle mu(p) from p's direction, mu being the angular distance to the
-        outside of tile a; the angle between p and p + d is at most
-        asin(|d| / |p|), so |q - p| >= |p| sin(min(mu, pi/2)).  The value
+        patch.  mu_p is the angular distance from p's direction to the
+        outside of its tile, and mu_min the smallest mu over the given points.
+
+        Take p in tile a and q in tile b != a, both among the points.  The
+        great-circle arc from p's direction to q's stays in tile a for at
+        least mu_p from its start and in tile b for at least mu_q before its
+        end; the tiles are disjoint, so those two stretches do not overlap
+        and the angle between p and q is at least mu_p + mu_q >= mu_p +
+        mu_min.  The angle between p and p + d is at most asin(|d| / |p|)
+        (and reaches pi/2 only once |d| >= |p|), so |q - p| >= |p| sin(min(
+        mu_p + mu_min, pi/2)), from either end of the pair.  The value
         returned is that bound less 1e-9 of it and less 1e-9, so that float
         angles on an ulp seam (where the bound can hold with equality) never
         overstate it.
@@ -253,6 +260,8 @@ class PatchDecomposition:
         edge *= np.sin(theta, out=theta)
         np.arcsin(edge, out=edge)
         np.minimum(mu, edge, out=mu, where=spec > 0)  # the cap has no phi edge
+        if len(mu):
+            mu += mu.min()
         np.minimum(mu, math.pi / 2, out=mu)
         np.sin(mu, out=mu)
         mu *= r

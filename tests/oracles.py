@@ -32,30 +32,55 @@ log = logging.getLogger(__name__)
 
 
 def hf_energy_of_occupation(ball: FermiBall, v: InteractionPotential, occupied: np.ndarray) -> float:
-    """Determinant energy for an arbitrary occupation set (re-summation oracle)."""
+    """Determinant energy for an arbitrary occupation set (re-summation oracle).
+
+    Each exchange count is the number of occupied a with a + k occupied,
+    read from a boolean grid over the occupation's bounding cube, padded by
+    the support's reach so that a + k is a constant shift of a's flat index.
+    """
     occ = np.asarray(occupied, dtype=np.int64)
     n = len(occ)
     lam = 1.0 / ball.n_particles
-    enc = lattice.EncodedSet(occ, int(np.abs(occ).max()) + 1)
+    terms = [(k, val) for k, val in v.items() if val != 0.0 and k != lattice.Momentum(0, 0, 0)]
+    pad = max((max(abs(c) for c in k) for k, _ in terms), default=0)
+    lo = occ.min(axis=0) - pad
+    shape = occ.max(axis=0) + pad - lo + 1
+    flat = np.ravel_multi_index(tuple((occ - lo).T), shape)
+    grid = np.zeros(int(shape.prod()), dtype=bool)
+    grid[flat] = True
     kinetic = ball.hbar**2 * float((occ * occ).sum())
     exchange = 0.0
-    for k, val in v.items():
-        if val == 0.0 or k == lattice.Momentum(0, 0, 0):
-            continue
-        shifted = occ + np.asarray(k, dtype=np.int64)
-        exchange += val * float(encoded_contains(enc, shifted).sum())
+    for k, val in terms:
+        shift = (k[0] * shape[1] + k[1]) * shape[2] + k[2]
+        exchange += val * float(np.count_nonzero(grid[flat + shift]))
     direct = v((0, 0, 0)) * n * (n - 1)
     return kinetic + 0.5 * lam * (direct - exchange)
 
 
-def encoded_contains(enc: lattice.EncodedSet, points: np.ndarray) -> np.ndarray:
-    """Per point, whether the encoded set holds it (False outside the code cube)."""
-    points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-    ok = (np.abs(points) <= enc.half).all(axis=1)
-    out = np.zeros(len(points), dtype=bool)
-    if ok.any():
-        out[ok] = enc.index_codes(enc.encode(points[ok])) >= 0
-    return out
+def scalar_excitation_energy(
+    ball: FermiBall, v: InteractionPotential, hole: Sequence[int], particle: Sequence[int]
+) -> float:
+    """One swap's closed-form gap in Python scalars, each exchange field
+    sum_{a in B_F} V(q - a) added term by term: the reference for the
+    batched `lattice.excitation_energy`."""
+    h = _as_momentum(hole)
+    p = _as_momentum(particle)
+    if not ball.contains(h):
+        raise ValueError(f"hole {h} is not inside the Fermi ball")
+    if ball.contains(p):
+        raise ValueError(f"particle {p} is not outside the Fermi ball")
+
+    def exchange_field(q):
+        total = 0.0
+        for k, val in v.items():
+            if val != 0.0 and ball.contains((q.px - k.px, q.py - k.py, q.pz - k.pz)):
+                total += val
+        return total
+
+    lam = 1.0 / ball.n_particles
+    kinetic = ball.hbar**2 * float(p.norm_sq() - h.norm_sq())
+    rel = (p.px - h.px, p.py - h.py, p.pz - h.pz)
+    return kinetic - lam * (exchange_field(p) - exchange_field(h)) + lam * (v(rel) - v((0, 0, 0)))
 
 
 def ell_inf(v: InteractionPotential) -> float:

@@ -206,6 +206,11 @@ def test_non_pd_input_rejected():
     ms.D[0, 0] = -1.0  # corrupt the kinetic diagonal
     with pytest.raises(DiagonalizationError, match="smallest eigenvalue"):
         diagonalize(ms)
+    # D + W - W~ stays positive definite, D + W + W~ does not
+    ms = one_plus_one_system()
+    ms.W_tilde[...] = -2.0 * (ms.D + ms.W)
+    with pytest.raises(DiagonalizationError, match=r"D \+ W \+ W~ is not positive definite"):
+        diagonalize(ms)
 
 
 # ------------------------------------------------------------ dumps

@@ -1,6 +1,6 @@
-"""Experiment internals against their slow oracles: the band-local
-Hartree-Fock swap oracle, the slice histogram that slice_count_bound reads,
-and the memory and reach of hf_stability."""
+"""Experiment internals against their slow oracles: the batched gaps and
+the band-local Hartree-Fock swap oracle, the slice histogram that
+slice_count_bound reads, and the memory and reach of hf_stability."""
 
 import csv
 import math
@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermiball import InteractionPotential, build_fermi_ball
+from fermiball import InteractionPotential, build_fermi_ball, excitation_energy
 from fermiball.experiments import (
     SwapOracle,
     boundary_shells,
@@ -20,7 +20,7 @@ from fermiball.experiments import (
 )
 from fermiball.lattice import pair_gap_histogram
 from fermiball.lattice import _band
-from oracles import count_slice, hf_energy_of_occupation
+from oracles import count_slice, hf_energy_of_occupation, scalar_excitation_energy
 
 POTENTIALS = {
     "unit": default_potential(),
@@ -32,13 +32,15 @@ POTENTIALS = {
 }
 
 
-def assert_band_oracle_exact(ball, pot, swaps, q_hole):
-    oracle = SwapOracle(ball, pot, q_hole)
+def assert_band_oracle_exact(ball, pot, holes, particles, q_hole):
+    # every swap from one band walk
+    energies = SwapOracle(ball, pot, q_hole).energies(holes, particles)
+    assert len(energies) == len(holes)
     occ0 = _band(0, ball.norm_sq_max)
-    for h, p in swaps:
+    for h, p, energy in zip(holes, particles, energies):
         occ = occ0.copy()
         occ[np.flatnonzero((occ0 == h).all(axis=1))[0]] = p
-        assert oracle.energy(h, p) == hf_energy_of_occupation(ball, pot, occ), (h, p)
+        assert energy == hf_energy_of_occupation(ball, pot, occ), (h, p)
 
 
 @pytest.mark.parametrize("name", list(POTENTIALS))
@@ -49,8 +51,26 @@ def test_band_oracle_matches_full_oracle(ksq, n_swaps, name):
     rng = np.random.default_rng(2024)
     hi = rng.integers(0, len(holes), size=n_swaps)
     pi = rng.integers(0, len(particles), size=n_swaps)
-    swaps = zip(holes[hi], particles[pi])
-    assert_band_oracle_exact(ball, pot, swaps, int((holes * holes).sum(axis=1).min()))
+    q_hole = int((holes * holes).sum(axis=1).min())
+    assert_band_oracle_exact(ball, pot, holes[hi], particles[pi], q_hole)
+
+
+@pytest.mark.parametrize("name", list(POTENTIALS))
+@pytest.mark.parametrize("ksq", ["400.5", "6400.5"])
+def test_batched_gaps_equal_scalar_gaps(ksq, name):
+    # hf_stability's 1000 sampled swaps (seed 1), in one call
+    ball, pot = build_fermi_ball(k_fermi_sq=Fraction(ksq)), POTENTIALS[name]
+    holes, particles = boundary_shells(ball)
+    rng = np.random.default_rng(1)
+    hi = rng.integers(0, len(holes), size=1000)
+    pi = rng.integers(0, len(particles), size=1000)
+    gaps = excitation_energy(ball, pot, holes[hi], particles[pi])
+    assert gaps.shape == (1000,)
+    for h, p, gap in zip(holes[hi], particles[pi], gaps.tolist()):
+        assert gap == scalar_excitation_energy(ball, pot, h, p), (h, p)
+    # one swap is a batch of one, returned as a float
+    one = excitation_energy(ball, pot, holes[hi[0]], particles[pi[0]])
+    assert type(one) is float and one == gaps[0]
 
 
 @pytest.mark.parametrize("name", list(POTENTIALS))
@@ -64,8 +84,7 @@ def test_band_oracle_exact_on_deepest_partners(name):
     q_hole = int((holes * holes).sum(axis=1).min())
     assert q_hole == 400
     deepest = [np.argmin(((holes - np.asarray(k)) ** 2).sum(axis=1)) for k in pot.support]
-    swaps = [(holes[i], particles[j]) for j, i in enumerate(deepest)]
-    assert_band_oracle_exact(ball, pot, swaps, q_hole)
+    assert_band_oracle_exact(ball, pot, holes[deepest], particles[: len(deepest)], q_hole)
 
 
 def test_band_oracle_rejects_swaps_outside_its_band(ball_400, unit_potential):
@@ -73,21 +92,21 @@ def test_band_oracle_rejects_swaps_outside_its_band(ball_400, unit_potential):
     q_hole = int((holes * holes).sum(axis=1).min())
     oracle = SwapOracle(ball_400, unit_potential, q_hole)
     with pytest.raises(ValueError, match="hole"):
-        oracle.energy((0, 0, 0), particles[0])
+        oracle.energies([holes[0], (0, 0, 0)], particles[:2])
     with pytest.raises(ValueError, match="particle"):
-        oracle.energy(holes[0], holes[1])
+        oracle.energies(holes[:2], [particles[0], holes[1]])
 
 
 def test_band_oracle_memory_is_kept_arrays_plus_bounded_transient(ball_6400, unit_potential):
-    # building the oracle and re-summing one swap at k_F^2 = 6400.5 traces at
-    # most 3 MB in all: the band is walked in row blocks and none is kept
-    # (the kept band and norms alone were 7.6 MB)
+    # building the oracle and re-summing 50 swaps at k_F^2 = 6400.5 traces at
+    # most 3 MB in all: the band is walked once, in row blocks, and none is
+    # kept (the kept band and norms alone were 7.6 MB)
     holes, particles = boundary_shells(ball_6400)
     q_hole = int((holes * holes).sum(axis=1).min())
     tracemalloc.start()
     try:
         oracle = SwapOracle(ball_6400, unit_potential, q_hole)
-        oracle.energy(holes[0], particles[0])
+        oracle.energies(holes[:50], particles[:50])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
