@@ -105,7 +105,6 @@ class ModeSystem:
     vhat_k: float
     m_patches: int
     n_particles: int
-    hbar: float
     plus_modes: tuple[int, ...]
     minus_modes: tuple[int, ...]
     u_vals: np.ndarray
@@ -168,7 +167,6 @@ def _assemble(
         vhat_k=vhat_k,
         m_patches=m_patches,
         n_particles=n_particles,
-        hbar=hbar,
         plus_modes=tuple(plus_modes),
         minus_modes=tuple(minus_modes),
         u_vals=u,
@@ -344,9 +342,11 @@ def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
     )
 
 
-def _ratio_matrix(n_vals: np.ndarray) -> np.ndarray:
-    """min(n_a/n_b, n_b/n_a) entrywise."""
-    return np.minimum.outer(n_vals, n_vals) / np.maximum.outer(n_vals, n_vals)
+def _scaled_bound(mat: np.ndarray, ms: ModeSystem) -> np.ndarray:
+    """|mat_ab| M / (V(k) min(n_a/n_b, n_b/n_a)) entrywise."""
+    n = ms.n_vals
+    ratio = np.minimum.outer(n, n) / np.maximum.outer(n, n)
+    return np.abs(mat) * ms.m_patches / (ms.vhat_k * ratio)
 
 
 def check_kernel_bound(
@@ -358,7 +358,7 @@ def check_kernel_bound(
     """
     if ms.vhat_k <= 0:
         return 0.0, (0, 0)
-    scaled = np.abs(sol.K) * ms.m_patches / (ms.vhat_k * _ratio_matrix(ms.n_vals))
+    scaled = _scaled_bound(sol.K, ms)
     flat = int(np.argmax(scaled))
     pair = np.unravel_index(flat, scaled.shape)
     return float(scaled[pair]), (int(pair[0]), int(pair[1]))
@@ -368,8 +368,7 @@ def check_sinh_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
     """Fitted constant of the same entrywise bound applied to sinh(K)."""
     if ms.vhat_k <= 0:
         return 0.0
-    scaled = np.abs(sol.sinhK) * ms.m_patches / (ms.vhat_k * _ratio_matrix(ms.n_vals))
-    return float(scaled.max())
+    return float(_scaled_bound(sol.sinhK, ms).max())
 
 
 def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> float:

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import bogokernel, lattice, patches, rpa
 from .lattice import (
-    EncodedSet,
     FermiBall,
     InteractionPotential,
     Momentum,
@@ -125,10 +124,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """The rows under a header of the first row's keys, in its order; no
+    rows make an empty file."""
+    columns = list(rows[0]) if rows else []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(columns)
+        if rows:
+            writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in columns])
 
@@ -150,7 +153,7 @@ def exp_gauss_count(ctx: Context, *, k_fermi_sq_grid=(25.5, 100.5, 400.5, 1600.5
                 "rel_error": abs(ball.n_particles - volume) / volume,
             }
         )
-    return ["k_fermi", "n", "ball_volume", "rel_error"], rows
+    return rows
 
 
 def exp_kinetic_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600.5, 6400.5)):
@@ -166,7 +169,7 @@ def exp_kinetic_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600
                 "ratio_n13": total / ball.n_particles ** (1.0 / 3.0),
             }
         )
-    return ["k_fermi", "n", "total", "ratio_n13"], rows
+    return rows
 
 
 def exp_equator_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600.5, 6400.5)):
@@ -184,7 +187,7 @@ def exp_equator_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600
                 "ratio": total / ball.n_particles ** (1.0 / 3.0 - delta),
             }
         )
-    return ["k_fermi", "n", "delta", "total", "ratio"], rows
+    return rows
 
 
 def exp_slice_count_bound(ctx: Context, *, k_fermi_sq_grid=(400.5, 1600.5, 6400.5)):
@@ -209,36 +212,27 @@ def exp_slice_count_bound(ctx: Context, *, k_fermi_sq_grid=(400.5, 1600.5, 6400.
                 "s_worst": s_worst,
             }
         )
-    return ["k_fermi", "n", "pairs", "c_fit", "s_worst"], rows
+    return rows
 
 
 def exp_ellipse_count(ctx: Context, *, axis_ratios=(1, 2, 5), radii=range(10, 301, 10)):
     rows = []
     for d0 in axis_ratios:
         for r in radii:
-            count, area = lattice.annulus_count_vs_area(0.0, float(r), d0)
-            rows.append(
-                {
-                    "axis_ratio": d0,
-                    "r_inner": 0.0,
-                    "r_outer": float(r),
-                    "count": count,
-                    "area": area,
-                    "dev_ratio": abs(count - area) / r ** (2.0 / 3.0),
-                }
-            )
-            count2, area2 = lattice.annulus_count_vs_area(max(0.0, r - 5.0), float(r), d0)
-            rows.append(
-                {
-                    "axis_ratio": d0,
-                    "r_inner": max(0.0, r - 5.0),
-                    "r_outer": float(r),
-                    "count": count2,
-                    "area": area2,
-                    "dev_ratio": abs(count2 - area2) / r ** (2.0 / 3.0),
-                }
-            )
-    return ["axis_ratio", "r_inner", "r_outer", "count", "area", "dev_ratio"], rows
+            # the full ellipse, then the annulus of width 5 below r
+            for r_in in (0.0, max(0.0, r - 5.0)):
+                count, area = lattice.annulus_count_vs_area(r_in, float(r), d0)
+                rows.append(
+                    {
+                        "axis_ratio": d0,
+                        "r_inner": r_in,
+                        "r_outer": float(r),
+                        "count": count,
+                        "area": area,
+                        "dev_ratio": abs(count - area) / r ** (2.0 / 3.0),
+                    }
+                )
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -311,19 +305,7 @@ def exp_patch_audit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30), r_v=
                 "corridor_points": int((asg.labels < 0).sum()),
             }
         )
-    cols = [
-        "m_requested",
-        "m_actual",
-        "r_corridor",
-        "min_separation",
-        "separation_bound",
-        "max_diameter",
-        "diameter_const",
-        "area_sum",
-        "corridor_area",
-        "corridor_points",
-    ]
-    return cols, rows
+    return rows
 
 
 def exp_normalization_asymptotics(ctx: Context, *, k_fermi_sq=3600.5, m_patches=16):
@@ -347,7 +329,7 @@ def exp_normalization_asymptotics(ctx: Context, *, k_fermi_sq=3600.5, m_patches=
                 "ratio": count / predicted if predicted > 0 else math.nan,
             }
         )
-    return ["alpha", "k_dot_omega", "pair_count", "predicted", "ratio"], rows
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -377,19 +359,7 @@ def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
                 "det_O": sol.residuals["det_O"],
             }
         )
-    cols = [
-        "system",
-        "size",
-        "offdiagonal_rel",
-        "spectrum_rel_dev",
-        "l_block_dev",
-        "hyperbolic",
-        "orthogonality",
-        "symplectic_plus",
-        "symplectic_minus",
-        "det_O",
-    ]
-    return cols, rows
+    return rows
 
 
 def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30)):
@@ -417,18 +387,7 @@ def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30))
                     "c_frak_minus_d": bogokernel.check_frakK_minus_D_bound(sol, ms),
                 }
             )
-    cols = [
-        "m_requested",
-        "m_actual",
-        "k",
-        "modes",
-        "c_star",
-        "worst_alpha",
-        "worst_beta",
-        "c_star_sinh",
-        "c_frak_minus_d",
-    ]
-    return cols, rows
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -454,17 +413,7 @@ def exp_rpa_compare(ctx: Context, *, schedule=((400.5, 8), (1600.5, 16), (6400.5
                 "rel_gap": report.relative_gap,
             }
         )
-    cols = [
-        "k_fermi_sq",
-        "m_requested",
-        "m_actual",
-        "n",
-        "delta",
-        "e_analytic",
-        "e_trace",
-        "rel_gap",
-    ]
-    return cols, rows
+    return rows
 
 
 def exp_small_v_fit(ctx: Context):
@@ -483,7 +432,7 @@ def exp_small_v_fit(ctx: Context):
             "quadratic_constant": k2,
         }
     ]
-    return ["chi", "abs_chi", "reference_magnitude", "magnitude_ratio", "quadratic_constant"], rows
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -499,14 +448,6 @@ def boundary_shells(ball: FermiBall) -> tuple[np.ndarray, np.ndarray]:
     return holes, particles
 
 
-def _holds(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Whether each point is one of the rows, given in lexicographic order."""
-    enc = EncodedSet(rows, int(np.abs(rows).max()))
-    # a point outside the rows' code cube is none of them
-    inside = (np.abs(points) <= enc.half).all(axis=1)
-    return inside & (enc.index_codes(enc.encode(points)) >= 0)
-
-
 class SwapOracle:
     """Determinant energy of the ball with one hole h swapped for a particle
     p, re-summed from the occupation (the oracle for the closed-form gap).
@@ -518,7 +459,10 @@ class SwapOracle:
     any such swap; that interior enters through its exact count, and only
     the band r_in^2 < |a|^2 <= floor(k_F^2) is walked, in row blocks, once
     for all the swaps of an `energies` call, so no array the size of the
-    band is kept.
+    band is kept. The walk yields only the band's partner counts in the
+    unswapped ball, which hold for every swap; a swap moves them only at
+    the rows h - k and p - k, and whether those are in the band is a test
+    of their norms alone.
     """
 
     def __init__(self, ball: FermiBall, v: InteractionPotential, q_hole: int):
@@ -564,15 +508,16 @@ class SwapOracle:
             return n2 <= q
 
         # one walk for every swap: the band's partner counts in the ball do
-        # not depend on the swap, and each block looks up every swap's rows
-        # h - k and p - k at once
-        targets = np.concatenate([h[:, None] - ks, p[:, None] - ks]).reshape(-1, 3)
-        moved = np.zeros(len(targets), dtype=np.int64)
+        # not depend on the swap
         base = np.zeros(len(ks), dtype=np.int64)
         for band in _band_blocks(self.q_in + 1, q):
             base += np.count_nonzero(occupied(band), axis=1)
-            moved += _holds(band, targets)
-        lost, gained = moved.reshape(2, len(h), len(ks))
+        # whether each swap's rows h - k and p - k are in the band: none is
+        # in the interior (|h - k| >= |h| - R > r_in, likewise for p), so
+        # each is in the band exactly when it is in the ball
+        targets = np.concatenate([h[:, None] - ks, p[:, None] - ks])
+        tt = np.einsum("ijk,ijk->ij", targets, targets)
+        lost, gained = (tt <= q).reshape(2, len(h), len(ks))
         # counts[i, j]: rows a of the band after swap i with a + ks[j]
         # occupied after it. The row h - k loses its partner h and the row
         # p - k gains p; the swapped band drops the row h, partners p
@@ -641,10 +586,7 @@ def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50
         "full_difference": float(gaps.max()),
         "rel_dev": worst_rel,
     }
-    return (
-        ["swap", "hole", "particle", "excitation", "full_difference", "rel_dev"],
-        [summary] + rows,
-    )
+    return [summary] + rows
 
 
 EXPERIMENTS = {
@@ -788,8 +730,8 @@ def run_experiments(config: RunConfig) -> tuple[dict, bool]:
 
     def job(name: str):
         t0 = time.perf_counter()
-        columns, rows = EXPERIMENTS[name](ctx, **config.options.get(name, {}))
-        return name, columns, rows, time.perf_counter() - t0
+        rows = EXPERIMENTS[name](ctx, **config.options.get(name, {}))
+        return rows, time.perf_counter() - t0
 
     all_ok = True
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -797,9 +739,9 @@ def run_experiments(config: RunConfig) -> tuple[dict, bool]:
         for name in config.experiments:
             entry: dict = {}
             try:
-                _, columns, rows, elapsed = futures[name].result()
+                rows, elapsed = futures[name].result()
                 path = config.output_dir / f"{name}.csv"
-                _write_csv(path, columns, rows)
+                _write_csv(path, rows)
                 entry = {
                     "status": "ok",
                     "file": path.name,

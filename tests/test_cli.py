@@ -339,6 +339,45 @@ def test_run_small_experiments(tmp_path):
     assert len(rows) == 3
 
 
+def test_run_headers_of_unhashed_experiments(tmp_path):
+    # the two experiments no golden-bytes test covers: a CSV's header is its
+    # experiment's row keys, in the order the experiment builds them
+    path = write_config(
+        tmp_path,
+        experiments=["kernel_identities", "small_v_fit"],
+        options={"kernel_identities": {"n_systems": 2, "max_side": 4}},
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    headers = {
+        name: (out / f"{name}.csv").read_text().splitlines()[0]
+        for name in ("kernel_identities", "small_v_fit")
+    }
+    assert headers == {
+        "kernel_identities": (
+            "system,size,offdiagonal_rel,spectrum_rel_dev,l_block_dev,hyperbolic,"
+            "orthogonality,symplectic_plus,symplectic_minus,det_O"
+        ),
+        "small_v_fit": "chi,abs_chi,reference_magnitude,magnitude_ratio,quadratic_constant",
+    }
+
+
+def test_run_empty_grid_writes_empty_file(tmp_path):
+    path = write_config(
+        tmp_path, experiments=["gauss_count"], options={"gauss_count": {"k_fermi_sq_grid": []}}
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    entry = json.loads((out / "manifest.json").read_text())["experiments"]["gauss_count"]
+    assert entry["status"] == "ok" and entry["rows"] == 0
+    assert (out / entry["file"]).read_bytes() == b""
+
+
+def test_write_csv_row_missing_a_header_key_raises(tmp_path):
+    with pytest.raises(KeyError, match="b"):
+        experiments._write_csv(tmp_path / "x.csv", [{"a": 1, "b": 2}, {"a": 3}])
+
+
 def test_run_reproducible_csv_bytes(tmp_path):
     outputs = []
     for sub in ("a", "b"):

@@ -1,0 +1,47 @@
+"""Static checks of the package source."""
+
+import ast
+from pathlib import Path
+
+import fermiball
+
+SOURCES = sorted(Path(fermiball.__file__).parent.glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but never reads and does not list in __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "experiments.py", "lattice.py"}
+    found = {
+        path.name: unused
+        for path in SOURCES
+        if (unused := unused_imports(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
+def test_unused_import_check_catches_a_leftover():
+    code = (
+        "from .lattice import EncodedSet, FermiBall\n"
+        "import numpy as np\n"
+        "def f(b: FermiBall):\n"
+        "    return np.zeros(1)\n"
+    )
+    assert unused_imports(ast.parse(code)) == ["EncodedSet (line 1)"]
