@@ -106,7 +106,6 @@ class ModeSystem:
     m_patches: int
     n_particles: int
     plus_modes: tuple[int, ...]
-    minus_modes: tuple[int, ...]
     u_vals: np.ndarray
     n_vals: np.ndarray
     v_vals: np.ndarray
@@ -153,7 +152,6 @@ def _assemble(
     n_particles: int,
     hbar: float,
     plus_modes: Sequence[int],
-    minus_modes: Sequence[int],
     u_side: np.ndarray,
     n_side: np.ndarray,
 ) -> ModeSystem:
@@ -168,7 +166,6 @@ def _assemble(
         m_patches=m_patches,
         n_particles=n_particles,
         plus_modes=tuple(plus_modes),
-        minus_modes=tuple(minus_modes),
         u_vals=u,
         n_vals=n,
         v_vals=v,
@@ -191,19 +188,16 @@ def build_mode_system(
     km = Momentum(int(kv[0]), int(kv[1]), int(kv[2]))
     knorm = math.sqrt(km.norm_sq())
     idx = index_sets(decomp, kv, delta)
-    half = decomp.half
     counts = pair_counts(decomp, kv)
     dots = decomp.k_dots(kv)
-    plus, minus, u_side, n_side = [], [], [], []
+    plus, u_side, n_side = [], [], []
     dropped = []
     for a in idx.plus_side:
-        b = a + half if a < half else a - half
         cnt = int(counts[a])
         if cnt <= 0:
             dropped.append(a)
             continue
         plus.append(a)
-        minus.append(b)
         u_side.append(math.sqrt(abs(float(dots[a])) / knorm))
         n_side.append(math.sqrt(cnt))
     if dropped:
@@ -225,7 +219,6 @@ def build_mode_system(
         decomp.ball.n_particles,
         decomp.ball.hbar,
         plus,
-        minus,
         np.asarray(u_side),
         np.asarray(n_side),
     )
@@ -247,10 +240,7 @@ def sample_mode_system(rng: np.random.Generator, max_side: int = 30) -> ModeSyst
     base = 4.0 * math.pi * kf**2 / m_patches
     n_side = np.sqrt(base * u**2 * rng.uniform(0.6, 1.4, size=side))
     plus = tuple(range(side))
-    minus = tuple(range(side, 2 * side))
-    return _assemble(
-        Momentum(0, 0, 1), vhat_k, m_patches, n_particles, hbar, plus, minus, u, n_side
-    )
+    return _assemble(Momentum(0, 0, 1), vhat_k, m_patches, n_particles, hbar, plus, u, n_side)
 
 
 @dataclass

@@ -247,11 +247,12 @@ def min_patch_separation(decomp) -> float:
     the same pairs), and the first |d|^2 that joins two labels is the answer.
     Both ends of a pair that joins two labels at length D have a tile
     clearance of at most D (`PatchDecomposition.tile_clearance`, taken over
-    every labelled shell point), so at that length only those points are
-    looked up, at p + d for every offset d of that length in one index call.
+    every labelled shell point), so at that length only those points p are
+    tried, at p + d for every offset d of that length: a p + d whose integer
+    norm lies in the shell is labelled by `assign_directions`.
     """
     asg = decomp.shell_assignment()
-    enc = asg.encoder
+    q_lo, q_hi = decomp.shell_bounds()
     src = np.flatnonzero(asg.labels >= 0)
     clearance = decomp.tile_clearance(asg.points[src], asg.labels[src])
     radius = 2.0 * decomp.r_corridor + 4.0
@@ -262,11 +263,13 @@ def min_patch_separation(decomp) -> float:
     for norm in np.unique(norms):
         length = math.sqrt(norm)
         near = src[clearance <= length]
-        shifts = [enc.shift(d) for d in offsets[norms == norm]]
-        queries = enc.codes[near] + np.array(shifts, dtype=np.int64)[:, None]
-        rows = enc.index_codes(queries.ravel()).reshape(queries.shape)
-        lab = np.where(rows >= 0, asg.labels[rows], -1)
-        if ((lab >= 0) & (lab != asg.labels[near])).any():
+        ds = offsets[norms == norm]
+        ends = (asg.points[near] + ds[:, None, :]).reshape(-1, 3)
+        own = np.broadcast_to(asg.labels[near], (len(ds), len(near))).ravel()
+        ends_sq = np.einsum("ij,ij->i", ends, ends)
+        in_shell = (q_lo <= ends_sq) & (ends_sq <= q_hi)
+        lab = decomp.assign_directions(ends[in_shell])
+        if ((lab >= 0) & (lab != own[in_shell])).any():
             return length
     return math.inf
 

@@ -19,7 +19,6 @@ __all__ = [
     "Momentum",
     "FermiBall",
     "InteractionPotential",
-    "EncodedSet",
     "build_fermi_ball",
     "pair_gap_histogram",
     "kinetic_reciprocal_sum",
@@ -34,8 +33,9 @@ EQUATOR_DELTA_MAX = Fraction(77, 624)
 #: ideal Fermi-radius constant: k_F = KAPPA_IDEAL * N^(1/3) as N grows
 KAPPA_IDEAL = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
 
-#: rows encoded, labelled or looked up at once; bounds the transient memory of
-#: `EncodedSet` and of the shell index in `patches` to about 1 MB at any radius
+#: rows labelled at once by `PatchDecomposition.shell_assignment`, and rows a
+#: block of `_blocks` holds (band rows for the Hartree-Fock oracle, lune pairs
+#: for `pair_counts`); bounds their transient memory to about 1 MB at any radius
 _BLOCK_ROWS = 1 << 13
 
 #: columns (x, y) per x-slab of the lattice walk `_slabs`, whose column
@@ -67,56 +67,6 @@ def _as_ivec(p: Sequence[int]) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     return v
-
-
-class EncodedSet:
-    """Sorted-integer encoding of a finite set of lattice points.
-
-    Points are packed into a single int64 per point so that a lookup is one
-    searchsorted, and so that a query for ``p + d`` is a constant shift of the
-    code of ``p``.  The code is monotone in lexicographic order, so for points
-    given in that order the sorted codes are in row order.
-    """
-
-    def __init__(self, points: np.ndarray, half_width: int):
-        self.half = int(half_width)
-        self.stride = 2 * self.half + 1
-        if self.stride**3 > np.iinfo(np.int64).max:
-            raise ValueError(f"half-width {self.half} gives codes beyond int64")
-        points = np.asarray(points).reshape(-1, 3)
-        if len(points) and (points.min() < -self.half or points.max() > self.half):
-            raise ValueError("points exceed encoding half-width")
-        # row blocks, so points of any integer dtype are never copied whole
-        self.codes = np.empty(len(points), dtype=np.int64)
-        for lo in range(0, len(points), _BLOCK_ROWS):
-            self.codes[lo : lo + _BLOCK_ROWS] = self.encode(points[lo : lo + _BLOCK_ROWS])
-        self.codes.sort()
-
-    def encode(self, points: np.ndarray) -> np.ndarray:
-        """One int64 code per row, built in place in the one array returned."""
-        points = np.asarray(points).reshape(-1, 3)
-        h, s = self.half, self.stride
-        codes = points[:, 0].astype(np.int64)
-        codes += h
-        codes *= s
-        codes += points[:, 1]
-        codes += h
-        codes *= s
-        codes += points[:, 2]
-        codes += h
-        return codes
-
-    def shift(self, k: Sequence[int]) -> int:
-        kx, ky, kz = (int(c) for c in k)
-        return (kx * self.stride + ky) * self.stride + kz
-
-    def index_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Position of each code in ``codes`` (the point's row, for points
-        given in lexicographic order), or -1 where the set lacks it."""
-        if not len(self.codes):
-            return np.full(len(codes), -1, dtype=np.int64)
-        idx = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
-        return np.where(self.codes[idx] == codes, idx, -1)
 
 
 class FermiBall:
@@ -271,11 +221,11 @@ def _band(q_lo: int, q_hi: int, dtype=np.int64) -> np.ndarray:
     return out
 
 
-def _band_blocks(q_lo: int, q_hi: int):
-    """_band's rows as int64 blocks of whole columns, in its order: a
-    generator of nonempty blocks of at most _BLOCK_ROWS rows plus one
-    column."""
-    for x, y, starts, lengths in _band_runs(q_lo, q_hi):
+def _blocks(slabs):
+    """The rows of slabs given as _fill takes them, (x, y, starts, lengths),
+    as int64 blocks of whole columns in their order: a generator of nonempty
+    blocks of at most _BLOCK_ROWS rows plus one column."""
+    for x, y, starts, lengths in slabs:
         per_column = lengths.sum(axis=1)
         # the block of each column is that of its first row
         block = (np.cumsum(per_column) - per_column) // _BLOCK_ROWS
@@ -283,6 +233,12 @@ def _band_blocks(q_lo: int, q_hi: int):
         for lo, hi in zip(edges[:-1], edges[1:]):
             if per_column[lo:hi].any():
                 yield _fill(x[lo:hi], y[lo:hi], starts[lo:hi], lengths[lo:hi])
+
+
+def _band_blocks(q_lo: int, q_hi: int):
+    """_band's rows as int64 blocks of whole columns, in its order (see
+    _blocks)."""
+    return _blocks(_band_runs(q_lo, q_hi))
 
 
 def _lune(q: int, k: np.ndarray):

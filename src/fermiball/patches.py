@@ -6,8 +6,9 @@ between neighbouring patches, and the southern hemisphere is the point
 reflection of the north.  Extended patches are the radial thickening of the
 angular patches intersected with the lattice.
 
-A decomposition owns the `FermiBall` it was built from, counts pairs against
-that ball only, and labels its shell once, on first use.
+A decomposition owns the `FermiBall` it was built from and counts pairs
+against that ball only, from the pairs themselves.  It labels its shell once,
+on first use, for the patch audit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import _BLOCK_ROWS, EncodedSet, FermiBall, Momentum, _as_ivec, _as_momentum, _band
+from .lattice import (
+    _BLOCK_ROWS,
+    FermiBall,
+    Momentum,
+    _as_ivec,
+    _as_momentum,
+    _band,
+    _blocks,
+    _lune,
+)
 
 __all__ = [
     "PatchSpec",
@@ -82,15 +92,11 @@ class ModeIndexSet:
 class ShellAssignment:
     """Lattice points of the radial shell labelled by patch index (-1: corridor).
 
-    ``points`` are in lexicographic order, so ``encoder.codes`` is ascending
-    in row order and ``encoder.index_codes`` returns shell rows. Points and
-    labels are int32 and ``inside`` is bool: 25 B a point with its code.
+    Points and labels are int32: 16 B a point.
     """
 
     points: np.ndarray
     labels: np.ndarray
-    inside: np.ndarray
-    encoder: EncodedSet
 
 
 class PatchDecomposition:
@@ -127,6 +133,7 @@ class PatchDecomposition:
         self._collar_count = np.diff(np.r_[first, len(collar_lo)])
         self._phi_lo = np.array([s.phi_lo for s in north])
         self._phi_hi = np.array([s.phi_hi for s in north])
+        self._theta_top = max(north[0].theta_hi, self._collar_hi.max(initial=0.0))
 
     @property
     def half(self) -> int:
@@ -184,17 +191,21 @@ class PatchDecomposition:
         bounds of several patches (an ulp-wide float seam) takes the highest
         northern spec index, and its southern image on a tie.
         """
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        r = np.linalg.norm(pts, axis=1)
-        labels = np.full(len(pts), -1, dtype=np.int64)
-        ok = r > 0
-        if not ok.any():
-            return labels
-        theta, phi = _angles(pts[ok, 0], pts[ok, 1], pts[ok, 2], r[ok])
+        x, y, z = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
+        # summed in np.linalg.norm's order, (x^2 + y^2) + z^2, so r has its bits
+        r = np.sqrt(x * x + y * y + z * z)
+        origin = r == 0
+        # the origin has no direction: a unit norm keeps its angles finite,
+        # and its label is set to -1 at the end
+        theta, phi = _angles(x, y, z, np.where(origin, 1.0, r))
         north = self._north_index(theta, phi)
-        # southern points map through the antipode: -omega(t, p) = omega(pi-t, p+pi)
-        south = self._north_index(math.pi - theta, np.mod(phi + math.pi, TWO_PI))
-        labels[ok] = np.where((south >= 0) & (south >= north), south + self.half, north)
+        # southern points map through the antipode: -omega(t, p) = omega(pi-t,
+        # p+pi), which only a pi - theta below the highest theta_hi can hit
+        south = np.full(len(r), -1, dtype=np.int64)
+        near = np.flatnonzero(math.pi - theta < self._theta_top)
+        south[near] = self._north_index(math.pi - theta[near], np.mod(phi[near] + math.pi, TWO_PI))
+        labels = np.where((south >= 0) & (south >= north), south + self.half, north)
+        labels[origin] = -1
         return labels
 
     def tile_clearance(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -269,28 +280,26 @@ class PatchDecomposition:
         mu -= 1e-9
         return mu
 
-    def shell_assignment(self) -> ShellAssignment:
-        """Label every lattice point of the radial shell; built on the first call."""
-        if self._assignment is not None:
-            return self._assignment
+    def shell_bounds(self) -> tuple[int, int]:
+        """(q_lo, q_hi): the radial shell is the lattice points p with
+        q_lo <= |p|^2 <= q_hi, that is k_F - w <= |p| <= k_F + w for the shell
+        half-width w, the origin left out."""
         kf, w = self.ball.k_fermi, self.shell_halfwidth
-        r_out = kf + w
         r_in = max(kf - w, 0.0)
-        rmax = int(math.floor(r_out))
-        # |p|_inf <= rmax and M patches fit int32, so the index keeps 25 B a point
-        points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out), np.int32)
-        # shell points have |p|_inf <= rmax, so p -/+ k stays inside the code
-        # cube for every |k|_inf <= 2 rmax, the most two shell points differ
-        # by; building the encoder over the shell checks that half-width once
-        encoder = EncodedSet(points, 3 * rmax)
-        labels = np.empty(len(points), dtype=np.int32)
-        inside = np.empty(len(points), dtype=bool)
-        # row blocks bound the float temporaries of labelling to one block's
-        for lo in range(0, len(points), _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            labels[block] = self.assign_directions(points[block])
-            inside[block] = self.ball.contains_points(points[block])
-        self._assignment = ShellAssignment(points, labels, inside, encoder)
+        r_out = kf + w
+        return max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out)
+
+    def shell_assignment(self) -> ShellAssignment:
+        """Label every lattice point of the radial shell; built on the first
+        call, for the patch audit (pair counts walk the pairs instead)."""
+        if self._assignment is None:
+            points = _band(*self.shell_bounds(), np.int32)
+            labels = np.empty(len(points), dtype=np.int32)
+            # row blocks bound the float temporaries of labelling to one block's
+            for lo in range(0, len(points), _BLOCK_ROWS):
+                block = slice(lo, lo + _BLOCK_ROWS)
+                labels[block] = self.assign_directions(points[block])
+            self._assignment = ShellAssignment(points, labels)
         return self._assignment
 
     def __repr__(self) -> str:
@@ -419,26 +428,32 @@ def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
 
     A particle p outside the ball in patch alpha pairs with the hole p - k
     (k . omega_alpha > 0) or p + k (k . omega_alpha < 0) when that hole lies
-    inside ``decomp.ball`` and in the same patch; patches orthogonal to k count 0.
+    inside ``decomp.ball`` and in the same patch; both lie in the radial
+    shell, and patches orthogonal to k count 0.  For each sign s the pairs
+    (p, p - s k) are the lune |p|^2 > k_F^2 >= |p - s k|^2, walked one
+    x-slab at a time and filled a block of rows at a time, so only one
+    block's pairs live at once.
     """
     kv = _as_ivec(k)
     if not kv.any():
         raise ValueError("k = 0 admits no particle-hole pairs")
-    asg = decomp.shell_assignment()
-    enc = asg.encoder
-    if 3 * int(np.abs(kv).max()) > 2 * enc.half:
-        # two shell points differ by at most 2 rmax = 2 half / 3 per coordinate
-        return np.zeros(decomp.m_patches, dtype=np.int64)
-    sign = np.sign(decomp.k_dots(kv)).astype(np.int64)
-    shift = enc.shift(kv)
+    q_lo, q_hi = decomp.shell_bounds()
+    sign = np.sign(decomp.k_dots(kv))
     counts = np.zeros(decomp.m_patches, dtype=np.int64)
-    # the shell's row blocks, so the lookup's temporaries stay one block's
-    for lo in range(0, len(asg.labels), _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        labels = asg.labels[block]
-        part = np.flatnonzero((labels >= 0) & ~asg.inside[block])
-        lab = labels[part]
-        rows = enc.index_codes(enc.codes[block][part] - sign[lab] * shift)
-        hit = (rows >= 0) & asg.inside[rows] & (asg.labels[rows] == lab)
-        counts += np.bincount(lab[hit], minlength=decomp.m_patches)
+    for s in (1, -1):
+        sk = s * kv
+        for part in _blocks(_lune(decomp.ball.norm_sq_max, sk)):
+            lab = decomp.assign_directions(part)
+            hole = part - sk
+            # both ends in the shell: the particle already lies above
+            # k_F^2 >= q_lo and the hole below q_hi
+            pair = np.flatnonzero(
+                (lab >= 0)
+                & (sign[lab] == s)
+                & (np.einsum("ij,ij->i", part, part) <= q_hi)
+                & (np.einsum("ij,ij->i", hole, hole) >= q_lo)
+            )
+            lab = lab[pair]
+            lab = lab[decomp.assign_directions(hole[pair]) == lab]
+            counts += np.bincount(lab, minlength=decomp.m_patches)
     return counts

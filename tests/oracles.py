@@ -235,6 +235,13 @@ def pair_count(
     return int(pair_counts(decomp, kv)[alpha])
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per row of an integer array, equal exactly when the
+    rows are equal, so `np.isin` on them is exact row membership."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def one_shot_shell_assignment(decomp: PatchDecomposition) -> ShellAssignment:
     """The decomposition's shell labelled in one pass over every row, with no
     row blocks: the reference for the block-wise `shell_assignment`."""
@@ -242,24 +249,21 @@ def one_shot_shell_assignment(decomp: PatchDecomposition) -> ShellAssignment:
     r_out = kf + w
     r_in = max(kf - w, 0.0)
     points = _band(max(1, math.ceil(r_in * r_in)), math.floor(r_out * r_out))
-    labels = decomp.assign_directions(points)
-    inside = decomp.ball.contains_points(points)
-    enc = lattice.EncodedSet(points, 3 * int(math.floor(r_out)))
-    return ShellAssignment(points, labels, inside, enc)
+    return ShellAssignment(points, decomp.assign_directions(points))
 
 
 def one_shot_pair_counts(decomp: PatchDecomposition, asg: ShellAssignment, k) -> np.ndarray:
-    """`pair_counts` with one code lookup over every particle row of `asg`
-    at once: the reference for the block-wise count."""
+    """`pair_counts` from the labelled shell `asg`: every particle row (outside
+    the ball) shifted by -/+ k and matched, with its label, against the
+    labelled hole rows (inside) in one `np.isin`."""
     kv = _as_ivec(k)
-    enc = asg.encoder
-    if 3 * int(np.abs(kv).max()) > 2 * enc.half:
-        return np.zeros(decomp.m_patches, dtype=np.int64)
+    points, labels = asg.points.astype(np.int64), asg.labels.astype(np.int64)
+    inside = decomp.ball.contains_points(points)
     sign = np.sign(decomp.k_dots(kv)).astype(np.int64)
-    part = np.flatnonzero((asg.labels >= 0) & ~asg.inside)
-    lab = asg.labels[part]
-    rows = enc.index_codes(enc.codes[part] - sign[lab] * enc.shift(kv))
-    hit = (rows >= 0) & asg.inside[rows] & (asg.labels[rows] == lab)
+    part = np.flatnonzero((labels >= 0) & ~inside)
+    lab = labels[part]
+    holes = np.column_stack([points[part] - sign[lab][:, None] * kv, lab])
+    hit = np.isin(row_keys(holes), row_keys(np.column_stack([points, labels])[inside]))
     return np.bincount(lab[hit], minlength=decomp.m_patches)
 
 
@@ -297,20 +301,25 @@ def decomposition_to_json(decomp: PatchDecomposition) -> str:
 
 
 def scan_min_patch_separation(decomp: PatchDecomposition) -> float:
-    """Full offset scan: every labelled shell point looked up at p + d for
-    each half-space offset d by rising |d|^2, up to 2 r_v + 4 (inf beyond)."""
+    """Full offset scan: every labelled shell point p tried at p + d for each
+    half-space offset d by rising |d|^2, up to 2 r_v + 4 (inf beyond).
+
+    The label of p + d is read from a cube of the shell's labels (-1 off the
+    labelled shell) indexed by the coordinates themselves.
+    """
     asg = decomp.shell_assignment()
-    enc = asg.encoder
-    src = np.flatnonzero(asg.labels >= 0)
-    codes, src_labels = enc.codes[src], asg.labels[src]
+    sel = asg.labels >= 0
+    points, labels = asg.points[sel].astype(np.int64), asg.labels[sel]
     radius = 2.0 * decomp.r_corridor + 4.0
     offsets = _band(1, math.floor(radius * radius))
     offsets = offsets[len(offsets) // 2 :]
     norms = (offsets * offsets).sum(axis=1)
+    pad = int(np.abs(points).max(initial=0)) + math.ceil(radius)
+    cube = np.full((2 * pad + 1,) * 3, -1, dtype=np.int32)
+    cube[tuple((points + pad).T)] = labels
     for i in np.argsort(norms):
-        rows = enc.index_codes(codes + enc.shift(offsets[i]))
-        lab = np.where(rows >= 0, asg.labels[rows], -1)
-        if ((lab >= 0) & (lab != src_labels)).any():
+        other = cube[tuple((points + offsets[i] + pad).T)]
+        if ((other >= 0) & (other != labels)).any():
             return math.sqrt(norms[i])
     return math.inf
 

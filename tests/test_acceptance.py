@@ -101,7 +101,7 @@ def test_criterion_3_dual_path_kernel(mode_suite):
     from fermiball.lattice import Momentum
 
     ms1 = _assemble(
-        Momentum(0, 0, 1), 0.35, 20, 10**6, 1e-2, (0,), (10,),
+        Momentum(0, 0, 1), 0.35, 20, 10**6, 1e-2, (0,),
         np.array([0.77]), np.array([31.0]),
     )
     sol1 = diagonalize(ms1)

@@ -30,7 +30,6 @@ def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):
         n_particles=n_particles,
         hbar=hbar,
         plus_modes=(0,),
-        minus_modes=(12,),
         u_side=np.array([u]),
         n_side=np.array([math.sqrt(n_pairs)]),
     )

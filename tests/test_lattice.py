@@ -22,7 +22,6 @@ from fermiball import (
 )
 import fermiball.lattice as lattice_mod
 from fermiball.lattice import (
-    EncodedSet,
     _band,
     _band_blocks,
     _ball_count,
@@ -235,16 +234,9 @@ def test_band_blocks_cover_the_band_in_order(monkeypatch, block_rows):
 
 
 def test_overflowing_widths_are_named_errors():
-    # both checks run before anything is allocated
+    # the check runs before anything is allocated
     with pytest.raises(ValueError, match="do not fit int32"):
         _band(0, 2**62, np.int32)
-    none = np.zeros((0, 3), dtype=np.int64)
-    # (2 h + 1)^3 fits int64 up to h = 2^20 - 1
-    assert len(EncodedSet(none, 2**20 - 1).codes) == 0
-    with pytest.raises(ValueError, match="beyond int64"):
-        EncodedSet(none, 2**20)
-    with pytest.raises(ValueError, match="beyond int64"):
-        EncodedSet(none, 10**12)
 
 
 def test_walk_refuses_empty_and_out_of_range_bands_at_once():

@@ -12,6 +12,7 @@ from fermiball import (
     build_fermi_ball,
     build_patches,
     index_sets,
+    rpa_energy_trace,
 )
 from fermiball.experiments import min_patch_separation
 from fermiball.lattice import _band
@@ -22,6 +23,7 @@ from oracles import (
     one_shot_shell_assignment,
     pair_count,
     patch_of,
+    row_keys,
     scan_min_patch_separation,
 )
 
@@ -38,8 +40,8 @@ def brute_pair_count(decomp, ball, k, alpha):
     dot = float(decomp.omegas[alpha] @ kv)
     sign = 1 if dot > 0 else -1
     count = 0
-    for p, lab, inside in zip(asg.points.tolist(), asg.labels.tolist(), asg.inside.tolist()):
-        if lab != alpha or inside:
+    for p, lab in zip(asg.points.tolist(), asg.labels.tolist()):
+        if lab != alpha or ball.contains(p):
             continue
         h = tuple(np.asarray(p) - sign * kv)
         if not ball.contains(h):
@@ -87,20 +89,19 @@ def loop_labels(decomp, points):
 
 
 def loop_pair_counts(decomp, asg, ks):
-    """Reference per-patch route: each patch's particle codes (outside the
-    ball) shifted by -/+ k and matched against its own hole codes (inside)."""
-    enc = asg.encoder
-    codes = enc.encode(asg.points)
+    """Reference per-patch route: each patch's particle rows (outside the
+    ball) shifted by -/+ k and matched against its own hole rows (inside)."""
+    points = asg.points.astype(np.int64)
+    inside = decomp.ball.contains_points(points)
     counts = np.zeros((len(ks), decomp.m_patches), dtype=np.int64)
     for a in range(decomp.m_patches):
         sel = asg.labels == a
-        part, hole = codes[sel & ~asg.inside], codes[sel & asg.inside]
+        part, hole = points[sel & ~inside], row_keys(points[sel & inside])
         for i, k in enumerate(ks):
             kv = np.asarray(k, dtype=np.int64)
             dot = float(decomp.omegas[a] @ kv)
             if dot != 0.0:
-                shift = enc.shift(kv if dot > 0 else -kv)
-                counts[i, a] = np.isin(part - shift, hole).sum()
+                counts[i, a] = np.isin(row_keys(part - (kv if dot > 0 else -kv)), hole).sum()
     return counts
 
 
@@ -216,11 +217,6 @@ def test_one_pass_assignment_matches_patch_loop(ball_name, request):
             built += 1
             asg = decomp.shell_assignment()
             assert np.array_equal(asg.labels, loop_labels(decomp, asg.points))
-            # the shell is lexicographic, so its codes ascend in row order and
-            # a lookup in the encoder returns shell rows
-            codes = asg.encoder.encode(asg.points)
-            assert np.all(np.diff(codes) > 0)
-            assert np.array_equal(asg.encoder.codes, codes)
             ks = [(0, 0, 1), (1, -2, 3)]
             want = loop_pair_counts(decomp, asg, ks)
             for k, row in zip(ks, want):
@@ -446,47 +442,49 @@ def test_block_labelling_and_counts_match_one_shot(ball_6400, m):
     assert len(asg.points) > 4 * _BLOCK_ROWS and len(asg.points) % _BLOCK_ROWS
     assert np.array_equal(asg.points, ref.points)
     assert np.array_equal(asg.labels, ref.labels)
-    assert np.array_equal(asg.inside, ref.inside)
-    # codes encoded in place equal the one-expression encoding, sorted
-    h, s = asg.encoder.half, asg.encoder.stride
-    x, y, z = ref.points.T
-    assert np.array_equal(asg.encoder.codes, np.sort(((x + h) * s + (y + h)) * s + (z + h)))
     for k in ((0, 0, 1), (1, -1, 2), (5, 1, -2)):
         got = pair_counts(decomp, k)
         assert np.array_equal(got, one_shot_pair_counts(decomp, ref, k)), k
         assert got.sum() > 0
 
 
-def shell_index_transient(decomp) -> tuple[int, int]:
-    """Traced peak of labelling the shell and counting one k's pairs, less
-    the arrays the index keeps; and the number of shell points."""
+def test_shell_labelling_is_kept_arrays_plus_bounded_transient(ball_6400):
+    # the int32 band is built slab by slab and labelled block by block, so
+    # the transient is at most 2 MB (4.3 MB with an int64 band, 17 MB one-shot)
+    decomp = build_patches(30, ball_6400, 0.0)
     tracemalloc.start()
     try:
         asg = decomp.shell_assignment()
-        pair_counts(decomp, (1, -1, 2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = asg.points.nbytes + asg.labels.nbytes + asg.inside.nbytes + asg.encoder.codes.nbytes
-    # with int32 points and labels the index keeps 25 B a point
-    assert kept <= 25 * len(asg.points), kept / len(asg.points)
-    return peak - kept, len(asg.points)
+    # int32 points and labels: 16 B a point
+    kept = asg.points.nbytes + asg.labels.nbytes
+    assert kept <= 16 * len(asg.points), kept / len(asg.points)
+    assert peak - kept <= 2e6, peak - kept
 
 
-def test_shell_index_memory_is_kept_arrays_plus_bounded_transient(ball_6400):
-    # the int32 band is built slab by slab and encoded block by block, so the
-    # transient is at most 2 MB (4.3 MB with an int64 band, 17 MB one-shot)
-    transient, _ = shell_index_transient(build_patches(30, ball_6400, 0.0))
-    assert transient <= 2e6, transient
-
-
-def test_shell_index_transient_does_not_grow_with_n():
-    # N = 1.4e8: sixteen times the shell of 6400.5 under the same 2 MB
-    # bound (the int64 band left 49.9 MB here)
+def test_pair_counts_memory_does_not_grow_with_the_shell():
+    # N = 1.4e8, a shell of 2.57M points: the lune is filled one block of
+    # rows at a time and no shell is labelled (a kept 25 B-a-point index
+    # traced 65 MB here)
     ball = build_fermi_ball(k_fermi_sq=Fraction("102400.5"))
-    transient, n_points = shell_index_transient(build_patches(30, ball, 0.0))
-    assert n_points > 2.5e6
-    assert transient <= 2e6, transient
+    decomp = build_patches(30, ball, 0.0)
+    tracemalloc.start()
+    try:
+        counts = pair_counts(decomp, (1, -1, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() > 0
+    assert decomp._assignment is None
+    assert peak <= 10e6, peak
+
+
+def test_trace_route_builds_no_shell(ball_6400, unit_potential):
+    decomp = build_patches(30, ball_6400, 0.0)
+    rpa_energy_trace(decomp, unit_potential, 0.16)
+    assert decomp._assignment is None
 
 
 def test_pair_count_reflection(ball_400, decomp_400):
@@ -525,10 +523,10 @@ def test_pair_count_large_k_matches_brute_force(ball_400, decomp_400):
             nonzero += got > 0
     assert nonzero > 0
     # two shell points never differ by more than 2 floor(k_F + w) per coordinate;
-    # a z-shift by the code stride would alias p - k onto the column (x, y - 1)
+    # a z-shift by 6 floor(k_F + w) + 1 is the stride of a code packing the
+    # shell's coordinates, which would alias p - k onto the column (x, y - 1)
     rmax = math.floor(decomp_400.ball.k_fermi + decomp_400.shell_halfwidth)
-    stride = decomp_400.shell_assignment().encoder.stride
-    for k in ((2 * rmax, 0, 1), (2 * rmax + 1, 0, 1), (0, 0, stride)):
+    for k in ((2 * rmax, 0, 1), (2 * rmax + 1, 0, 1), (0, 0, 6 * rmax + 1)):
         assert pair_count(decomp_400, k, 0) == 0
 
 

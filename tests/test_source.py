@@ -27,6 +27,24 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unbound_exports(tree: ast.Module) -> list[str]:
+    """Names in a module's __all__ that its top level never binds by a def,
+    a class, an assignment or an import."""
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
 def test_no_unused_imports():
     assert {p.name for p in SOURCES} >= {"__init__.py", "experiments.py", "lattice.py"}
     found = {
@@ -45,3 +63,26 @@ def test_unused_import_check_catches_a_leftover():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(ast.parse(code)) == ["EncodedSet (line 1)"]
+
+
+def test_every_export_is_bound():
+    found = {
+        path.name: unbound
+        for path in SOURCES
+        if (unbound := unbound_exports(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
+def test_unbound_export_check_catches_a_leftover():
+    code = (
+        "from .lattice import FermiBall\n"
+        "import numpy as np\n"
+        "__all__ = ['EncodedSet', 'FermiBall', 'np', 'TWO_PI', 'Spec', 'pair_counts']\n"
+        "TWO_PI: float = 6.28\n"
+        "class Spec:\n"
+        "    EncodedSet = None\n"
+        "def pair_counts():\n"
+        "    EncodedSet = 1\n"
+    )
+    assert unbound_exports(ast.parse(code)) == ["EncodedSet"]
