@@ -10,7 +10,10 @@ matrix functions go through one dense symmetric eigendecomposition; positive
 definiteness is a checked precondition, never silently clamped.  The energy
 path solves no matrix: `rpa.ground_state_shift` reads the shift from u, v
 and g by quadrature.  `diagonalize` serves the kernel experiments, and the
-tests use it as the dense reference of that shift.
+tests use it as the dense reference of that shift.  Its arithmetic, and that
+of `check_L_blocks`, takes (..., n, n) arrays, so `kernel_identities` solves
+its random systems in stacks of equal size with the bits of one-by-one
+solves.
 """
 
 from __future__ import annotations
@@ -52,15 +55,21 @@ class EmptyModeSystemError(ValueError):
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _require_pd(w: np.ndarray, name: str) -> None:
-    """Raise unless the ascending eigenvalues w are all clearly positive."""
-    tol = 1e-12 * max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] <= tol:
+    """Raise unless the ascending eigenvalues w (..., n) of each matrix are
+    all clearly positive; the error names the first failing matrix of a
+    stack by its flat index."""
+    tol = 1e-12 * np.maximum(np.maximum(abs(w[..., 0]), abs(w[..., -1])), 1e-300)
+    bad = np.flatnonzero(w[..., 0] <= tol)
+    if bad.size:
+        i = int(bad[0])
+        where = f" (matrix {i} of the stack)" if w.ndim > 1 else ""
+        smallest = w.reshape(-1, w.shape[-1])[i, 0]
         raise DiagonalizationError(
-            f"{name} is not positive definite: smallest eigenvalue {w[0]:.3e}"
+            f"{name} is not positive definite{where}: smallest eigenvalue {smallest:.3e}"
         )
 
 
@@ -72,7 +81,7 @@ def _eigh_pd(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply(w: np.ndarray, q: np.ndarray, fn) -> np.ndarray:
-    return _sym(q @ (fn(w)[:, None] * q.T))
+    return _sym(q @ (fn(w)[..., :, None] * q.swapaxes(-1, -2)))
 
 
 def sym_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -88,6 +97,51 @@ def sym_inv_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 def sym_log(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     w, q = _eigh_pd(a, name)
     return _apply(w, q, np.log)
+
+
+def _per_matrix(fn, *mats: np.ndarray):
+    """fn of each matrix of equally stacked (..., n, n) arrays: a float for
+    2-D input, else an array over the leading axes. Each call sees one
+    contiguous 2-D matrix, so a stack's values have the bits of 2-D calls."""
+    lead = mats[0].shape[:-2]
+    flat = [m.reshape(-1, *m.shape[-2:]) for m in mats]
+    vals = [float(fn(*each)) for each in zip(*flat)]
+    return vals[0] if not lead else np.array(vals).reshape(lead)
+
+
+def _diag(x: np.ndarray) -> np.ndarray:
+    """Diagonal matrices (..., n, n) of the vectors x (..., n)."""
+    n = x.shape[-1]
+    out = np.zeros(x.shape + (n,))
+    out[..., np.arange(n), np.arange(n)] = x
+    return out
+
+
+def _same_side(v_side: np.ndarray, g) -> np.ndarray:
+    """The rank-one same-side blocks b = g v v^T of vectors v (..., I) and
+    couplings g (...)."""
+    return np.asarray(g)[..., None, None] * (v_side[..., :, None] * v_side[..., None, :])
+
+
+def _two_sided(b: np.ndarray, cross: bool) -> np.ndarray:
+    """b on both diagonal blocks of a 2I x 2I matrix (W), or on both
+    off-diagonal blocks (W~) when cross is set."""
+    side = b.shape[-1]
+    out = np.zeros(b.shape[:-2] + (2 * side, 2 * side))
+    if cross:
+        out[..., :side, side:] = b
+        out[..., side:, :side] = b
+    else:
+        out[..., :side, :side] = b
+        out[..., side:, side:] = b
+    return out
+
+
+def _mode_matrices(u: np.ndarray, v: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D, W and W~ of reflection-paired mode data u, v (..., 2I) and
+    couplings g (...), as ModeSystem builds them."""
+    b = _same_side(v[..., : v.shape[-1] // 2], g)
+    return _diag(u * u), _two_sided(b, cross=False), _two_sided(b, cross=True)
 
 
 @dataclass
@@ -121,28 +175,19 @@ class ModeSystem:
 
     def _same_side(self) -> np.ndarray:
         """The rank-one same-side block b = g v v^T."""
-        v = self.v_vals[: self.side]
-        return self.g * np.outer(v, v)
+        return _same_side(self.v_vals[: self.side], self.g)
 
     @cached_property
     def D(self) -> np.ndarray:
-        return np.diag(self.u_vals * self.u_vals)
+        return _diag(self.u_vals * self.u_vals)
 
     @cached_property
     def W(self) -> np.ndarray:
-        side, b = self.side, self._same_side()
-        W = np.zeros((2 * side, 2 * side))
-        W[:side, :side] = b
-        W[side:, side:] = b
-        return W
+        return _two_sided(self._same_side(), cross=False)
 
     @cached_property
     def W_tilde(self) -> np.ndarray:
-        side, b = self.side, self._same_side()
-        Wt = np.zeros((2 * side, 2 * side))
-        Wt[:side, side:] = b
-        Wt[side:, :side] = b
-        return Wt
+        return _two_sided(self._same_side(), cross=True)
 
 
 def _assemble(
@@ -245,7 +290,12 @@ def sample_mode_system(rng: np.random.Generator, max_side: int = 30) -> ModeSyst
 
 @dataclass
 class BogoliubovSolution:
-    """Diagonalization output for one mode system, with residual diagnostics."""
+    """Diagonalization output, with residual diagnostics.
+
+    For one mode system the matrices are 2-D and `trace_correction` and the
+    residuals are floats; for a stack of equal-size systems (see `_solve`)
+    every matrix is stacked and every scalar is an array over the stack.
+    """
 
     E: np.ndarray
     S1: np.ndarray
@@ -255,69 +305,64 @@ class BogoliubovSolution:
     coshK: np.ndarray
     sinhK: np.ndarray
     frakK: np.ndarray
-    trace_correction: float
-    residuals: dict[str, float] = field(default_factory=dict)
+    trace_correction: float | np.ndarray
+    residuals: dict[str, float | np.ndarray] = field(default_factory=dict)
 
 
-def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
-    """Solve the quadratic mode problem for one momentum.
-
-    E = [(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2]^1/2, S1 = (D+W-W~)^1/2 E^-1/2,
-    S2 = (S1^T)^-1, polar part O of S1^T, K = log|S1^T|, and the transformed
-    matrix frakK, which is orthogonally equivalent to E.
+def _solve(D: np.ndarray, W: np.ndarray, Wt: np.ndarray) -> BogoliubovSolution:
+    """`diagonalize` on D, W and W~ given as (..., n, n) arrays: one system's
+    2-D matrices, or a stack of equal-size systems solved by stacked LAPACK
+    and matmul calls. Stacked calls give each matrix the bits of its 2-D
+    call, and the residual norms and det O are taken one matrix at a time,
+    so a stack solves to the same bits as its systems one by one.
     """
-    D, W, Wt = ms.D, ms.W, ms.W_tilde
+    norm = np.linalg.norm
+
+    def rel(x, y):
+        return norm(x) / norm(y)
+
     a_minus = _sym(D + W - Wt)
     a_plus = _sym(D + W + Wt)
     w_m, q_m = _eigh_pd(a_minus, "D + W - W~")
     _require_pd(np.linalg.eigvalsh(a_plus), "D + W + W~")
     rm = _apply(w_m, q_m, np.sqrt)
     rm_inv = _apply(w_m, q_m, lambda x: 1.0 / np.sqrt(x))
+    del w_m, q_m
     e_sq = _sym(rm @ a_plus @ rm)
     w_e2, q_e2 = _eigh_pd(e_sq, "(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2")
+    del e_sq
     E = _apply(w_e2, q_e2, np.sqrt)
-    e_inv_half = _apply(w_e2, q_e2, lambda x: x**-0.25)
-    e_half = _apply(w_e2, q_e2, lambda x: x**0.25)
-    S1 = rm @ e_inv_half
-    S2 = rm_inv @ e_half  # equals (S1^T)^-1
-    ss = _sym(S1 @ S1.T)
-    w_s, q_s = _eigh_pd(ss, "S1 S1^T")
+    S1 = rm @ _apply(w_e2, q_e2, lambda x: x**-0.25)
+    S2 = rm_inv @ _apply(w_e2, q_e2, lambda x: x**0.25)  # equals (S1^T)^-1
+    del rm, rm_inv, w_e2, q_e2
+    # each residual is taken as soon as its inputs exist, and they are freed
+    symplectic_plus = _per_matrix(rel, S1.swapaxes(-1, -2) @ a_plus @ S1 - E, E)
+    symplectic_minus = _per_matrix(rel, S2.swapaxes(-1, -2) @ a_minus @ S2 - E, E)
+    del a_plus, a_minus
+    w_s, q_s = _eigh_pd(_sym(S1 @ S1.swapaxes(-1, -2)), "S1 S1^T")
     K = _apply(w_s, q_s, lambda x: 0.5 * np.log(x))
-    O = S1.T @ _apply(w_s, q_s, lambda x: 1.0 / np.sqrt(x))
+    O = S1.swapaxes(-1, -2) @ _apply(w_s, q_s, lambda x: 1.0 / np.sqrt(x))
+    del w_s, q_s
     coshK = _sym(0.5 * (S1 + S2) @ O)
     sinhK = _sym(0.5 * (S1 - S2) @ O)
     dw = _sym(D + W)
-    frakK = _sym(
-        coshK @ dw @ coshK
-        + sinhK @ dw @ sinhK
-        + coshK @ Wt @ sinhK
-        + sinhK @ Wt @ coshK
-    )
-    trace_correction = 0.5 * float(np.trace(E - D - W))
-
-    off = (
-        coshK @ dw @ sinhK
-        + sinhK @ dw @ coshK
-        + coshK @ Wt @ coshK
-        + sinhK @ Wt @ sinhK
-    )
-    ident = np.eye(ms.size)
-    norm_dw = np.linalg.norm(dw)
+    # a @ b @ c groups as (a @ b) @ c, so each product is taken once
+    cd, sd = coshK @ dw, sinhK @ dw
+    cw, sw = coshK @ Wt, sinhK @ Wt
+    frakK = _sym(cd @ coshK + sd @ sinhK + cw @ sinhK + sw @ coshK)
+    offdiagonal_rel = _per_matrix(rel, cd @ sinhK + sd @ coshK + cw @ coshK + sw @ sinhK, dw)
+    del cd, sd, cw, sw, dw
+    ident = np.eye(D.shape[-1])
     residuals = {
-        "offdiagonal_rel": float(np.linalg.norm(off) / norm_dw),
-        "symplectic_plus": float(
-            np.linalg.norm(S1.T @ a_plus @ S1 - E) / np.linalg.norm(E)
-        ),
-        "symplectic_minus": float(
-            np.linalg.norm(S2.T @ a_minus @ S2 - E) / np.linalg.norm(E)
-        ),
-        "hyperbolic": float(np.linalg.norm(coshK @ coshK - sinhK @ sinhK - ident)),
-        "orthogonality": float(np.linalg.norm(O.T @ O - ident)),
-        "kernel_asymmetry": float(np.linalg.norm(K - K.T)),
-        "frak_vs_E_max": float(np.abs(frakK - _sym(O.T @ E @ O)).max()),
-        "det_O": float(np.linalg.det(O)),
-        "min_eig_E": float(np.sqrt(w_e2[0])),
+        "offdiagonal_rel": offdiagonal_rel,
+        "symplectic_plus": symplectic_plus,
+        "symplectic_minus": symplectic_minus,
+        "hyperbolic": _per_matrix(norm, coshK @ coshK - sinhK @ sinhK - ident),
+        "orthogonality": _per_matrix(norm, O.swapaxes(-1, -2) @ O - ident),
+        "kernel_asymmetry": _per_matrix(norm, K - K.swapaxes(-1, -2)),
+        "det_O": _per_matrix(np.linalg.det, O),
     }
+    trace_correction = 0.5 * _per_matrix(np.trace, E - D - W)
     return BogoliubovSolution(
         E=E,
         S1=S1,
@@ -330,6 +375,16 @@ def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
         trace_correction=trace_correction,
         residuals=residuals,
     )
+
+
+def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
+    """Solve the quadratic mode problem for one momentum.
+
+    E = [(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2]^1/2, S1 = (D+W-W~)^1/2 E^-1/2,
+    S2 = (S1^T)^-1, polar part O of S1^T, K = log|S1^T|, and the transformed
+    matrix frakK, which is orthogonally equivalent to E.
+    """
+    return _solve(ms.D, ms.W, ms.W_tilde)
 
 
 def _scaled_bound(mat: np.ndarray, ms: ModeSystem) -> np.ndarray:
@@ -361,6 +416,30 @@ def check_sinh_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
     return float(_scaled_bound(sol.sinhK, ms).max())
 
 
+def _l_block_dev(d_diag: np.ndarray, b: np.ndarray, K: np.ndarray):
+    """`check_L_blocks` on same-side data given as arrays: the diagonal of d
+    (..., I), the blocks b (..., I, I) and the kernels K (..., 2I, 2I); a
+    float for one system, an array over a stack."""
+    side = d_diag.shape[-1]
+    d = _diag(d_diag)
+    d2b = _sym(d + 2.0 * b)
+    d_h = sym_sqrt(d, "d")
+    d2b_h = sym_sqrt(d2b, "d + 2b")
+    m1 = sym_inv_sqrt(_sym(d_h @ d2b @ d_h), "d^1/2 (d+2b) d^1/2")
+    m2 = sym_inv_sqrt(_sym(d2b_h @ d @ d2b_h), "(d+2b)^1/2 d (d+2b)^1/2")
+    ident = np.eye(side)
+    L1 = _sym(d_h @ m1 @ d_h) - ident
+    L2 = _sym(d2b_h @ m2 @ d2b_h) - ident
+    del d, d2b, d_h, d2b_h, m1, m2
+    u_rot = np.block([[ident, ident], [ident, -ident]]) / math.sqrt(2.0)
+    blocks = np.zeros(K.shape)
+    blocks[..., :side, :side] = sym_log(ident + L1, "I + L1")
+    blocks[..., side:, side:] = sym_log(ident + L2, "I + L2")
+    k_rebuilt = 0.5 * u_rot.T @ blocks @ u_rot
+    dev = np.abs(k_rebuilt - K).max(axis=(-2, -1))
+    return float(dev) if dev.ndim == 0 else dev
+
+
 def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> float:
     """Max deviation between the kernel and its block-reduction reconstruction.
 
@@ -370,25 +449,7 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> flo
     """
     if sol is None:
         sol = diagonalize(ms)
-    side = ms.side
-    d = np.diag(ms.u_vals[:side] ** 2)
-    b = ms._same_side()
-    d2b = _sym(d + 2.0 * b)
-    d_h = sym_sqrt(d, "d")
-    d2b_h = sym_sqrt(d2b, "d + 2b")
-    m1 = sym_inv_sqrt(_sym(d_h @ d2b @ d_h), "d^1/2 (d+2b) d^1/2")
-    m2 = sym_inv_sqrt(_sym(d2b_h @ d @ d2b_h), "(d+2b)^1/2 d (d+2b)^1/2")
-    L1 = _sym(d_h @ m1 @ d_h) - np.eye(side)
-    L2 = _sym(d2b_h @ m2 @ d2b_h) - np.eye(side)
-    log1 = sym_log(np.eye(side) + L1, "I + L1")
-    log2 = sym_log(np.eye(side) + L2, "I + L2")
-    ident = np.eye(side)
-    u_rot = np.block([[ident, ident], [ident, -ident]]) / math.sqrt(2.0)
-    blocks = np.zeros((2 * side, 2 * side))
-    blocks[:side, :side] = log1
-    blocks[side:, side:] = log2
-    k_rebuilt = 0.5 * u_rot.T @ blocks @ u_rot
-    return float(np.abs(k_rebuilt - sol.K).max())
+    return _l_block_dev(ms.u_vals[: ms.side] ** 2, ms._same_side(), sol.K)
 
 
 def check_frakK_minus_D_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:

@@ -339,29 +339,53 @@ def exp_normalization_asymptotics(ctx: Context, *, k_fermi_sq=3600.5, m_patches=
 # kernel experiments
 
 
+#: matrix entries per stacked array of `exp_kernel_identities`' solves: a
+#: stack of equal-size systems holds at most this many, or one system, so each
+#: of the solve's transient arrays stays within 64 kB
+_STACK_ENTRIES = 1 << 13
+
+
+def _identity_rows(stack: list[bogokernel.ModeSystem]) -> list[dict]:
+    """kernel_identities' rows, less the system number, of equal-size mode
+    systems solved as one stack, built from their u, v and g."""
+    side = stack[0].side
+    u = np.stack([ms.u_vals for ms in stack])
+    v = np.stack([ms.v_vals for ms in stack])
+    g = np.array([ms.g for ms in stack])
+    sol = bogokernel._solve(*bogokernel._mode_matrices(u, v, g))
+    l_dev = bogokernel._l_block_dev(u[:, :side] ** 2, bogokernel._same_side(v[:, :side], g), sol.K)
+    spec_frak, spec_e = np.sort(np.linalg.eigvalsh(np.stack([sol.frakK, sol.E])), axis=-1)
+    spec_dev = np.abs(spec_frak - spec_e).max(axis=-1) / np.abs(spec_e).max(axis=-1)
+    res = sol.residuals
+    return [
+        {
+            "size": 2 * side,
+            "offdiagonal_rel": float(res["offdiagonal_rel"][j]),
+            "spectrum_rel_dev": float(spec_dev[j]),
+            "l_block_dev": float(l_dev[j]),
+            "hyperbolic": float(res["hyperbolic"][j]),
+            "orthogonality": float(res["orthogonality"][j]),
+            "symplectic_plus": float(res["symplectic_plus"][j]),
+            "symplectic_minus": float(res["symplectic_minus"][j]),
+            "det_O": float(res["det_O"][j]),
+        }
+        for j in range(len(stack))
+    ]
+
+
 def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
     rng = np.random.default_rng(ctx.config.seed)
-    rows = []
-    for i in range(n_systems):
-        ms = bogokernel.sample_mode_system(rng, max_side=max_side)
-        sol = bogokernel.diagonalize(ms)
-        spec_frak = np.sort(np.linalg.eigvalsh(sol.frakK))
-        spec_e = np.sort(np.linalg.eigvalsh(sol.E))
-        spec_dev = float(np.abs(spec_frak - spec_e).max() / np.abs(spec_e).max())
-        rows.append(
-            {
-                "system": i,
-                "size": ms.size,
-                "offdiagonal_rel": sol.residuals["offdiagonal_rel"],
-                "spectrum_rel_dev": spec_dev,
-                "l_block_dev": bogokernel.check_L_blocks(ms, sol),
-                "hyperbolic": sol.residuals["hyperbolic"],
-                "orthogonality": sol.residuals["orthogonality"],
-                "symplectic_plus": sol.residuals["symplectic_plus"],
-                "symplectic_minus": sol.residuals["symplectic_minus"],
-                "det_O": sol.residuals["det_O"],
-            }
-        )
+    systems = [bogokernel.sample_mode_system(rng, max_side=max_side) for _ in range(n_systems)]
+    by_side: dict[int, list[int]] = {}
+    for i, ms in enumerate(systems):
+        by_side.setdefault(ms.side, []).append(i)
+    rows: list[dict] = [{} for _ in systems]
+    for side, members in by_side.items():
+        per_stack = max(1, _STACK_ENTRIES // (2 * side) ** 2)
+        for lo in range(0, len(members), per_stack):
+            chunk = members[lo : lo + per_stack]
+            for i, row in zip(chunk, _identity_rows([systems[i] for i in chunk])):
+                rows[i] = {"system": i, **row}
     return rows
 
 

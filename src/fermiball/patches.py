@@ -430,9 +430,10 @@ def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
     (k . omega_alpha > 0) or p + k (k . omega_alpha < 0) when that hole lies
     inside ``decomp.ball`` and in the same patch; both lie in the radial
     shell, and patches orthogonal to k count 0.  For each sign s the pairs
-    (p, p - s k) are the lune |p|^2 > k_F^2 >= |p - s k|^2, walked one
-    x-slab at a time and filled a block of rows at a time, so only one
-    block's pairs live at once.
+    (p, p - s k) are the lune L(s k): |p|^2 > k_F^2 >= |p - s k|^2.  Since p
+    lies in L(k) exactly when -p lies in L(-k), one walk of L(k), one x-slab
+    at a time and a block of rows at a time, gives both signs: the s = -1
+    pairs are the negated block.  Only one block's pairs live at once.
     """
     kv = _as_ivec(k)
     if not kv.any():
@@ -440,20 +441,18 @@ def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
     q_lo, q_hi = decomp.shell_bounds()
     sign = np.sign(decomp.k_dots(kv))
     counts = np.zeros(decomp.m_patches, dtype=np.int64)
-    for s in (1, -1):
-        sk = s * kv
-        for part in _blocks(_lune(decomp.ball.norm_sq_max, sk)):
-            lab = decomp.assign_directions(part)
-            hole = part - sk
-            # both ends in the shell: the particle already lies above
-            # k_F^2 >= q_lo and the hole below q_hi
-            pair = np.flatnonzero(
-                (lab >= 0)
-                & (sign[lab] == s)
-                & (np.einsum("ij,ij->i", part, part) <= q_hi)
-                & (np.einsum("ij,ij->i", hole, hole) >= q_lo)
-            )
+    for part in _blocks(_lune(decomp.ball.norm_sq_max, kv)):
+        hole = part - kv
+        # both ends in the shell, whatever the sign: the particle already
+        # lies above k_F^2 >= q_lo and the hole below q_hi
+        keep = (np.einsum("ij,ij->i", part, part) <= q_hi) & (
+            np.einsum("ij,ij->i", hole, hole) >= q_lo
+        )
+        part, hole = part[keep], hole[keep]
+        for s in (1, -1):
+            lab = decomp.assign_directions(s * part)
+            pair = np.flatnonzero((lab >= 0) & (sign[lab] == s))
             lab = lab[pair]
-            lab = lab[decomp.assign_directions(hole[pair]) == lab]
+            lab = lab[decomp.assign_directions(s * hole[pair]) == lab]
             counts += np.bincount(lab, minlength=decomp.m_patches)
     return counts

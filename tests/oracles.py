@@ -12,7 +12,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from fermiball import lattice
-from fermiball.bogokernel import BogoliubovSolution, DiagonalizationError, ModeSystem, _sym
+from fermiball.bogokernel import (
+    BogoliubovSolution,
+    DiagonalizationError,
+    ModeSystem,
+    _sym,
+    check_L_blocks,
+    diagonalize,
+    sample_mode_system,
+)
 from fermiball.lattice import (
     FermiBall,
     InteractionPotential,
@@ -397,6 +405,35 @@ def g_series_exact(t: float, terms: int = 30) -> Fraction:
 def check_frakK_vs_E(sol: BogoliubovSolution) -> float:
     """Max deviation between frakK and O^T E O (their spectra coincide)."""
     return float(np.abs(sol.frakK - _sym(sol.O.T @ sol.E @ sol.O)).max())
+
+
+def per_system_kernel_identities(seed: int, n_systems: int, max_side: int) -> list[dict]:
+    """kernel_identities' rows from one system at a time: each is drawn,
+    diagonalized and checked before the next is drawn (the stacked solve's
+    reference)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n_systems):
+        ms = sample_mode_system(rng, max_side=max_side)
+        sol = diagonalize(ms)
+        spec_frak = np.sort(np.linalg.eigvalsh(sol.frakK))
+        spec_e = np.sort(np.linalg.eigvalsh(sol.E))
+        spec_dev = float(np.abs(spec_frak - spec_e).max() / np.abs(spec_e).max())
+        rows.append(
+            {
+                "system": i,
+                "size": ms.size,
+                "offdiagonal_rel": sol.residuals["offdiagonal_rel"],
+                "spectrum_rel_dev": spec_dev,
+                "l_block_dev": check_L_blocks(ms, sol),
+                "hyperbolic": sol.residuals["hyperbolic"],
+                "orthogonality": sol.residuals["orthogonality"],
+                "symplectic_plus": sol.residuals["symplectic_plus"],
+                "symplectic_minus": sol.residuals["symplectic_minus"],
+                "det_O": sol.residuals["det_O"],
+            }
+        )
+    return rows
 
 
 def dump_solution_csv(sol: BogoliubovSolution, ms: ModeSystem, path) -> None:

@@ -15,7 +15,7 @@ from fermiball import (
     ground_state_shift,
     sample_mode_system,
 )
-from fermiball.bogokernel import _assemble
+from fermiball.bogokernel import _assemble, _l_block_dev, _mode_matrices, _same_side, _solve
 from fermiball.lattice import InteractionPotential, Momentum
 from oracles import check_frakK_vs_E, dump_solution_csv, pair_count
 
@@ -187,6 +187,60 @@ def test_sinh_decay_follows_kernel_bound(random_solutions):
 def test_trace_correction_nonpositive(random_solutions):
     for _, sol in random_solutions:
         assert sol.trace_correction <= 1e-12
+
+
+# ------------------------------------------------------------ stacked solve
+
+
+def equal_size_systems(side, count=3, seed=5):
+    """count sampled mode systems of the given side, in draw order."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        ms = sample_mode_system(rng, max_side=max(side, 1))
+        if ms.side == side:
+            found.append(ms)
+    return found
+
+
+def stacked_data(systems):
+    """u, v and g of equal-size systems, stacked."""
+    u = np.stack([ms.u_vals for ms in systems])
+    v = np.stack([ms.v_vals for ms in systems])
+    return u, v, np.array([ms.g for ms in systems])
+
+
+@pytest.mark.parametrize("side", [1, 30])
+def test_stack_solves_to_the_bits_of_single_systems(side):
+    systems = equal_size_systems(side)
+    u, v, g = stacked_data(systems)
+    stacked = _solve(*_mode_matrices(u, v, g))
+    l_devs = _l_block_dev(u[:, :side] ** 2, _same_side(v[:, :side], g), stacked.K)
+    assert set(stacked.residuals) == {
+        "offdiagonal_rel",
+        "symplectic_plus",
+        "symplectic_minus",
+        "hyperbolic",
+        "orthogonality",
+        "kernel_asymmetry",
+        "det_O",
+    }
+    for j, ms in enumerate(systems):
+        single = diagonalize(ms)
+        for name in ("E", "S1", "S2", "O", "K", "coshK", "sinhK", "frakK"):
+            assert np.array_equal(getattr(stacked, name)[j], getattr(single, name)), name
+        assert stacked.trace_correction[j] == single.trace_correction
+        assert set(single.residuals) == set(stacked.residuals)
+        for name, value in single.residuals.items():
+            assert stacked.residuals[name][j] == value, name
+        assert l_devs[j] == check_L_blocks(ms, single)
+
+
+def test_non_pd_matrix_in_a_stack_is_named():
+    D, W, Wt = _mode_matrices(*stacked_data(equal_size_systems(4)))
+    D[1, 0, 0] = -1.0  # corrupt the second system's kinetic diagonal
+    with pytest.raises(DiagonalizationError, match=r"D \+ W - W~ .*\(matrix 1 of the stack\)"):
+        _solve(D, W, Wt)
 
 
 # ------------------------------------------------------------ errors

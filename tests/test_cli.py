@@ -339,9 +339,9 @@ def test_run_small_experiments(tmp_path):
     assert len(rows) == 3
 
 
-def test_run_headers_of_unhashed_experiments(tmp_path):
-    # the two experiments no golden-bytes test covers: a CSV's header is its
-    # experiment's row keys, in the order the experiment builds them
+def test_run_headers_are_the_row_keys(tmp_path):
+    # a CSV's header is its experiment's row keys, in the order the
+    # experiment builds them; kernel_identities builds its rows stack by stack
     path = write_config(
         tmp_path,
         experiments=["kernel_identities", "small_v_fit"],
@@ -438,16 +438,42 @@ def test_hf_stability_golden_bytes_at_benchmark_radius(tmp_path):
     assert digest == "52659c9810fe91d6ff24f75f8f980680484228b6a95fa9dde49fe2f4dff72dbe"
 
 
-def test_patch_audit_golden_bytes(tmp_path):
+#: sha256 of each CSV pinned on its own below, at seed 1 with these options
+SINGLE_CSV_SHA256 = {
     # default options: k_F^2 = 1600.5, r_v = 2, M in {6, 16, 30}
+    "patch_audit": ({}, "149cb8b5a5c8439347df7d04e5690a4db6e461b81d8606049c0cc559c7817dcc"),
+    # 40 random systems up to side 30, solved in equal-size stacks
+    "kernel_identities": (
+        {"n_systems": 40, "max_side": 30},
+        "0ceb5a63ccf6bfabde4529d68128e7247832ca3109fbfe986d841ac263a37163",
+    ),
+    # no seed and no lattice input
+    "small_v_fit": ({}, "1da7fa46776fb140c8ada21d0d6f605f26f3f3cf0077b528b266e44ec2f583e9"),
+}
+
+
+def assert_single_csv_golden_bytes(tmp_path, name):
     import hashlib
 
+    options, digest = SINGLE_CSV_SHA256[name]
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"k_fermi_sq": 400.5, "experiments": ["patch_audit"], "seed": 1}))
+    doc = {"k_fermi_sq": 400.5, "experiments": [name], "seed": 1, "options": {name: options}}
+    path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "patch_audit.csv").read_bytes()).hexdigest()
-    assert digest == "149cb8b5a5c8439347df7d04e5690a4db6e461b81d8606049c0cc559c7817dcc"
+    assert hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest() == digest
+
+
+def test_patch_audit_golden_bytes(tmp_path):
+    assert_single_csv_golden_bytes(tmp_path, "patch_audit")
+
+
+def test_kernel_identities_golden_bytes(tmp_path):
+    assert_single_csv_golden_bytes(tmp_path, "kernel_identities")
+
+
+def test_small_v_fit_golden_bytes(tmp_path):
+    assert_single_csv_golden_bytes(tmp_path, "small_v_fit")
 
 
 #: sha256 of the experiments whose corridor, equator exponent, potential and
@@ -492,6 +518,13 @@ def test_rpa_compare_golden_bytes_at_many_patches(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "rpa_compare.csv").read_bytes()).hexdigest()
     assert digest == "3f3c3b19d0afee45f8dbbb32d6564ca4fcf27805d4e182820739d2a27a18ff83"
+
+
+def test_every_experiment_is_byte_pinned():
+    # a fast path cannot change the CSV of an experiment that no golden hash
+    # pins without a test noticing
+    pinned = set(LATTICE_CSV_SHA256) | set(FIXED_SETTING_CSV_SHA256) | set(SINGLE_CSV_SHA256)
+    assert pinned == set(EXPERIMENTS)
 
 
 def test_readme_example_config_loads():

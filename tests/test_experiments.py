@@ -1,6 +1,7 @@
 """Experiment internals against their slow oracles: the batched gaps and
 the band-local Hartree-Fock swap oracle, the slice histogram that
-slice_count_bound reads, and the memory and reach of hf_stability."""
+slice_count_bound reads, the memory and reach of hf_stability, and the
+stacked kernel solves of kernel_identities."""
 
 import csv
 import math
@@ -12,15 +13,23 @@ import pytest
 
 from fermiball import InteractionPotential, build_fermi_ball, excitation_energy
 from fermiball.experiments import (
+    BallCache,
+    Context,
     SwapOracle,
     boundary_shells,
     default_potential,
+    exp_kernel_identities,
     load_config,
     run_experiments,
 )
 from fermiball.lattice import pair_gap_histogram
 from fermiball.lattice import _band
-from oracles import count_slice, hf_energy_of_occupation, scalar_excitation_energy
+from oracles import (
+    count_slice,
+    hf_energy_of_occupation,
+    per_system_kernel_identities,
+    scalar_excitation_energy,
+)
 
 POTENTIALS = {
     "unit": default_potential(),
@@ -174,3 +183,30 @@ def test_hf_stability_reaches_n_1e7(tmp_path):
     for row in rows:
         tol = 16.0 * 2.0**-52 * scale / abs(float(row["excitation"]))
         assert float(row["rel_dev"]) <= tol, row
+
+
+def kernel_identities_context(seed):
+    config = load_config({"k_fermi_sq": 20.5, "experiments": ["kernel_identities"], "seed": seed})
+    return Context(config, BallCache())
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_kernel_identities_rows_equal_per_system_rows(seed):
+    # default options: 200 systems of side up to 30, solved in equal-size stacks
+    rows = exp_kernel_identities(kernel_identities_context(seed))
+    expected = per_system_kernel_identities(seed, n_systems=200, max_side=30)
+    assert rows == expected
+    assert [list(row) for row in rows] == [list(row) for row in expected]
+
+
+def test_kernel_identities_memory_is_bounded_by_its_stacks():
+    # a stack holds at most 2^13 matrix entries (64 kB an array); the loop
+    # of one system at a time traced 1.06 MB, 2^14-entry stacks 4.2 MB
+    ctx = kernel_identities_context(1)
+    tracemalloc.start()
+    try:
+        exp_kernel_identities(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6, peak
