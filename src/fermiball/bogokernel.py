@@ -21,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -139,7 +138,7 @@ def _two_sided(b: np.ndarray, cross: bool) -> np.ndarray:
 
 def _mode_matrices(u: np.ndarray, v: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """D, W and W~ of reflection-paired mode data u, v (..., 2I) and
-    couplings g (...), as ModeSystem builds them."""
+    couplings g (...)."""
     b = _same_side(v[..., : v.shape[-1] // 2], g)
     return _diag(u * u), _two_sided(b, cross=False), _two_sided(b, cross=True)
 
@@ -151,8 +150,9 @@ class ModeSystem:
     Modes are reflection paired: entries 0..I-1 are the plus side ordered by
     patch index, entry I+j is the antipodal partner of entry j, so that
     u[j] == u[I+j] and n_vals[j] == n_vals[I+j].  The dense 2I x 2I matrices
-    D, W and W~ are built from u, v and g on first access and then kept;
-    the trace route (`rpa.ground_state_shift`) never builds them.
+    D, W and W~ are built from u, v and g by `_mode_matrices` where a dense
+    solve needs them; the trace route (`rpa.ground_state_shift`) never
+    builds them.
     """
 
     k: Momentum
@@ -172,22 +172,6 @@ class ModeSystem:
     @property
     def size(self) -> int:
         return 2 * self.side
-
-    def _same_side(self) -> np.ndarray:
-        """The rank-one same-side block b = g v v^T."""
-        return _same_side(self.v_vals[: self.side], self.g)
-
-    @cached_property
-    def D(self) -> np.ndarray:
-        return _diag(self.u_vals * self.u_vals)
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        return _two_sided(self._same_side(), cross=False)
-
-    @cached_property
-    def W_tilde(self) -> np.ndarray:
-        return _two_sided(self._same_side(), cross=True)
 
 
 def _assemble(
@@ -384,7 +368,7 @@ def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
     S2 = (S1^T)^-1, polar part O of S1^T, K = log|S1^T|, and the transformed
     matrix frakK, which is orthogonally equivalent to E.
     """
-    return _solve(ms.D, ms.W, ms.W_tilde)
+    return _solve(*_mode_matrices(ms.u_vals, ms.v_vals, ms.g))
 
 
 def _scaled_bound(mat: np.ndarray, ms: ModeSystem) -> np.ndarray:
@@ -449,7 +433,8 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> flo
     """
     if sol is None:
         sol = diagonalize(ms)
-    return _l_block_dev(ms.u_vals[: ms.side] ** 2, ms._same_side(), sol.K)
+    side = ms.side
+    return _l_block_dev(ms.u_vals[:side] ** 2, _same_side(ms.v_vals[:side], ms.g), sol.K)
 
 
 def check_frakK_minus_D_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
@@ -457,4 +442,4 @@ def check_frakK_minus_D_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
     if ms.vhat_k <= 0:
         return 0.0
     scale = ms.vhat_k * np.outer(ms.u_vals, ms.u_vals) / ms.m_patches
-    return float((np.abs(sol.frakK - ms.D) / scale).max())
+    return float((np.abs(sol.frakK - _diag(ms.u_vals * ms.u_vals)) / scale).max())

@@ -3,8 +3,11 @@
 A spherical cap is placed at the north pole, the rest of the northern
 hemisphere is cut into collars of equal-area patches, corridors are carved
 between neighbouring patches, and the southern hemisphere is the point
-reflection of the north.  Extended patches are the radial thickening of the
-angular patches intersected with the lattice.
+reflection of the north.  A point is labelled through the lexicographically
+positive one of +-p, which lies in the closed north, so label(-p) is the
+antipode of label(p) exactly, and without corridors every nonzero point is
+labelled.  Extended patches are the radial thickening of the angular patches
+intersected with the lattice.
 
 A decomposition owns the `FermiBall` it was built from and counts pairs
 against that ball only, from the pairs themselves.  It labels its shell once,
@@ -44,13 +47,25 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def _angles(x: np.ndarray, y: np.ndarray, z: np.ndarray, r: np.ndarray):
-    """Polar angle in [0, pi] and azimuth in [0, 2 pi) of points with norms r > 0."""
-    theta = z / r
-    np.arccos(np.clip(theta, -1.0, 1.0, out=theta), out=theta)
+def _canonical_angles(points: np.ndarray):
+    """Norm, polar angle in [0, pi/2] and azimuth in [0, 2 pi) of the
+    lexicographically positive one of +-p (z > 0; or z = 0 and y > 0; or
+    z = y = 0 and x > 0), and the mask of the points that are its negative.
+
+    This is the one place that maps the south onto the north.  The origin
+    keeps r = 0 and the angles of its unit norm.
+    """
+    p = np.array(points, dtype=np.float64).reshape(-1, 3)
+    x, y, z = p.T
+    flip = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
+    np.negative(p, out=p, where=flip[:, None])
+    # summed in np.linalg.norm's order, (x^2 + y^2) + z^2, so r has its bits
+    r = np.sqrt(x * x + y * y + z * z)
+    theta = z / np.where(r == 0, 1.0, r)
+    np.arccos(np.minimum(theta, 1.0, out=theta), out=theta)
     phi = np.arctan2(y, x)
     np.mod(phi, TWO_PI, out=phi)
-    return theta, phi
+    return r, theta, phi, flip
 
 
 class PatchConstructionError(ValueError):
@@ -113,7 +128,15 @@ class PatchDecomposition:
         r_corridor: float,
         shell_halfwidth: float,
         north: list[PatchSpec],
+        theta_edges: Sequence[float],
+        collar_counts: Sequence[int],
     ):
+        """``north`` holds the cap, then each collar's patches in phi order.
+        The collar table tiles the closed northern hemisphere, where
+        `_canonical_angles` puts every direction: collar i (the cap is
+        collar 0, of one patch) spans theta_edges[i] <= theta <
+        theta_edges[i + 1], the last one up to and including the equator, and
+        its collar_counts[i] patches split phi evenly."""
         self.m_requested = m_requested
         self.ball = ball
         self.r_corridor = r_corridor
@@ -123,17 +146,15 @@ class PatchDecomposition:
         omegas = np.array([s.omega for s in north], dtype=np.float64)
         self.omegas = np.vstack([omegas, -omegas])
         self._assignment: ShellAssignment | None = None
-        # north[0] is the cap; the rest run collar by collar, each collar's
-        # patches sharing one theta interval and splitting phi evenly
-        collar_lo = np.array([s.theta_lo for s in north[1:]])
-        first = np.flatnonzero(np.diff(collar_lo, prepend=np.nan) != 0)
-        self._collar_lo = collar_lo[first]
-        self._collar_hi = np.array([north[1 + i].theta_hi for i in first])
-        self._collar_first = first + 1
-        self._collar_count = np.diff(np.r_[first, len(collar_lo)])
-        self._phi_lo = np.array([s.phi_lo for s in north])
-        self._phi_hi = np.array([s.phi_hi for s in north])
-        self._theta_top = max(north[0].theta_hi, self._collar_hi.max(initial=0.0))
+        self._theta_edges = np.array(theta_edges, dtype=np.float64)
+        self._collar_count = np.array(collar_counts, dtype=np.int64)
+        self._collar_first = np.cumsum(self._collar_count) - self._collar_count
+        self._collar_scale = self._collar_count / TWO_PI
+        # stored patch bounds, the cap's phi left open
+        self._theta_lo = np.array([s.theta_lo for s in north])
+        self._theta_hi = np.array([s.theta_hi for s in north])
+        self._phi_lo = np.array([-np.inf] + [s.phi_lo for s in north[1:]])
+        self._phi_hi = np.array([np.inf] + [s.phi_hi for s in north[1:]])
 
     @property
     def half(self) -> int:
@@ -151,74 +172,47 @@ class PatchDecomposition:
         """
         return self.omegas @ _as_ivec(k).astype(np.float64)
 
-    def _north_index(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Highest northern spec index whose half-open bounds hold (theta, phi), else -1.
-
-        Collars are disjoint in theta, so the collar whose lower edge is the
-        last one at or below theta is the only candidate; within it
-        floor(phi / width) is at most one patch off, so that patch and its two
-        phi neighbours are tested against the stored bounds.
-        """
-        out = np.full(len(theta), -1, dtype=np.int64)
-        out[theta < self.north[0].theta_hi] = 0
-        if not len(self._collar_lo):
-            return out
-        collar = np.searchsorted(self._collar_lo, theta, side="right") - 1
-        idx = np.flatnonzero(collar >= 0)
-        collar = collar[idx]
-        keep = theta[idx] < self._collar_hi[collar]
-        idx, collar = idx[keep], collar[keep]
-        ph = phi[idx]
-        m = self._collar_count[collar]
-        first = self._collar_first[collar]
-        j = np.minimum((ph * (m / TWO_PI)).astype(np.int64), m - 1)
-        for dj in (-1, 0, 1):  # rising spec index: the highest hit is written last
-            jj = j + dj
-            spec = first + np.clip(jj, 0, m - 1)
-            hit = (
-                (jj >= 0)
-                & (jj < m)
-                & (ph >= self._phi_lo[spec])
-                & (ph < self._phi_hi[spec])
-            )
-            out[idx[hit]] = spec[hit]
-        return out
-
     def assign_directions(self, points: np.ndarray) -> np.ndarray:
-        """Patch index for each lattice point's direction, -1 for corridors.
+        """Patch index for each lattice point's direction, -1 for corridors
+        and the origin.
 
-        Radial shell membership is not checked here.  A direction inside the
-        bounds of several patches (an ulp-wide float seam) takes the highest
-        northern spec index, and its southern image on a tie.
+        Radial shell membership is not checked here.  A point is labelled by
+        the lexicographically positive one of +-p, whose direction lies in
+        one northern tile: the collar whose lower edge is the last at or
+        below theta, and in it the patch floor(phi m / 2 pi).  A point that
+        is the negative of it takes the antipodal label + M/2, so label(-p)
+        is the antipode of label(p) exactly.  At r_v = 0 the tile is the
+        patch and every nonzero point is labelled; with corridors the
+        direction must also lie within the tile's stored patch bounds.
         """
-        x, y, z = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
-        # summed in np.linalg.norm's order, (x^2 + y^2) + z^2, so r has its bits
-        r = np.sqrt(x * x + y * y + z * z)
-        origin = r == 0
-        # the origin has no direction: a unit norm keeps its angles finite,
-        # and its label is set to -1 at the end
-        theta, phi = _angles(x, y, z, np.where(origin, 1.0, r))
-        north = self._north_index(theta, phi)
-        # southern points map through the antipode: -omega(t, p) = omega(pi-t,
-        # p+pi), which only a pi - theta below the highest theta_hi can hit
-        south = np.full(len(r), -1, dtype=np.int64)
-        near = np.flatnonzero(math.pi - theta < self._theta_top)
-        south[near] = self._north_index(math.pi - theta[near], np.mod(phi[near] + math.pi, TWO_PI))
-        labels = np.where((south >= 0) & (south >= north), south + self.half, north)
-        labels[origin] = -1
+        r, theta, phi, flip = _canonical_angles(points)
+        collar = np.searchsorted(self._theta_edges[:-1], theta, side="right") - 1
+        m = self._collar_count[collar]
+        labels = np.minimum((phi * self._collar_scale[collar]).astype(np.int64), m - 1)
+        labels += self._collar_first[collar]
+        corridor = r == 0
+        if self.r_corridor > 0:
+            corridor |= (
+                (theta < self._theta_lo[labels])
+                | (theta >= self._theta_hi[labels])
+                | (phi < self._phi_lo[labels])
+                | (phi >= self._phi_hi[labels])
+            )
+        labels += self.half * flip
+        labels[corridor] = -1
         return labels
 
     def tile_clearance(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per labelled point p, a length below which no other of the given
         points with another label lies from p: |p| sin(min(mu_p + mu_min, pi/2)).
 
-        A patch's tile is the cell its corridors were carved from: the cap
-        theta < theta_cap, a collar cell [t_lo, t_hi) x [phi_lo, phi_hi), or
-        the antipodal image of one.  Tile edges lie halfway between the stored
-        bounds of neighbouring patches (the equator halfway between a patch
-        and its southern image), so tiles are disjoint and each holds its
-        patch.  mu_p is the angular distance from p's direction to the
-        outside of its tile, and mu_min the smallest mu over the given points.
+        A patch's tile is its cell of the collar table, the cell its
+        corridors were carved from: the cap theta < theta_cap, a collar cell
+        [t_lo, t_hi) x [2 pi j / m, 2 pi (j + 1) / m) (the last collar's
+        closed at the equator), or the antipodal image of one.  Tiles are disjoint and each holds its patch.  mu_p is the
+        angular distance from p's direction to the outside of its tile, read
+        from the canonical angles of `assign_directions`, and mu_min the
+        smallest mu over the given points.
 
         Take p in tile a and q in tile b != a, both among the points.  The
         great-circle arc from p's direction to q's stays in tile a for at
@@ -232,29 +226,18 @@ class PatchDecomposition:
         angles on an ulp seam (where the bound can hold with equality) never
         overstate it.
         """
-        n_collars = len(self._collar_lo)
-        tops = np.r_[self.north[0].theta_hi, self._collar_hi]
-        bottoms = np.r_[self._collar_lo, math.pi - tops[-1]]
-        edges = 0.5 * (tops + bottoms)  # top of the cap tile, then of each collar's
-        collar = np.repeat(np.arange(n_collars), self._collar_count)
-        t_lo = np.r_[-np.inf, edges[collar]]
-        t_hi = edges[np.r_[0, collar + 1]]
-        mid = 0.5 * (self._phi_hi[:-1] + self._phi_lo[1:])
-        p_lo, p_hi = np.r_[0.0, mid], np.r_[mid, TWO_PI]
-        p_lo[self._collar_first] = 0.0
-        p_hi[self._collar_first + self._collar_count - 1] = TWO_PI
+        counts = self._collar_count
+        collar = np.repeat(np.arange(len(counts)), counts)
+        width = TWO_PI / counts[collar]
+        p_lo = (np.arange(self.half) - self._collar_first[collar]) * width
+        p_hi = p_lo + width
+        t_lo = self._theta_edges[collar]
+        t_lo[0] = -np.inf  # the pole is inside the cap
+        t_hi = self._theta_edges[collar + 1]
 
         # in place where possible, so that few point-sized arrays live at once
-        points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-        r = np.einsum("ij,ij->i", points, points).astype(np.float64)
-        np.sqrt(r, out=r)
-        theta, phi = _angles(points[:, 0], points[:, 1], points[:, 2], r)
-        # southern points map through the antipode, as in assign_directions
-        south = labels >= self.half
-        np.subtract(math.pi, theta, out=theta, where=south)
-        np.add(phi, math.pi, out=phi, where=south)
-        np.mod(phi, TWO_PI, out=phi, where=south)
-        spec = np.where(south, labels - self.half, labels)
+        r, theta, phi, _ = _canonical_angles(points)
+        spec = np.asarray(labels) % self.half
         mu = t_lo[spec]
         np.subtract(theta, mu, out=mu)
         edge = t_hi[spec]
@@ -339,9 +322,10 @@ def build_patches(
     """Build the patch decomposition with corridors sized for half-width r_v.
 
     Corridors separate extended patches by strictly more than 2 r_v (one
-    lattice spacing of margin); r_v = 0 keeps the full tiling, where pairwise
-    disjointness alone already separates the lattice sets by >= 1.  The radial
-    shell half-width is max(r_v, 1) so unit-momentum pairs always fit.
+    lattice spacing of margin); r_v = 0 keeps the full tiling, the equator
+    included, where pairwise disjointness alone already separates the
+    lattice sets by >= 1.  The radial shell half-width is max(r_v, 1) so
+    unit-momentum pairs always fit.
     """
     if m_patches < 2 or m_patches % 2:
         raise PatchConstructionError(f"m_patches must be even and >= 2, got {m_patches}")
@@ -371,16 +355,16 @@ def build_patches(
         cos_edges.append(cos_edges[-1] - m * area / TWO_PI)
     cos_edges[-1] = max(cos_edges[-1], 0.0)
 
+    # theta[0] is the cap's top and theta[i + 1] the top of collar i
+    theta = [math.acos(x) for x in cos_edges]
     north: list[PatchSpec] = []
-    theta_cap = math.acos(cos_edges[0])
-    if theta_cap - c <= 0:
+    if theta[0] - c <= 0:
         raise PatchConstructionError("corridor erases the polar cap; reduce r_v or m_patches")
     north.append(
-        PatchSpec(True, 0.0, theta_cap - c, 0.0, TWO_PI, (0.0, 0.0, 1.0))
+        PatchSpec(True, 0.0, theta[0] - c, 0.0, TWO_PI, (0.0, 0.0, 1.0))
     )
     for i, m in enumerate(counts):
-        t_lo = math.acos(cos_edges[i])
-        t_hi = math.acos(cos_edges[i + 1])
+        t_lo, t_hi = theta[i], theta[i + 1]
         t_c = 0.5 * (t_lo + t_hi)
         sin_min = min(math.sin(t_lo), math.sin(t_hi))
         c_phi = c / sin_min if sin_min > 0 else 0.0
@@ -406,7 +390,9 @@ def build_patches(
                     omega,
                 )
             )
-    return PatchDecomposition(m_patches, ball, r_v, shell_halfwidth, north)
+    # the collar table, the cap first: the last collar's tile reaches the equator
+    edges = [0.0, *theta[:-1], math.pi / 2]
+    return PatchDecomposition(m_patches, ball, r_v, shell_halfwidth, north, edges, [1, *counts])
 
 
 def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> ModeIndexSet:
@@ -429,30 +415,32 @@ def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
     A particle p outside the ball in patch alpha pairs with the hole p - k
     (k . omega_alpha > 0) or p + k (k . omega_alpha < 0) when that hole lies
     inside ``decomp.ball`` and in the same patch; both lie in the radial
-    shell, and patches orthogonal to k count 0.  For each sign s the pairs
-    (p, p - s k) are the lune L(s k): |p|^2 > k_F^2 >= |p - s k|^2.  Since p
-    lies in L(k) exactly when -p lies in L(-k), one walk of L(k), one x-slab
-    at a time and a block of rows at a time, gives both signs: the s = -1
-    pairs are the negated block.  Only one block's pairs live at once.
+    shell, and patches orthogonal to k count 0.  The k . omega > 0 pairs
+    (p, p - k) are the lune L(k): |p|^2 > k_F^2 >= |p - k|^2, walked one
+    x-slab at a time and a block of rows at a time, so only one block's
+    pairs live at once.  The k . omega < 0 pairs are their negatives: -p
+    lies in L(-k) exactly when p lies in L(k), labels are antipodal
+    (label(-p) = label(p) + M/2 mod M) and k . omega of patch alpha + M/2
+    is -k . omega_alpha.  So each end is labelled once, and the counts of
+    patch alpha + M/2 are those of patch alpha.
     """
     kv = _as_ivec(k)
     if not kv.any():
         raise ValueError("k = 0 admits no particle-hole pairs")
     q_lo, q_hi = decomp.shell_bounds()
-    sign = np.sign(decomp.k_dots(kv))
+    plus = decomp.k_dots(kv) > 0
     counts = np.zeros(decomp.m_patches, dtype=np.int64)
     for part in _blocks(_lune(decomp.ball.norm_sq_max, kv)):
         hole = part - kv
-        # both ends in the shell, whatever the sign: the particle already
-        # lies above k_F^2 >= q_lo and the hole below q_hi
+        # both ends in the shell: the particle already lies above
+        # k_F^2 >= q_lo and the hole below q_hi
         keep = (np.einsum("ij,ij->i", part, part) <= q_hi) & (
             np.einsum("ij,ij->i", hole, hole) >= q_lo
         )
         part, hole = part[keep], hole[keep]
-        for s in (1, -1):
-            lab = decomp.assign_directions(s * part)
-            pair = np.flatnonzero((lab >= 0) & (sign[lab] == s))
-            lab = lab[pair]
-            lab = lab[decomp.assign_directions(s * hole[pair]) == lab]
-            counts += np.bincount(lab, minlength=decomp.m_patches)
-    return counts
+        lab = decomp.assign_directions(part)
+        pair = np.flatnonzero((lab >= 0) & plus[lab])
+        lab = lab[pair]
+        lab = lab[decomp.assign_directions(hole[pair]) == lab]
+        counts += np.bincount(lab, minlength=decomp.m_patches)
+    return counts + np.roll(counts, decomp.half)

@@ -202,14 +202,59 @@ def solve_kfermi_for_n(n_target: int) -> float:
     return math.sqrt(float(ksq))
 
 
+def loop_labels(decomp: PatchDecomposition, points) -> np.ndarray:
+    """Reference labelling: each point's lexicographically positive one of
+    +-p (z > 0; or z = 0 and y > 0; or z = y = 0 and x > 0) is tested
+    against every northern spec in turn, the last matching write winning,
+    and a negated point takes the antipodal label + M/2.
+
+    With corridors a spec holds the directions within its stored bounds.
+    At r_v = 0 it holds its tile: theta_lo <= theta < theta_hi (the last
+    collar up to and including the equator) and, in a collar of m specs,
+    the j-th phi cell floor(phi m / 2 pi) = j.
+    """
+    pts = np.array(points, dtype=np.float64).reshape(-1, 3)
+    x, y, z = pts.T
+    flip = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
+    pts[flip] *= -1.0
+    r = np.linalg.norm(pts, axis=1)
+    labels = np.full(len(pts), -1, dtype=np.int64)
+    ok = r > 0
+    theta = np.arccos(np.clip(pts[ok, 2] / r[ok], -1.0, 1.0))
+    phi = np.mod(np.arctan2(pts[ok, 1], pts[ok, 0]), 2 * math.pi)
+    collars: dict[float, list[int]] = {}
+    for i, spec in enumerate(decomp.north):
+        collars.setdefault(spec.theta_lo, []).append(i)
+    last = decomp.north[-1].theta_lo
+    cells = {}
+    if decomp.r_corridor == 0:
+        for lo, members in collars.items():
+            m = len(members)
+            cells[lo] = np.minimum((phi * (m / (2 * math.pi))).astype(np.int64), m - 1)
+    sub = np.full(ok.sum(), -1, dtype=np.int64)
+    for i, spec in enumerate(decomp.north):
+        if decomp.r_corridor > 0:
+            hit = (theta >= spec.theta_lo) & (theta < spec.theta_hi)
+            if not spec.is_cap:
+                hit &= (phi >= spec.phi_lo) & (phi < spec.phi_hi)
+        else:
+            hit = (theta >= spec.theta_lo) & ((theta < spec.theta_hi) | (spec.theta_lo == last))
+            hit &= cells[spec.theta_lo] == collars[spec.theta_lo].index(i)
+        sub[hit] = i
+    labels[ok] = sub
+    labels[ok & flip & (labels >= 0)] += decomp.half
+    return labels
+
+
 def patch_of(decomp: PatchDecomposition, p: Sequence[int]) -> int | None:
-    """Patch index containing p, or None for corridor / out-of-shell points."""
+    """Patch index containing p by `loop_labels`, or None for corridor /
+    out-of-shell points."""
     pv = _as_ivec(p)
     r = math.sqrt(float(pv @ pv))
     kf, w = decomp.ball.k_fermi, decomp.shell_halfwidth
     if not (kf - w <= r <= kf + w):
         return None
-    label = int(decomp.assign_directions(pv[None, :])[0])
+    label = int(loop_labels(decomp, pv[None, :])[0])
     return None if label < 0 else label
 
 

@@ -20,6 +20,11 @@ from fermiball.lattice import InteractionPotential, Momentum
 from oracles import check_frakK_vs_E, dump_solution_csv, pair_count
 
 
+def dense(ms):
+    """D, W and W~ of a mode system."""
+    return _mode_matrices(ms.u_vals, ms.v_vals, ms.g)
+
+
 def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):
     """Single mode per side, built directly from the scalar data."""
     hbar = n_particles ** (-1.0 / 3.0)
@@ -42,15 +47,16 @@ def test_mode_matrices_m2(ball_400, unit_potential):
     decomp = build_patches(2, ball_400, 1.0)
     ms = build_mode_system(decomp, unit_potential, (0, 0, 1), 0.05)
     assert ms.size == 2
-    assert np.allclose(ms.D, np.eye(2))
+    D, W, Wt = dense(ms)
+    assert np.allclose(D, np.eye(2))
     g_prime = unit_potential((0, 0, 1)) / (
         2.0 * ball_400.hbar * KAPPA_IDEAL * ball_400.n_particles * 1.0
     )
     n0 = ms.n_vals[0]
-    assert ms.W[0, 0] == pytest.approx(g_prime * n0 * n0, rel=1e-12)
-    assert ms.W[0, 1] == 0.0
-    assert ms.W_tilde[0, 1] == pytest.approx(g_prime * n0 * n0, rel=1e-12)
-    assert ms.W_tilde[0, 0] == 0.0
+    assert W[0, 0] == pytest.approx(g_prime * n0 * n0, rel=1e-12)
+    assert W[0, 1] == 0.0
+    assert Wt[0, 1] == pytest.approx(g_prime * n0 * n0, rel=1e-12)
+    assert Wt[0, 0] == 0.0
 
 
 def test_mode_matrix_entries_match_pair_counts(ball_100, unit_potential):
@@ -60,12 +66,13 @@ def test_mode_matrix_entries_match_pair_counts(ball_100, unit_potential):
         2.0 * ball_100.hbar * KAPPA_IDEAL * ball_100.n_particles
     )
     side = ms.side
+    _, W, _ = dense(ms)
     for i in range(side):
         ni = pair_count(decomp, (0, 0, 1), ms.plus_modes[i])
         assert ms.n_vals[i] ** 2 == pytest.approx(ni)
         for j in range(side):
             nj = pair_count(decomp, (0, 0, 1), ms.plus_modes[j])
-            assert ms.W[i, j] == pytest.approx(coeff * math.sqrt(ni * nj), rel=1e-12)
+            assert W[i, j] == pytest.approx(coeff * math.sqrt(ni * nj), rel=1e-12)
 
 
 def test_mode_energies_read_the_matvec_dots(ball_6400):
@@ -83,9 +90,10 @@ def test_mode_energies_read_the_matvec_dots(ball_6400):
 def test_free_case_is_trivial():
     ms = one_plus_one_system(vhat=0.0)
     sol = diagonalize(ms)
-    assert np.allclose(sol.E, ms.D, atol=1e-15)
+    D = dense(ms)[0]
+    assert np.allclose(sol.E, D, atol=1e-15)
     assert np.allclose(sol.K, 0.0, atol=1e-15)
-    assert np.allclose(sol.frakK, ms.D, atol=1e-15)
+    assert np.allclose(sol.frakK, D, atol=1e-15)
     assert sol.trace_correction == pytest.approx(0.0, abs=1e-15)
     c_star, _ = check_kernel_bound(sol, ms)
     assert c_star == 0.0
@@ -246,24 +254,28 @@ def test_non_pd_matrix_in_a_stack_is_named():
 # ------------------------------------------------------------ errors
 
 
-def test_trace_route_builds_no_dense_matrices():
+def test_trace_route_builds_no_dense_matrices(monkeypatch):
+    import fermiball.bogokernel as bk
+
     ms = sample_mode_system(np.random.default_rng(11))
-    shift = ground_state_shift(ms)
-    assert not {"D", "W", "W_tilde"} & set(vars(ms))
-    assert shift == pytest.approx(diagonalize(ms).trace_correction, rel=1e-9)
-    assert ms.D is ms.D  # built once, then kept
+    want = diagonalize(ms).trace_correction
+
+    def refuse(*args):
+        raise AssertionError("the trace route built the dense matrices")
+
+    monkeypatch.setattr(bk, "_mode_matrices", refuse)
+    assert ground_state_shift(ms) == pytest.approx(want, rel=1e-9)
 
 
 def test_non_pd_input_rejected():
-    ms = one_plus_one_system()
-    ms.D[0, 0] = -1.0  # corrupt the kinetic diagonal
+    D, W, Wt = dense(one_plus_one_system())
+    D[0, 0] = -1.0  # corrupt the kinetic diagonal
     with pytest.raises(DiagonalizationError, match="smallest eigenvalue"):
-        diagonalize(ms)
+        _solve(D, W, Wt)
     # D + W - W~ stays positive definite, D + W + W~ does not
-    ms = one_plus_one_system()
-    ms.W_tilde[...] = -2.0 * (ms.D + ms.W)
+    D, W, Wt = dense(one_plus_one_system())
     with pytest.raises(DiagonalizationError, match=r"D \+ W \+ W~ is not positive definite"):
-        diagonalize(ms)
+        _solve(D, W, -2.0 * (D + W))
 
 
 # ------------------------------------------------------------ dumps

@@ -480,7 +480,7 @@ def test_small_v_fit_golden_bytes(tmp_path):
 #: k are fixed in the code, at seed 1 with default options
 FIXED_SETTING_CSV_SHA256 = {
     "normalization_asymptotics": "1142f7e97eaf6a6b9a96529df0c542408388e1544c3bbb2a296f2835a052625b",
-    "rpa_compare": "54f4b1e2a259b6b62edec3310c1d37e95005ab46bc34ad5eb09da8340e3eb5e9",
+    "rpa_compare": "25c4f0a297502218c8f2982778744143562c66e45eb6abdffeba9aa105aa6cd9",
     "kernel_bound_fit": "0fedb6235082bbf6765a468bee19bcea99506db460385ae132872af2d86685b6",
 }
 
@@ -517,7 +517,7 @@ def test_rpa_compare_golden_bytes_at_many_patches(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "rpa_compare.csv").read_bytes()).hexdigest()
-    assert digest == "3f3c3b19d0afee45f8dbbb32d6564ca4fcf27805d4e182820739d2a27a18ff83"
+    assert digest == "c926b57c9d60132ccf422cd3b03d147504a1cc9073be2655bca230b9708917a8"
 
 
 def test_every_experiment_is_byte_pinned():

@@ -19,6 +19,7 @@ from fermiball.lattice import _band
 from fermiball.patches import _BLOCK_ROWS, pair_counts
 from oracles import (
     decomposition_to_json,
+    loop_labels,
     one_shot_pair_counts,
     one_shot_shell_assignment,
     pair_count,
@@ -49,43 +50,6 @@ def brute_pair_count(decomp, ball, k, alpha):
         if patch_of(decomp, h) == alpha:
             count += 1
     return count
-
-
-def loop_labels(decomp, points):
-    """Reference labelling: one pass over the points per northern spec, in
-    spec order, north before south, the last matching write winning."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    r = np.linalg.norm(pts, axis=1)
-    labels = np.full(len(pts), -1, dtype=np.int64)
-    ok = r > 0
-    if not ok.any():
-        return labels
-    theta = np.arccos(np.clip(pts[ok, 2] / r[ok], -1.0, 1.0))
-    phi = np.mod(np.arctan2(pts[ok, 1], pts[ok, 0]), 2 * math.pi)
-    theta_s = math.pi - theta
-    phi_s = np.mod(phi + math.pi, 2 * math.pi)
-    sub = np.full(ok.sum(), -1, dtype=np.int64)
-    for i, spec in enumerate(decomp.north):
-        if spec.is_cap:
-            hit_n = theta < spec.theta_hi
-            hit_s = theta_s < spec.theta_hi
-        else:
-            hit_n = (
-                (theta >= spec.theta_lo)
-                & (theta < spec.theta_hi)
-                & (phi >= spec.phi_lo)
-                & (phi < spec.phi_hi)
-            )
-            hit_s = (
-                (theta_s >= spec.theta_lo)
-                & (theta_s < spec.theta_hi)
-                & (phi_s >= spec.phi_lo)
-                & (phi_s < spec.phi_hi)
-            )
-        sub[hit_n] = i
-        sub[hit_s] = i + decomp.half
-    labels[ok] = sub
-    return labels
 
 
 def loop_pair_counts(decomp, asg, ks):
@@ -224,26 +188,26 @@ def test_one_pass_assignment_matches_patch_loop(ball_name, request):
     assert built >= 10
 
 
-def _on_sphere(theta, phi):
-    return np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
+def edge_directions(decomp):
+    """The poles and a few axis and equator directions, then directions
+    exactly on every northern spec's stored edges (up to the arccos /
+    arctan2 round trip) and one ulp either side, at phi = 0 and 2 pi too,
+    and their negatives."""
+    t = np.array([(s.theta_lo, s.theta_hi) for s in decomp.north])
+    p = np.array([(s.phi_lo, s.phi_hi, 0.0, 2 * math.pi) for s in decomp.north])
+    t = np.stack([np.nextafter(t, -1.0), t, np.nextafter(t, 4.0)], axis=-1).reshape(len(t), -1, 1)
+    p = np.stack([np.nextafter(p, -1.0), p, np.nextafter(p, 7.0)], axis=-1).reshape(len(p), 1, -1)
+    on_sphere = np.stack(
+        np.broadcast_arrays(np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)), axis=-1
+    ).reshape(-1, 3)
+    special = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1e-17, 0.3)]
+    return 10.0 * np.concatenate([special, on_sphere, -on_sphere])
 
 
 def test_one_pass_labels_on_patch_edges(ball_400):
-    # directions exactly on the stored edges (up to the arccos / arctan2 round
-    # trip) and one ulp either side, plus the poles, the equator and phi = 0, 2 pi
     for m, r_v in ((2, 0.0), (8, 0.0), (30, 0.0), (30, 1.0), (512, 0.0), (2048, 0.0)):
         decomp = build_patches(m, ball_400, r_v)
-        dirs = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1e-17, 0.3)]
-        for spec in decomp.north:
-            for t in (spec.theta_lo, spec.theta_hi):
-                for p in (spec.phi_lo, spec.phi_hi, 0.0, 2 * math.pi):
-                    for tt in (np.nextafter(t, -1.0), t, np.nextafter(t, 4.0)):
-                        for pp in (np.nextafter(p, -1.0), p, np.nextafter(p, 7.0)):
-                            dirs.append(_on_sphere(tt, pp))
-                            dirs.append(-_on_sphere(tt, pp))
-        pts = 10.0 * np.asarray(dirs, dtype=np.float64)
+        pts = edge_directions(decomp)
         got = decomp.assign_directions(pts)
         assert np.array_equal(got, loop_labels(decomp, pts))
         assert got[0] == 0 and got[1] == decomp.half  # the poles lie in the caps
@@ -255,11 +219,24 @@ def test_one_pass_labels_on_patch_edges(ball_400):
         asg = decomp.shell_assignment()
         x, y, z = asg.points.T
         on_seam = (x == 0) | (y == 0) | (z == 0) | (np.abs(x) == np.abs(y))
-        pts = asg.points[on_seam]
-        want = loop_labels(decomp, pts)
-        for p, lab in zip(pts[::7], want[::7]):
-            got = patch_of(decomp, p)
-            assert (got if got is not None else -1) == lab
+        assert np.array_equal(asg.labels[on_seam], loop_labels(decomp, asg.points[on_seam]))
+
+
+@pytest.mark.parametrize("ball_name", ["ball_400", "ball_6400"])
+def test_labels_partition_the_sphere_antipodally_without_corridors(ball_name, request):
+    # at r_v = 0 every nonzero point is labelled, the equator and the phi
+    # seams included, and -p carries the antipodal label of p
+    ball = request.getfixturevalue(ball_name)
+    for m in (2, 8, 30, 512, 1024, 2048):
+        decomp = build_patches(m, ball, 0.0)
+        half = decomp.half
+        asg = decomp.shell_assignment()
+        assert asg.labels.min() >= 0
+        assert np.array_equal(decomp.assign_directions(-asg.points), (asg.labels + half) % m)
+        pts = edge_directions(decomp)
+        got = decomp.assign_directions(pts)
+        assert got.min() >= 0
+        assert np.array_equal(decomp.assign_directions(-pts), (got + half) % m)
 
 
 def test_decomposition_owns_its_ball_and_labels_its_shell_once(decomp_400, ball_400):
