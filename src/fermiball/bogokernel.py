@@ -407,7 +407,8 @@ def _l_block_dev(d_diag: np.ndarray, b: np.ndarray, K: np.ndarray):
     side = d_diag.shape[-1]
     d = _diag(d_diag)
     d2b = _sym(d + 2.0 * b)
-    d_h = sym_sqrt(d, "d")
+    # d is diagonal: its root is the entrywise one, with the bits of sym_sqrt's
+    d_h = _diag(np.sqrt(d_diag))
     d2b_h = sym_sqrt(d2b, "d + 2b")
     m1 = sym_inv_sqrt(_sym(d_h @ d2b @ d_h), "d^1/2 (d+2b) d^1/2")
     m2 = sym_inv_sqrt(_sym(d2b_h @ d @ d2b_h), "(d+2b)^1/2 d (d+2b)^1/2")

@@ -239,33 +239,107 @@ def exp_ellipse_count(ctx: Context, *, axis_ratios=(1, 2, 5), radii=range(10, 30
 # patch experiments
 
 
-def min_patch_separation(decomp) -> float:
-    """Smallest distance between lattice points of distinct patches, up to
-    2 r_v + 4 (inf beyond).
+#: a lower bound on the smallest tile angle mu_min of a labelled shell (>= 0
+#: up to rounding); the patch audit keeps a point as a separation candidate
+#: when its clearance with mu_min at this bound is within the scan radius
+_MU_MIN_FLOOR = -1e-12
 
-    Offsets d are scanned by rising |d|^2, one half-space each (d and -d join
-    the same pairs), and the first |d|^2 that joins two labels is the answer.
-    Both ends of a pair that joins two labels at length D have a tile
-    clearance of at most D (`PatchDecomposition.tile_clearance`, taken over
-    every labelled shell point), so at that length only those points p are
-    tried, at p + d for every offset d of that length: a p + d whose integer
-    norm lies in the shell is labelled by `assign_directions`.
+
+@dataclass(frozen=True)
+class PatchAudit:
+    """What `audit_patches` finds of one decomposition's labelled shell."""
+
+    min_separation: float
+    max_diameter: float
+    corridor_points: int
+
+
+def audit_patches(decomp) -> PatchAudit:
+    """The smallest distance between lattice points of distinct patches, up
+    to 2 r_v + 4 (inf beyond), the largest patch diameter and the number of
+    corridor points, from one walk of the radial shell in row blocks.
+
+    Each block is labelled once, with each labelled point's tile angle mu_p
+    (`PatchDecomposition.labels_and_tile_angles`).  The block adds its
+    corridor points to the count, its smallest mu to mu_min, and each
+    patch's coordinate minima and maxima to the spans, which are exact
+    integer vectors.  The tile clearance `|p| sin(min(mu_p + mu_min,
+    pi/2))` (see `PatchDecomposition.tile_clearance`) does not decrease as
+    mu_min grows, so a point whose clearance exceeds the scan radius with
+    mu_min at _MU_MIN_FLOOR is never tried; only the other points outlive
+    their block.  After the walk their clearance takes the shell's mu_min,
+    with tile_clearance's operations, so each has the bits it has over the
+    whole labelled shell.
+
+    Offsets d are then scanned by rising |d|^2, one half-space each (d and
+    -d join the same pairs), and the first |d|^2 that joins two labels is
+    the separation.  Both ends of a pair that joins two labels at length D
+    have a clearance of at most D, so at that length only those candidates
+    p are tried, at p + d for every offset d of that length: a p + d whose
+    integer norm lies in the shell is labelled by `assign_directions`.
     """
-    asg = decomp.shell_assignment()
     q_lo, q_hi = decomp.shell_bounds()
-    src = np.flatnonzero(asg.labels >= 0)
-    clearance = decomp.tile_clearance(asg.points[src], asg.labels[src])
     radius = 2.0 * decomp.r_corridor + 4.0
+    lo = np.full((decomp.m_patches, 3), np.iinfo(np.int64).max)
+    hi = np.full((decomp.m_patches, 3), np.iinfo(np.int64).min)
+    corridor, mu_min = 0, math.inf
+    kept = []
+    for block in _band_blocks(q_lo, q_hi):
+        labels, r, mu = decomp.labels_and_tile_angles(block)
+        sel = labels >= 0
+        corridor += len(labels) - len(mu)
+        if not len(mu):
+            continue
+        mu_min = min(mu_min, float(mu.min()))
+        points, labels = block[sel], labels[sel]
+        # the fold is monotone in mu_min in exact arithmetic; the 1e-9 covers
+        # the few ulps by which a float sin may not be
+        near = patches._clearance(r, mu, _MU_MIN_FLOOR) <= radius * (1.0 + 1e-9)
+        kept.append((points[near].astype(np.int32), labels[near].astype(np.int32), r[near], mu[near]))
+        # each patch's rows in one run, reduced at the run starts
+        order = np.argsort(labels, kind="stable")
+        points, labels = points[order], labels[order]
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        patch = labels[starts]
+        lo[patch] = np.minimum(lo[patch], np.minimum.reduceat(points, starts))
+        hi[patch] = np.maximum(hi[patch], np.maximum.reduceat(points, starts))
+    if mu_min < _MU_MIN_FLOOR:
+        raise ExperimentError(
+            f"smallest tile angle {mu_min!r} lies below the separation scan's "
+            f"candidate floor {_MU_MIN_FLOOR!r}: candidates may be missing"
+        )
+    present = (lo <= hi).all(axis=1)
+    span = (hi - lo)[present]
+    diameter = float(np.sqrt((span * span).sum(axis=1)).max(initial=0.0))
+    # the clearance with the shell's mu_min; a part is replaced by its points
+    # within the radius before the next is folded
+    for i, (points, labels, r, mu) in enumerate(kept):
+        clearance = patches._clearance(r, mu, mu_min)
+        near = clearance <= radius
+        kept[i] = points[near], labels[near], clearance[near]
+    separation = math.inf
+    if kept:
+        points, labels, clearance = (np.concatenate(parts) for parts in zip(*kept))
+        del kept
+        separation = _first_joining_length(decomp, points, labels, clearance, radius)
+    return PatchAudit(separation, diameter, corridor)
+
+
+def _first_joining_length(decomp, points, labels, clearance, radius) -> float:
+    """The scan of `audit_patches` over its candidates: the first offset
+    length up to the radius at which a candidate p within its clearance
+    reaches a labelled shell point p + d of another patch (inf if none)."""
+    q_lo, q_hi = decomp.shell_bounds()
     offsets = _band(1, math.floor(radius * radius))
     # the band is symmetric and lexicographic: its upper half is the d > 0 half
     offsets = offsets[len(offsets) // 2 :]
     norms = (offsets * offsets).sum(axis=1)
     for norm in np.unique(norms):
         length = math.sqrt(norm)
-        near = src[clearance <= length]
+        near = np.flatnonzero(clearance <= length)
         ds = offsets[norms == norm]
-        ends = (asg.points[near] + ds[:, None, :]).reshape(-1, 3)
-        own = np.broadcast_to(asg.labels[near], (len(ds), len(near))).ravel()
+        ends = (points[near] + ds[:, None, :]).reshape(-1, 3)
+        own = np.broadcast_to(labels[near], (len(ds), len(near))).ravel()
         ends_sq = np.einsum("ij,ij->i", ends, ends)
         in_shell = (q_lo <= ends_sq) & (ends_sq <= q_hi)
         lab = decomp.assign_directions(ends[in_shell])
@@ -274,38 +348,34 @@ def min_patch_separation(decomp) -> float:
     return math.inf
 
 
+def min_patch_separation(decomp) -> float:
+    """Smallest distance between lattice points of distinct patches, up to
+    2 r_v + 4 (inf beyond), from `audit_patches`: one walk of the shell in
+    row blocks that keeps only the separation scan's candidates."""
+    return audit_patches(decomp).min_separation
+
+
 def exp_patch_audit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30), r_v=2.0):
     # k_F = 40 keeps 2 r_v = 4 below the patch scale k_F / sqrt(M) at M = 30
     ball = ctx.balls.get(k_fermi_sq)
     rows = []
     for m in m_grid:
         decomp = patches.build_patches(m, ball, r_v)
-        asg = decomp.shell_assignment()
         areas = decomp.angular_areas()
-        sep = min_patch_separation(decomp)
-        # each patch's coordinate span from its minima and maxima, taken in
-        # one pass over the labelled shell; spans are exact integer vectors
-        sel = asg.labels >= 0
-        labels, points = asg.labels[sel], asg.points[sel].astype(np.int64)
-        lo = np.full((decomp.m_patches, 3), np.iinfo(np.int64).max)
-        hi = np.full((decomp.m_patches, 3), np.iinfo(np.int64).min)
-        np.minimum.at(lo, labels, points)
-        np.maximum.at(hi, labels, points)
-        span = (hi - lo)[np.bincount(labels, minlength=decomp.m_patches) > 0]
-        diam_max = float(np.sqrt((span * span).sum(axis=1)).max(initial=0.0))
+        audit = audit_patches(decomp)
         n13 = ball.n_particles ** (1.0 / 3.0)
         rows.append(
             {
                 "m_requested": m,
                 "m_actual": decomp.m_patches,
                 "r_corridor": r_v,
-                "min_separation": sep,
+                "min_separation": audit.min_separation,
                 "separation_bound": 2.0 * r_v,
-                "max_diameter": diam_max,
-                "diameter_const": diam_max * math.sqrt(decomp.m_patches) / n13,
+                "max_diameter": audit.max_diameter,
+                "diameter_const": audit.max_diameter * math.sqrt(decomp.m_patches) / n13,
                 "area_sum": float(areas.sum()),
                 "corridor_area": 4.0 * math.pi - float(areas.sum()),
-                "corridor_points": int((asg.labels < 0).sum()),
+                "corridor_points": audit.corridor_points,
             }
         )
     return rows

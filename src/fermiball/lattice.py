@@ -34,8 +34,10 @@ EQUATOR_DELTA_MAX = Fraction(77, 624)
 KAPPA_IDEAL = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 #: rows labelled at once by `PatchDecomposition.shell_assignment`, and rows a
-#: block of `_blocks` holds (band rows for the Hartree-Fock oracle, lune pairs
-#: for `pair_counts`); bounds their transient memory to about 1 MB at any radius
+#: block of `_blocks` holds (band rows for the Hartree-Fock oracle and for the
+#: patch audit's walk of the shell, which keeps only its separation candidates
+#: past a block; lune pairs for `pair_counts`); bounds their transient memory
+#: to about 1 MB at any radius
 _BLOCK_ROWS = 1 << 13
 
 #: columns (x, y) per x-slab of the lattice walk `_slabs`, whose column

@@ -10,8 +10,10 @@ labelled.  Extended patches are the radial thickening of the angular patches
 intersected with the lattice.
 
 A decomposition owns the `FermiBall` it was built from and counts pairs
-against that ball only, from the pairs themselves.  It labels its shell once,
-on first use, for the patch audit.
+against that ball only, from the pairs themselves.  The patch audit walks
+the radial shell a block of rows at a time: one angle pass per block gives
+each point's label and tile angle, and only the points near a tile edge
+outlive their block, as candidates of the separation scan.
 """
 
 from __future__ import annotations
@@ -66,6 +68,21 @@ def _canonical_angles(points: np.ndarray):
     phi = np.arctan2(y, x)
     np.mod(phi, TWO_PI, out=phi)
     return r, theta, phi, flip
+
+
+def _clearance(r: np.ndarray, mu: np.ndarray, mu_min: float) -> np.ndarray:
+    """The tile clearance |p| sin(min(mu_p + mu_min, pi/2)) of points of norm
+    r and tile angle mu (see `PatchDecomposition.tile_clearance`), less 1e-9
+    of it and less 1e-9, so that float angles on an ulp seam (where the
+    bound can hold with equality) never overstate it.  A new array; mu is
+    kept."""
+    out = mu + mu_min
+    np.minimum(out, math.pi / 2, out=out)
+    np.sin(out, out=out)
+    out *= r
+    out *= 1.0 - 1e-9
+    out -= 1e-9
+    return out
 
 
 class PatchConstructionError(ValueError):
@@ -155,6 +172,14 @@ class PatchDecomposition:
         self._theta_hi = np.array([s.theta_hi for s in north])
         self._phi_lo = np.array([-np.inf] + [s.phi_lo for s in north[1:]])
         self._phi_hi = np.array([np.inf] + [s.phi_hi for s in north[1:]])
+        # each northern patch's tile: its collar table cell, the pole inside the cap
+        collar = np.repeat(np.arange(len(self._collar_count)), self._collar_count)
+        width = TWO_PI / self._collar_count[collar]
+        self._tile_phi_lo = (np.arange(self.half) - self._collar_first[collar]) * width
+        self._tile_phi_hi = self._tile_phi_lo + width
+        self._tile_theta_lo = self._theta_edges[collar]
+        self._tile_theta_lo[0] = -np.inf
+        self._tile_theta_hi = self._theta_edges[collar + 1]
 
     @property
     def half(self) -> int:
@@ -185,7 +210,10 @@ class PatchDecomposition:
         patch and every nonzero point is labelled; with corridors the
         direction must also lie within the tile's stored patch bounds.
         """
-        r, theta, phi, flip = _canonical_angles(points)
+        return self._label(*_canonical_angles(points))
+
+    def _label(self, r, theta, phi, flip) -> np.ndarray:
+        """`assign_directions` on the output of `_canonical_angles`."""
         collar = np.searchsorted(self._theta_edges[:-1], theta, side="right") - 1
         m = self._collar_count[collar]
         labels = np.minimum((phi * self._collar_scale[collar]).astype(np.int64), m - 1)
@@ -202,6 +230,38 @@ class PatchDecomposition:
         labels[corridor] = -1
         return labels
 
+    def labels_and_tile_angles(self, points: np.ndarray):
+        """`assign_directions`' labels of the points, and |p| and the tile
+        angle mu_p (see `tile_clearance`) of each labelled one, in order,
+        from one angle pass."""
+        r, theta, phi, flip = _canonical_angles(points)
+        labels = self._label(r, theta, phi, flip)
+        sel = labels >= 0
+        return labels, r[sel], self._tile_angle(theta[sel], phi[sel], labels[sel] % self.half)
+
+    def _tile_angle(self, theta, phi, spec) -> np.ndarray:
+        """Angular distance from each canonical direction (theta, phi) to the
+        outside of the tile of northern patch ``spec``; theta and phi are
+        overwritten."""
+        # in place where possible, so that few point-sized arrays live at once
+        mu = self._tile_theta_lo[spec]
+        np.subtract(theta, mu, out=mu)
+        edge = self._tile_theta_hi[spec]
+        np.subtract(edge, theta, out=edge)
+        np.minimum(mu, edge, out=mu)
+        # distance to the meridian half-circle dphi away: asin(sin theta
+        # sin dphi), or to the nearer pole once dphi passes pi/2
+        np.take(self._tile_phi_lo, spec, out=edge)
+        np.subtract(phi, edge, out=edge)
+        np.subtract(self._tile_phi_hi[spec], phi, out=phi)
+        np.minimum(edge, phi, out=edge)
+        np.minimum(edge, math.pi / 2, out=edge)
+        np.sin(edge, out=edge)
+        edge *= np.sin(theta, out=theta)
+        np.arcsin(edge, out=edge)
+        np.minimum(mu, edge, out=mu, where=spec > 0)  # the cap has no phi edge
+        return mu
+
     def tile_clearance(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per labelled point p, a length below which no other of the given
         points with another label lies from p: |p| sin(min(mu_p + mu_min, pi/2)).
@@ -209,10 +269,11 @@ class PatchDecomposition:
         A patch's tile is its cell of the collar table, the cell its
         corridors were carved from: the cap theta < theta_cap, a collar cell
         [t_lo, t_hi) x [2 pi j / m, 2 pi (j + 1) / m) (the last collar's
-        closed at the equator), or the antipodal image of one.  Tiles are disjoint and each holds its patch.  mu_p is the
-        angular distance from p's direction to the outside of its tile, read
-        from the canonical angles of `assign_directions`, and mu_min the
-        smallest mu over the given points.
+        closed at the equator), or the antipodal image of one.  Tiles are
+        disjoint and each holds its patch.  mu_p is the angular distance
+        from p's direction to the outside of its tile, read from the
+        canonical angles of `assign_directions`, and mu_min the smallest mu
+        over the given points.
 
         Take p in tile a and q in tile b != a, both among the points.  The
         great-circle arc from p's direction to q's stays in tile a for at
@@ -222,46 +283,12 @@ class PatchDecomposition:
         mu_min.  The angle between p and p + d is at most asin(|d| / |p|)
         (and reaches pi/2 only once |d| >= |p|), so |q - p| >= |p| sin(min(
         mu_p + mu_min, pi/2)), from either end of the pair.  The value
-        returned is that bound less 1e-9 of it and less 1e-9, so that float
-        angles on an ulp seam (where the bound can hold with equality) never
-        overstate it.
+        returned is that bound less 1e-9 of it and less 1e-9 (see
+        `_clearance`).
         """
-        counts = self._collar_count
-        collar = np.repeat(np.arange(len(counts)), counts)
-        width = TWO_PI / counts[collar]
-        p_lo = (np.arange(self.half) - self._collar_first[collar]) * width
-        p_hi = p_lo + width
-        t_lo = self._theta_edges[collar]
-        t_lo[0] = -np.inf  # the pole is inside the cap
-        t_hi = self._theta_edges[collar + 1]
-
-        # in place where possible, so that few point-sized arrays live at once
         r, theta, phi, _ = _canonical_angles(points)
-        spec = np.asarray(labels) % self.half
-        mu = t_lo[spec]
-        np.subtract(theta, mu, out=mu)
-        edge = t_hi[spec]
-        np.subtract(edge, theta, out=edge)
-        np.minimum(mu, edge, out=mu)
-        # distance to the meridian half-circle dphi away: asin(sin theta
-        # sin dphi), or to the nearer pole once dphi passes pi/2
-        np.take(p_lo, spec, out=edge)
-        np.subtract(phi, edge, out=edge)
-        np.subtract(p_hi[spec], phi, out=phi)
-        np.minimum(edge, phi, out=edge)
-        np.minimum(edge, math.pi / 2, out=edge)
-        np.sin(edge, out=edge)
-        edge *= np.sin(theta, out=theta)
-        np.arcsin(edge, out=edge)
-        np.minimum(mu, edge, out=mu, where=spec > 0)  # the cap has no phi edge
-        if len(mu):
-            mu += mu.min()
-        np.minimum(mu, math.pi / 2, out=mu)
-        np.sin(mu, out=mu)
-        mu *= r
-        mu *= 1.0 - 1e-9
-        mu -= 1e-9
-        return mu
+        mu = self._tile_angle(theta, phi, np.asarray(labels) % self.half)
+        return _clearance(r, mu, mu.min() if len(mu) else 0.0)
 
     def shell_bounds(self) -> tuple[int, int]:
         """(q_lo, q_hi): the radial shell is the lattice points p with
@@ -274,7 +301,8 @@ class PatchDecomposition:
 
     def shell_assignment(self) -> ShellAssignment:
         """Label every lattice point of the radial shell; built on the first
-        call, for the patch audit (pair counts walk the pairs instead)."""
+        call and kept.  No experiment calls it: the patch audit walks the
+        shell in blocks and the pair counts walk the pairs."""
         if self._assignment is None:
             points = _band(*self.shell_bounds(), np.int32)
             labels = np.empty(len(points), dtype=np.int32)

@@ -377,6 +377,48 @@ def scan_min_patch_separation(decomp: PatchDecomposition) -> float:
     return math.inf
 
 
+def shell_patch_audit(decomp: PatchDecomposition) -> tuple[float, float, int]:
+    """The patch audit over the kept labelled shell: (min_separation,
+    max_diameter, corridor_points), the reference for the block walk
+    `experiments.audit_patches`.
+
+    The separation scans offsets d by rising |d|^2 and tries, at each
+    length, the labelled shell points whose `tile_clearance` over the whole
+    labelled shell is at most that length; the spans are taken by
+    `np.minimum.at` and `np.maximum.at` over the labelled shell.
+    """
+    asg = decomp.shell_assignment()
+    q_lo, q_hi = decomp.shell_bounds()
+    src = np.flatnonzero(asg.labels >= 0)
+    clearance = decomp.tile_clearance(asg.points[src], asg.labels[src])
+    radius = 2.0 * decomp.r_corridor + 4.0
+    offsets = _band(1, math.floor(radius * radius))
+    offsets = offsets[len(offsets) // 2 :]
+    norms = (offsets * offsets).sum(axis=1)
+    separation = math.inf
+    for norm in np.unique(norms):
+        length = math.sqrt(norm)
+        near = src[clearance <= length]
+        ds = offsets[norms == norm]
+        ends = (asg.points[near] + ds[:, None, :]).reshape(-1, 3)
+        own = np.broadcast_to(asg.labels[near], (len(ds), len(near))).ravel()
+        ends_sq = np.einsum("ij,ij->i", ends, ends)
+        in_shell = (q_lo <= ends_sq) & (ends_sq <= q_hi)
+        lab = decomp.assign_directions(ends[in_shell])
+        if ((lab >= 0) & (lab != own[in_shell])).any():
+            separation = length
+            break
+    sel = asg.labels >= 0
+    labels, points = asg.labels[sel], asg.points[sel].astype(np.int64)
+    lo = np.full((decomp.m_patches, 3), np.iinfo(np.int64).max)
+    hi = np.full((decomp.m_patches, 3), np.iinfo(np.int64).min)
+    np.minimum.at(lo, labels, points)
+    np.maximum.at(hi, labels, points)
+    span = (hi - lo)[np.bincount(labels, minlength=decomp.m_patches) > 0]
+    diameter = float(np.sqrt((span * span).sum(axis=1)).max(initial=0.0))
+    return separation, diameter, int((asg.labels < 0).sum())
+
+
 def eigvalsh_ground_state_shift(ms: ModeSystem) -> float:
     """tr(E - D - W)/2 from one n x n eigvalsh of the half-size block.
 

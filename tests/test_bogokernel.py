@@ -15,7 +15,15 @@ from fermiball import (
     ground_state_shift,
     sample_mode_system,
 )
-from fermiball.bogokernel import _assemble, _l_block_dev, _mode_matrices, _same_side, _solve
+from fermiball.bogokernel import (
+    _assemble,
+    _diag,
+    _l_block_dev,
+    _mode_matrices,
+    _same_side,
+    _solve,
+    sym_sqrt,
+)
 from fermiball.lattice import InteractionPotential, Momentum
 from oracles import check_frakK_vs_E, dump_solution_csv, pair_count
 
@@ -242,6 +250,18 @@ def test_stack_solves_to_the_bits_of_single_systems(side):
         for name, value in single.residuals.items():
             assert stacked.residuals[name][j] == value, name
         assert l_devs[j] == check_L_blocks(ms, single)
+
+
+@pytest.mark.parametrize("stack", [None, 7])
+def test_diagonal_root_has_the_bits_of_the_eigh_root(stack):
+    # _l_block_dev takes d^1/2 entrywise; sym_sqrt (an eigh) gives the same bits
+    rng = np.random.default_rng(5)
+    for side in range(1, 31):
+        for _ in range(20):
+            d = rng.uniform(0.01, 3.0, size=(side,) if stack is None else (stack, side)) ** 2
+            want = sym_sqrt(_diag(d))
+            got = _diag(np.sqrt(d))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (stack, side)
 
 
 def test_non_pd_matrix_in_a_stack_is_named():

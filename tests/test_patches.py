@@ -14,7 +14,8 @@ from fermiball import (
     index_sets,
     rpa_energy_trace,
 )
-from fermiball.experiments import min_patch_separation
+from fermiball import experiments
+from fermiball.experiments import ExperimentError, audit_patches, min_patch_separation
 from fermiball.lattice import _band
 from fermiball.patches import _BLOCK_ROWS, pair_counts
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     patch_of,
     row_keys,
     scan_min_patch_separation,
+    shell_patch_audit,
 )
 
 
@@ -301,6 +303,46 @@ def test_separation_matches_full_scan_small_radii():
                 want = scan_min_patch_separation(decomp)
                 assert min_patch_separation(decomp) == want, (ksq, r_v, m)
     assert built >= 100
+
+
+def test_audit_walk_matches_the_full_shell_audit():
+    built = 0
+    for ksq in ("100.5", "400.5", "1600.5"):
+        ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+        for r_v in (0.0, 1.0, 2.0):
+            for m in (2, 6, 16, 30):
+                try:
+                    decomp = build_patches(m, ball, r_v)
+                except PatchConstructionError:
+                    continue
+                built += 1
+                audit = audit_patches(decomp)
+                got = (audit.min_separation, audit.max_diameter, audit.corridor_points)
+                assert got == shell_patch_audit(decomp), (ksq, r_v, m)
+    assert built >= 25
+
+
+def test_audit_names_a_tile_angle_below_the_candidate_floor(decomp_400, monkeypatch):
+    # every labelled point of decomp_400 lies well inside its tile; a floor
+    # above its smallest tile angle could have dropped candidates
+    monkeypatch.setattr(experiments, "_MU_MIN_FLOOR", 1.0)
+    with pytest.raises(ExperimentError, match="candidate floor"):
+        audit_patches(decomp_400)
+
+
+def test_audit_keeps_no_shell(ball_6400):
+    # 321k shell points; the kept shell and its float temporaries traced
+    # 25 MB here, the walk keeps only the scan's candidates
+    decomp = build_patches(30, ball_6400, 2.0)
+    tracemalloc.start()
+    try:
+        audit = audit_patches(decomp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert audit.min_separation > 4.0
+    assert decomp._assignment is None
+    assert peak <= 8e6, peak
 
 
 @pytest.mark.parametrize("r_v", [0.0, 1.0, 2.0])
