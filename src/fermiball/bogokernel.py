@@ -207,9 +207,12 @@ def build_mode_system(
     v: InteractionPotential,
     k: Sequence[int],
     delta: float,
+    counts: np.ndarray | None = None,
 ) -> ModeSystem:
     """Assemble D, W, W~ for momentum k from exact lattice pair counts.
 
+    ``counts`` is `pair_counts(decomp, k)` when the caller has it already
+    (from `pair_counts_by_layout`'s walk); it is counted here otherwise.
     Patches whose pair count vanishes (a finite-size artifact near the cut)
     are dropped together with their antipodal partners.
     """
@@ -217,18 +220,13 @@ def build_mode_system(
     km = Momentum(int(kv[0]), int(kv[1]), int(kv[2]))
     knorm = math.sqrt(km.norm_sq())
     idx = index_sets(decomp, kv, delta)
-    counts = pair_counts(decomp, kv)
-    dots = decomp.k_dots(kv)
-    plus, u_side, n_side = [], [], []
-    dropped = []
-    for a in idx.plus_side:
-        cnt = int(counts[a])
-        if cnt <= 0:
-            dropped.append(a)
-            continue
-        plus.append(a)
-        u_side.append(math.sqrt(abs(float(dots[a])) / knorm))
-        n_side.append(math.sqrt(cnt))
+    if counts is None:
+        counts = pair_counts(decomp, kv)
+    side = np.array(idx.plus_side, dtype=np.int64)
+    side_counts = counts[side]
+    live = side_counts > 0
+    plus = side[live]
+    dropped = side[~live].tolist()
     if dropped:
         log.warning(
             "dropping %d zero-count modes for k=%s (geometry too coarse): %s",
@@ -236,20 +234,21 @@ def build_mode_system(
             tuple(km),
             dropped,
         )
-    if not plus:
+    if not len(plus):
         raise EmptyModeSystemError(
             f"no modes survive for k={tuple(km)} at delta={delta}; "
             "k_fermi is too small for this patch count"
         )
+    # abs, the division and sqrt round correctly, as math's do one mode at a time
     return _assemble(
         km,
         v(kv),
         decomp.m_patches,
         decomp.ball.n_particles,
         decomp.ball.hbar,
-        plus,
-        np.asarray(u_side),
-        np.asarray(n_side),
+        plus.tolist(),
+        np.sqrt(np.abs(decomp.k_dots(kv)[plus]) / knorm),
+        np.sqrt(side_counts[live].astype(np.float64)),
     )
 
 

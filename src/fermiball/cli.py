@@ -20,21 +20,23 @@ __all__ = ["main"]
 OUTPUT_DIR_ENV = "FERMIBALL_OUT"
 
 
-def _read_config(path: str, output_override=None):
+def _read_config(path: str, output_override=None, workers=None):
+    """The config at path; a workers override replaces its workers field
+    and is checked as that field is."""
     with open(path) as fh:
         doc = json.load(fh)
+    if workers is not None and isinstance(doc, dict):
+        doc = {**doc, "workers": workers}
     return load_config(doc, output_override=output_override)
 
 
 def _cmd_run(args) -> int:
     out = args.out or os.environ.get(OUTPUT_DIR_ENV)
     try:
-        config = _read_config(args.config, output_override=out)
+        config = _read_config(args.config, output_override=out, workers=args.workers)
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    if args.workers:
-        config.workers = args.workers
     manifest, all_ok = run_experiments(config)
     for name, entry in manifest["experiments"].items():
         status = entry["status"]

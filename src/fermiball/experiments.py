@@ -34,6 +34,8 @@ from .lattice import (
     _ball_kinetic_sum,
     _band,
     _band_blocks,
+    _band_census,
+    _band_rows,
     _solve_ksq_for_n,
     build_fermi_ball,
 )
@@ -459,16 +461,32 @@ def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
     return rows
 
 
+def _counts_by_point(layouts, ks) -> list[dict]:
+    """Each layout's pair counts at each k, keyed by k, from one walk of each
+    lune per ball: the layouts are grouped by the ball they tile."""
+    groups: dict[int, list[int]] = {}
+    for i, decomp in enumerate(layouts):
+        groups.setdefault(id(decomp.ball), []).append(i)
+    out: list[dict] = [{} for _ in layouts]
+    for members in groups.values():
+        for k in ks:
+            walked = patches.pair_counts_by_layout([layouts[i] for i in members], k)
+            for i, counts in zip(members, walked):
+                out[i][k] = counts
+    return out
+
+
 def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30)):
     # polar support: coarse layouts (M = 6) have patches exactly orthogonal
     # to the equatorial axes, which would empty those mode systems
     pot = InteractionPotential({(0, 0, 1): 0.1, (0, 0, -1): 0.1})
     ball = ctx.balls.get(k_fermi_sq)
+    layouts = [patches.build_patches(m, ball, r_v=1.0) for m in m_grid]
+    counts = _counts_by_point(layouts, pot.gamma_nor())
     rows = []
-    for m in m_grid:
-        decomp = patches.build_patches(m, ball, r_v=1.0)
+    for m, decomp, layout_counts in zip(m_grid, layouts, counts):
         for k in pot.gamma_nor():
-            ms = bogokernel.build_mode_system(decomp, pot, k, ENERGY_DELTA)
+            ms = bogokernel.build_mode_system(decomp, pot, k, ENERGY_DELTA, layout_counts[k])
             sol = bogokernel.diagonalize(ms)
             c_star, worst = bogokernel.check_kernel_bound(sol, ms)
             rows.append(
@@ -493,17 +511,17 @@ def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30))
 
 def exp_rpa_compare(ctx: Context, *, schedule=((400.5, 8), (1600.5, 16), (6400.5, 30))):
     pot = default_potential()
+    layouts = [patches.build_patches(m, ctx.balls.get(ksq), r_v=0.0) for ksq, m in schedule]
+    counts = _counts_by_point(layouts, pot.gamma_nor())
     rows = []
-    for ksq, m in schedule:
-        ball = ctx.balls.get(ksq)
-        decomp = patches.build_patches(m, ball, r_v=0.0)
-        report = rpa.rpa_energy_trace(decomp, pot, ENERGY_DELTA)
+    for (ksq, m), decomp, point_counts in zip(schedule, layouts, counts):
+        report = rpa.rpa_energy_trace(decomp, pot, ENERGY_DELTA, point_counts)
         rows.append(
             {
                 "k_fermi_sq": str(Fraction(ksq)),
                 "m_requested": m,
                 "m_actual": decomp.m_patches,
-                "n": ball.n_particles,
+                "n": decomp.ball.n_particles,
                 "delta": ENERGY_DELTA,
                 "e_analytic": report.e_analytic,
                 "e_trace": report.e_trace,
@@ -536,12 +554,12 @@ def exp_small_v_fit(ctx: Context):
 # Hartree-Fock experiments
 
 
-def boundary_shells(ball: FermiBall) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied and empty momenta within one unit of the Fermi surface, as
-    int32 rows."""
+def _boundary_bands(ball: FermiBall) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(q_lo, q_hi) of the occupied and of the empty momenta within one unit
+    of the Fermi surface, the bands hf_stability draws its swaps from."""
     kf = ball.k_fermi
-    holes = _band(math.ceil((kf - 1.0) ** 2), ball.norm_sq_max, np.int32)
-    particles = _band(ball.norm_sq_max + 1, math.floor((kf + 1.0) ** 2), np.int32)
+    holes = (math.ceil((kf - 1.0) ** 2), ball.norm_sq_max)
+    particles = (ball.norm_sq_max + 1, math.floor((kf + 1.0) ** 2))
     return holes, particles
 
 
@@ -648,20 +666,25 @@ def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50
             f"potential too strong for the stability regime: "
             f"lambda ||V||_1 = {lam_v1:.3e} >= hbar^2/2 = {ball.hbar ** 2 / 2:.3e}"
         )
-    holes, particles = boundary_shells(ball)
+    # each band is counted, and only the rows at the drawn ranks are built
+    hole_band, particle_band = _boundary_bands(ball)
+    hole_sizes, q_hole = _band_census(*hole_band)
+    particle_sizes, _ = _band_census(*particle_band)
     rng = np.random.default_rng(ctx.config.seed)
-    hi = rng.integers(0, len(holes), size=n_swaps)
-    pi = rng.integers(0, len(particles), size=n_swaps)
-    gaps = lattice.excitation_energy(ball, pot, holes[hi], particles[pi])
+    hi = rng.integers(0, sum(hole_sizes), size=n_swaps)
+    pi = rng.integers(0, sum(particle_sizes), size=n_swaps)
+    holes = _band_rows(*hole_band, hi, hole_sizes)
+    particles = _band_rows(*particle_band, pi, particle_sizes)
+    gaps = lattice.excitation_energy(ball, pot, holes, particles)
     e0 = lattice.hartree_fock_energy(ball, pot)
     rows = []
-    oracle = SwapOracle(ball, pot, int((holes * holes).sum(axis=1).min()))
+    oracle = SwapOracle(ball, pot, q_hole)
     check_ids = np.sort(rng.choice(n_swaps, size=min(n_check, n_swaps), replace=False))
-    energies = oracle.energies(holes[hi[check_ids]], particles[pi[check_ids]])
+    energies = oracle.energies(holes[check_ids], particles[check_ids])
     worst_rel = 0.0
     for i, energy in zip(check_ids.tolist(), energies):
-        h = holes[hi[i]]
-        p = particles[pi[i]]
+        h = holes[i]
+        p = particles[i]
         full = energy - e0
         rel = abs(full - gaps[i]) / max(abs(full), 1e-300)
         worst_rel = max(worst_rel, rel)

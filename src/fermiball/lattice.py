@@ -214,12 +214,56 @@ def _band(q_lo: int, q_hi: int, dtype=np.int64) -> np.ndarray:
         raise ValueError(f"coordinates up to {r} do not fit {np.dtype(dtype)}")
     if q_lo > q_hi:
         return np.empty((0, 3), dtype=dtype)
-    sizes = [int(runs[3].sum()) for runs in _band_runs(q_lo, q_hi)]
+    sizes, _ = _band_census(q_lo, q_hi)
     out = np.empty((sum(sizes), 3), dtype=dtype)
     row = 0
     for runs, size in zip(_band_runs(q_lo, q_hi), sizes):
         _fill(*runs, out=out[row : row + size])
         row += size
+    return out
+
+
+def _band_census(q_lo: int, q_hi: int) -> tuple[list[int], int]:
+    """_band's rows per x-slab, from one walk of its run lengths, and the
+    smallest |p|^2 in the band (q_hi + 1 when it is empty).
+
+    A column's smallest norm is that of the first z of its run for z >= 0,
+    which is nonempty whenever the column holds a point."""
+    sizes, q_min = [], q_hi + 1
+    for x, y, starts, lengths in _band_runs(q_lo, q_hi):
+        sizes.append(int(lengths.sum()))
+        full = lengths[:, 1] > 0
+        if full.any():
+            x, y, z = x[full], y[full], starts[full, 1]
+            q_min = min(q_min, int((x * x + y * y + z * z).min()))
+    return sizes, q_min
+
+
+def _band_rows(q_lo: int, q_hi: int, ranks, sizes: Sequence[int]) -> np.ndarray:
+    """The rows of _band(q_lo, q_hi) at the given ranks, in the order of
+    ranks and repeats kept, as an int64 array; sizes are the rows per x-slab
+    from _band_census.
+
+    The band is walked once more and no slab is filled: a rank's slab, its
+    column there and its z are read from the cumulative row counts of the
+    slabs and of the slab's columns, and from the column's two z-runs."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(ranks), 3), dtype=np.int64)
+    slab_end = np.cumsum(sizes)
+    slab = np.searchsorted(slab_end, ranks, side="right")
+    for i, (x, y, starts, lengths) in enumerate(_band_runs(q_lo, q_hi)):
+        mine = np.flatnonzero(slab == i)
+        if not len(mine):
+            continue
+        per_column = lengths.sum(axis=1)
+        column_end = np.cumsum(per_column)
+        offset = ranks[mine] - (slab_end[i] - sizes[i])
+        col = np.searchsorted(column_end, offset, side="right")
+        offset -= column_end[col] - per_column[col]
+        below = lengths[col, 0]
+        out[mine, 0] = x[col]
+        out[mine, 1] = y[col]
+        out[mine, 2] = np.where(offset < below, starts[col, 0] + offset, starts[col, 1] + offset - below)
     return out
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "build_patches",
     "index_sets",
     "pair_counts",
+    "pair_counts_by_layout",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -432,9 +434,29 @@ def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> Mo
         raise ValueError(f"delta must lie in (0, 1/6), got {delta}")
     threshold = decomp.ball.n_particles ** (-delta)
     dots = decomp.k_dots(kv)
-    plus = tuple(int(a) for a in np.nonzero(dots >= threshold)[0])
-    minus = tuple(int(a) for a in np.nonzero(dots <= -threshold)[0])
+    plus = tuple(np.flatnonzero(dots >= threshold).tolist())
+    minus = tuple(np.flatnonzero(dots <= -threshold).tolist())
     return ModeIndexSet(_as_momentum(k), float(delta), plus, minus)
+
+
+def _shell_pair_ends(part: np.ndarray, k: np.ndarray, bounds: Sequence[tuple[int, int]]):
+    """The lune pairs (p, p - k) of one block of particles p that have both
+    ends in the radial shell of at least one of the (q_lo, q_hi) bounds: per
+    bound the mask of its own pairs among those kept (None for one bound),
+    then `_canonical_angles` of the kept particles and of their holes."""
+    # both ends in the shell: the particle already lies above
+    # k_F^2 >= q_lo and the hole below q_hi; |p - k|^2 is exact in int64
+    pp = np.einsum("ij,ij->i", part, part)
+    hh = pp - 2 * (part @ k) + int(k @ k)
+    keeps = [(pp <= q_hi) & (hh >= q_lo) for q_lo, q_hi in bounds]
+    keep, mines = keeps[0], None
+    if len(keeps) > 1:
+        keep = np.logical_or.reduce(keeps)
+        mines = [m[keep] for m in keeps]
+    part = part[keep]
+    part_angles = _canonical_angles(part)
+    part -= k
+    return mines, part_angles, _canonical_angles(part)
 
 
 def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
@@ -450,25 +472,47 @@ def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
     lies in L(-k) exactly when p lies in L(k), labels are antipodal
     (label(-p) = label(p) + M/2 mod M) and k . omega of patch alpha + M/2
     is -k . omega_alpha.  So each end is labelled once, and the counts of
-    patch alpha + M/2 are those of patch alpha.
+    patch alpha + M/2 are those of patch alpha.  The walk is that of
+    `pair_counts_by_layout` for one layout.
+    """
+    return pair_counts_by_layout([decomp], k)[0]
+
+
+def pair_counts_by_layout(
+    decomps: Sequence[PatchDecomposition], k: Sequence[int]
+) -> list[np.ndarray]:
+    """`pair_counts` of each layout at relative momentum k, from one walk of
+    the lune of the Fermi ball they all tile.
+
+    The lune and its pair-end angles do not depend on the layout: each block
+    of the lune is cut to the radial shell once per distinct
+    `PatchDecomposition.shell_bounds`, its kept particles and their holes
+    pass `_canonical_angles` once, and only the labels, the plus-side test,
+    the agreement of the two ends and the tally are taken per layout.  Layouts
+    built from different `FermiBall` objects raise ValueError.
     """
     kv = _as_ivec(k)
     if not kv.any():
         raise ValueError("k = 0 admits no particle-hole pairs")
-    q_lo, q_hi = decomp.shell_bounds()
-    plus = decomp.k_dots(kv) > 0
-    counts = np.zeros(decomp.m_patches, dtype=np.int64)
-    for part in _blocks(_lune(decomp.ball.norm_sq_max, kv)):
-        hole = part - kv
-        # both ends in the shell: the particle already lies above
-        # k_F^2 >= q_lo and the hole below q_hi
-        keep = (np.einsum("ij,ij->i", part, part) <= q_hi) & (
-            np.einsum("ij,ij->i", hole, hole) >= q_lo
-        )
-        part, hole = part[keep], hole[keep]
-        lab = decomp.assign_directions(part)
-        pair = np.flatnonzero((lab >= 0) & plus[lab])
-        lab = lab[pair]
-        lab = lab[decomp.assign_directions(hole[pair]) == lab]
-        counts += np.bincount(lab, minlength=decomp.m_patches)
-    return counts + np.roll(counts, decomp.half)
+    if not decomps:
+        return []
+    ball = decomps[0].ball
+    if any(d.ball is not ball for d in decomps):
+        raise ValueError("layouts counted in one walk must tile one FermiBall")
+    bounds = sorted({d.shell_bounds() for d in decomps})
+    shell = [bounds.index(d.shell_bounds()) for d in decomps]
+    plus = [d.k_dots(kv) > 0 for d in decomps]
+    counts = [np.zeros(d.m_patches, dtype=np.int64) for d in decomps]
+    # map drops each block once its pair ends are taken
+    blocks = _blocks(_lune(ball.norm_sq_max, kv))
+    for mines, *ends in map(_shell_pair_ends, blocks, repeat(kv), repeat(bounds)):
+        for decomp, s, side, tally in zip(decomps, shell, plus, counts):
+            part, hole = ends
+            if mines is not None:
+                part, hole = ([a[mines[s]] for a in angles] for angles in ends)
+            lab = decomp._label(*part)
+            pair = np.flatnonzero((lab >= 0) & side[lab])
+            lab = lab[pair]
+            lab = lab[decomp._label(*(a[pair] for a in hole)) == lab]
+            tally += np.bincount(lab, minlength=decomp.m_patches)
+    return [c + np.roll(c, d.half) for c, d in zip(counts, decomps)]

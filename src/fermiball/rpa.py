@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -223,12 +223,16 @@ def rpa_energy_trace(
     decomp: PatchDecomposition,
     v: InteractionPotential,
     delta: float,
+    counts: Mapping[Momentum, np.ndarray] | None = None,
 ) -> RpaReport:
     """Correlation energy on `decomp.ball` from the per-momentum mode systems.
 
     Each k in the normal half-support contributes 2 hbar kappa |k| times the
     ground-state shift tr(E - D - W)/2; the paired analytic value for the same
-    (k, -k) pair sits alongside it in `per_k_terms`.
+    (k, -k) pair sits alongside it in `per_k_terms`.  ``counts`` maps each
+    such k to `pair_counts(decomp, k)` when the caller has counted them
+    already (see `patches.pair_counts_by_layout`); each is counted here
+    otherwise.
     """
     per_k: dict[Momentum, tuple[float, float]] = {}
     quad_err = 0.0
@@ -236,7 +240,7 @@ def rpa_energy_trace(
     for k in v.gamma_nor():
         knorm = math.sqrt(k.norm_sq())
         weight = 2.0 * decomp.ball.hbar * KAPPA_IDEAL * knorm
-        ms = build_mode_system(decomp, v, k, delta)
+        ms = build_mode_system(decomp, v, k, delta, None if counts is None else counts[k])
         try:
             shift = ground_state_shift(ms)
         except DiagonalizationError as err:

@@ -117,6 +117,15 @@ def one_pass_columns(q: int) -> tuple[np.ndarray, np.ndarray]:
     return _columns(q, np.arange(-r, r + 1, dtype=np.int64))
 
 
+def boundary_shells(ball: FermiBall) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied and empty momenta within one unit of the Fermi surface, as
+    int32 rows: the bands hf_stability draws its swaps from, built whole."""
+    kf = ball.k_fermi
+    holes = _band(math.ceil((kf - 1.0) ** 2), ball.norm_sq_max, np.int32)
+    particles = _band(ball.norm_sq_max + 1, math.floor((kf + 1.0) ** 2), np.int32)
+    return holes, particles
+
+
 def one_pass_band(q_lo: int, q_hi: int) -> np.ndarray:
     """`lattice._band` with every column of the band built at once and no
     x-slabs, as int64: the reference for the slab-wise fill."""

@@ -31,10 +31,10 @@ from fermiball import (
     rpa_energy_trace,
     sample_mode_system,
 )
-from fermiball.experiments import ENERGY_DELTA, boundary_shells
+from fermiball.experiments import ENERGY_DELTA
 from fermiball.lattice import _band
 from fermiball.rpa import g_power_integral, rpa_mode_integral
-from oracles import ell_inf, hf_energy_of_occupation, pair_count
+from oracles import boundary_shells, ell_inf, hf_energy_of_occupation, pair_count
 
 DELTA_DEFAULT = 1.0 / 24.0
 

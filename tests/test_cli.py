@@ -601,3 +601,21 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert main(["run", "--config", str(path)]) == 0
     assert (tmp_path / "env_out" / "manifest.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_workers_flag_is_checked_as_the_config_field(tmp_path, capsys, workers):
+    # 0 was once ignored as unset and -1 reached the thread pool
+    path = write_config(tmp_path, experiments=["gauss_count"])
+    assert main(["run", "--config", str(path), "--workers", workers]) == 1
+    assert "config error: workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_workers_flag_overrides_the_config(tmp_path):
+    path = write_config(
+        tmp_path, experiments=["gauss_count"], options={"gauss_count": {"k_fermi_sq_grid": [4.5]}}
+    )
+    assert main(["run", "--config", str(path), "--workers", "2"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["workers"] == 2

@@ -16,7 +16,6 @@ from fermiball.experiments import (
     BallCache,
     Context,
     SwapOracle,
-    boundary_shells,
     default_potential,
     exp_kernel_identities,
     load_config,
@@ -25,6 +24,7 @@ from fermiball.experiments import (
 from fermiball.lattice import pair_gap_histogram
 from fermiball.lattice import _band
 from oracles import (
+    boundary_shells,
     count_slice,
     hf_energy_of_occupation,
     per_system_kernel_identities,
@@ -167,6 +167,20 @@ def test_hf_stability_memory_below_one_ball_array(tmp_path):
         tracemalloc.stop()
     assert ok, manifest
     assert peak < 24 * n, f"peak {peak / 2**20:.1f} MiB >= {24 * n / 2**20:.1f} MiB"
+
+
+def test_hf_stability_keeps_no_boundary_shell(tmp_path):
+    # N = 1.4e8: the bands are counted and only the drawn rows are built
+    # (the two kept int32 shells traced 57 MB here)
+    config = hf_config(tmp_path, 102400.5, n_check=1)
+    tracemalloc.start()
+    try:
+        manifest, ok = run_experiments(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok, manifest
+    assert peak <= 8e6, peak
 
 
 def test_hf_stability_reaches_n_1e7(tmp_path):

@@ -24,6 +24,8 @@ import fermiball.lattice as lattice_mod
 from fermiball.lattice import (
     _band,
     _band_blocks,
+    _band_census,
+    _band_rows,
     _ball_count,
     _ball_kinetic_sum,
     _isqrt,
@@ -231,6 +233,40 @@ def test_band_blocks_cover_the_band_in_order(monkeypatch, block_rows):
         assert all(0 < len(b) <= block_rows + 2 * math.isqrt(q_hi) + 1 for b in blocks)
         rows = np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
         assert np.array_equal(rows, _band(q_lo, q_hi)), (q_lo, q_hi)
+
+
+def assert_census_and_rows_match_band(q_lo, q_hi, rng):
+    band = _band(q_lo, q_hi)
+    sizes, q_min = _band_census(q_lo, q_hi)
+    assert sum(sizes) == len(band), (q_lo, q_hi)
+    norms = (band * band).sum(axis=1)
+    assert q_min == (int(norms.min()) if len(band) else q_hi + 1), (q_lo, q_hi)
+    if not len(band):
+        return
+    # every rank of a small band, else each slab's first and last ranks;
+    # then random ranks with repeats, in drawn order
+    ends = np.cumsum(sizes)
+    edges = np.unique(np.concatenate([ends - np.asarray(sizes), ends - 1]).clip(0, len(band) - 1))
+    every = np.arange(len(band)) if len(band) <= 1 << 16 else edges
+    for ranks in (every, rng.integers(0, len(band), size=1000)):
+        got = _band_rows(q_lo, q_hi, ranks, sizes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, band[ranks]), (q_lo, q_hi)
+
+
+def test_band_census_and_rows_match_the_band():
+    rng = np.random.default_rng(3)
+    for q_lo, q_hi in band_cases():
+        assert_census_and_rows_match_band(q_lo, q_hi, rng)
+
+
+@pytest.mark.parametrize("slab_columns", [1, 7])
+def test_band_census_and_rows_on_small_slabs(monkeypatch, slab_columns):
+    # empty slabs and slabs of one x, and bands without a point (q = 7, 15)
+    monkeypatch.setattr(lattice_mod, "_SLAB_COLUMNS", slab_columns)
+    rng = np.random.default_rng(4)
+    for q_lo, q_hi in [(7, 7), (15, 15), (5, 3), (0, 0), (0, 50), (30, 61), (350, 420)]:
+        assert_census_and_rows_match_band(q_lo, q_hi, rng)
 
 
 def test_overflowing_widths_are_named_errors():

@@ -17,7 +17,7 @@ from fermiball import (
 from fermiball import experiments
 from fermiball.experiments import ExperimentError, audit_patches, min_patch_separation
 from fermiball.lattice import _band
-from fermiball.patches import _BLOCK_ROWS, pair_counts
+from fermiball.patches import _BLOCK_ROWS, pair_counts, pair_counts_by_layout
 from oracles import (
     decomposition_to_json,
     loop_labels,
@@ -498,6 +498,55 @@ def test_pair_counts_memory_does_not_grow_with_the_shell():
     assert counts.sum() > 0
     assert decomp._assignment is None
     assert peak <= 10e6, peak
+
+
+#: (M, r_v) layouts of one ball, counted in one walk: shell half-widths 1
+#: and 2, so two shell bounds share it
+SHARED_WALK_LAYOUTS = {
+    "ball_400": [(2, 2.0), (8, 2.0), (8, 0.0), (30, 1.0), (512, 0.0), (2048, 0.0)],
+    "ball_6400": [(2, 2.0), (8, 0.0), (30, 2.0), (30, 1.0), (512, 1.0), (2048, 0.0)],
+}
+
+
+@pytest.mark.parametrize("ball_name", list(SHARED_WALK_LAYOUTS))
+def test_shared_walk_equals_one_count_per_layout(ball_name, request):
+    ball = request.getfixturevalue(ball_name)
+    layouts = [build_patches(m, ball, r_v) for m, r_v in SHARED_WALK_LAYOUTS[ball_name]]
+    assert len({d.shell_bounds() for d in layouts}) == 2
+    for k in ((0, 0, 1), (1, 0, 0), (1, -2, 3)):
+        shared = pair_counts_by_layout(layouts, k)
+        assert len(shared) == len(layouts)
+        for decomp, got in zip(layouts, shared):
+            assert np.array_equal(got, pair_counts(decomp, k)), (decomp, k)
+        # M = 2 is orthogonal to (1, 0, 0); every other layout pairs at each k
+        assert sum(got.sum() > 0 for got in shared) >= len(layouts) - 1
+    assert pair_counts_by_layout([], (0, 0, 1)) == []
+
+
+def test_shared_walk_needs_one_ball(ball_400):
+    other = build_fermi_ball(k_fermi_sq=Fraction("420.5"))
+    twin = build_fermi_ball(k_fermi_sq=ball_400.k_fermi_sq)
+    for ball in (other, twin):
+        layouts = [build_patches(8, ball_400, 0.0), build_patches(8, ball, 0.0)]
+        with pytest.raises(ValueError, match="one FermiBall"):
+            pair_counts_by_layout(layouts, (0, 0, 1))
+    with pytest.raises(ValueError, match="k = 0"):
+        pair_counts_by_layout([build_patches(8, ball_400, 0.0)], (0, 0, 0))
+
+
+def test_shared_walk_memory_is_that_of_one_layout():
+    # N = 1.4e8: four layouts add only their labels of one block to a walk
+    ball = build_fermi_ball(k_fermi_sq=Fraction("102400.5"))
+    layouts = [build_patches(m, ball, 0.0) for m in (256, 512, 1024, 2048)]
+    peaks = []
+    for group in (layouts[2:3], layouts):
+        tracemalloc.start()
+        try:
+            pair_counts_by_layout(group, (1, -1, 2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1e6, peaks
 
 
 def test_trace_route_builds_no_shell(ball_6400, unit_potential):
