@@ -266,12 +266,11 @@ def audit_patches(decomp) -> PatchAudit:
     corridor points to the count, its smallest mu to mu_min, and each
     patch's coordinate minima and maxima to the spans, which are exact
     integer vectors.  The tile clearance `|p| sin(min(mu_p + mu_min,
-    pi/2))` (see `PatchDecomposition.tile_clearance`) does not decrease as
-    mu_min grows, so a point whose clearance exceeds the scan radius with
-    mu_min at _MU_MIN_FLOOR is never tried; only the other points outlive
-    their block.  After the walk their clearance takes the shell's mu_min,
-    with tile_clearance's operations, so each has the bits it has over the
-    whole labelled shell.
+    pi/2))` (see `patches._clearance`) does not decrease as mu_min grows,
+    so a point whose clearance exceeds the scan radius with mu_min at
+    _MU_MIN_FLOOR is never tried; only the other points outlive their
+    block.  After the walk their clearance takes the shell's mu_min, so
+    each has the bits it has over the whole labelled shell.
 
     Offsets d are then scanned by rising |d|^2, one half-space each (d and
     -d join the same pairs), and the first |d|^2 that joins two labels is
@@ -348,13 +347,6 @@ def _first_joining_length(decomp, points, labels, clearance, radius) -> float:
         if ((lab >= 0) & (lab != own[in_shell])).any():
             return length
     return math.inf
-
-
-def min_patch_separation(decomp) -> float:
-    """Smallest distance between lattice points of distinct patches, up to
-    2 r_v + 4 (inf beyond), from `audit_patches`: one walk of the shell in
-    row blocks that keeps only the separation scan's candidates."""
-    return audit_patches(decomp).min_separation
 
 
 def exp_patch_audit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30), r_v=2.0):

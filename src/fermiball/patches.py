@@ -3,11 +3,14 @@
 A spherical cap is placed at the north pole, the rest of the northern
 hemisphere is cut into collars of equal-area patches, corridors are carved
 between neighbouring patches, and the southern hemisphere is the point
-reflection of the north.  A point is labelled through the lexicographically
-positive one of +-p, which lies in the closed north, so label(-p) is the
-antipode of label(p) exactly, and without corridors every nonzero point is
-labelled.  Extended patches are the radial thickening of the angular patches
-intersected with the lattice.
+reflection of the north.  The layout is its collar table: the collar edges
+in theta, the patch count of each collar and the corridor shrink.  Every
+per-patch array (the stored bounds, the directions omega, the tiles and the
+areas) is derived from that table at once, over all collars.  A point is
+labelled through the lexicographically positive one of +-p, which lies in
+the closed north, so label(-p) is the antipode of label(p) exactly, and
+without corridors every nonzero point is labelled.  Extended patches are the
+radial thickening of the angular patches intersected with the lattice.
 
 A decomposition owns the `FermiBall` it was built from and counts pairs
 against that ball only, from the pairs themselves.  The patch audit walks
@@ -19,6 +22,7 @@ outlive their block, as candidates of the separation scan.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -37,7 +41,6 @@ from .lattice import (
 )
 
 __all__ = [
-    "PatchSpec",
     "PatchDecomposition",
     "ModeIndexSet",
     "ShellAssignment",
@@ -74,10 +77,22 @@ def _canonical_angles(points: np.ndarray):
 
 def _clearance(r: np.ndarray, mu: np.ndarray, mu_min: float) -> np.ndarray:
     """The tile clearance |p| sin(min(mu_p + mu_min, pi/2)) of points of norm
-    r and tile angle mu (see `PatchDecomposition.tile_clearance`), less 1e-9
-    of it and less 1e-9, so that float angles on an ulp seam (where the
-    bound can hold with equality) never overstate it.  A new array; mu is
-    kept."""
+    r and tile angle mu, less 1e-9 of it and less 1e-9, so that float angles
+    on an ulp seam (where the bound can hold with equality) never overstate
+    it.  A new array; mu is kept.
+
+    Given a set of labelled points, mu_p of each from
+    `PatchDecomposition.labels_and_tile_angles` and mu_min the smallest mu
+    over the set, no point of the set with another label lies closer to p
+    than its clearance.  Take p in tile a and q in tile b != a, both in the
+    set.  The great-circle arc from p's direction to q's stays in tile a for
+    at least mu_p from its start and in tile b for at least mu_q before its
+    end; the tiles are disjoint, so those two stretches do not overlap and
+    the angle between p and q is at least mu_p + mu_q >= mu_p + mu_min.  The
+    angle between p and p + d is at most asin(|d| / |p|) (and reaches pi/2
+    only once |d| >= |p|), so |q - p| >= |p| sin(min(mu_p + mu_min, pi/2)),
+    from either end of the pair.
+    """
     out = mu + mu_min
     np.minimum(out, math.pi / 2, out=out)
     np.sin(out, out=out)
@@ -89,24 +104,6 @@ def _clearance(r: np.ndarray, mu: np.ndarray, mu_min: float) -> np.ndarray:
 
 class PatchConstructionError(ValueError):
     """Requested patch layout is infeasible for the given geometry."""
-
-
-@dataclass(frozen=True)
-class PatchSpec:
-    """Angular footprint of one northern patch (half-open intervals)."""
-
-    is_cap: bool
-    theta_lo: float
-    theta_hi: float
-    phi_lo: float
-    phi_hi: float
-    omega: tuple[float, float, float]
-
-    def angular_area(self) -> float:
-        if self.is_cap:
-            return TWO_PI * (1.0 - math.cos(self.theta_hi))
-        band = math.cos(self.theta_lo) - math.cos(self.theta_hi)
-        return (self.phi_hi - self.phi_lo) * band
 
 
 @dataclass(frozen=True)
@@ -136,60 +133,90 @@ class ShellAssignment:
 class PatchDecomposition:
     """M patches with corridors on the Fermi sphere of the ball they tile, ``ball``.
 
-    Northern patches are stored explicitly; patch ``alpha + M/2`` is the
-    antipodal image of patch ``alpha`` for ``alpha < M/2`` (0-based indices).
+    Northern patches are derived from the collar table; patch ``alpha + M/2``
+    is the antipodal image of patch ``alpha`` for ``alpha < M/2`` (0-based
+    indices).
     """
 
     def __init__(
         self,
-        m_requested: int,
         ball: FermiBall,
         r_corridor: float,
         shell_halfwidth: float,
-        north: list[PatchSpec],
-        theta_edges: Sequence[float],
-        collar_counts: Sequence[int],
+        theta: Sequence[float],
+        counts: Sequence[int],
+        shrink: float,
     ):
-        """``north`` holds the cap, then each collar's patches in phi order.
-        The collar table tiles the closed northern hemisphere, where
-        `_canonical_angles` puts every direction: collar i (the cap is
-        collar 0, of one patch) spans theta_edges[i] <= theta <
-        theta_edges[i + 1], the last one up to and including the equator, and
-        its collar_counts[i] patches split phi evenly."""
-        self.m_requested = m_requested
+        """The collar table: theta[0] is the cap's top, collar i spans
+        theta[i] <= theta < theta[i + 1] and its counts[i] patches split phi
+        evenly.  Corridors shrink each patch by ``shrink`` in theta (the cap
+        at its rim only) and a collar's patches by shrink / sin in phi, the
+        sin the smaller of the collar's two edges.
+
+        Every per-patch array is derived here, over all collars at once: the
+        cap first, then each collar's patches in phi order.  As tiles the
+        table covers the closed northern hemisphere, where `_canonical_angles`
+        puts every direction: the cap is collar 0, of one patch, and the last
+        collar reaches the equator.  A PatchConstructionError names the cap,
+        or the first collar, that the corridors erase.
+        """
         self.ball = ball
         self.r_corridor = r_corridor
         self.shell_halfwidth = shell_halfwidth
-        self.north = north
-        self.m_patches = 2 * len(north)
-        omegas = np.array([s.omega for s in north], dtype=np.float64)
-        self.omegas = np.vstack([omegas, -omegas])
         self._assignment: ShellAssignment | None = None
-        self._theta_edges = np.array(theta_edges, dtype=np.float64)
-        self._collar_count = np.array(collar_counts, dtype=np.int64)
+        theta = np.array(theta, dtype=np.float64)
+        self._theta_edges = np.concatenate([[0.0], theta[:-1], [math.pi / 2]])
+        self._collar_count = np.array([1, *counts], dtype=np.int64)
         self._collar_first = np.cumsum(self._collar_count) - self._collar_count
         self._collar_scale = self._collar_count / TWO_PI
-        # stored patch bounds, the cap's phi left open
-        self._theta_lo = np.array([s.theta_lo for s in north])
-        self._theta_hi = np.array([s.theta_hi for s in north])
-        self._phi_lo = np.array([-np.inf] + [s.phi_lo for s in north[1:]])
-        self._phi_hi = np.array([np.inf] + [s.phi_hi for s in north[1:]])
-        # each northern patch's tile: its collar table cell, the pole inside the cap
+        self.m_patches = 2 * int(self._collar_count.sum())
+        # the collars below the cap: their theta edges and phi shrink
+        lo, hi = theta[:-1], theta[1:]
+        c_phi = shrink / np.minimum(np.sin(lo), np.sin(hi))
+        if theta[0] - shrink <= 0:
+            raise PatchConstructionError("corridor erases the polar cap; reduce r_v or m_patches")
+        erased = (hi - lo <= 2 * shrink) | (TWO_PI / self._collar_count[1:] <= 2 * c_phi)
+        if erased.any():
+            raise PatchConstructionError(
+                f"corridor erases collar {np.flatnonzero(erased)[0]} "
+                f"(m_patches={self.m_patches}, r_v={r_corridor})"
+            )
+
+        # each northern patch's collar and its cell j of it
         collar = np.repeat(np.arange(len(self._collar_count)), self._collar_count)
+        j = np.arange(self.half) - self._collar_first[collar]
         width = TWO_PI / self._collar_count[collar]
-        self._tile_phi_lo = (np.arange(self.half) - self._collar_first[collar]) * width
-        self._tile_phi_hi = self._tile_phi_lo + width
+        # each patch's tile: its collar table cell, the pole inside the cap
         self._tile_theta_lo = self._theta_edges[collar]
         self._tile_theta_lo[0] = -np.inf
         self._tile_theta_hi = self._theta_edges[collar + 1]
+        self._tile_phi_lo = j * width
+        self._tile_phi_hi = self._tile_phi_lo + width
+        # the stored bounds: each tile shrunk, the cap's phi left open; the
+        # patches below the cap, each with its index i into lo, hi and c_phi
+        i, j, width = collar[1:] - 1, j[1:], width[1:]
+        p_c = (j + 0.5) * width
+        self._theta_lo = np.concatenate([[0.0], (lo + shrink)[i]])
+        self._theta_hi = theta[collar] - shrink
+        self._phi_lo = np.concatenate([[-np.inf], p_c - width / 2 + c_phi[i]])
+        self._phi_hi = np.concatenate([[np.inf], p_c + width / 2 - c_phi[i]])
+        # omega: the pole for the cap, a collar patch's mid-theta and mid-phi
+        t_c = (0.5 * (lo + hi))[i]
+        sin_c = np.sin(t_c)
+        north = np.column_stack([sin_c * np.cos(p_c), sin_c * np.sin(p_c), np.cos(t_c)])
+        north = np.vstack([[0.0, 0.0, 1.0], north])
+        self.omegas = np.vstack([north, -north])
 
     @property
     def half(self) -> int:
         return self.m_patches // 2
 
     def angular_areas(self) -> np.ndarray:
-        a = np.array([s.angular_area() for s in self.north])
-        return np.concatenate([a, a])
+        """Each patch's solid angle within its stored bounds."""
+        span = self._phi_hi - self._phi_lo
+        span[0] = TWO_PI  # the cap's phi is open
+        north = span * (np.cos(self._theta_lo) - np.cos(self._theta_hi))
+        return np.concatenate([north, north])
 
     def k_dots(self, k: Sequence[int]) -> np.ndarray:
         """k . omega_alpha of every patch, as one matrix-vector product.
@@ -234,8 +261,17 @@ class PatchDecomposition:
 
     def labels_and_tile_angles(self, points: np.ndarray):
         """`assign_directions`' labels of the points, and |p| and the tile
-        angle mu_p (see `tile_clearance`) of each labelled one, in order,
-        from one angle pass."""
+        angle mu_p of each labelled one, in order, from one angle pass.
+
+        A patch's tile is its cell of the collar table, the cell its
+        corridors were carved from: the cap theta < theta_cap, a collar cell
+        [t_lo, t_hi) x [2 pi j / m, 2 pi (j + 1) / m) (the last collar's
+        closed at the equator), or the antipodal image of one.  Tiles are
+        disjoint and each holds its patch.  mu_p is the angular distance
+        from p's direction to the outside of its tile, read from the
+        canonical angles of `assign_directions`; `_clearance` turns it into
+        a distance below which no point of another patch lies from p.
+        """
         r, theta, phi, flip = _canonical_angles(points)
         labels = self._label(r, theta, phi, flip)
         sel = labels >= 0
@@ -264,34 +300,6 @@ class PatchDecomposition:
         np.minimum(mu, edge, out=mu, where=spec > 0)  # the cap has no phi edge
         return mu
 
-    def tile_clearance(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Per labelled point p, a length below which no other of the given
-        points with another label lies from p: |p| sin(min(mu_p + mu_min, pi/2)).
-
-        A patch's tile is its cell of the collar table, the cell its
-        corridors were carved from: the cap theta < theta_cap, a collar cell
-        [t_lo, t_hi) x [2 pi j / m, 2 pi (j + 1) / m) (the last collar's
-        closed at the equator), or the antipodal image of one.  Tiles are
-        disjoint and each holds its patch.  mu_p is the angular distance
-        from p's direction to the outside of its tile, read from the
-        canonical angles of `assign_directions`, and mu_min the smallest mu
-        over the given points.
-
-        Take p in tile a and q in tile b != a, both among the points.  The
-        great-circle arc from p's direction to q's stays in tile a for at
-        least mu_p from its start and in tile b for at least mu_q before its
-        end; the tiles are disjoint, so those two stretches do not overlap
-        and the angle between p and q is at least mu_p + mu_q >= mu_p +
-        mu_min.  The angle between p and p + d is at most asin(|d| / |p|)
-        (and reaches pi/2 only once |d| >= |p|), so |q - p| >= |p| sin(min(
-        mu_p + mu_min, pi/2)), from either end of the pair.  The value
-        returned is that bound less 1e-9 of it and less 1e-9 (see
-        `_clearance`).
-        """
-        r, theta, phi, _ = _canonical_angles(points)
-        mu = self._tile_angle(theta, phi, np.asarray(labels) % self.half)
-        return _clearance(r, mu, mu.min() if len(mu) else 0.0)
-
     def shell_bounds(self) -> tuple[int, int]:
         """(q_lo, q_hi): the radial shell is the lattice points p with
         q_lo <= |p|^2 <= q_hi, that is k_F - w <= |p| <= k_F + w for the shell
@@ -317,7 +325,7 @@ class PatchDecomposition:
 
     def __repr__(self) -> str:
         return (
-            f"PatchDecomposition(M={self.m_patches} of {self.m_requested} requested, "
+            f"PatchDecomposition(M={self.m_patches}, "
             f"k_fermi={self.ball.k_fermi:.4f}, r_corridor={self.r_corridor})"
         )
 
@@ -355,12 +363,14 @@ def build_patches(
     lattice spacing of margin); r_v = 0 keeps the full tiling, the equator
     included, where pairwise disjointness alone already separates the
     lattice sets by >= 1.  The radial shell half-width is max(r_v, 1) so
-    unit-momentum pairs always fit.
+    unit-momentum pairs always fit.  An M that is not an even integer >= 2,
+    or an r_v that is not a nonnegative number (NaN included), raises a
+    PatchConstructionError that names it.
     """
-    if m_patches < 2 or m_patches % 2:
-        raise PatchConstructionError(f"m_patches must be even and >= 2, got {m_patches}")
-    if r_v < 0:
-        raise ValueError("r_v must be nonnegative")
+    if not isinstance(m_patches, numbers.Integral) or m_patches < 2 or m_patches % 2:
+        raise PatchConstructionError(f"m_patches must be an even integer >= 2, got {m_patches!r}")
+    if not isinstance(r_v, numbers.Real) or not r_v >= 0:
+        raise PatchConstructionError(f"r_v must be a nonnegative number, got {r_v!r}")
     kf = ball.k_fermi
     if 2.0 * r_v >= kf / math.sqrt(m_patches):
         raise PatchConstructionError(
@@ -387,42 +397,7 @@ def build_patches(
 
     # theta[0] is the cap's top and theta[i + 1] the top of collar i
     theta = [math.acos(x) for x in cos_edges]
-    north: list[PatchSpec] = []
-    if theta[0] - c <= 0:
-        raise PatchConstructionError("corridor erases the polar cap; reduce r_v or m_patches")
-    north.append(
-        PatchSpec(True, 0.0, theta[0] - c, 0.0, TWO_PI, (0.0, 0.0, 1.0))
-    )
-    for i, m in enumerate(counts):
-        t_lo, t_hi = theta[i], theta[i + 1]
-        t_c = 0.5 * (t_lo + t_hi)
-        sin_min = min(math.sin(t_lo), math.sin(t_hi))
-        c_phi = c / sin_min if sin_min > 0 else 0.0
-        width = TWO_PI / m
-        if t_hi - t_lo <= 2 * c or width <= 2 * c_phi:
-            raise PatchConstructionError(
-                f"corridor erases collar {i} (m_patches={m_patches}, r_v={r_v})"
-            )
-        for j in range(m):
-            p_c = (j + 0.5) * width
-            omega = (
-                math.sin(t_c) * math.cos(p_c),
-                math.sin(t_c) * math.sin(p_c),
-                math.cos(t_c),
-            )
-            north.append(
-                PatchSpec(
-                    False,
-                    t_lo + c,
-                    t_hi - c,
-                    p_c - width / 2 + c_phi,
-                    p_c + width / 2 - c_phi,
-                    omega,
-                )
-            )
-    # the collar table, the cap first: the last collar's tile reaches the equator
-    edges = [0.0, *theta[:-1], math.pi / 2]
-    return PatchDecomposition(m_patches, ball, r_v, shell_halfwidth, north, edges, [1, *counts])
+    return PatchDecomposition(ball, r_v, shell_halfwidth, theta, counts, c)
 
 
 def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> ModeIndexSet:

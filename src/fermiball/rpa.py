@@ -263,7 +263,6 @@ def rpa_energy_trace(
         params={
             "n_particles": decomp.ball.n_particles,
             "k_fermi_sq": str(decomp.ball.k_fermi_sq),
-            "m_requested": decomp.m_requested,
             "m_actual": decomp.m_patches,
             "delta": delta,
         },

@@ -6,7 +6,7 @@ import json
 import logging
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,7 +33,16 @@ from fermiball.lattice import (
     _lune,
     _solve_ksq_for_n,
 )
-from fermiball.patches import PatchDecomposition, ShellAssignment, pair_counts
+from fermiball.patches import (
+    TWO_PI,
+    PatchConstructionError,
+    PatchDecomposition,
+    ShellAssignment,
+    _canonical_angles,
+    _clearance,
+    _collar_layout,
+    pair_counts,
+)
 from fermiball.rpa import _NODES, RpaReport, _g, _integrate, _log1p_minus
 
 log = logging.getLogger(__name__)
@@ -211,11 +220,84 @@ def solve_kfermi_for_n(n_target: int) -> float:
     return math.sqrt(float(ksq))
 
 
+class PatchSpec(NamedTuple):
+    """Angular footprint of one northern patch (half-open intervals), and
+    its tile (theta_lo, theta_hi, phi_lo, phi_hi): the collar table cell
+    its corridors were carved from."""
+
+    is_cap: bool
+    theta_lo: float
+    theta_hi: float
+    phi_lo: float
+    phi_hi: float
+    omega: tuple[float, float, float]
+    tile: tuple[float, float, float, float]
+
+    def angular_area(self) -> float:
+        if self.is_cap:
+            return TWO_PI * (1.0 - math.cos(self.theta_hi))
+        band = math.cos(self.theta_lo) - math.cos(self.theta_hi)
+        return (self.phi_hi - self.phi_lo) * band
+
+
+def reference_layout(m_patches: int, ball: FermiBall, r_v: float) -> list[PatchSpec]:
+    """The northern patches of `build_patches(m_patches, ball, r_v)`, one
+    spec at a time in Python scalars: the cap, then each collar's patches in
+    phi order.  A corridor that erases the cap or a collar raises the
+    PatchConstructionError that names it.  The reference for the arrays that
+    `PatchDecomposition` derives from its collar table."""
+    kf = ball.k_fermi
+    c = (2.0 * r_v + 1.0) / (2.0 * (kf - r_v)) if r_v > 0 else 0.0
+    counts = _collar_layout(m_patches)
+    area = TWO_PI / (1 + sum(counts))
+    cos_edges = [1.0 - area / TWO_PI]
+    for m in counts:
+        cos_edges.append(cos_edges[-1] - m * area / TWO_PI)
+    cos_edges[-1] = max(cos_edges[-1], 0.0)
+    theta = [math.acos(x) for x in cos_edges]
+    # each collar's tile top, the cap's first: the last collar reaches the equator
+    tile_top = [*theta[:-1], math.pi / 2]
+    if theta[0] - c <= 0:
+        raise PatchConstructionError("corridor erases the polar cap; reduce r_v or m_patches")
+    cap_tile = (-math.inf, tile_top[0], 0.0, TWO_PI)
+    north = [PatchSpec(True, 0.0, theta[0] - c, 0.0, TWO_PI, (0.0, 0.0, 1.0), cap_tile)]
+    for i, m in enumerate(counts):
+        t_lo, t_hi = theta[i], theta[i + 1]
+        t_c = 0.5 * (t_lo + t_hi)
+        sin_min = min(math.sin(t_lo), math.sin(t_hi))
+        c_phi = c / sin_min if sin_min > 0 else 0.0
+        width = TWO_PI / m
+        if t_hi - t_lo <= 2 * c or width <= 2 * c_phi:
+            raise PatchConstructionError(
+                f"corridor erases collar {i} (m_patches={m_patches}, r_v={r_v})"
+            )
+        for j in range(m):
+            p_c = (j + 0.5) * width
+            omega = (
+                math.sin(t_c) * math.cos(p_c),
+                math.sin(t_c) * math.sin(p_c),
+                math.cos(t_c),
+            )
+            north.append(
+                PatchSpec(
+                    False,
+                    t_lo + c,
+                    t_hi - c,
+                    p_c - width / 2 + c_phi,
+                    p_c + width / 2 - c_phi,
+                    omega,
+                    (t_lo, tile_top[i + 1], j * width, j * width + width),
+                )
+            )
+    return north
+
+
 def loop_labels(decomp: PatchDecomposition, points) -> np.ndarray:
     """Reference labelling: each point's lexicographically positive one of
     +-p (z > 0; or z = 0 and y > 0; or z = y = 0 and x > 0) is tested
-    against every northern spec in turn, the last matching write winning,
-    and a negated point takes the antipodal label + M/2.
+    against every northern spec of `reference_layout` in turn, the last
+    matching write winning, and a negated point takes the antipodal label
+    + M/2.
 
     With corridors a spec holds the directions within its stored bounds.
     At r_v = 0 it holds its tile: theta_lo <= theta < theta_hi (the last
@@ -231,17 +313,18 @@ def loop_labels(decomp: PatchDecomposition, points) -> np.ndarray:
     ok = r > 0
     theta = np.arccos(np.clip(pts[ok, 2] / r[ok], -1.0, 1.0))
     phi = np.mod(np.arctan2(pts[ok, 1], pts[ok, 0]), 2 * math.pi)
+    north = reference_layout(decomp.m_patches, decomp.ball, decomp.r_corridor)
     collars: dict[float, list[int]] = {}
-    for i, spec in enumerate(decomp.north):
+    for i, spec in enumerate(north):
         collars.setdefault(spec.theta_lo, []).append(i)
-    last = decomp.north[-1].theta_lo
+    last = north[-1].theta_lo
     cells = {}
     if decomp.r_corridor == 0:
         for lo, members in collars.items():
             m = len(members)
             cells[lo] = np.minimum((phi * (m / (2 * math.pi))).astype(np.int64), m - 1)
     sub = np.full(ok.sum(), -1, dtype=np.int64)
-    for i, spec in enumerate(decomp.north):
+    for i, spec in enumerate(north):
         if decomp.r_corridor > 0:
             hit = (theta >= spec.theta_lo) & (theta < spec.theta_hi)
             if not spec.is_cap:
@@ -330,19 +413,18 @@ def one_shot_pair_counts(decomp: PatchDecomposition, asg: ShellAssignment, k) ->
 
 
 def decomposition_to_json(decomp: PatchDecomposition) -> str:
-    """JSON document with patch bounds, direction vectors, areas and the
-    lattice counts of the shell."""
+    """JSON document with patch bounds, direction vectors and areas from
+    `reference_layout`, and the lattice counts of the shell."""
     doc = {
-        "m_requested": decomp.m_requested,
         "m_patches": decomp.m_patches,
         "k_fermi": decomp.ball.k_fermi,
         "r_corridor": decomp.r_corridor,
         "shell_halfwidth": decomp.shell_halfwidth,
         "patches": [],
     }
-    areas = decomp.angular_areas()
+    north = reference_layout(decomp.m_patches, decomp.ball, decomp.r_corridor)
     for a in range(decomp.m_patches):
-        spec = decomp.north[a % decomp.half]
+        spec = north[a % decomp.half]
         south = a >= decomp.half
         doc["patches"].append(
             {
@@ -351,8 +433,8 @@ def decomposition_to_json(decomp: PatchDecomposition) -> str:
                 "is_cap": spec.is_cap,
                 "theta": [spec.theta_lo, spec.theta_hi],
                 "phi": [spec.phi_lo, spec.phi_hi],
-                "omega": list(decomp.omegas[a]),
-                "angular_area": float(areas[a]),
+                "omega": [-w for w in spec.omega] if south else list(spec.omega),
+                "angular_area": spec.angular_area(),
             }
         )
     asg = decomp.shell_assignment()
@@ -360,6 +442,19 @@ def decomposition_to_json(decomp: PatchDecomposition) -> str:
     doc["lattice_counts"] = counts.tolist()
     doc["corridor_lattice_count"] = int((asg.labels < 0).sum())
     return json.dumps(doc, indent=2)
+
+
+def tile_clearance(
+    decomp: PatchDecomposition, points: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Per labelled point p, a length below which no other of the given
+    points with another label lies from p: `patches._clearance` of |p| and
+    its tile angle mu_p, with mu_min the smallest mu over the given points.
+    The reference for the clearance `experiments.audit_patches` folds block
+    by block."""
+    r, theta, phi, _ = _canonical_angles(points)
+    mu = decomp._tile_angle(theta, phi, np.asarray(labels) % decomp.half)
+    return _clearance(r, mu, mu.min() if len(mu) else 0.0)
 
 
 def scan_min_patch_separation(decomp: PatchDecomposition) -> float:
@@ -399,7 +494,7 @@ def shell_patch_audit(decomp: PatchDecomposition) -> tuple[float, float, int]:
     asg = decomp.shell_assignment()
     q_lo, q_hi = decomp.shell_bounds()
     src = np.flatnonzero(asg.labels >= 0)
-    clearance = decomp.tile_clearance(asg.points[src], asg.labels[src])
+    clearance = tile_clearance(decomp, asg.points[src], asg.labels[src])
     radius = 2.0 * decomp.r_corridor + 4.0
     offsets = _band(1, math.floor(radius * radius))
     offsets = offsets[len(offsets) // 2 :]

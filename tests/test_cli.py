@@ -583,6 +583,26 @@ def test_run_failure_sets_exit_code_and_continues(tmp_path):
     assert manifest["experiments"]["gauss_count"]["status"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        ({"r_v": math.nan}, "r_v must be a nonnegative number, got nan"),
+        ({"m_grid": [6.0]}, "m_patches must be an even integer >= 2, got 6.0"),
+    ],
+)
+def test_run_names_a_bad_patch_parameter(tmp_path, options, named):
+    path = write_config(
+        tmp_path,
+        k_fermi_sq=400.5,
+        experiments=["patch_audit"],
+        options={"patch_audit": {"k_fermi_sq": 400.5, **options}},
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["experiments"]["patch_audit"]
+    assert entry["status"] == "failed"
+    assert entry["error"] == f"PatchConstructionError: {named}"
+
+
 def test_run_workers_parallel(tmp_path):
     path = write_config(
         tmp_path,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from fermiball import (
     rpa_energy_trace,
 )
 from fermiball import experiments
-from fermiball.experiments import ExperimentError, audit_patches, min_patch_separation
+from fermiball.experiments import ExperimentError, audit_patches
 from fermiball.lattice import _band
 from fermiball.patches import _BLOCK_ROWS, pair_counts, pair_counts_by_layout
 from oracles import (
@@ -25,9 +26,11 @@ from oracles import (
     one_shot_shell_assignment,
     pair_count,
     patch_of,
+    reference_layout,
     row_keys,
     scan_min_patch_separation,
     shell_patch_audit,
+    tile_clearance,
 )
 
 
@@ -95,7 +98,7 @@ def test_m2_is_hemispheres(ball_100):
     assert decomp.m_patches == 2
     assert tuple(decomp.omegas[0]) == (0.0, 0.0, 1.0)
     assert tuple(decomp.omegas[1]) == (0.0, 0.0, -1.0)
-    cap = decomp.north[0]
+    cap = reference_layout(2, ball_100, 1.0)[0]
     assert cap.is_cap
     # hemisphere minus the corridor band at the equator
     assert cap.theta_hi < math.pi / 2
@@ -110,6 +113,14 @@ def test_validation_errors(ball_100):
     with pytest.raises(PatchConstructionError):
         # corridor wider than the patch scale k_F / sqrt(M)
         build_patches(64, ball_100, 1.0)
+    # a non-integer M and a NaN r_v are named, not left to fail later
+    for m in (6.0, 6.5, "6", np.float64(6.0)):
+        with pytest.raises(PatchConstructionError, match="m_patches.*" + re.escape(repr(m))):
+            build_patches(m, ball_100, 1.0)
+    for r_v in (math.nan, -0.5, "1"):
+        with pytest.raises(PatchConstructionError, match="r_v.*" + re.escape(repr(r_v))):
+            build_patches(8, ball_100, r_v)
+    assert build_patches(np.int64(8), ball_100, np.float64(1.0)).m_patches == 8
 
 
 def test_equal_areas_without_corridors(ball_100):
@@ -126,10 +137,83 @@ def test_builds_exactly_the_requested_count(ball_100):
         if m < 64:
             continue
         # collars about one patch side tall: patches roughly as wide as tall
-        for spec in decomp.north[1:]:
+        for spec in reference_layout(m, ball_100, 0.0)[1:]:
             tall = spec.theta_hi - spec.theta_lo
             wide = (spec.phi_hi - spec.phi_lo) * math.sin(0.5 * (spec.theta_lo + spec.theta_hi))
             assert 0.5 <= wide / tall <= 2.0
+
+
+#: the per-patch bound arrays a decomposition derives from its collar table;
+#: omega and the area follow them in the columns of the parity check
+BOUND_ARRAYS = (
+    "_theta_lo",
+    "_theta_hi",
+    "_phi_lo",
+    "_phi_hi",
+    "_tile_theta_lo",
+    "_tile_theta_hi",
+    "_tile_phi_lo",
+    "_tile_phi_hi",
+)
+LAYOUT_COLUMNS = (*BOUND_ARRAYS, "omega_x", "omega_y", "omega_z", "angular_area")
+
+
+def check_layout_against_reference(m, ball, r_v):
+    """"built" when `build_patches(m, ball, r_v)` derives the stored bounds,
+    omegas, tiles and areas of `reference_layout` bit for bit; the message
+    when both raise the error that names the cap or the first collar a
+    corridor erases; None when `build_patches` rejects the parameters before
+    it lays out a layout."""
+    try:
+        decomp = build_patches(m, ball, r_v)
+    except PatchConstructionError as err:
+        if "erases" not in str(err):
+            return None
+        with pytest.raises(PatchConstructionError) as want:
+            reference_layout(m, ball, r_v)
+        assert str(want.value) == str(err)
+        return str(err)
+    want = np.array(
+        [
+            (s.theta_lo, s.theta_hi, s.phi_lo, s.phi_hi, *s.tile, *s.omega, s.angular_area())
+            for s in reference_layout(m, ball, r_v)
+        ]
+    )
+    want[0, 2:4] = -np.inf, np.inf  # the cap's stored phi is left open
+    half = decomp.half
+    areas = decomp.angular_areas()
+    got = np.column_stack(
+        [getattr(decomp, name) for name in BOUND_ARRAYS] + [decomp.omegas[:half], areas[:half]]
+    )
+    assert got.shape == want.shape, (m, r_v)
+    differ = (got.view(np.uint64) != want.view(np.uint64)).any(axis=0)
+    assert not differ.any(), (m, r_v, [c for c, d in zip(LAYOUT_COLUMNS, differ) if d])
+    # the south is the point reflection of the north
+    got = np.column_stack([decomp.omegas[half:], areas[half:]])
+    want = np.column_stack([-decomp.omegas[:half], areas[:half]])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (m, r_v)
+    return "built"
+
+
+def test_derived_layout_is_the_reference_layout(ball_small, ball_100, ball_400, ball_6400):
+    built = [check_layout_against_reference(m, ball_100, 0.0) for m in range(2, 2049, 2)]
+    assert built == ["built"] * 1024
+    seen = []
+    for ball, r_vs in (
+        (ball_small, (0.1, 0.5, 1.0, 2.0, 3.0)),
+        (ball_100, (0.1, 0.5, 1.0, 2.0, 3.0)),
+        (ball_400, (0.1, 0.5, 1.0, 2.0, 3.0)),
+        (ball_6400, (2.0, 3.0)),
+    ):
+        for r_v in r_vs:
+            seen += [check_layout_against_reference(m, ball, r_v) for m in range(2, 2049, 2)]
+    assert seen.count("built") >= 1000
+    erased = {msg.split(" (")[0].split(";")[0] for msg in seen if msg not in ("built", None)}
+    assert erased == {
+        "corridor erases the polar cap",
+        "corridor erases collar 0",
+        "corridor erases collar 1",
+    }
 
 
 def test_area_accounting_with_corridors(decomp_400):
@@ -195,8 +279,9 @@ def edge_directions(decomp):
     exactly on every northern spec's stored edges (up to the arccos /
     arctan2 round trip) and one ulp either side, at phi = 0 and 2 pi too,
     and their negatives."""
-    t = np.array([(s.theta_lo, s.theta_hi) for s in decomp.north])
-    p = np.array([(s.phi_lo, s.phi_hi, 0.0, 2 * math.pi) for s in decomp.north])
+    north = reference_layout(decomp.m_patches, decomp.ball, decomp.r_corridor)
+    t = np.array([(s.theta_lo, s.theta_hi) for s in north])
+    p = np.array([(s.phi_lo, s.phi_hi, 0.0, 2 * math.pi) for s in north])
     t = np.stack([np.nextafter(t, -1.0), t, np.nextafter(t, 4.0)], axis=-1).reshape(len(t), -1, 1)
     p = np.stack([np.nextafter(p, -1.0), p, np.nextafter(p, 7.0)], axis=-1).reshape(len(p), 1, -1)
     on_sphere = np.stack(
@@ -261,7 +346,7 @@ def test_antipodal_membership(decomp_400, ball_400):
 
 
 def test_lattice_separation_exceeds_corridor_bound(decomp_400, ball_400):
-    sep = min_patch_separation(decomp_400)
+    sep = audit_patches(decomp_400).min_separation
     assert sep > 2.0 * decomp_400.r_corridor
 
 
@@ -278,7 +363,7 @@ def test_separation_matches_kdtree(ball_name, r_v, request):
         except PatchConstructionError:
             continue
         built += 1
-        assert min_patch_separation(decomp) == kdtree_min_patch_separation(decomp)
+        assert audit_patches(decomp).min_separation == kdtree_min_patch_separation(decomp)
     assert built >= 3
 
 
@@ -286,7 +371,7 @@ def test_separation_matches_full_scan_at_benchmark_setting(ball_1600):
     # patch_audit's default grid
     for m in (6, 16, 30):
         decomp = build_patches(m, ball_1600, 2.0)
-        assert min_patch_separation(decomp) == scan_min_patch_separation(decomp)
+        assert audit_patches(decomp).min_separation == scan_min_patch_separation(decomp)
 
 
 def test_separation_matches_full_scan_small_radii():
@@ -301,7 +386,7 @@ def test_separation_matches_full_scan_small_radii():
                     continue
                 built += 1
                 want = scan_min_patch_separation(decomp)
-                assert min_patch_separation(decomp) == want, (ksq, r_v, m)
+                assert audit_patches(decomp).min_separation == want, (ksq, r_v, m)
     assert built >= 100
 
 
@@ -356,7 +441,7 @@ def test_tile_clearance_bounds_every_joining_pair(ball_400, r_v):
         asg = decomp.shell_assignment()
         sel = asg.labels >= 0
         pts, lab = asg.points[sel], asg.labels[sel]
-        clearance = decomp.tile_clearance(pts, lab)
+        clearance = tile_clearance(decomp, pts, lab)
         # every point lies in its own tile, up to the returned slack
         assert clearance.min() > -2e-9
         pairs = cKDTree(pts.astype(np.float64)).query_pairs(r=2.0 * r_v + 4.0, output_type="ndarray")
