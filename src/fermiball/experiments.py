@@ -719,8 +719,11 @@ EXPERIMENTS = {
 
 def _field(key: str, convert, value):
     """convert(value) for config field key; a wrongly typed value raises
-    ValueError naming the field."""
+    ValueError naming the field. An int field takes a JSON integer only, not a
+    bool, a float or a string, so that none is truncated."""
     try:
+        if convert is int and type(value) is not int:
+            raise TypeError(f"{type(value).__name__} is not an integer")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{key}: invalid value {value!r}") from err

@@ -33,11 +33,11 @@ EQUATOR_DELTA_MAX = Fraction(77, 624)
 #: ideal Fermi-radius constant: k_F = KAPPA_IDEAL * N^(1/3) as N grows
 KAPPA_IDEAL = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
 
-#: rows labelled at once by `PatchDecomposition.shell_assignment`, and rows a
-#: block of `_blocks` holds (band rows for the Hartree-Fock oracle and for the
-#: patch audit's walk of the shell, which keeps only its separation candidates
-#: past a block; lune pairs for `pair_counts`); bounds their transient memory
-#: to about 1 MB at any radius
+#: rows a block of `_blocks` holds, plus at most one column: every row the
+#: package builds is filled in such a block of whole columns (band rows for
+#: `_band`, the Hartree-Fock oracle, `PatchDecomposition.shell_assignment` and
+#: the patch audit's walk of the shell; lune pairs for `pair_counts`), which
+#: bounds a walk's transient memory to about 1 MB at any radius
 _BLOCK_ROWS = 1 << 13
 
 #: columns (x, y) per x-slab of the lattice walk `_slabs`, whose column
@@ -91,13 +91,6 @@ class FermiBall:
         self.hbar: float = self.n_particles ** (-1.0 / 3.0)
         self.kappa_eff: float = self.k_fermi * self.hbar
 
-    def contains(self, p: Sequence[int]) -> bool:
-        return _as_momentum(p).norm_sq() <= self.norm_sq_max
-
-    def contains_points(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-        return (points * points).sum(axis=1) <= self.norm_sq_max
-
     def __repr__(self) -> str:
         return f"FermiBall(k_fermi_sq={self.k_fermi_sq}, n={self.n_particles})"
 
@@ -112,35 +105,18 @@ def _isqrt(a) -> np.ndarray:
     return np.where(a < 0, -1, r)
 
 
-def _runs(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -> None:
-    """Fill out with runs one after another: run i is the lengths[i] values
-    first[i], first[i] + step, ...
-
-    Written as a running sum in place, so a slice of a larger array, of any
-    integer dtype that holds the values, is filled without an N-sized
-    temporary.
-    """
-    keep = lengths > 0
-    first, lengths = first[keep], lengths[keep]
-    last = first + step * (lengths - 1)
-    out[...] = step
-    out[np.cumsum(lengths) - lengths] = first - np.concatenate([[0], last[:-1]])
-    np.cumsum(out, out=out, dtype=out.dtype)
-
-
-def _columns(q: int, ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns (x, y) with x^2 + y^2 <= q over the rising x of ax, each with
-    x^2 <= q, in lexicographic order."""
-    heights = _isqrt(q - ax * ax)
-    counts = 2 * heights + 1
-    y = np.empty(int(counts.sum()), dtype=np.int64)
-    _runs(-heights, counts, 1, y)
-    return np.repeat(ax, counts), y
+def _ramps(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Runs one after another as one int64 array: run i is the lengths[i] >= 0
+    values first[i], first[i] + 1, ..., so each value is its index plus its
+    run's first value less the run's offset."""
+    runs = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    runs += np.arange(len(runs))
+    return runs
 
 
 def _slabs(q: int):
-    """The columns (x, y) with x^2 + y^2 <= q, one x-slab of about
-    _SLAB_COLUMNS columns at a time, by rising x: a generator, so only one
+    """The columns (x, y) with x^2 + y^2 <= q in lexicographic order, one
+    x-slab of about _SLAB_COLUMNS columns at a time: a generator, so only one
     slab's arrays live at a time.
 
     The walk serves q <= _Q_MAX = 2^30 (k_F <= 32768, N up to 1.5e14)
@@ -153,74 +129,49 @@ def _slabs(q: int):
     r = math.isqrt(q) if q >= 0 else -1
     width = max(1, _SLAB_COLUMNS // (2 * r + 1))
     for x in range(-r, r + 1, width):
-        yield _columns(q, np.arange(x, min(x + width, r + 1), dtype=np.int64))
+        ax = np.arange(x, min(x + width, r + 1), dtype=np.int64)
+        heights = _isqrt(q - ax * ax)
+        counts = 2 * heights + 1
+        yield np.repeat(ax, counts), _ramps(-heights, counts)
 
 
-def _fill(
-    x: np.ndarray,
-    y: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The points of columns (x, y) as (n, 3) rows, written into out (an
-    int64 array is made when out is None): column i holds the z-runs
-    starts[i, j], starts[i, j] + 1, ... of lengths[i, j] >= 0.
-    Rows are in lexicographic order when the columns are and each column's
-    runs rise."""
-    per_column = lengths.sum(axis=1)
-    if out is None:
-        out = np.empty((int(per_column.sum()), 3), dtype=np.int64)
-    _runs(x, per_column, 0, out[:, 0])
-    _runs(y, per_column, 0, out[:, 1])
-    _runs(starts.ravel(), lengths.ravel(), 1, out[:, 2])
-    return out
+def _column_runs(lo: np.ndarray, hi: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The z-runs (starts, lengths) of columns with their z in [lo, hi]
+    outside [-h, h] (h = -1 cuts nothing out): a run below that ends at
+    -max(h, 0) - 1 and a run above that starts at h + 1."""
+    starts = np.stack([lo, np.maximum(lo, h + 1)], axis=1)
+    ends = np.stack([np.minimum(hi, -np.maximum(h, 0) - 1), hi], axis=1)
+    return starts, np.maximum(ends - starts + 1, 0)
 
 
 def _band_runs(q_lo: int, q_hi: int):
-    """_band's columns and z-runs, one x-slab at a time, as _fill takes
+    """_band's columns and z-runs, one x-slab at a time, as _blocks takes
     them: (x, y, starts, lengths).
 
     Column (x, y) holds the z with g < |z| <= h, where h and g are the column
     heights at q_hi and at q_lo - 1 (g = -1 when the column misses that ball):
-    one run for z < 0 and one for z >= 0. Each slab is a call mapped over the
-    walk, so its temporaries are freed before the next slab is built.
+    the column of q_hi outside that of q_lo - 1. Each slab is a call mapped
+    over the walk, so its temporaries are freed before the next slab is built.
     """
 
     def runs(x, y):
         s = x * x + y * y
         h = _isqrt(q_hi - s)
-        g = _isqrt(q_lo - 1 - s)
-        starts = np.stack([-h, g + 1], axis=1)
-        lengths = np.maximum(np.stack([h - np.maximum(g, 0), h - g], axis=1), 0)
-        return x, y, starts, lengths
+        return x, y, *_column_runs(-h, h, _isqrt(q_lo - 1 - s))
 
     return itertools.starmap(runs, _slabs(q_hi))
 
 
-def _band(q_lo: int, q_hi: int, dtype=np.int64) -> np.ndarray:
-    """Integer points with q_lo <= |p|^2 <= q_hi as an (n, 3) array of the
-    integer dtype, in lexicographic order.
+def _band(q_lo: int, q_hi: int) -> np.ndarray:
+    """Integer points with q_lo <= |p|^2 <= q_hi as an (n, 3) int64 array, in
+    lexicographic order: the blocks of _band_blocks joined.
 
-    Each x-slab's rows are counted from its run lengths, the output is
-    allocated once, and the slabs are walked again to fill it, so only one
-    slab's column arrays live at a time. An empty band (q_lo > q_hi) is
-    returned without a walk; coordinates that would not fit the dtype, or a
-    q_hi beyond the walk's range (see _slabs), raise ValueError before any
-    allocation.
+    An empty band (q_lo > q_hi) is returned without a walk; a q_hi beyond the
+    walk's range (see _slabs) raises ValueError before its first slab.
     """
-    r = math.isqrt(q_hi) if q_hi >= 0 else -1
-    if r > np.iinfo(dtype).max:
-        raise ValueError(f"coordinates up to {r} do not fit {np.dtype(dtype)}")
     if q_lo > q_hi:
-        return np.empty((0, 3), dtype=dtype)
-    sizes, _ = _band_census(q_lo, q_hi)
-    out = np.empty((sum(sizes), 3), dtype=dtype)
-    row = 0
-    for runs, size in zip(_band_runs(q_lo, q_hi), sizes):
-        _fill(*runs, out=out[row : row + size])
-        row += size
-    return out
+        return np.empty((0, 3), dtype=np.int64)
+    return np.concatenate([np.empty((0, 3), dtype=np.int64), *_band_blocks(q_lo, q_hi)])
 
 
 def _band_census(q_lo: int, q_hi: int) -> tuple[list[int], int]:
@@ -268,17 +219,22 @@ def _band_rows(q_lo: int, q_hi: int, ranks, sizes: Sequence[int]) -> np.ndarray:
 
 
 def _blocks(slabs):
-    """The rows of slabs given as _fill takes them, (x, y, starts, lengths),
-    as int64 blocks of whole columns in their order: a generator of nonempty
-    blocks of at most _BLOCK_ROWS rows plus one column."""
+    """The points of slabs of columns (x, y, starts, lengths), column i
+    holding the z-runs starts[i, j], starts[i, j] + 1, ... of lengths[i, j]
+    >= 0, as (n, 3) int64 blocks of whole columns in their order: a generator
+    of nonempty blocks of at most _BLOCK_ROWS rows plus one column. Rows are
+    in lexicographic order when the columns are and each column's runs rise.
+    """
     for x, y, starts, lengths in slabs:
         per_column = lengths.sum(axis=1)
         # the block of each column is that of its first row
         block = (np.cumsum(per_column) - per_column) // _BLOCK_ROWS
         edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(x)]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            if per_column[lo:hi].any():
-                yield _fill(x[lo:hi], y[lo:hi], starts[lo:hi], lengths[lo:hi])
+            n = per_column[lo:hi]
+            if n.any():
+                z = _ramps(starts[lo:hi].ravel(), lengths[lo:hi].ravel())
+                yield np.column_stack([np.repeat(x[lo:hi], n), np.repeat(y[lo:hi], n), z])
 
 
 def _band_blocks(q_lo: int, q_hi: int):
@@ -289,15 +245,13 @@ def _band_blocks(q_lo: int, q_hi: int):
 
 def _lune(q: int, k: np.ndarray):
     """Columns and z-runs of the lune |p|^2 > q >= |p - k|^2, one x-slab of
-    the disc q at a time, as _fill takes them: (x, y, starts, lengths), each
-    slab built as _band_runs builds its slabs. Rows filled slab after slab
-    are in lexicographic order.
+    the disc q at a time, as _blocks takes them: (x, y, starts, lengths).
+    Rows filled slab after slab are in lexicographic order.
 
     Particle column (x, y) is a hole column of the disc q shifted by (kx,
     ky). With h' the hole column's height and h the particle column's (-1
     where it misses the ball), its pairs are z in [kz - h', kz + h'] outside
-    [-h, h]: a run below that ends at -max(h, 0) - 1 and a run above that
-    starts at h + 1, as in _band.
+    [-h, h], by _column_runs as _band_runs builds a band's.
     """
     kx, ky, kz = (int(c) for c in k)
 
@@ -305,11 +259,7 @@ def _lune(q: int, k: np.ndarray):
         hole = _isqrt(q - x * x - y * y)
         x += kx
         y += ky
-        h = _isqrt(q - x * x - y * y)
-        lo, hi = kz - hole, kz + hole
-        starts = np.stack([lo, np.maximum(lo, h + 1)], axis=1)
-        ends = np.stack([np.minimum(hi, -np.maximum(h, 0) - 1), hi], axis=1)
-        return x, y, starts, np.maximum(ends - starts + 1, 0)
+        return x, y, *_column_runs(kz - hole, kz + hole, _isqrt(q - x * x - y * y))
 
     return itertools.starmap(runs, _slabs(q))
 

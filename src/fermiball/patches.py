@@ -30,12 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import (
-    _BLOCK_ROWS,
     FermiBall,
     Momentum,
     _as_ivec,
     _as_momentum,
-    _band,
+    _band_blocks,
+    _band_census,
     _blocks,
     _lune,
 )
@@ -314,12 +314,15 @@ class PatchDecomposition:
         call and kept.  No experiment calls it: the patch audit walks the
         shell in blocks and the pair counts walk the pairs."""
         if self._assignment is None:
-            points = _band(*self.shell_bounds(), np.int32)
+            bounds = self.shell_bounds()
+            points = np.empty((sum(_band_census(*bounds)[0]), 3), dtype=np.int32)
             labels = np.empty(len(points), dtype=np.int32)
+            row = 0
             # row blocks bound the float temporaries of labelling to one block's
-            for lo in range(0, len(points), _BLOCK_ROWS):
-                block = slice(lo, lo + _BLOCK_ROWS)
-                labels[block] = self.assign_directions(points[block])
+            for block in _band_blocks(*bounds):
+                points[row : row + len(block)] = block
+                labels[row : row + len(block)] = self.assign_directions(block)
+                row += len(block)
             self._assignment = ShellAssignment(points, labels)
         return self._assignment
 

@@ -27,8 +27,6 @@ from fermiball.lattice import (
     _as_ivec,
     _as_momentum,
     _band,
-    _columns,
-    _fill,
     _isqrt,
     _lune,
     _solve_ksq_for_n,
@@ -82,15 +80,15 @@ def scalar_excitation_energy(
     batched `lattice.excitation_energy`."""
     h = _as_momentum(hole)
     p = _as_momentum(particle)
-    if not ball.contains(h):
+    if not contains(ball, h):
         raise ValueError(f"hole {h} is not inside the Fermi ball")
-    if ball.contains(p):
+    if contains(ball, p):
         raise ValueError(f"particle {p} is not outside the Fermi ball")
 
     def exchange_field(q):
         total = 0.0
         for k, val in v.items():
-            if val != 0.0 and ball.contains((q.px - k.px, q.py - k.py, q.pz - k.pz)):
+            if val != 0.0 and contains(ball, (q.px - k.px, q.py - k.py, q.pz - k.pz)):
                 total += val
         return total
 
@@ -120,31 +118,76 @@ def g_profile(lam: float) -> float:
     return float(_g(lam))
 
 
+def contains(ball: FermiBall, p: Sequence[int]) -> bool:
+    """Whether the momentum p lies in the ball."""
+    return _as_momentum(p).norm_sq() <= ball.norm_sq_max
+
+
+def contains_points(ball: FermiBall, points: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 3) array of momenta lie in the ball."""
+    points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+    return (points * points).sum(axis=1) <= ball.norm_sq_max
+
+
+def running_sum_runs(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -> None:
+    """Fill out with runs one after another: run i is the lengths[i] values
+    first[i], first[i] + step, ..., written as a running sum in place."""
+    keep = lengths > 0
+    first, lengths = first[keep], lengths[keep]
+    last = first + step * (lengths - 1)
+    out[...] = step
+    out[np.cumsum(lengths) - lengths] = first - np.concatenate([[0], last[:-1]])
+    np.cumsum(out, out=out, dtype=out.dtype)
+
+
+def running_sum_fill(x: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 rows of columns (x, y) with z-runs (starts, lengths), filled
+    by running sums: the reference for the repeat-filled blocks of
+    `lattice._blocks`."""
+    per_column = lengths.sum(axis=1)
+    out = np.empty((int(per_column.sum()), 3), dtype=np.int64)
+    running_sum_runs(x, per_column, 0, out[:, 0])
+    running_sum_runs(y, per_column, 0, out[:, 1])
+    running_sum_runs(starts.ravel(), lengths.ravel(), 1, out[:, 2])
+    return out
+
+
+def running_sum_columns(q: int, ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (x, y) with x^2 + y^2 <= q over the rising x of ax, as a
+    slab of `lattice._slabs` holds them, with y filled by running sums."""
+    heights = _isqrt(q - ax * ax)
+    counts = 2 * heights + 1
+    y = np.empty(int(counts.sum()), dtype=np.int64)
+    running_sum_runs(-heights, counts, 1, y)
+    return np.repeat(ax, counts), y
+
+
 def one_pass_columns(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Every column (x, y) with x^2 + y^2 <= q at once, with no x-slabs."""
     r = math.isqrt(q) if q >= 0 else -1
-    return _columns(q, np.arange(-r, r + 1, dtype=np.int64))
+    return running_sum_columns(q, np.arange(-r, r + 1, dtype=np.int64))
 
 
 def boundary_shells(ball: FermiBall) -> tuple[np.ndarray, np.ndarray]:
     """Occupied and empty momenta within one unit of the Fermi surface, as
     int32 rows: the bands hf_stability draws its swaps from, built whole."""
     kf = ball.k_fermi
-    holes = _band(math.ceil((kf - 1.0) ** 2), ball.norm_sq_max, np.int32)
-    particles = _band(ball.norm_sq_max + 1, math.floor((kf + 1.0) ** 2), np.int32)
+    holes = _band(math.ceil((kf - 1.0) ** 2), ball.norm_sq_max).astype(np.int32)
+    particles = _band(ball.norm_sq_max + 1, math.floor((kf + 1.0) ** 2)).astype(np.int32)
     return holes, particles
 
 
 def one_pass_band(q_lo: int, q_hi: int) -> np.ndarray:
-    """`lattice._band` with every column of the band built at once and no
-    x-slabs, as int64: the reference for the slab-wise fill."""
+    """`lattice._band` with every column of the band built at once, with no
+    x-slabs and no row blocks, and filled by running sums: the reference for
+    the block-wise repeat fill."""
     x, y = one_pass_columns(q_hi)
     s = x * x + y * y
     h = _isqrt(q_hi - s)
     g = _isqrt(q_lo - 1 - s)
     starts = np.stack([-h, g + 1], axis=1)
     lengths = np.maximum(np.stack([h - np.maximum(g, 0), h - g], axis=1), 0)
-    return _fill(x, y, starts, lengths)
+    return running_sum_fill(x, y, starts, lengths)
 
 
 def one_pass_ball_count(m: int) -> int:
@@ -164,8 +207,8 @@ def one_pass_ball_kinetic_sum(m: int) -> int:
 def shell_pairs(ball: FermiBall, k) -> np.ndarray:
     """Particle momenta p outside the ball with hole p - k inside, as an
     (n, 3) int64 array in lexicographic order (empty for k = 0), filled from
-    the lune's column runs slab by slab."""
-    slabs = [_fill(*runs) for runs in _lune(ball.norm_sq_max, _as_ivec(k))]
+    the lune's column runs slab by slab by running sums."""
+    slabs = [running_sum_fill(*runs) for runs in _lune(ball.norm_sq_max, _as_ivec(k))]
     return np.concatenate([np.zeros((0, 3), dtype=np.int64), *slabs])
 
 
@@ -403,7 +446,7 @@ def one_shot_pair_counts(decomp: PatchDecomposition, asg: ShellAssignment, k) ->
     labelled hole rows (inside) in one `np.isin`."""
     kv = _as_ivec(k)
     points, labels = asg.points.astype(np.int64), asg.labels.astype(np.int64)
-    inside = decomp.ball.contains_points(points)
+    inside = contains_points(decomp.ball, points)
     sign = np.sign(decomp.k_dots(kv)).astype(np.int64)
     part = np.flatnonzero((labels >= 0) & ~inside)
     lab = labels[part]

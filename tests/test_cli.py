@@ -106,15 +106,21 @@ def test_load_config_field_errors(tmp_path):
     bad["n_particles"] = 10
     with pytest.raises(ValueError, match="exactly one"):
         load_config(bad)
-    # wrongly typed JSON values name their field instead of raising TypeError
+    # wrongly typed JSON values name their field instead of raising TypeError;
+    # an integer field takes no bool, float or string, so none is truncated
     radius_free = {k: v for k, v in base.items() if k != "k_fermi_sq"}
-    cases = [(radius_free, f, v) for f, v in (("k_fermi", "abc"), ("k_fermi_sq", "abc"), ("n_particles", None))]
+    radius_cases = (("k_fermi", "abc"), ("k_fermi_sq", "abc"), ("n_particles", None), ("n_particles", 33401.9))
+    cases = [(radius_free, f, v) for f, v in radius_cases]
     cases += [
         (base, f, v)
         for f, v in (
             ("workers", None),
             ("delta", "x"),
             ("seed", [1]),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", "7"),
+            ("workers", 2.7),
             ("potential", 5),
             ("potential", None),
             ("experiments", 5),

@@ -25,6 +25,7 @@ from fermiball.lattice import pair_gap_histogram
 from fermiball.lattice import _band
 from oracles import (
     boundary_shells,
+    contains_points,
     count_slice,
     hf_energy_of_occupation,
     per_system_kernel_identities,
@@ -127,7 +128,7 @@ def test_band_oracle_memory_is_kept_arrays_plus_bounded_transient(ball_6400, uni
 def test_boundary_shells_are_int32(ball_400):
     holes, particles = boundary_shells(ball_400)
     assert holes.dtype == particles.dtype == np.int32
-    assert ball_400.contains_points(holes).all() and not ball_400.contains_points(particles).any()
+    assert contains_points(ball_400, holes).all() and not contains_points(ball_400, particles).any()
 
 
 @pytest.mark.parametrize("ksq", ["400.5", "1600.5"])

@@ -28,16 +28,20 @@ from fermiball.lattice import (
     _band_rows,
     _ball_count,
     _ball_kinetic_sum,
+    _blocks,
     _isqrt,
+    _lune,
     _lune_size,
 )
 from oracles import (
     band_shell_pairs,
+    contains,
     count_slice,
     dispersion,
     one_pass_ball_count,
     one_pass_ball_kinetic_sum,
     one_pass_band,
+    running_sum_fill,
     shell_denominators,
     shell_pairs,
     support_diameter,
@@ -114,7 +118,7 @@ def test_ball_matches_brute_force_and_gauss():
 
 def test_ball_integer_radius_includes_boundary():
     ball = build_fermi_ball(k_fermi_sq=4)
-    assert ball.contains((2, 0, 0))
+    assert contains(ball, (2, 0, 0))
     assert ball.n_particles == brute_ball_count(4)
 
 
@@ -204,12 +208,12 @@ def band_cases() -> list[tuple[int, int]]:
     return cases
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
-def test_band_matches_one_pass_oracle(dtype):
-    # the slab-wise fill gives the one-pass band's rows in its order
+def test_band_matches_one_pass_oracle():
+    # the block-wise repeat fill gives the one-pass running-sum band's rows
+    # in its order
     for q_lo, q_hi in band_cases():
-        got = _band(q_lo, q_hi, dtype)
-        assert got.dtype == dtype
+        got = _band(q_lo, q_hi)
+        assert got.dtype == np.int64
         assert np.array_equal(got, one_pass_band(q_lo, q_hi)), (q_lo, q_hi)
 
 
@@ -218,21 +222,32 @@ def test_band_matches_one_pass_oracle_on_small_slabs(monkeypatch, slab_columns):
     # slabs of one x and of a few x cut the small bands at every edge
     monkeypatch.setattr(lattice_mod, "_SLAB_COLUMNS", slab_columns)
     for q_lo, q_hi in [(5, 3), (0, 0), (0, 1), (1, 1), (0, 50), (30, 61), (350, 420)]:
-        for dtype in (np.int32, np.int64):
-            got = _band(q_lo, q_hi, dtype)
-            assert np.array_equal(got, one_pass_band(q_lo, q_hi)), (q_lo, q_hi, dtype)
+        assert np.array_equal(_band(q_lo, q_hi), one_pass_band(q_lo, q_hi)), (q_lo, q_hi)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 1 << 13])
 def test_band_blocks_cover_the_band_in_order(monkeypatch, block_rows):
     # nonempty blocks of whole columns, each within block_rows plus one
-    # column, that concatenate to the band; q = 7 and 15 have no points
+    # column, that concatenate to the band filled by running sums; q = 7 and
+    # 15 have no points
     monkeypatch.setattr(lattice_mod, "_BLOCK_ROWS", block_rows)
+    empty = np.zeros((0, 3), dtype=np.int64)
     for q_lo, q_hi in [(7, 7), (15, 15), (0, 0), (0, 50), (30, 61), (290, 400), (5800, 6400)]:
         blocks = list(_band_blocks(q_lo, q_hi))
         assert all(0 < len(b) <= block_rows + 2 * math.isqrt(q_hi) + 1 for b in blocks)
-        rows = np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
-        assert np.array_equal(rows, _band(q_lo, q_hi)), (q_lo, q_hi)
+        rows = np.concatenate([empty, *blocks])
+        assert np.array_equal(rows, one_pass_band(q_lo, q_hi)), (q_lo, q_hi)
+    # so do the lune's blocks, on slabs of one x and of a few x, for k in
+    # the plane kz = 0, with negative components and with |k| > 1
+    for slab_columns in (1, 7):
+        monkeypatch.setattr(lattice_mod, "_SLAB_COLUMNS", slab_columns)
+        for q in (0, 2, 50, 400):
+            for k in ((1, 0, 0), (-1, 2, 0), (0, 0, 1), (1, -1, -2), (3, -2, 1)):
+                kv = np.asarray(k, dtype=np.int64)
+                rows = np.concatenate([empty, *_blocks(_lune(q, kv))])
+                ref = np.concatenate([empty, *(running_sum_fill(*runs) for runs in _lune(q, kv))])
+                assert len(ref) == _lune_size(q, kv)
+                assert np.array_equal(rows, ref), (slab_columns, q, k)
 
 
 def assert_census_and_rows_match_band(q_lo, q_hi, rng):
@@ -269,12 +284,6 @@ def test_band_census_and_rows_on_small_slabs(monkeypatch, slab_columns):
         assert_census_and_rows_match_band(q_lo, q_hi, rng)
 
 
-def test_overflowing_widths_are_named_errors():
-    # the check runs before anything is allocated
-    with pytest.raises(ValueError, match="do not fit int32"):
-        _band(0, 2**62, np.int32)
-
-
 def test_walk_refuses_empty_and_out_of_range_bands_at_once():
     # an empty band returns before the walk, and a radius beyond the walk's
     # exact range raises before its first slab: neither walks 2^32 x-slabs
@@ -285,7 +294,7 @@ def test_walk_refuses_empty_and_out_of_range_bands_at_once():
         with pytest.raises(ValueError, match="exact range"):
             _band(0, 2**62)
         with pytest.raises(ValueError, match="exact range"):
-            _band(0, lattice_mod._Q_MAX + 1, np.int32)
+            _band(0, lattice_mod._Q_MAX + 1)
         with pytest.raises(ValueError, match="exact range"):
             build_fermi_ball(k_fermi_sq=2**62)
         _, peak = tracemalloc.get_traced_memory()
@@ -703,7 +712,7 @@ def test_excitation_matches_full_difference(ball_small, unit_potential):
     for _ in range(12):
         h = holes[rng.integers(0, len(holes))]
         p = h + np.array([0, 0, 1 + rng.integers(0, 2)])
-        if ball_small.contains(p):
+        if contains(ball_small, p):
             continue
         pts = [tuple(q) for q in occ.tolist()]
         pts.remove(tuple(h.tolist()))
@@ -741,6 +750,6 @@ def test_excitation_positive_in_stable_regime(ball_small, unit_potential):
         h = holes[rng.integers(0, len(holes))]
         step = rng.integers(-1, 2, size=3)
         p = h + step
-        if not step.any() or ball_small.contains(p):
+        if not step.any() or contains(ball_small, p):
             continue
         assert excitation_energy(ball_small, unit_potential, h, p) > 0.0

@@ -17,9 +17,11 @@ from fermiball import (
 )
 from fermiball import experiments
 from fermiball.experiments import ExperimentError, audit_patches
-from fermiball.lattice import _band
-from fermiball.patches import _BLOCK_ROWS, pair_counts, pair_counts_by_layout
+from fermiball.lattice import _BLOCK_ROWS, _band
+from fermiball.patches import pair_counts, pair_counts_by_layout
 from oracles import (
+    contains,
+    contains_points,
     decomposition_to_json,
     loop_labels,
     one_shot_pair_counts,
@@ -47,10 +49,10 @@ def brute_pair_count(decomp, ball, k, alpha):
     sign = 1 if dot > 0 else -1
     count = 0
     for p, lab in zip(asg.points.tolist(), asg.labels.tolist()):
-        if lab != alpha or ball.contains(p):
+        if lab != alpha or contains(ball, p):
             continue
         h = tuple(np.asarray(p) - sign * kv)
-        if not ball.contains(h):
+        if not contains(ball, h):
             continue
         if patch_of(decomp, h) == alpha:
             count += 1
@@ -61,7 +63,7 @@ def loop_pair_counts(decomp, asg, ks):
     """Reference per-patch route: each patch's particle rows (outside the
     ball) shifted by -/+ k and matched against its own hole rows (inside)."""
     points = asg.points.astype(np.int64)
-    inside = decomp.ball.contains_points(points)
+    inside = contains_points(decomp.ball, points)
     counts = np.zeros((len(ks), decomp.m_patches), dtype=np.int64)
     for a in range(decomp.m_patches):
         sel = asg.labels == a
@@ -669,7 +671,7 @@ def test_pair_count_large_k_matches_brute_force(ball_400, decomp_400):
             if dot == 0.0:
                 continue
             part = pts[hole_lab == alpha] + (kv if dot > 0 else -kv)
-            outside = ~ball_400.contains_points(part)
+            outside = ~contains_points(ball_400, part)
             want = sum(patch_of(decomp_400, p) == alpha for p in part[outside])
             got = pair_count(decomp_400, k, alpha)
             assert got == want

@@ -45,6 +45,42 @@ def unbound_exports(tree: ast.Module) -> list[str]:
     return [name for name in exported if name not in bound]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private names (one leading underscore, not dunder) that a module's top
+    level binds by a def, a class or an assignment, each with its line."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def dead_helpers(modules: dict[str, ast.Module]) -> list[str]:
+    """Private top-level names of the modules that no module reads, as a
+    name or as an attribute."""
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in modules.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+
+
 def test_no_unused_imports():
     assert {p.name for p in SOURCES} >= {"__init__.py", "experiments.py", "lattice.py"}
     found = {
@@ -86,3 +122,28 @@ def test_unbound_export_check_catches_a_leftover():
         "    EncodedSet = 1\n"
     )
     assert unbound_exports(ast.parse(code)) == ["EncodedSet"]
+
+
+def test_every_private_helper_is_read():
+    modules = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert dead_helpers(modules) == []
+
+
+def test_dead_helper_check_catches_a_leftover():
+    lattice = (
+        "_BLOCK_ROWS = 8\n"
+        "_a, (_b, c) = 1, (2, 3)\n"
+        "def _runs(first):\n"
+        "    return first\n"
+        "def _fill(x):\n"
+        "    return x + _BLOCK_ROWS\n"
+        "class _Unused:\n"
+        "    _fill = None\n"
+    )
+    patches = "from . import lattice\nfrom .lattice import _fill\ndef f():\n    return _fill(lattice._a)\n"
+    modules = {"lattice.py": ast.parse(lattice), "patches.py": ast.parse(patches)}
+    assert dead_helpers(modules) == [
+        "lattice.py: _b (line 2)",
+        "lattice.py: _runs (line 3)",
+        "lattice.py: _Unused (line 7)",
+    ]
