@@ -208,13 +208,24 @@ def band_cases() -> list[tuple[int, int]]:
     return cases
 
 
-def test_band_matches_one_pass_oracle():
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_band_matches_one_pass_oracle(dtype):
     # the block-wise repeat fill gives the one-pass running-sum band's rows
-    # in its order
+    # in its order, joined by _band and copied block by block into an array
+    # of the given dtype sized from the census, as the shell assignment
+    # fills its int32 points
     for q_lo, q_hi in band_cases():
+        expected = one_pass_band(q_lo, q_hi)
         got = _band(q_lo, q_hi)
         assert got.dtype == np.int64
-        assert np.array_equal(got, one_pass_band(q_lo, q_hi)), (q_lo, q_hi)
+        assert np.array_equal(got, expected), (q_lo, q_hi)
+        rows = np.empty((sum(_band_census(q_lo, q_hi)[0]), 3), dtype=dtype)
+        row = 0
+        for block in _band_blocks(q_lo, q_hi):
+            rows[row : row + len(block)] = block
+            row += len(block)
+        assert row == len(rows)
+        assert np.array_equal(rows, expected), (q_lo, q_hi, dtype)
 
 
 @pytest.mark.parametrize("slab_columns", [1, 7, 64])
