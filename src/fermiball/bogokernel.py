@@ -4,7 +4,7 @@ For each interaction momentum k the particle-hole modes on the patched Fermi
 surface carry three real symmetric matrices: a diagonal kinetic part D, a
 same-side rank-one coupling W, and a cross-side coupling W~.  The Bogoliubov
 kernel K diagonalizes D + W + W~ against D + W - W~; the ground-state shift is
-tr(E - D - W) / 2.  A mode system takes its pair counts, N and hbar from
+tr(E - D - W) / 2.  A mode system takes its pair counts and hbar from
 the one ball its patch decomposition was built from (`decomp.ball`).  All
 matrix functions go through one dense symmetric eigendecomposition; positive
 definiteness is a checked precondition, never silently clamped.  The energy
@@ -83,21 +83,6 @@ def _apply(w: np.ndarray, q: np.ndarray, fn) -> np.ndarray:
     return _sym(q @ (fn(w)[..., :, None] * q.swapaxes(-1, -2)))
 
 
-def sym_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    w, q = _eigh_pd(a, name)
-    return _apply(w, q, np.sqrt)
-
-
-def sym_inv_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    w, q = _eigh_pd(a, name)
-    return _apply(w, q, lambda x: 1.0 / np.sqrt(x))
-
-
-def sym_log(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    w, q = _eigh_pd(a, name)
-    return _apply(w, q, np.log)
-
-
 def _per_matrix(fn, *mats: np.ndarray):
     """fn of each matrix of equally stacked (..., n, n) arrays: a float for
     2-D input, else an array over the leading axes. Each call sees one
@@ -136,33 +121,38 @@ def _two_sided(b: np.ndarray, cross: bool) -> np.ndarray:
     return out
 
 
+def _both_sides(x: np.ndarray) -> np.ndarray:
+    """Plus-side mode data x (..., I) on all 2I modes: entry I+j, the
+    antipodal partner of entry j, carries x[j]."""
+    return np.concatenate([x, x], axis=-1)
+
+
 def _mode_matrices(u: np.ndarray, v: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D, W and W~ of reflection-paired mode data u, v (..., 2I) and
+    """D, W and W~ (..., 2I, 2I) of plus-side mode data u, v (..., I) and
     couplings g (...)."""
-    b = _same_side(v[..., : v.shape[-1] // 2], g)
-    return _diag(u * u), _two_sided(b, cross=False), _two_sided(b, cross=True)
+    b = _same_side(v, g)
+    return _diag(_both_sides(u * u)), _two_sided(b, cross=False), _two_sided(b, cross=True)
 
 
 @dataclass
 class ModeSystem:
-    """Mode data and coupling matrices for one interaction momentum.
+    """Mode data for one interaction momentum, plus side only.
 
-    Modes are reflection paired: entries 0..I-1 are the plus side ordered by
-    patch index, entry I+j is the antipodal partner of entry j, so that
-    u[j] == u[I+j] and n_vals[j] == n_vals[I+j].  The dense 2I x 2I matrices
-    D, W and W~ are built from u, v and g by `_mode_matrices` where a dense
-    solve needs them; the trace route (`rpa.ground_state_shift`) never
-    builds them.
+    Modes are reflection paired: the plus modes 0..I-1 are ordered by patch
+    index, and mode I+j, the antipodal partner of mode j, carries the same
+    u, n and v, so u, n and v hold the I plus-side entries.  The dense
+    2I x 2I matrices D, W and W~ are built from u, v and g by
+    `_mode_matrices` where a dense solve needs them; the trace route
+    (`rpa.ground_state_shift`) never builds them.
     """
 
     k: Momentum
     vhat_k: float
     m_patches: int
-    n_particles: int
     plus_modes: tuple[int, ...]
-    u_vals: np.ndarray
-    n_vals: np.ndarray
-    v_vals: np.ndarray
+    u: np.ndarray
+    n: np.ndarray
+    v: np.ndarray
     g: float
 
     @property
@@ -178,27 +168,21 @@ def _assemble(
     k: Momentum,
     vhat_k: float,
     m_patches: int,
-    n_particles: int,
     hbar: float,
     plus_modes: Sequence[int],
-    u_side: np.ndarray,
-    n_side: np.ndarray,
+    u: np.ndarray,
+    n: np.ndarray,
 ) -> ModeSystem:
     knorm = math.sqrt(float(Momentum(*k).norm_sq()))
-    u = np.concatenate([u_side, u_side])
-    n = np.concatenate([n_side, n_side])
-    v = (hbar / (KAPPA_IDEAL * math.sqrt(knorm))) * n
-    g = 0.5 * KAPPA_IDEAL * vhat_k
     return ModeSystem(
         k=k,
         vhat_k=vhat_k,
         m_patches=m_patches,
-        n_particles=n_particles,
         plus_modes=tuple(plus_modes),
-        u_vals=u,
-        n_vals=n,
-        v_vals=v,
-        g=g,
+        u=u,
+        n=n,
+        v=(hbar / (KAPPA_IDEAL * math.sqrt(knorm))) * n,
+        g=0.5 * KAPPA_IDEAL * vhat_k,
     )
 
 
@@ -209,7 +193,7 @@ def build_mode_system(
     delta: float,
     counts: np.ndarray | None = None,
 ) -> ModeSystem:
-    """Assemble D, W, W~ for momentum k from exact lattice pair counts.
+    """The mode system of momentum k, from exact lattice pair counts.
 
     ``counts`` is `pair_counts(decomp, k)` when the caller has it already
     (from `pair_counts_by_layout`'s walk); it is counted here otherwise.
@@ -244,7 +228,6 @@ def build_mode_system(
         km,
         v(kv),
         decomp.m_patches,
-        decomp.ball.n_particles,
         decomp.ball.hbar,
         plus.tolist(),
         np.sqrt(np.abs(decomp.k_dots(kv)[plus]) / knorm),
@@ -268,7 +251,7 @@ def sample_mode_system(rng: np.random.Generator, max_side: int = 30) -> ModeSyst
     base = 4.0 * math.pi * kf**2 / m_patches
     n_side = np.sqrt(base * u**2 * rng.uniform(0.6, 1.4, size=side))
     plus = tuple(range(side))
-    return _assemble(Momentum(0, 0, 1), vhat_k, m_patches, n_particles, hbar, plus, u, n_side)
+    return _assemble(Momentum(0, 0, 1), vhat_k, m_patches, hbar, plus, u, n_side)
 
 
 @dataclass
@@ -367,12 +350,12 @@ def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
     S2 = (S1^T)^-1, polar part O of S1^T, K = log|S1^T|, and the transformed
     matrix frakK, which is orthogonally equivalent to E.
     """
-    return _solve(*_mode_matrices(ms.u_vals, ms.v_vals, ms.g))
+    return _solve(*_mode_matrices(ms.u, ms.v, ms.g))
 
 
 def _scaled_bound(mat: np.ndarray, ms: ModeSystem) -> np.ndarray:
     """|mat_ab| M / (V(k) min(n_a/n_b, n_b/n_a)) entrywise."""
-    n = ms.n_vals
+    n = _both_sides(ms.n)
     ratio = np.minimum.outer(n, n) / np.maximum.outer(n, n)
     return np.abs(mat) * ms.m_patches / (ms.vhat_k * ratio)
 
@@ -406,19 +389,21 @@ def _l_block_dev(d_diag: np.ndarray, b: np.ndarray, K: np.ndarray):
     side = d_diag.shape[-1]
     d = _diag(d_diag)
     d2b = _sym(d + 2.0 * b)
-    # d is diagonal: its root is the entrywise one, with the bits of sym_sqrt's
+    # d is diagonal: its root is the entrywise one, with the bits of the eigh root's
     d_h = _diag(np.sqrt(d_diag))
-    d2b_h = sym_sqrt(d2b, "d + 2b")
-    m1 = sym_inv_sqrt(_sym(d_h @ d2b @ d_h), "d^1/2 (d+2b) d^1/2")
-    m2 = sym_inv_sqrt(_sym(d2b_h @ d @ d2b_h), "(d+2b)^1/2 d (d+2b)^1/2")
+    d2b_h = _apply(*_eigh_pd(d2b, "d + 2b"), np.sqrt)
+    m1 = _apply(*_eigh_pd(_sym(d_h @ d2b @ d_h), "d^1/2 (d+2b) d^1/2"), lambda x: 1.0 / np.sqrt(x))
+    m2 = _apply(
+        *_eigh_pd(_sym(d2b_h @ d @ d2b_h), "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x)
+    )
     ident = np.eye(side)
     L1 = _sym(d_h @ m1 @ d_h) - ident
     L2 = _sym(d2b_h @ m2 @ d2b_h) - ident
     del d, d2b, d_h, d2b_h, m1, m2
     u_rot = np.block([[ident, ident], [ident, -ident]]) / math.sqrt(2.0)
     blocks = np.zeros(K.shape)
-    blocks[..., :side, :side] = sym_log(ident + L1, "I + L1")
-    blocks[..., side:, side:] = sym_log(ident + L2, "I + L2")
+    blocks[..., :side, :side] = _apply(*_eigh_pd(ident + L1, "I + L1"), np.log)
+    blocks[..., side:, side:] = _apply(*_eigh_pd(ident + L2, "I + L2"), np.log)
     k_rebuilt = 0.5 * u_rot.T @ blocks @ u_rot
     dev = np.abs(k_rebuilt - K).max(axis=(-2, -1))
     return float(dev) if dev.ndim == 0 else dev
@@ -433,13 +418,13 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> flo
     """
     if sol is None:
         sol = diagonalize(ms)
-    side = ms.side
-    return _l_block_dev(ms.u_vals[:side] ** 2, _same_side(ms.v_vals[:side], ms.g), sol.K)
+    return _l_block_dev(ms.u**2, _same_side(ms.v, ms.g), sol.K)
 
 
 def check_frakK_minus_D_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
     """Fitted constant of |(frakK - D)_ab| <= C V(k) u_a u_b / M."""
     if ms.vhat_k <= 0:
         return 0.0
-    scale = ms.vhat_k * np.outer(ms.u_vals, ms.u_vals) / ms.m_patches
-    return float((np.abs(sol.frakK - _diag(ms.u_vals * ms.u_vals)) / scale).max())
+    u = _both_sides(ms.u)
+    scale = ms.vhat_k * np.outer(u, u) / ms.m_patches
+    return float((np.abs(sol.frakK - _diag(u * u)) / scale).max())

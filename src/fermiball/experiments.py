@@ -361,7 +361,6 @@ def exp_patch_audit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30), r_v=
         rows.append(
             {
                 "m_requested": m,
-                "m_actual": decomp.m_patches,
                 "r_corridor": r_v,
                 "min_separation": audit.min_separation,
                 "separation_bound": 2.0 * r_v,
@@ -412,18 +411,17 @@ _STACK_ENTRIES = 1 << 13
 def _identity_rows(stack: list[bogokernel.ModeSystem]) -> list[dict]:
     """kernel_identities' rows, less the system number, of equal-size mode
     systems solved as one stack, built from their u, v and g."""
-    side = stack[0].side
-    u = np.stack([ms.u_vals for ms in stack])
-    v = np.stack([ms.v_vals for ms in stack])
+    u = np.stack([ms.u for ms in stack])
+    v = np.stack([ms.v for ms in stack])
     g = np.array([ms.g for ms in stack])
     sol = bogokernel._solve(*bogokernel._mode_matrices(u, v, g))
-    l_dev = bogokernel._l_block_dev(u[:, :side] ** 2, bogokernel._same_side(v[:, :side], g), sol.K)
+    l_dev = bogokernel._l_block_dev(u**2, bogokernel._same_side(v, g), sol.K)
     spec_frak, spec_e = np.sort(np.linalg.eigvalsh(np.stack([sol.frakK, sol.E])), axis=-1)
     spec_dev = np.abs(spec_frak - spec_e).max(axis=-1) / np.abs(spec_e).max(axis=-1)
     res = sol.residuals
     return [
         {
-            "size": 2 * side,
+            "size": stack[0].size,
             "offdiagonal_rel": float(res["offdiagonal_rel"][j]),
             "spectrum_rel_dev": float(spec_dev[j]),
             "l_block_dev": float(l_dev[j]),
@@ -484,7 +482,6 @@ def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30))
             rows.append(
                 {
                     "m_requested": m,
-                    "m_actual": decomp.m_patches,
                     "k": f"{k.px} {k.py} {k.pz}",
                     "modes": ms.size,
                     "c_star": c_star,
@@ -512,7 +509,6 @@ def exp_rpa_compare(ctx: Context, *, schedule=((400.5, 8), (1600.5, 16), (6400.5
             {
                 "k_fermi_sq": str(Fraction(ksq)),
                 "m_requested": m,
-                "m_actual": decomp.m_patches,
                 "n": decomp.ball.n_particles,
                 "delta": ENERGY_DELTA,
                 "e_analytic": report.e_analytic,
@@ -744,13 +740,35 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_number(value):
+    """value if it is a JSON number; a bool or a string is not one."""
+    if not _is_number(value):
+        raise TypeError(f"{type(value).__name__} is not a number")
+    return value
+
+
 def _expected_type(value, default) -> str | None:
     """What a JSON value for an option with this default must be, or None if
-    it is that: a list for a tuple or range default, a number for a number."""
-    if isinstance(default, (tuple, range)) and not isinstance(value, list):
-        return "a list"
-    if _is_number(default) and not _is_number(value):
+    it is that: a list for a tuple or range default, of integers if the
+    default's entries are all ints; an integer for an int and a number for a
+    float; and every float in it finite."""
+    if isinstance(default, (tuple, range)):
+        if not isinstance(value, list):
+            return "a list"
+        if all(map(_is_int, default)) and not all(map(_is_int, value)):
+            return "a list of integers"
+    elif _is_int(default) and not _is_int(value):
+        return "an integer"
+    elif _is_number(default) and not _is_number(value):
         return "a number"
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return "finite"
     return None
 
 
@@ -773,12 +791,12 @@ def load_config(doc: dict, output_override=None) -> RunConfig:
         if n_actual != n:
             log.warning("n_particles=%d not attainable; using nearest N=%d", n, n_actual)
     elif key == "k_fermi":
-        k_fermi = _field(key, lambda v: Fraction(float(v)), doc[key])
+        k_fermi = _field(key, lambda v: Fraction(float(_json_number(v))), doc[key])
         if k_fermi <= 0:
             raise ValueError("k_fermi must be positive")
         ksq = k_fermi**2
     else:
-        ksq = _field(key, lambda v: Fraction(str(v)), doc[key])
+        ksq = _field(key, lambda v: Fraction(str(_json_number(v))), doc[key])
         if ksq <= 0:
             raise ValueError("k_fermi_sq must be positive")
 

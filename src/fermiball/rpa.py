@@ -161,12 +161,10 @@ def ground_state_shift(ms: ModeSystem) -> float:
     (1/pi) int_0^inf [log1p(s) - s] dt with s = 2 g sum_a d_a v_a^2 / (d_a^2 + t^2);
     the -s term is tr b = g |v|^2.  The integrand is <= 0, so the shift is.
     """
-    side = ms.side
-    d = ms.u_vals[:side] ** 2
+    d = ms.u**2
     if d.min() <= 0.0:
         raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
-    v = ms.v_vals[:side]
-    weights = 2.0 * ms.g * d * v * v
+    weights = 2.0 * ms.g * d * ms.v * ms.v
     t2, d2 = _NODES * _NODES, d * d
     s = np.empty(len(_NODES))
     # node blocks, each a nodes x modes array divided into in place; each row
@@ -210,7 +208,6 @@ class RpaReport:
     e_trace: float
     per_k_terms: dict[Momentum, tuple[float, float]]
     quadrature_error_estimate: float
-    params: dict
 
     @property
     def relative_gap(self) -> float:
@@ -260,12 +257,6 @@ def rpa_energy_trace(
         e_trace=e_trace,
         per_k_terms=per_k,
         quadrature_error_estimate=abs(quad_err),
-        params={
-            "n_particles": decomp.ball.n_particles,
-            "k_fermi_sq": str(decomp.ball.k_fermi_sq),
-            "m_actual": decomp.m_patches,
-            "delta": delta,
-        },
     )
 
 

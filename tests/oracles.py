@@ -573,14 +573,13 @@ def eigvalsh_ground_state_shift(ms: ModeSystem) -> float:
     similar to [d^1/2 (d+2b) d^1/2]^1/2 with d, b the same-side blocks of D
     and W, so the shift is sum sqrt(eig(d^1/2 (d+2b) d^1/2)) - tr d - tr b.
     """
-    side = ms.side
-    d = ms.u_vals[:side] ** 2
+    d = ms.u**2
     if d.min() <= 0.0:
         raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
-    v = ms.v_vals[:side]
+    v = ms.v
     x = np.sqrt(d) * v
     a = 2.0 * ms.g * np.outer(x, x)
-    a[np.diag_indices(side)] += d * d
+    a[np.diag_indices(ms.side)] += d * d
     w = np.linalg.eigvalsh(a)
     tol = 1e-12 * max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] <= tol:
@@ -593,12 +592,10 @@ def eigvalsh_ground_state_shift(ms: ModeSystem) -> float:
 def one_array_ground_state_shift(ms: ModeSystem) -> float:
     """`rpa.ground_state_shift` with s(t) summed from one nodes x modes array
     and no node blocks: the reference for the block-wise sum."""
-    side = ms.side
-    d = ms.u_vals[:side] ** 2
+    d = ms.u**2
     if d.min() <= 0.0:
         raise DiagonalizationError(f"d is not positive definite: smallest entry {d.min():.3e}")
-    v = ms.v_vals[:side]
-    weights = 2.0 * ms.g * d * v * v
+    weights = 2.0 * ms.g * d * ms.v * ms.v
     s = np.add.outer(_NODES * _NODES, d * d)
     np.divide(weights, s, out=s)
     val, err = _integrate(_log1p_minus(s.sum(axis=1)))
@@ -690,8 +687,6 @@ def dump_solution_csv(sol: BogoliubovSolution, ms: ModeSystem, path) -> None:
                 f"{ms.k.px} {ms.k.py} {ms.k.pz}",
                 "M",
                 ms.m_patches,
-                "N",
-                ms.n_particles,
                 "size",
                 ms.size,
             ]
@@ -708,7 +703,6 @@ def report_to_json(report: RpaReport) -> str:
         "e_trace": report.e_trace,
         "relative_gap": report.relative_gap,
         "quadrature_error_estimate": report.quadrature_error_estimate,
-        "params": report.params,
         "per_k_terms": {
             f"{k.px} {k.py} {k.pz}": {"analytic": a, "trace": t}
             for k, (a, t) in report.per_k_terms.items()

@@ -101,11 +101,11 @@ def test_criterion_3_dual_path_kernel(mode_suite):
     from fermiball.lattice import Momentum
 
     ms1 = _assemble(
-        Momentum(0, 0, 1), 0.35, 20, 10**6, 1e-2, (0,),
+        Momentum(0, 0, 1), 0.35, 20, 1e-2, (0,),
         np.array([0.77]), np.array([31.0]),
     )
     sol1 = diagonalize(ms1)
-    theta = 0.25 * math.log1p(2.0 * ms1.g * ms1.v_vals[0] ** 2 / ms1.u_vals[0] ** 2)
+    theta = 0.25 * math.log1p(2.0 * ms1.g * ms1.v[0] ** 2 / ms1.u[0] ** 2)
     dev_closed = abs(abs(sol1.K[0, 1]) - theta)
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-9 and dev_closed <= 1e-12

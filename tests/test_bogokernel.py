@@ -20,9 +20,10 @@ from fermiball.bogokernel import (
     _diag,
     _l_block_dev,
     _mode_matrices,
+    _apply,
+    _eigh_pd,
     _same_side,
     _solve,
-    sym_sqrt,
 )
 from fermiball.lattice import InteractionPotential, Momentum
 from oracles import check_frakK_vs_E, dump_solution_csv, pair_count
@@ -30,7 +31,7 @@ from oracles import check_frakK_vs_E, dump_solution_csv, pair_count
 
 def dense(ms):
     """D, W and W~ of a mode system."""
-    return _mode_matrices(ms.u_vals, ms.v_vals, ms.g)
+    return _mode_matrices(ms.u, ms.v, ms.g)
 
 
 def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):
@@ -40,11 +41,10 @@ def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):
         Momentum(0, 0, 1),
         vhat,
         m_patches=24,
-        n_particles=n_particles,
         hbar=hbar,
         plus_modes=(0,),
-        u_side=np.array([u]),
-        n_side=np.array([math.sqrt(n_pairs)]),
+        u=np.array([u]),
+        n=np.array([math.sqrt(n_pairs)]),
     )
 
 
@@ -60,7 +60,7 @@ def test_mode_matrices_m2(ball_400, unit_potential):
     g_prime = unit_potential((0, 0, 1)) / (
         2.0 * ball_400.hbar * KAPPA_IDEAL * ball_400.n_particles * 1.0
     )
-    n0 = ms.n_vals[0]
+    n0 = ms.n[0]
     assert W[0, 0] == pytest.approx(g_prime * n0 * n0, rel=1e-12)
     assert W[0, 1] == 0.0
     assert Wt[0, 1] == pytest.approx(g_prime * n0 * n0, rel=1e-12)
@@ -77,7 +77,7 @@ def test_mode_matrix_entries_match_pair_counts(ball_100, unit_potential):
     _, W, _ = dense(ms)
     for i in range(side):
         ni = pair_count(decomp, (0, 0, 1), ms.plus_modes[i])
-        assert ms.n_vals[i] ** 2 == pytest.approx(ni)
+        assert ms.n[i] ** 2 == pytest.approx(ni)
         for j in range(side):
             nj = pair_count(decomp, (0, 0, 1), ms.plus_modes[j])
             assert W[i, j] == pytest.approx(coeff * math.sqrt(ni * nj), rel=1e-12)
@@ -92,7 +92,7 @@ def test_mode_energies_read_the_matvec_dots(ball_6400):
     ms = build_mode_system(decomp, pot, k, 0.16)
     kv = np.array(k, dtype=np.float64)
     expected = np.sqrt(np.abs(decomp.omegas @ kv)[list(ms.plus_modes)] / math.sqrt(22.0))
-    assert np.array_equal(ms.u_vals[: ms.side], expected)
+    assert np.array_equal(ms.u, expected)
 
 
 def test_free_case_is_trivial():
@@ -116,8 +116,8 @@ def test_free_case_is_trivial():
 def test_one_plus_one_closed_forms():
     ms = one_plus_one_system()
     sol = diagonalize(ms)
-    u2 = ms.u_vals[0] ** 2
-    b = ms.g * ms.v_vals[0] ** 2
+    u2 = ms.u[0] ** 2
+    b = ms.g * ms.v[0] ** 2
     theta = 0.25 * math.log1p(2.0 * b / u2)
     # exact kernel: zero diagonal, off-diagonal -theta
     assert sol.K[0, 0] == pytest.approx(0.0, abs=1e-15)
@@ -184,13 +184,6 @@ def test_L_block_reconstruction(random_solutions):
         assert check_L_blocks(ms, sol) < 1e-9
 
 
-def test_pairing_structure(random_solutions):
-    for ms, _ in random_solutions:
-        side = ms.side
-        assert np.array_equal(ms.u_vals[:side], ms.u_vals[side:])
-        assert np.array_equal(ms.n_vals[:side], ms.n_vals[side:])
-
-
 def test_sinh_decay_follows_kernel_bound(random_solutions):
     from fermiball.bogokernel import check_sinh_bound
 
@@ -221,8 +214,8 @@ def equal_size_systems(side, count=3, seed=5):
 
 def stacked_data(systems):
     """u, v and g of equal-size systems, stacked."""
-    u = np.stack([ms.u_vals for ms in systems])
-    v = np.stack([ms.v_vals for ms in systems])
+    u = np.stack([ms.u for ms in systems])
+    v = np.stack([ms.v for ms in systems])
     return u, v, np.array([ms.g for ms in systems])
 
 
@@ -231,7 +224,7 @@ def test_stack_solves_to_the_bits_of_single_systems(side):
     systems = equal_size_systems(side)
     u, v, g = stacked_data(systems)
     stacked = _solve(*_mode_matrices(u, v, g))
-    l_devs = _l_block_dev(u[:, :side] ** 2, _same_side(v[:, :side], g), stacked.K)
+    l_devs = _l_block_dev(u**2, _same_side(v, g), stacked.K)
     assert set(stacked.residuals) == {
         "offdiagonal_rel",
         "symplectic_plus",
@@ -254,12 +247,12 @@ def test_stack_solves_to_the_bits_of_single_systems(side):
 
 @pytest.mark.parametrize("stack", [None, 7])
 def test_diagonal_root_has_the_bits_of_the_eigh_root(stack):
-    # _l_block_dev takes d^1/2 entrywise; sym_sqrt (an eigh) gives the same bits
+    # _l_block_dev takes d^1/2 entrywise; the eigh root gives the same bits
     rng = np.random.default_rng(5)
     for side in range(1, 31):
         for _ in range(20):
             d = rng.uniform(0.01, 3.0, size=(side,) if stack is None else (stack, side)) ** 2
-            want = sym_sqrt(_diag(d))
+            want = _apply(*_eigh_pd(_diag(d), "d"), np.sqrt)
             got = _diag(np.sqrt(d))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (stack, side)
 

@@ -107,9 +107,18 @@ def test_load_config_field_errors(tmp_path):
     with pytest.raises(ValueError, match="exactly one"):
         load_config(bad)
     # wrongly typed JSON values name their field instead of raising TypeError;
-    # an integer field takes no bool, float or string, so none is truncated
+    # an integer field takes no bool, float or string, so none is truncated,
+    # and a radius takes a JSON number only, not a numeric string or a bool
     radius_free = {k: v for k, v in base.items() if k != "k_fermi_sq"}
-    radius_cases = (("k_fermi", "abc"), ("k_fermi_sq", "abc"), ("n_particles", None), ("n_particles", 33401.9))
+    radius_cases = (
+        ("k_fermi", "abc"),
+        ("k_fermi_sq", "abc"),
+        ("n_particles", None),
+        ("n_particles", 33401.9),
+        ("k_fermi_sq", "400.5"),
+        ("k_fermi", "20"),
+        ("k_fermi", True),
+    )
     cases = [(radius_free, f, v) for f, v in radius_cases]
     cases += [
         (base, f, v)
@@ -250,7 +259,8 @@ def test_ball_cache_builds_each_radius_once(monkeypatch):
 def test_unread_config_keys_are_named_errors(tmp_path, capsys):
     # a top-level key, experiment name or option key that nothing reads
     # would otherwise be ignored, and a wrongly typed option value would
-    # fail only once its experiment runs
+    # fail only once its experiment runs; validate and run both exit 1
+    # before any experiment runs
     cases = [
         ("gauss_cout", {"options": {"gauss_cout": {"k_fermi_sq_grid": [25.5]}}}),
         ("m_patch", {"m_patch": 16}),
@@ -266,15 +276,27 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
         ("n_swaps", {"options": {"hf_stability": {"n_swaps": True}}}),
         ("r_v", {"options": {"patch_audit": {"r_v": "2"}}}),
         ("schedule", {"options": {"rpa_compare": {"schedule": "400.5"}}}),
+        # every float anywhere in the options is finite
+        ("k_fermi_sq_grid", {"options": {"gauss_count": {"k_fermi_sq_grid": [math.nan]}}}),
+        ("k_fermi_sq", {"options": {"patch_audit": {"k_fermi_sq": math.nan}}}),
+        ("r_v", {"options": {"patch_audit": {"r_v": math.nan}}}),
+        # an option with an int default, or a list of ints, takes integers only
+        ("n_check", {"options": {"hf_stability": {"n_check": 1.5}}}),
+        ("n_systems", {"options": {"kernel_identities": {"n_systems": 2.5}}}),
+        ("axis_ratios", {"options": {"ellipse_count": {"axis_ratios": [1.5]}}}),
+        ("m_grid", {"options": {"patch_audit": {"m_grid": [6.0]}}}),
     ]
+    out = tmp_path / "out"
     for i, (name, extra) in enumerate(cases):
-        doc = {"k_fermi_sq": 400.5, "experiments": ["gauss_count"], **extra}
+        doc = {"k_fermi_sq": 400.5, "experiments": ["gauss_count"], "output_dir": str(out), **extra}
         with pytest.raises(ValueError, match=repr(name)):
             load_config(doc)
         path = tmp_path / f"{i}.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(path)]) == 1
-        assert repr(name) in capsys.readouterr().err
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 1
+            assert repr(name) in capsys.readouterr().err
+    assert not out.exists()
     with pytest.raises(ValueError, match="JSON object"):
         load_config([["k_fermi_sq", 400.5]])
 
@@ -290,6 +312,29 @@ def test_benchmark_workload_configs_load():
     assert WORKLOADS
     for workload in WORKLOADS.values():
         load_config(workload.config(1))
+
+
+def test_benchmark_tracer_binds(tmp_path):
+    # perfbench/trace_run.py wraps package functions by name and reads their
+    # parameters and results; a renamed hook target would leave its metrics at 0
+    root = Path(__file__).resolve().parent.parent
+    doc = {
+        "k_fermi_sq": 400.5,
+        "experiments": ["rpa_compare", "kernel_bound_fit", "kernel_identities", "patch_audit"],
+        "seed": 1,
+        "options": {"rpa_compare": {"schedule": [[400.5, 8]]}, "kernel_identities": {"n_systems": 8}},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    spans = tmp_path / "spans.json"
+    argv = [sys.executable, str(root / "perfbench" / "trace_run.py"), "--config", str(config)]
+    argv += ["--out", str(tmp_path / "out"), "--workers", "1", "--spans", str(spans)]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(spans.read_text())["metrics"]
+    for name in ("bogokernel.modes", "bogokernel.build_mode_system.calls", "experiments.rpa_compare.s"):
+        assert metrics[name] > 0, name
 
 
 def test_reach_config_loads():
@@ -447,7 +492,7 @@ def test_hf_stability_golden_bytes_at_benchmark_radius(tmp_path):
 #: sha256 of each CSV pinned on its own below, at seed 1 with these options
 SINGLE_CSV_SHA256 = {
     # default options: k_F^2 = 1600.5, r_v = 2, M in {6, 16, 30}
-    "patch_audit": ({}, "149cb8b5a5c8439347df7d04e5690a4db6e461b81d8606049c0cc559c7817dcc"),
+    "patch_audit": ({}, "d4c3d43710c17f34dbe20f4937450c252f90b39cb4b21b640dce6e0a2ce2ce01"),
     # 40 random systems up to side 30, solved in equal-size stacks
     "kernel_identities": (
         {"n_systems": 40, "max_side": 30},
@@ -486,8 +531,8 @@ def test_small_v_fit_golden_bytes(tmp_path):
 #: k are fixed in the code, at seed 1 with default options
 FIXED_SETTING_CSV_SHA256 = {
     "normalization_asymptotics": "1142f7e97eaf6a6b9a96529df0c542408388e1544c3bbb2a296f2835a052625b",
-    "rpa_compare": "25c4f0a297502218c8f2982778744143562c66e45eb6abdffeba9aa105aa6cd9",
-    "kernel_bound_fit": "0fedb6235082bbf6765a468bee19bcea99506db460385ae132872af2d86685b6",
+    "rpa_compare": "e7e92f921444fab7dd902f6bca31e045124948c6cc35360f712d8d7fb00a124b",
+    "kernel_bound_fit": "53b0cdca692ec0d6aeba85373885b248dbcba0f8b7109d9403100d9c14df809e",
 }
 
 
@@ -523,7 +568,7 @@ def test_rpa_compare_golden_bytes_at_many_patches(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "rpa_compare.csv").read_bytes()).hexdigest()
-    assert digest == "c926b57c9d60132ccf422cd3b03d147504a1cc9073be2655bca230b9708917a8"
+    assert digest == "631cbdac1ce0981d90cc9f7223a3a9b7f639455a8141c7cd062d631a05e830a4"
 
 
 def test_every_experiment_is_byte_pinned():
@@ -592,11 +637,12 @@ def test_run_failure_sets_exit_code_and_continues(tmp_path):
 @pytest.mark.parametrize(
     "options, named",
     [
-        ({"r_v": math.nan}, "r_v must be a nonnegative number, got nan"),
-        ({"m_grid": [6.0]}, "m_patches must be an even integer >= 2, got 6.0"),
+        ({"r_v": -1.0}, "r_v must be a nonnegative number, got -1.0"),
+        ({"m_grid": [7]}, "m_patches must be an even integer >= 2, got 7"),
     ],
 )
 def test_run_names_a_bad_patch_parameter(tmp_path, options, named):
+    # values that pass load_config but that build_patches refuses
     path = write_config(
         tmp_path,
         k_fermi_sq=400.5,

@@ -212,7 +212,6 @@ def test_trace_energy_report_fields(ball_400, unit_potential):
     decomp = build_patches(8, ball_400, 0.0)
     report = rpa_energy_trace(decomp, unit_potential, 0.16)
     assert set(report.per_k_terms) == set(unit_potential.gamma_nor())
-    assert report.params["m_actual"] == decomp.m_patches
     assert report.quadrature_error_estimate < 1e-9
     doc = json.loads(report_to_json(report))
     assert doc["e_trace"] == report.e_trace
@@ -273,13 +272,13 @@ def test_shift_allocates_one_node_block(ball_6400):
 
 def test_shift_rejects_unresolvable_d():
     ms = sample_mode_system(np.random.default_rng(3), max_side=20)
-    ms.u_vals[0] = ms.u_vals[ms.side] = 0.0
+    ms.u[0] = 0.0
     with pytest.raises(DiagonalizationError, match="not positive definite"):
         ground_state_shift(ms)
     # resolved down to d ~ 2^-12, the lowest panel edge; far below it, a named error
-    ms.u_vals[0] = ms.u_vals[ms.side] = math.sqrt(2.0**-12)
+    ms.u[0] = math.sqrt(2.0**-12)
     assert ground_state_shift(ms) == pytest.approx(eigvalsh_ground_state_shift(ms), rel=1e-12)
-    ms.u_vals[0] = ms.u_vals[ms.side] = math.sqrt(1e-7)
+    ms.u[0] = math.sqrt(1e-7)
     with pytest.raises(DiagonalizationError, match="too near singular"):
         ground_state_shift(ms)
 
