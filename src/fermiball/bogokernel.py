@@ -1,19 +1,24 @@
 """Effective quadratic Hamiltonian per momentum mode and its diagonalization.
 
-For each interaction momentum k the particle-hole modes on the patched Fermi
-surface carry three real symmetric matrices: a diagonal kinetic part D, a
-same-side rank-one coupling W, and a cross-side coupling W~.  The Bogoliubov
-kernel K diagonalizes D + W + W~ against D + W - W~; the ground-state shift is
-tr(E - D - W) / 2.  A mode system takes its pair counts and hbar from
-the one ball its patch decomposition was built from (`decomp.ball`).  All
-matrix functions go through one dense symmetric eigendecomposition; positive
-definiteness is a checked precondition, never silently clamped.  The energy
-path solves no matrix: `rpa.ground_state_shift` reads the shift from u, v
-and g by quadrature.  `diagonalize` serves the kernel experiments, and the
-tests use it as the dense reference of that shift.  Its arithmetic, and that
-of `check_L_blocks`, takes (..., n, n) arrays, so `kernel_identities` solves
-its random systems in stacks of equal size with the bits of one-by-one
-solves.
+For each interaction momentum k the 2I particle-hole modes on the patched
+Fermi surface carry a diagonal kinetic part D, a same-side rank-one coupling
+W, and a cross-side coupling W~.  The Bogoliubov kernel K diagonalizes
+D + W + W~ against D + W - W~; the ground-state shift is tr(E - D - W) / 2.
+The modes come in reflection pairs, and the pair rotation
+U = [[1, 1], [1, -1]] / sqrt 2 splits D + W -+ W~ into the blocks
+(d, d + 2b) and (d + 2b, d), with d = diag(u^2) and b = g v v^T.  The second
+block mirrors the first, so each kernel is solved on the plus side only, as
+the I x I pair (d, d + 2b): `_solve(d, b, b)`.  Its blocks give the doubled
+quantities in closed form: K = [[0, K1], [K1, 0]], cosh K = diag(C, C),
+sinh K = [[0, S], [S, 0]], frakK = diag(F, F), the spectrum of E is that of
+E1 twice, and tr(E - D - W) / 2 = tr(E1 - d - b).  No 2I x 2I matrix is
+built; the doubled dense solve is the test reference in `tests/oracles.py`.
+Positive definiteness is a checked precondition, never silently clamped.
+The arithmetic takes (..., I, I) arrays, so `kernel_identities` solves its
+random systems in stacks of equal size with the bits of one-by-one solves.
+The energy path solves no matrix: `rpa.ground_state_shift` reads the shift
+from u, v and g by quadrature, and the tests use `diagonalize` as its dense
+reference.
 """
 
 from __future__ import annotations
@@ -107,43 +112,16 @@ def _same_side(v_side: np.ndarray, g) -> np.ndarray:
     return np.asarray(g)[..., None, None] * (v_side[..., :, None] * v_side[..., None, :])
 
 
-def _two_sided(b: np.ndarray, cross: bool) -> np.ndarray:
-    """b on both diagonal blocks of a 2I x 2I matrix (W), or on both
-    off-diagonal blocks (W~) when cross is set."""
-    side = b.shape[-1]
-    out = np.zeros(b.shape[:-2] + (2 * side, 2 * side))
-    if cross:
-        out[..., :side, side:] = b
-        out[..., side:, :side] = b
-    else:
-        out[..., :side, :side] = b
-        out[..., side:, side:] = b
-    return out
-
-
-def _both_sides(x: np.ndarray) -> np.ndarray:
-    """Plus-side mode data x (..., I) on all 2I modes: entry I+j, the
-    antipodal partner of entry j, carries x[j]."""
-    return np.concatenate([x, x], axis=-1)
-
-
-def _mode_matrices(u: np.ndarray, v: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D, W and W~ (..., 2I, 2I) of plus-side mode data u, v (..., I) and
-    couplings g (...)."""
-    b = _same_side(v, g)
-    return _diag(_both_sides(u * u)), _two_sided(b, cross=False), _two_sided(b, cross=True)
-
-
 @dataclass
 class ModeSystem:
     """Mode data for one interaction momentum, plus side only.
 
     Modes are reflection paired: the plus modes 0..I-1 are ordered by patch
     index, and mode I+j, the antipodal partner of mode j, carries the same
-    u, n and v, so u, n and v hold the I plus-side entries.  The dense
-    2I x 2I matrices D, W and W~ are built from u, v and g by
-    `_mode_matrices` where a dense solve needs them; the trace route
-    (`rpa.ground_state_shift`) never builds them.
+    u, n and v, so u, n and v hold the I plus-side entries.  `diagonalize`
+    solves the plus-side pair (d, d + 2b) built from u, v and g; the trace
+    route (`rpa.ground_state_shift`) solves no matrix.  `size` counts both
+    sides, 2I.
     """
 
     k: Momentum
@@ -258,9 +236,11 @@ def sample_mode_system(rng: np.random.Generator, max_side: int = 30) -> ModeSyst
 class BogoliubovSolution:
     """Diagonalization output, with residual diagnostics.
 
-    For one mode system the matrices are 2-D and `trace_correction` and the
-    residuals are floats; for a stack of equal-size systems (see `_solve`)
-    every matrix is stacked and every scalar is an array over the stack.
+    Everything is of the plus-side problem: E1, K1, C, S and F of the
+    module docstring, with its S1, S2, O and residuals.  For one mode system
+    the matrices are I x I and `trace_correction` and the residuals are
+    floats; for a stack of equal-size systems (see `_solve`) every matrix is
+    stacked and every scalar is an array over the stack.
     """
 
     E: np.ndarray
@@ -281,6 +261,8 @@ def _solve(D: np.ndarray, W: np.ndarray, Wt: np.ndarray) -> BogoliubovSolution:
     and matmul calls. Stacked calls give each matrix the bits of its 2-D
     call, and the residual norms and det O are taken one matrix at a time,
     so a stack solves to the same bits as its systems one by one.
+    `trace_correction` is tr(E - D - W): on the plus side (d, b, b) of a
+    mode system, the doubled system's tr(E - D - W) / 2.
     """
     norm = np.linalg.norm
 
@@ -328,35 +310,33 @@ def _solve(D: np.ndarray, W: np.ndarray, Wt: np.ndarray) -> BogoliubovSolution:
         "kernel_asymmetry": _per_matrix(norm, K - K.swapaxes(-1, -2)),
         "det_O": _per_matrix(np.linalg.det, O),
     }
-    trace_correction = 0.5 * _per_matrix(np.trace, E - D - W)
-    return BogoliubovSolution(
-        E=E,
-        S1=S1,
-        S2=S2,
-        O=O,
-        K=K,
-        coshK=coshK,
-        sinhK=sinhK,
-        frakK=frakK,
-        trace_correction=trace_correction,
-        residuals=residuals,
-    )
+    trace_correction = _per_matrix(np.trace, E - D - W)
+    return BogoliubovSolution(E, S1, S2, O, K, coshK, sinhK, frakK, trace_correction, residuals)
 
 
 def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
-    """Solve the quadratic mode problem for one momentum.
+    """Solve the quadratic mode problem for one momentum, on its plus side.
 
-    E = [(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2]^1/2, S1 = (D+W-W~)^1/2 E^-1/2,
-    S2 = (S1^T)^-1, polar part O of S1^T, K = log|S1^T|, and the transformed
-    matrix frakK, which is orthogonally equivalent to E.
+    With (D+W-W~, D+W+W~) = (d, d + 2b): E = [d^1/2 (d+2b) d^1/2]^1/2,
+    S1 = d^1/2 E^-1/2, S2 = (S1^T)^-1, polar part O of S1^T, K = log|S1^T|,
+    and the transformed matrix frakK, which is orthogonally equivalent to E.
+    The doubled K, cosh K, sinh K and frakK read from these in closed form.
     """
-    return _solve(*_mode_matrices(ms.u, ms.v, ms.g))
+    return _plus_side_solve(ms.u, ms.v, ms.g)
+
+
+def _plus_side_solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
+    """`_solve` on the plus side (d, b, b) of mode data u, v (..., I) and
+    couplings g (...): one system, or a stack of equal-size systems."""
+    b = _same_side(v, g)
+    return _solve(_diag(u**2), b, b)
 
 
 def _scaled_bound(mat: np.ndarray, ms: ModeSystem) -> np.ndarray:
-    """|mat_ab| M / (V(k) min(n_a/n_b, n_b/n_a)) entrywise."""
-    n = _both_sides(ms.n)
-    ratio = np.minimum.outer(n, n) / np.maximum.outer(n, n)
+    """|mat_ab| M / (V(k) min(n_a/n_b, n_b/n_a)) entrywise, of a plus-side
+    block: its entry (a, b) is the doubled matrix's entry (a, I + b), and the
+    doubled diagonal blocks vanish."""
+    ratio = np.minimum.outer(ms.n, ms.n) / np.maximum.outer(ms.n, ms.n)
     return np.abs(mat) * ms.m_patches / (ms.vhat_k * ratio)
 
 
@@ -365,14 +345,16 @@ def check_kernel_bound(
 ) -> tuple[float, tuple[int, int]]:
     """Fitted constant of the entrywise kernel bound and its arg-max entry.
 
-    C* = max over (a, b) of |K_ab| M / (V(k) min(n_a/n_b, n_b/n_a)).
+    C* = max over (a, b) of |K_ab| M / (V(k) min(n_a/n_b, n_b/n_a)), read
+    from the plus-side block K1; the entry named is the doubled kernel's:
+    K1's entry (a, b) is (a, I + b).  Ties between symmetric patches are
+    common, and the first of K1 in row-major order is named.
     """
     if ms.vhat_k <= 0:
         return 0.0, (0, 0)
     scaled = _scaled_bound(sol.K, ms)
-    flat = int(np.argmax(scaled))
-    pair = np.unravel_index(flat, scaled.shape)
-    return float(scaled[pair]), (int(pair[0]), int(pair[1]))
+    a, b = np.unravel_index(int(np.argmax(scaled)), scaled.shape)
+    return float(scaled[a, b]), (int(a), ms.side + int(b))
 
 
 def check_sinh_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
@@ -382,30 +364,29 @@ def check_sinh_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
     return float(_scaled_bound(sol.sinhK, ms).max())
 
 
-def _l_block_dev(d_diag: np.ndarray, b: np.ndarray, K: np.ndarray):
-    """`check_L_blocks` on same-side data given as arrays: the diagonal of d
-    (..., I), the blocks b (..., I, I) and the kernels K (..., 2I, 2I); a
-    float for one system, an array over a stack."""
-    side = d_diag.shape[-1]
-    d = _diag(d_diag)
-    d2b = _sym(d + 2.0 * b)
+def _l_block_dev(u: np.ndarray, v: np.ndarray, g, K: np.ndarray):
+    """`check_L_blocks` on mode data u, v (..., I), couplings g (...) and
+    plus-side kernels K1 (..., I, I); a float for one system, an array over
+    a stack."""
+    d_diag = u**2
+    b = _same_side(v, g)
     # d is diagonal: its root is the entrywise one, with the bits of the eigh root's
-    d_h = _diag(np.sqrt(d_diag))
+    d_h = np.sqrt(d_diag)
+
+    def by_d_h(x):
+        return d_h[..., :, None] * x * d_h[..., None, :]
+
+    d2b = _diag(d_diag) + 2.0 * b
     d2b_h = _apply(*_eigh_pd(d2b, "d + 2b"), np.sqrt)
-    m1 = _apply(*_eigh_pd(_sym(d_h @ d2b @ d_h), "d^1/2 (d+2b) d^1/2"), lambda x: 1.0 / np.sqrt(x))
-    m2 = _apply(
-        *_eigh_pd(_sym(d2b_h @ d @ d2b_h), "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x)
-    )
-    ident = np.eye(side)
-    L1 = _sym(d_h @ m1 @ d_h) - ident
-    L2 = _sym(d2b_h @ m2 @ d2b_h) - ident
-    del d, d2b, d_h, d2b_h, m1, m2
-    u_rot = np.block([[ident, ident], [ident, -ident]]) / math.sqrt(2.0)
-    blocks = np.zeros(K.shape)
-    blocks[..., :side, :side] = _apply(*_eigh_pd(ident + L1, "I + L1"), np.log)
-    blocks[..., side:, side:] = _apply(*_eigh_pd(ident + L2, "I + L2"), np.log)
-    k_rebuilt = 0.5 * u_rot.T @ blocks @ u_rot
-    dev = np.abs(k_rebuilt - K).max(axis=(-2, -1))
+    m1 = _apply(*_eigh_pd(by_d_h(d2b), "d^1/2 (d+2b) d^1/2"), lambda x: 1.0 / np.sqrt(x))
+    m2 = d2b_h @ (d_diag[..., :, None] * d2b_h)
+    m2 = _apply(*_eigh_pd(m2, "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x))
+    # the pair rotation takes the doubled kernel [[0, K1], [K1, 0]] to
+    # diag(K1, -K1) and its rebuild to diag(log(I + L1), log(I + L2)) / 2
+    e1 = 0.5 * _apply(*_eigh_pd(by_d_h(m1), "I + L1"), np.log) - K
+    e2 = 0.5 * _apply(*_eigh_pd(d2b_h @ m2 @ d2b_h, "I + L2"), np.log) + K
+    # rotated back, the rebuild less the doubled kernel has the blocks (e1 +- e2) / 2
+    dev = 0.5 * np.maximum(abs(e1 + e2).max(axis=(-2, -1)), abs(e1 - e2).max(axis=(-2, -1)))
     return float(dev) if dev.ndim == 0 else dev
 
 
@@ -414,17 +395,18 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> flo
 
     The half-size blocks L1 = d^1/2 [d^1/2 (d+2b) d^1/2]^-1/2 d^1/2 - I and
     L2 = (d+2b)^1/2 [(d+2b)^1/2 d (d+2b)^1/2]^-1/2 (d+2b)^1/2 - I rebuild the
-    kernel through the plus/minus block rotation.
+    doubled kernel through the plus/minus block rotation: L1 against the
+    solved K1, and L2 against the reflection identity K2 = -K1.
     """
     if sol is None:
         sol = diagonalize(ms)
-    return _l_block_dev(ms.u**2, _same_side(ms.v, ms.g), sol.K)
+    return _l_block_dev(ms.u, ms.v, ms.g, sol.K)
 
 
 def check_frakK_minus_D_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
-    """Fitted constant of |(frakK - D)_ab| <= C V(k) u_a u_b / M."""
+    """Fitted constant of |(frakK - D)_ab| <= C V(k) u_a u_b / M, read from
+    the plus-side block F (the doubled off-diagonal blocks vanish)."""
     if ms.vhat_k <= 0:
         return 0.0
-    u = _both_sides(ms.u)
-    scale = ms.vhat_k * np.outer(u, u) / ms.m_patches
-    return float((np.abs(sol.frakK - _diag(u * u)) / scale).max())
+    scale = ms.vhat_k * np.outer(ms.u, ms.u) / ms.m_patches
+    return float((np.abs(sol.frakK - _diag(ms.u**2)) / scale).max())

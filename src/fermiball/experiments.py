@@ -410,12 +410,13 @@ _STACK_ENTRIES = 1 << 13
 
 def _identity_rows(stack: list[bogokernel.ModeSystem]) -> list[dict]:
     """kernel_identities' rows, less the system number, of equal-size mode
-    systems solved as one stack, built from their u, v and g."""
+    systems solved as one stack on their plus sides, built from their u, v
+    and g."""
     u = np.stack([ms.u for ms in stack])
     v = np.stack([ms.v for ms in stack])
     g = np.array([ms.g for ms in stack])
-    sol = bogokernel._solve(*bogokernel._mode_matrices(u, v, g))
-    l_dev = bogokernel._l_block_dev(u**2, bogokernel._same_side(v, g), sol.K)
+    sol = bogokernel._plus_side_solve(u, v, g)
+    l_dev = bogokernel._l_block_dev(u, v, g, sol.K)
     spec_frak, spec_e = np.sort(np.linalg.eigvalsh(np.stack([sol.frakK, sol.E])), axis=-1)
     spec_dev = np.abs(spec_frak - spec_e).max(axis=-1) / np.abs(spec_e).max(axis=-1)
     res = sol.residuals
@@ -443,7 +444,7 @@ def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
         by_side.setdefault(ms.side, []).append(i)
     rows: list[dict] = [{} for _ in systems]
     for side, members in by_side.items():
-        per_stack = max(1, _STACK_ENTRIES // (2 * side) ** 2)
+        per_stack = max(1, _STACK_ENTRIES // side**2)
         for lo in range(0, len(members), per_stack):
             chunk = members[lo : lo + per_stack]
             for i, row in zip(chunk, _identity_rows([systems[i] for i in chunk])):
@@ -751,20 +752,33 @@ def _json_number(value):
     return value
 
 
+def _is_kind(value, default) -> bool:
+    """Whether a JSON value is of its default's kind: an integer for an int,
+    a number for a float (a bool or a string is neither), and for a tuple (a
+    record, such as a schedule point) a list of its length, entry by entry."""
+    if isinstance(default, tuple):
+        fits = isinstance(value, list) and len(value) == len(default)
+        return fits and all(map(_is_kind, value, default))
+    return _is_int(value) if _is_int(default) else _is_number(value)
+
+
+def _kind_name(default) -> str:
+    if isinstance(default, tuple):
+        return "[" + ", ".join(map(_kind_name, default)) + "]"
+    return "integer" if _is_int(default) else "number"
+
+
 def _expected_type(value, default) -> str | None:
     """What a JSON value for an option with this default must be, or None if
-    it is that: a list for a tuple or range default, of integers if the
-    default's entries are all ints; an integer for an int and a number for a
-    float; and every float in it finite."""
+    it is that: for a tuple or range default a list whose every entry is of
+    the kind of the default's entries (`_is_kind`), else a value of the
+    default's kind; and every float in it finite."""
     if isinstance(default, (tuple, range)):
-        if not isinstance(value, list):
-            return "a list"
-        if all(map(_is_int, default)) and not all(map(_is_int, value)):
-            return "a list of integers"
-    elif _is_int(default) and not _is_int(value):
-        return "an integer"
-    elif _is_number(default) and not _is_number(value):
-        return "a number"
+        entry = default[0]
+        if not (isinstance(value, list) and all(_is_kind(v, entry) for v in value)):
+            return f"a list of {_kind_name(entry)} entries"
+    elif not _is_kind(value, default):
+        return "an integer" if _is_int(default) else "a number"
     try:
         json.dumps(value, allow_nan=False)
     except ValueError:

@@ -2,6 +2,7 @@
 against; they live here because no experiment needs them."""
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -16,6 +17,9 @@ from fermiball.bogokernel import (
     BogoliubovSolution,
     DiagonalizationError,
     ModeSystem,
+    _diag,
+    _same_side,
+    _solve,
     _sym,
     check_L_blocks,
     diagonalize,
@@ -455,6 +459,15 @@ def one_shot_pair_counts(decomp: PatchDecomposition, asg: ShellAssignment, k) ->
     return np.bincount(lab[hit], minlength=decomp.m_patches)
 
 
+def mod_canonical_angles(points) -> tuple:
+    """`patches._canonical_angles` with the azimuth wrapped into [0, 2 pi) by
+    np.mod, the reference of its sign test."""
+    r, theta, _, flip = _canonical_angles(points)
+    p = np.array(points, dtype=np.float64).reshape(-1, 3)
+    np.negative(p, out=p, where=flip[:, None])
+    return r, theta, np.mod(np.arctan2(p[:, 1], p[:, 0]), TWO_PI), flip
+
+
 def decomposition_to_json(decomp: PatchDecomposition) -> str:
     """JSON document with patch bounds, direction vectors and areas from
     `reference_layout`, and the lattice counts of the shell."""
@@ -564,6 +577,53 @@ def shell_patch_audit(decomp: PatchDecomposition) -> tuple[float, float, int]:
     span = (hi - lo)[np.bincount(labels, minlength=decomp.m_patches) > 0]
     diameter = float(np.sqrt((span * span).sum(axis=1)).max(initial=0.0))
     return separation, diameter, int((asg.labels < 0).sum())
+
+
+def two_sided(b: np.ndarray, cross: bool) -> np.ndarray:
+    """b on both diagonal blocks of a 2I x 2I matrix (W), or on both
+    off-diagonal blocks (W~) when cross is set."""
+    side = b.shape[-1]
+    out = np.zeros(b.shape[:-2] + (2 * side, 2 * side))
+    if cross:
+        out[..., :side, side:] = b
+        out[..., side:, :side] = b
+    else:
+        out[..., :side, :side] = b
+        out[..., side:, side:] = b
+    return out
+
+
+def mode_matrices(u: np.ndarray, v: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The doubled D, W and W~ (..., 2I, 2I) of plus-side mode data u, v
+    (..., I) and couplings g (...): mode I+j, the antipode of mode j,
+    carries u[j] and v[j]."""
+    b = _same_side(v, g)
+    return _diag(np.concatenate([u * u, u * u], axis=-1)), two_sided(b, False), two_sided(b, True)
+
+
+def dense_diagonalize(ms: ModeSystem) -> BogoliubovSolution:
+    """The doubled 2I x 2I solve of a mode system (the dense reference of the
+    plus-side `diagonalize`), with its shift tr(E - D - W) / 2."""
+    sol = _solve(*mode_matrices(ms.u, ms.v, ms.g))
+    return dataclasses.replace(sol, trace_correction=0.5 * sol.trace_correction)
+
+
+def dense_bound_constants(ms: ModeSystem, sol: BogoliubovSolution) -> dict:
+    """The entrywise-bound constants of `kernel_bound_fit` read from a doubled
+    solution (`dense_diagonalize`) over all 2I x 2I entries, with the scaled
+    kernel |K_ab| M / (V(k) min(n_a/n_b, n_b/n_a)) whose maximum is c_star."""
+    n = np.concatenate([ms.n, ms.n])
+    u = np.concatenate([ms.u, ms.u])
+    ratio = np.minimum.outer(n, n) / np.maximum.outer(n, n)
+    scale = ms.m_patches / (ms.vhat_k * ratio)
+    scaled_k = np.abs(sol.K) * scale
+    frak_scale = ms.vhat_k * np.outer(u, u) / ms.m_patches
+    return {
+        "c_star": float(scaled_k.max()),
+        "c_star_sinh": float((np.abs(sol.sinhK) * scale).max()),
+        "c_frak_minus_d": float((np.abs(sol.frakK - np.diag(u * u)) / frak_scale).max()),
+        "scaled_kernel": scaled_k,
+    }
 
 
 def eigvalsh_ground_state_shift(ms: ModeSystem) -> float:

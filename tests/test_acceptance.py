@@ -34,7 +34,14 @@ from fermiball import (
 from fermiball.experiments import ENERGY_DELTA
 from fermiball.lattice import _band
 from fermiball.rpa import g_power_integral, rpa_mode_integral
-from oracles import boundary_shells, ell_inf, hf_energy_of_occupation, pair_count
+from oracles import (
+    boundary_shells,
+    dense_diagonalize,
+    ell_inf,
+    hf_energy_of_occupation,
+    pair_count,
+    two_sided,
+)
 
 DELTA_DEFAULT = 1.0 / 24.0
 
@@ -96,7 +103,8 @@ def test_criterion_3_dual_path_kernel(mode_suite):
     t0 = time.perf_counter()
     worst = max(check_L_blocks(ms, sol) for ms, sol in systems)
 
-    # 1+1 closed form: |K_01| = log(1 + 2 g v^2 / u^2) / 4
+    # 1+1 closed form: |K_01| = log(1 + 2 g v^2 / u^2) / 4, read as K1[0, 0],
+    # the same entry of the plus-side block
     from fermiball.bogokernel import _assemble
     from fermiball.lattice import Momentum
 
@@ -106,7 +114,7 @@ def test_criterion_3_dual_path_kernel(mode_suite):
     )
     sol1 = diagonalize(ms1)
     theta = 0.25 * math.log1p(2.0 * ms1.g * ms1.v[0] ** 2 / ms1.u[0] ** 2)
-    dev_closed = abs(abs(sol1.K[0, 1]) - theta)
+    dev_closed = abs(abs(sol1.K[0, 0]) - theta)
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-9 and dev_closed <= 1e-12
     report(
@@ -117,6 +125,27 @@ def test_criterion_3_dual_path_kernel(mode_suite):
     )
     assert worst <= 1e-9
     assert dev_closed <= 1e-12
+
+
+def test_plus_side_solve_matches_dense_solve(mode_suite):
+    # the doubled forms read from the plus-side blocks against the doubled
+    # 2I x 2I solve, at criterion 3's 1e-9: K = [[0, K1], [K1, 0]],
+    # cosh K = diag(C, C), sinh K = [[0, S], [S, 0]], frakK = diag(F, F), the
+    # spectrum of E is that of E1 twice, and the same trace correction
+    systems, _ = mode_suite
+    worst = dict.fromkeys(["K", "coshK", "sinhK", "frakK", "E", "trace_correction"], 0.0)
+    for ms, sol in systems:
+        ref = dense_diagonalize(ms)
+        for name, cross in (("K", True), ("coshK", False), ("sinhK", True), ("frakK", False)):
+            got, want = two_sided(getattr(sol, name), cross), getattr(ref, name)
+            dev = np.abs(got - want).max() / np.abs(want).max()
+            worst[name] = max(worst[name], float(dev))
+        spec = np.repeat(np.linalg.eigvalsh(sol.E), 2)
+        spec_ref = np.linalg.eigvalsh(ref.E)
+        worst["E"] = max(worst["E"], float(np.abs(spec - spec_ref).max() / spec_ref.max()))
+        dev = abs(sol.trace_correction - ref.trace_correction) / abs(ref.trace_correction)
+        worst["trace_correction"] = max(worst["trace_correction"], dev)
+    assert max(worst.values()) <= 1e-9, worst
 
 
 def test_criterion_4_kernel_bound_stability(ball_1600):

@@ -19,19 +19,32 @@ from fermiball.bogokernel import (
     _assemble,
     _diag,
     _l_block_dev,
-    _mode_matrices,
     _apply,
+    _plus_side_solve,
     _eigh_pd,
     _same_side,
     _solve,
 )
 from fermiball.lattice import InteractionPotential, Momentum
-from oracles import check_frakK_vs_E, dump_solution_csv, pair_count
+from oracles import (
+    check_frakK_vs_E,
+    dense_diagonalize,
+    dump_solution_csv,
+    mode_matrices,
+    pair_count,
+    two_sided,
+)
 
 
 def dense(ms):
-    """D, W and W~ of a mode system."""
-    return _mode_matrices(ms.u, ms.v, ms.g)
+    """The doubled D, W and W~ of a mode system."""
+    return mode_matrices(ms.u, ms.v, ms.g)
+
+
+def plus_side(u, v, g):
+    """`_solve`'s plus-side input (d, b, b) of mode data u, v and couplings g."""
+    b = _same_side(v, g)
+    return _diag(u**2), b, b
 
 
 def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):
@@ -98,10 +111,10 @@ def test_mode_energies_read_the_matvec_dots(ball_6400):
 def test_free_case_is_trivial():
     ms = one_plus_one_system(vhat=0.0)
     sol = diagonalize(ms)
-    D = dense(ms)[0]
-    assert np.allclose(sol.E, D, atol=1e-15)
+    d = _diag(ms.u**2)
+    assert np.allclose(sol.E, d, atol=1e-15)
     assert np.allclose(sol.K, 0.0, atol=1e-15)
-    assert np.allclose(sol.frakK, D, atol=1e-15)
+    assert np.allclose(sol.frakK, d, atol=1e-15)
     assert sol.trace_correction == pytest.approx(0.0, abs=1e-15)
     c_star, _ = check_kernel_bound(sol, ms)
     assert c_star == 0.0
@@ -119,12 +132,12 @@ def test_one_plus_one_closed_forms():
     u2 = ms.u[0] ** 2
     b = ms.g * ms.v[0] ** 2
     theta = 0.25 * math.log1p(2.0 * b / u2)
-    # exact kernel: zero diagonal, off-diagonal -theta
-    assert sol.K[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert sol.K[0, 1] == pytest.approx(-theta, rel=1e-13)
-    assert abs(sol.K[0, 1]) == pytest.approx(theta, rel=1e-13)
+    # exact kernel: zero diagonal, off-diagonal -theta; K1 is that off-diagonal block
+    assert sol.K.shape == (1, 1)
+    assert sol.K[0, 0] == pytest.approx(-theta, rel=1e-13)
+    assert abs(sol.K[0, 0]) == pytest.approx(theta, rel=1e-13)
     e_exact = math.sqrt(u2 * (u2 + 2.0 * b))
-    assert np.allclose(sol.E, e_exact * np.eye(2), rtol=1e-13)
+    assert np.allclose(sol.E, e_exact * np.eye(1), rtol=1e-13)
     assert sol.trace_correction == pytest.approx(e_exact - u2 - b, rel=1e-13)
     assert check_L_blocks(ms, sol) < 1e-12
     assert check_frakK_vs_E(sol) < 1e-12
@@ -132,6 +145,17 @@ def test_one_plus_one_closed_forms():
     c_star, pair = check_kernel_bound(sol, ms)
     assert c_star == pytest.approx(theta * ms.m_patches / ms.vhat_k, rel=1e-12)
     assert pair in ((0, 1), (1, 0))
+    # the doubled forms of the plus-side blocks, and the doubled dense solve
+    ref = dense_diagonalize(ms)
+    closed = np.array([[0.0, -theta], [-theta, 0.0]])
+    for got in (two_sided(sol.K, True), ref.K):
+        assert np.abs(got - closed).max() <= 1e-13 * theta
+    for got in (two_sided(sol.coshK, False), ref.coshK):
+        assert got == pytest.approx(math.cosh(theta) * np.eye(2), rel=1e-13)
+    for got in (two_sided(sol.sinhK, True), ref.sinhK):
+        assert got == pytest.approx(-math.sinh(theta) * (1 - np.eye(2)), rel=1e-13)
+    assert np.linalg.eigvalsh(ref.E) == pytest.approx([e_exact, e_exact], rel=1e-13)
+    assert ref.trace_correction == pytest.approx(e_exact - u2 - b, rel=1e-13)
 
 
 # ------------------------------------------------- randomized identities
@@ -223,8 +247,8 @@ def stacked_data(systems):
 def test_stack_solves_to_the_bits_of_single_systems(side):
     systems = equal_size_systems(side)
     u, v, g = stacked_data(systems)
-    stacked = _solve(*_mode_matrices(u, v, g))
-    l_devs = _l_block_dev(u**2, _same_side(v, g), stacked.K)
+    stacked = _plus_side_solve(u, v, g)
+    l_devs = _l_block_dev(u, v, g, stacked.K)
     assert set(stacked.residuals) == {
         "offdiagonal_rel",
         "symplectic_plus",
@@ -258,10 +282,10 @@ def test_diagonal_root_has_the_bits_of_the_eigh_root(stack):
 
 
 def test_non_pd_matrix_in_a_stack_is_named():
-    D, W, Wt = _mode_matrices(*stacked_data(equal_size_systems(4)))
-    D[1, 0, 0] = -1.0  # corrupt the second system's kinetic diagonal
+    d, b, _ = plus_side(*stacked_data(equal_size_systems(4)))
+    d[1, 0, 0] = -1.0  # corrupt the second system's kinetic diagonal
     with pytest.raises(DiagonalizationError, match=r"D \+ W - W~ .*\(matrix 1 of the stack\)"):
-        _solve(D, W, Wt)
+        _solve(d, b, b)
 
 
 # ------------------------------------------------------------ errors
@@ -274,21 +298,22 @@ def test_trace_route_builds_no_dense_matrices(monkeypatch):
     want = diagonalize(ms).trace_correction
 
     def refuse(*args):
-        raise AssertionError("the trace route built the dense matrices")
+        raise AssertionError("the trace route ran the kernel solve")
 
-    monkeypatch.setattr(bk, "_mode_matrices", refuse)
+    monkeypatch.setattr(bk, "_solve", refuse)
     assert ground_state_shift(ms) == pytest.approx(want, rel=1e-9)
 
 
 def test_non_pd_input_rejected():
-    D, W, Wt = dense(one_plus_one_system())
-    D[0, 0] = -1.0  # corrupt the kinetic diagonal
+    ms = one_plus_one_system()
+    d, b, _ = plus_side(ms.u, ms.v, ms.g)
+    d[0, 0] = -1.0  # corrupt the kinetic diagonal
     with pytest.raises(DiagonalizationError, match="smallest eigenvalue"):
-        _solve(D, W, Wt)
+        _solve(d, b, b)
     # D + W - W~ stays positive definite, D + W + W~ does not
-    D, W, Wt = dense(one_plus_one_system())
+    d, b, _ = plus_side(ms.u, ms.v, ms.g)
     with pytest.raises(DiagonalizationError, match=r"D \+ W \+ W~ is not positive definite"):
-        _solve(D, W, -2.0 * (D + W))
+        _solve(d, b, -2.0 * (d + b))
 
 
 # ------------------------------------------------------------ dumps

@@ -285,6 +285,15 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
         ("n_systems", {"options": {"kernel_identities": {"n_systems": 2.5}}}),
         ("axis_ratios", {"options": {"ellipse_count": {"axis_ratios": [1.5]}}}),
         ("m_grid", {"options": {"patch_audit": {"m_grid": [6.0]}}}),
+        # every entry of a list option is of its default entries' kind: a
+        # number (not a bool or a string), or a [number, integer] pair
+        ("k_fermi_sq_grid", {"options": {"gauss_count": {"k_fermi_sq_grid": [True, "25.5"]}}}),
+        ("k_fermi_sq_grid", {"options": {"gauss_count": {"k_fermi_sq_grid": [25.5, "400.5"]}}}),
+        ("schedule", {"options": {"rpa_compare": {"schedule": [["400.5", 8]]}}}),
+        ("schedule", {"options": {"rpa_compare": {"schedule": [[400.5, True]]}}}),
+        ("schedule", {"options": {"rpa_compare": {"schedule": [[400.5, 8.0]]}}}),
+        ("schedule", {"options": {"rpa_compare": {"schedule": [[400.5]]}}}),
+        ("schedule", {"options": {"rpa_compare": {"schedule": [400.5, 8]}}}),
     ]
     out = tmp_path / "out"
     for i, (name, extra) in enumerate(cases):
@@ -496,7 +505,7 @@ SINGLE_CSV_SHA256 = {
     # 40 random systems up to side 30, solved in equal-size stacks
     "kernel_identities": (
         {"n_systems": 40, "max_side": 30},
-        "0ceb5a63ccf6bfabde4529d68128e7247832ca3109fbfe986d841ac263a37163",
+        "a20d0890831c4887a62d57f66a43dd91b407bd4786c81f6913a8012de94c7a09",
     ),
     # no seed and no lattice input
     "small_v_fit": ({}, "1da7fa46776fb140c8ada21d0d6f605f26f3f3cf0077b528b266e44ec2f583e9"),
@@ -532,7 +541,7 @@ def test_small_v_fit_golden_bytes(tmp_path):
 FIXED_SETTING_CSV_SHA256 = {
     "normalization_asymptotics": "1142f7e97eaf6a6b9a96529df0c542408388e1544c3bbb2a296f2835a052625b",
     "rpa_compare": "e7e92f921444fab7dd902f6bca31e045124948c6cc35360f712d8d7fb00a124b",
-    "kernel_bound_fit": "53b0cdca692ec0d6aeba85373885b248dbcba0f8b7109d9403100d9c14df809e",
+    "kernel_bound_fit": "376ff1e702207ae4ae99b89ab8875102faa6992558a1c3ca47583213e7ef8ae4",
 }
 
 

@@ -1,7 +1,8 @@
 """Experiment internals against their slow oracles: the batched gaps and
 the band-local Hartree-Fock swap oracle, the slice histogram that
-slice_count_bound reads, the memory and reach of hf_stability, and the
-stacked kernel solves of kernel_identities."""
+slice_count_bound reads, the memory and reach of hf_stability, the
+stacked kernel solves of kernel_identities, and kernel_bound_fit's
+plus-side constants against the doubled dense solve."""
 
 import csv
 import math
@@ -11,12 +12,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermiball import InteractionPotential, build_fermi_ball, excitation_energy
+from fermiball import (
+    InteractionPotential,
+    bogokernel,
+    build_fermi_ball,
+    build_mode_system,
+    build_patches,
+    excitation_energy,
+    experiments,
+)
 from fermiball.experiments import (
+    ENERGY_DELTA,
     BallCache,
     Context,
     SwapOracle,
     default_potential,
+    exp_kernel_bound_fit,
     exp_kernel_identities,
     load_config,
     run_experiments,
@@ -27,6 +38,8 @@ from oracles import (
     boundary_shells,
     contains_points,
     count_slice,
+    dense_bound_constants,
+    dense_diagonalize,
     hf_energy_of_occupation,
     per_system_kernel_identities,
     scalar_excitation_energy,
@@ -225,3 +238,64 @@ def test_kernel_identities_memory_is_bounded_by_its_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5e6, peak
+
+
+def kernel_bound_fit_context():
+    config = load_config({"k_fermi_sq": 20.5, "experiments": ["kernel_bound_fit"], "seed": 1})
+    return Context(config, BallCache())
+
+
+def test_kernel_bound_fit_matches_the_dense_solve():
+    # each row's constants from the plus-side blocks against the doubled
+    # 2I x 2I solve; the maximum is often tied between symmetric patches
+    # (at M = 16 the two solves name different entries), so the named entry
+    # is checked to attain the dense c*, not to be the dense solve's
+    ctx = kernel_bound_fit_context()
+    rows = exp_kernel_bound_fit(ctx)
+    pot = InteractionPotential({(0, 0, 1): 0.1, (0, 0, -1): 0.1})
+    ball = ctx.balls.get(1600.5)
+    for row in rows:
+        decomp = build_patches(row["m_requested"], ball, 1.0)
+        k = tuple(int(c) for c in row["k"].split())
+        ms = build_mode_system(decomp, pot, k, ENERGY_DELTA)
+        ref = dense_bound_constants(ms, dense_diagonalize(ms))
+        for name in ("c_star", "c_star_sinh", "c_frak_minus_d"):
+            assert row[name] == pytest.approx(ref[name], rel=1e-9), (row, name)
+        named = ref["scaled_kernel"][row["worst_alpha"], row["worst_beta"]]
+        assert named == pytest.approx(ref["c_star"], rel=1e-9), row
+    assert len(rows) == 3
+
+
+def test_kernel_experiments_decompose_no_doubled_matrix(monkeypatch):
+    # every eigh / eigvalsh call of kernel_identities and kernel_bound_fit is
+    # on I x I matrices (stacked or not), I the plus side of the mode systems
+    # being solved: none on the doubled 2I x 2I system
+    shapes, current = [], []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def record(a, *args, _real=real, **kwargs):
+            shapes.append((current[-1] if current else None, np.shape(a)[-2:]))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+
+    def solving(fn, side_of):
+        def wrapped(arg, *args, **kwargs):
+            current.append(side_of(arg))
+            try:
+                return fn(arg, *args, **kwargs)
+            finally:
+                current.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(
+        experiments, "_identity_rows", solving(experiments._identity_rows, lambda s: s[0].side)
+    )
+    monkeypatch.setattr(bogokernel, "diagonalize", solving(bogokernel.diagonalize, lambda ms: ms.side))
+    exp_kernel_identities(kernel_identities_context(1))
+    exp_kernel_bound_fit(kernel_bound_fit_context())
+    assert {side for side, _ in shapes} >= {1, 30}
+    for side, shape in shapes:
+        assert side is not None and shape == (side, side), (side, shape)

@@ -15,7 +15,7 @@ from fermiball import (
     index_sets,
     rpa_energy_trace,
 )
-from fermiball import experiments
+from fermiball import experiments, patches
 from fermiball.experiments import ExperimentError, audit_patches
 from fermiball.lattice import _BLOCK_ROWS, _band
 from fermiball.patches import pair_counts, pair_counts_by_layout
@@ -24,6 +24,7 @@ from oracles import (
     contains_points,
     decomposition_to_json,
     loop_labels,
+    mod_canonical_angles,
     one_shot_pair_counts,
     one_shot_shell_assignment,
     pair_count,
@@ -309,6 +310,24 @@ def test_one_pass_labels_on_patch_edges(ball_400):
         x, y, z = asg.points.T
         on_seam = (x == 0) | (y == 0) | (z == 0) | (np.abs(x) == np.abs(y))
         assert np.array_equal(asg.labels[on_seam], loop_labels(decomp, asg.points[on_seam]))
+
+
+def test_angle_pass_matches_the_np_mod_wrap(ball_400, monkeypatch):
+    # the azimuth is wrapped by adding 2 pi where it is negative: np.mod's
+    # values, and the same labels and tile angles, on patch edges and on
+    # random blocks rich in zero coordinates (phi = -0.0 after the flip)
+    rng = np.random.default_rng(28)
+    blocks = [rng.integers(-3, 4, size=(2000, 3)), rng.integers(-60, 61, size=(8192, 3))]
+    for m, r_v in ((2, 0.0), (8, 0.0), (30, 0.0), (30, 1.0), (512, 0.0), (2048, 0.0)):
+        decomp = build_patches(m, ball_400, r_v)
+        for pts in (edge_directions(decomp), *blocks):
+            assert np.array_equal(patches._canonical_angles(pts)[2], mod_canonical_angles(pts)[2])
+            got = decomp.labels_and_tile_angles(pts)
+            with monkeypatch.context() as patched:
+                patched.setattr(patches, "_canonical_angles", mod_canonical_angles)
+                ref = decomp.labels_and_tile_angles(pts)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("ball_name", ["ball_400", "ball_6400"])
