@@ -7,12 +7,14 @@ D + W + W~ against D + W - W~; the ground-state shift is tr(E - D - W) / 2.
 The modes come in reflection pairs, and the pair rotation
 U = [[1, 1], [1, -1]] / sqrt 2 splits D + W -+ W~ into the blocks
 (d, d + 2b) and (d + 2b, d), with d = diag(u^2) and b = g v v^T.  The second
-block mirrors the first, so each kernel is solved on the plus side only, as
-the I x I pair (d, d + 2b): `_solve(d, b, b)`.  Its blocks give the doubled
+block mirrors the first, so each kernel is solved on the plus side only:
+`_solve(u, v, g)` solves the I x I pair (d, d + 2b), reading d's root,
+inverse root and positivity from its entries.  Its blocks give the doubled
 quantities in closed form: K = [[0, K1], [K1, 0]], cosh K = diag(C, C),
 sinh K = [[0, S], [S, 0]], frakK = diag(F, F), the spectrum of E is that of
 E1 twice, and tr(E - D - W) / 2 = tr(E1 - d - b).  No 2I x 2I matrix is
-built; the doubled dense solve is the test reference in `tests/oracles.py`.
+built; the general solve of the doubled D, W and W~, which does not call
+`_solve`, is the test reference in `tests/oracles.py`.
 Positive definiteness is a checked precondition, never silently clamped.
 The arithmetic takes (..., I, I) arrays, so `kernel_identities` solves its
 random systems in stacks of equal size with the bits of one-by-one solves.
@@ -86,16 +88,6 @@ def _eigh_pd(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _apply(w: np.ndarray, q: np.ndarray, fn) -> np.ndarray:
     return _sym(q @ (fn(w)[..., :, None] * q.swapaxes(-1, -2)))
-
-
-def _per_matrix(fn, *mats: np.ndarray):
-    """fn of each matrix of equally stacked (..., n, n) arrays: a float for
-    2-D input, else an array over the leading axes. Each call sees one
-    contiguous 2-D matrix, so a stack's values have the bits of 2-D calls."""
-    lead = mats[0].shape[:-2]
-    flat = [m.reshape(-1, *m.shape[-2:]) for m in mats]
-    vals = [float(fn(*each)) for each in zip(*flat)]
-    return vals[0] if not lead else np.array(vals).reshape(lead)
 
 
 def _diag(x: np.ndarray) -> np.ndarray:
@@ -255,62 +247,71 @@ class BogoliubovSolution:
     residuals: dict[str, float | np.ndarray] = field(default_factory=dict)
 
 
-def _solve(D: np.ndarray, W: np.ndarray, Wt: np.ndarray) -> BogoliubovSolution:
-    """`diagonalize` on D, W and W~ given as (..., n, n) arrays: one system's
-    2-D matrices, or a stack of equal-size systems solved by stacked LAPACK
-    and matmul calls. Stacked calls give each matrix the bits of its 2-D
-    call, and the residual norms and det O are taken one matrix at a time,
-    so a stack solves to the same bits as its systems one by one.
-    `trace_correction` is tr(E - D - W): on the plus side (d, b, b) of a
-    mode system, the doubled system's tr(E - D - W) / 2.
+def _plus_side(u: np.ndarray, v: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of d = diag(u^2), checked positive (d is D + W - W~ on the
+    plus side), b = g v v^T and d + 2b, of mode data u, v (..., I) and
+    couplings g (...)."""
+    d = u**2
+    # the eigenvalues of a diagonal matrix are its entries
+    _require_pd(np.sort(d, axis=-1), "D + W - W~")
+    b = _same_side(v, g)
+    # summed as (d + b) + b, whose rounding kernel_bound_fit's pinned bytes carry
+    return d, b, _diag(d) + b + b
+
+
+def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
+    """`diagonalize` on mode data u, v (..., I) and couplings g (...): one
+    system, or a stack of equal-size systems solved by stacked LAPACK and
+    matmul calls.  The pair (D+W-W~, D+W+W~) is (d, d + 2b) and W = W~ = b;
+    d is diagonal, so its root and inverse root are taken entrywise, with the
+    bits of its eigh roots, and its guard reads its entries.  Stacked calls, the residual norms over the last
+    two axes, det and trace give each matrix the bits of its 2-D call, so a
+    stack solves to the same bits as its systems one by one.
+    `trace_correction` is tr(E1 - d - b), the doubled tr(E - D - W) / 2.
     """
-    norm = np.linalg.norm
 
-    def rel(x, y):
-        return norm(x) / norm(y)
+    def norm(x):
+        return np.linalg.norm(x, axis=(-2, -1))
 
-    a_minus = _sym(D + W - Wt)
-    a_plus = _sym(D + W + Wt)
-    w_m, q_m = _eigh_pd(a_minus, "D + W - W~")
+    d, b, a_plus = _plus_side(u, v, g)
     _require_pd(np.linalg.eigvalsh(a_plus), "D + W + W~")
-    rm = _apply(w_m, q_m, np.sqrt)
-    rm_inv = _apply(w_m, q_m, lambda x: 1.0 / np.sqrt(x))
-    del w_m, q_m
-    e_sq = _sym(rm @ a_plus @ rm)
+    # diag(r) x as r[..., :, None] * x has the bits of the matmul
+    rm = np.sqrt(d)[..., :, None]
+    e_sq = _sym(rm * a_plus * rm.swapaxes(-1, -2))
     w_e2, q_e2 = _eigh_pd(e_sq, "(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2")
     del e_sq
     E = _apply(w_e2, q_e2, np.sqrt)
-    S1 = rm @ _apply(w_e2, q_e2, lambda x: x**-0.25)
-    S2 = rm_inv @ _apply(w_e2, q_e2, lambda x: x**0.25)  # equals (S1^T)^-1
-    del rm, rm_inv, w_e2, q_e2
-    # each residual is taken as soon as its inputs exist, and they are freed
-    symplectic_plus = _per_matrix(rel, S1.swapaxes(-1, -2) @ a_plus @ S1 - E, E)
-    symplectic_minus = _per_matrix(rel, S2.swapaxes(-1, -2) @ a_minus @ S2 - E, E)
-    del a_plus, a_minus
+    S1 = rm * _apply(w_e2, q_e2, lambda x: x**-0.25)
+    S2 = (1.0 / rm) * _apply(w_e2, q_e2, lambda x: x**0.25)  # equals (S1^T)^-1
+    del rm, w_e2, q_e2
+    # each residual is taken as soon as its inputs exist
+    symplectic_plus = norm(S1.swapaxes(-1, -2) @ a_plus @ S1 - E) / norm(E)
+    symplectic_minus = norm((S2.swapaxes(-1, -2) * d[..., None, :]) @ S2 - E) / norm(E)
+    del a_plus
     w_s, q_s = _eigh_pd(_sym(S1 @ S1.swapaxes(-1, -2)), "S1 S1^T")
     K = _apply(w_s, q_s, lambda x: 0.5 * np.log(x))
     O = S1.swapaxes(-1, -2) @ _apply(w_s, q_s, lambda x: 1.0 / np.sqrt(x))
     del w_s, q_s
     coshK = _sym(0.5 * (S1 + S2) @ O)
     sinhK = _sym(0.5 * (S1 - S2) @ O)
-    dw = _sym(D + W)
+    dw = _diag(d) + b
     # a @ b @ c groups as (a @ b) @ c, so each product is taken once
     cd, sd = coshK @ dw, sinhK @ dw
-    cw, sw = coshK @ Wt, sinhK @ Wt
+    cw, sw = coshK @ b, sinhK @ b
     frakK = _sym(cd @ coshK + sd @ sinhK + cw @ sinhK + sw @ coshK)
-    offdiagonal_rel = _per_matrix(rel, cd @ sinhK + sd @ coshK + cw @ coshK + sw @ sinhK, dw)
-    del cd, sd, cw, sw, dw
-    ident = np.eye(D.shape[-1])
+    offdiagonal_rel = norm(cd @ sinhK + sd @ coshK + cw @ coshK + sw @ sinhK) / norm(dw)
+    del cd, sd, cw, sw
+    ident = np.eye(u.shape[-1])
     residuals = {
         "offdiagonal_rel": offdiagonal_rel,
         "symplectic_plus": symplectic_plus,
         "symplectic_minus": symplectic_minus,
-        "hyperbolic": _per_matrix(norm, coshK @ coshK - sinhK @ sinhK - ident),
-        "orthogonality": _per_matrix(norm, O.swapaxes(-1, -2) @ O - ident),
-        "kernel_asymmetry": _per_matrix(norm, K - K.swapaxes(-1, -2)),
-        "det_O": _per_matrix(np.linalg.det, O),
+        "hyperbolic": norm(coshK @ coshK - sinhK @ sinhK - ident),
+        "orthogonality": norm(O.swapaxes(-1, -2) @ O - ident),
+        "kernel_asymmetry": norm(K - K.swapaxes(-1, -2)),
+        "det_O": np.linalg.det(O),
     }
-    trace_correction = _per_matrix(np.trace, E - D - W)
+    trace_correction = np.trace(E - dw, axis1=-2, axis2=-1)
     return BogoliubovSolution(E, S1, S2, O, K, coshK, sinhK, frakK, trace_correction, residuals)
 
 
@@ -322,14 +323,7 @@ def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
     and the transformed matrix frakK, which is orthogonally equivalent to E.
     The doubled K, cosh K, sinh K and frakK read from these in closed form.
     """
-    return _plus_side_solve(ms.u, ms.v, ms.g)
-
-
-def _plus_side_solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
-    """`_solve` on the plus side (d, b, b) of mode data u, v (..., I) and
-    couplings g (...): one system, or a stack of equal-size systems."""
-    b = _same_side(v, g)
-    return _solve(_diag(u**2), b, b)
+    return _solve(ms.u, ms.v, ms.g)
 
 
 def _scaled_bound(mat: np.ndarray, ms: ModeSystem) -> np.ndarray:
@@ -368,29 +362,24 @@ def _l_block_dev(u: np.ndarray, v: np.ndarray, g, K: np.ndarray):
     """`check_L_blocks` on mode data u, v (..., I), couplings g (...) and
     plus-side kernels K1 (..., I, I); a float for one system, an array over
     a stack."""
-    d_diag = u**2
-    b = _same_side(v, g)
-    # d is diagonal: its root is the entrywise one, with the bits of the eigh root's
-    d_h = np.sqrt(d_diag)
-
-    def by_d_h(x):
-        return d_h[..., :, None] * x * d_h[..., None, :]
-
-    d2b = _diag(d_diag) + 2.0 * b
+    d_diag, _, d2b = _plus_side(u, v, g)
+    # d^1/2 x d^1/2 as d_h * x * d_h^T, entrywise
+    d_h = np.sqrt(d_diag)[..., :, None]
+    d_ht = d_h.swapaxes(-1, -2)
     d2b_h = _apply(*_eigh_pd(d2b, "d + 2b"), np.sqrt)
-    m1 = _apply(*_eigh_pd(by_d_h(d2b), "d^1/2 (d+2b) d^1/2"), lambda x: 1.0 / np.sqrt(x))
+    m1 = _apply(*_eigh_pd(d_h * d2b * d_ht, "d^1/2 (d+2b) d^1/2"), lambda x: 1.0 / np.sqrt(x))
     m2 = d2b_h @ (d_diag[..., :, None] * d2b_h)
     m2 = _apply(*_eigh_pd(m2, "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x))
     # the pair rotation takes the doubled kernel [[0, K1], [K1, 0]] to
     # diag(K1, -K1) and its rebuild to diag(log(I + L1), log(I + L2)) / 2
-    e1 = 0.5 * _apply(*_eigh_pd(by_d_h(m1), "I + L1"), np.log) - K
+    e1 = 0.5 * _apply(*_eigh_pd(d_h * m1 * d_ht, "I + L1"), np.log) - K
     e2 = 0.5 * _apply(*_eigh_pd(d2b_h @ m2 @ d2b_h, "I + L2"), np.log) + K
     # rotated back, the rebuild less the doubled kernel has the blocks (e1 +- e2) / 2
     dev = 0.5 * np.maximum(abs(e1 + e2).max(axis=(-2, -1)), abs(e1 - e2).max(axis=(-2, -1)))
-    return float(dev) if dev.ndim == 0 else dev
+    return dev
 
 
-def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> float:
+def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution) -> float:
     """Max deviation between the kernel and its block-reduction reconstruction.
 
     The half-size blocks L1 = d^1/2 [d^1/2 (d+2b) d^1/2]^-1/2 d^1/2 - I and
@@ -398,8 +387,6 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution | None = None) -> flo
     doubled kernel through the plus/minus block rotation: L1 against the
     solved K1, and L2 against the reflection identity K2 = -K1.
     """
-    if sol is None:
-        sol = diagonalize(ms)
     return _l_block_dev(ms.u, ms.v, ms.g, sol.K)
 
 

@@ -58,6 +58,12 @@ class ExperimentError(RuntimeError):
     pass
 
 
+def _require_at_least(name: str, value, least: int) -> None:
+    """Raise an ExperimentError naming the option if its value is below least."""
+    if value < least:
+        raise ExperimentError(f"{name} must be >= {least}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration."""
@@ -415,9 +421,9 @@ def _identity_rows(stack: list[bogokernel.ModeSystem]) -> list[dict]:
     u = np.stack([ms.u for ms in stack])
     v = np.stack([ms.v for ms in stack])
     g = np.array([ms.g for ms in stack])
-    sol = bogokernel._plus_side_solve(u, v, g)
+    sol = bogokernel._solve(u, v, g)
     l_dev = bogokernel._l_block_dev(u, v, g, sol.K)
-    spec_frak, spec_e = np.sort(np.linalg.eigvalsh(np.stack([sol.frakK, sol.E])), axis=-1)
+    spec_frak, spec_e = np.linalg.eigvalsh(np.stack([sol.frakK, sol.E]))
     spec_dev = np.abs(spec_frak - spec_e).max(axis=-1) / np.abs(spec_e).max(axis=-1)
     res = sol.residuals
     return [
@@ -437,6 +443,8 @@ def _identity_rows(stack: list[bogokernel.ModeSystem]) -> list[dict]:
 
 
 def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
+    _require_at_least("n_systems", n_systems, 0)
+    _require_at_least("max_side", max_side, 1)
     rng = np.random.default_rng(ctx.config.seed)
     systems = [bogokernel.sample_mode_system(rng, max_side=max_side) for _ in range(n_systems)]
     by_side: dict[int, list[int]] = {}
@@ -645,6 +653,8 @@ class SwapOracle:
 
 
 def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50):
+    _require_at_least("n_swaps", n_swaps, 1)
+    _require_at_least("n_check", n_check, 0)
     ball = ctx.balls.get(k_fermi_sq)
     pot = ctx.config.potential
     if not pot.support:

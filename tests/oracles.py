@@ -17,9 +17,11 @@ from fermiball.bogokernel import (
     BogoliubovSolution,
     DiagonalizationError,
     ModeSystem,
+    _apply,
     _diag,
+    _eigh_pd,
+    _require_pd,
     _same_side,
-    _solve,
     _sym,
     check_L_blocks,
     diagonalize,
@@ -601,10 +603,76 @@ def mode_matrices(u: np.ndarray, v: np.ndarray, g) -> tuple[np.ndarray, np.ndarr
     return _diag(np.concatenate([u * u, u * u], axis=-1)), two_sided(b, False), two_sided(b, True)
 
 
+def _per_matrix(fn, *mats: np.ndarray):
+    """fn of each matrix of equally stacked (..., n, n) arrays: a float for
+    2-D input, else an array over the leading axes. Each call sees one
+    contiguous 2-D matrix, so a stack's values have the bits of 2-D calls."""
+    lead = mats[0].shape[:-2]
+    flat = [m.reshape(-1, *m.shape[-2:]) for m in mats]
+    vals = [float(fn(*each)) for each in zip(*flat)]
+    return vals[0] if not lead else np.array(vals).reshape(lead)
+
+
+def dense_solve(D: np.ndarray, W: np.ndarray, Wt: np.ndarray) -> BogoliubovSolution:
+    """The general solve of D, W and W~ given as (..., n, n) arrays, with no
+    use of their block structure: eigh roots of D + W - W~, and residual
+    norms and det O taken one matrix at a time. `trace_correction` is
+    tr(E - D - W). The reference of the plus-side `bogokernel._solve`.
+    """
+    norm = np.linalg.norm
+
+    def rel(x, y):
+        return norm(x) / norm(y)
+
+    a_minus = _sym(D + W - Wt)
+    a_plus = _sym(D + W + Wt)
+    w_m, q_m = _eigh_pd(a_minus, "D + W - W~")
+    _require_pd(np.linalg.eigvalsh(a_plus), "D + W + W~")
+    rm = _apply(w_m, q_m, np.sqrt)
+    rm_inv = _apply(w_m, q_m, lambda x: 1.0 / np.sqrt(x))
+    del w_m, q_m
+    e_sq = _sym(rm @ a_plus @ rm)
+    w_e2, q_e2 = _eigh_pd(e_sq, "(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2")
+    del e_sq
+    E = _apply(w_e2, q_e2, np.sqrt)
+    S1 = rm @ _apply(w_e2, q_e2, lambda x: x**-0.25)
+    S2 = rm_inv @ _apply(w_e2, q_e2, lambda x: x**0.25)  # equals (S1^T)^-1
+    del rm, rm_inv, w_e2, q_e2
+    # each residual is taken as soon as its inputs exist, and they are freed
+    symplectic_plus = _per_matrix(rel, S1.swapaxes(-1, -2) @ a_plus @ S1 - E, E)
+    symplectic_minus = _per_matrix(rel, S2.swapaxes(-1, -2) @ a_minus @ S2 - E, E)
+    del a_plus, a_minus
+    w_s, q_s = _eigh_pd(_sym(S1 @ S1.swapaxes(-1, -2)), "S1 S1^T")
+    K = _apply(w_s, q_s, lambda x: 0.5 * np.log(x))
+    O = S1.swapaxes(-1, -2) @ _apply(w_s, q_s, lambda x: 1.0 / np.sqrt(x))
+    del w_s, q_s
+    coshK = _sym(0.5 * (S1 + S2) @ O)
+    sinhK = _sym(0.5 * (S1 - S2) @ O)
+    dw = _sym(D + W)
+    # a @ b @ c groups as (a @ b) @ c, so each product is taken once
+    cd, sd = coshK @ dw, sinhK @ dw
+    cw, sw = coshK @ Wt, sinhK @ Wt
+    frakK = _sym(cd @ coshK + sd @ sinhK + cw @ sinhK + sw @ coshK)
+    offdiagonal_rel = _per_matrix(rel, cd @ sinhK + sd @ coshK + cw @ coshK + sw @ sinhK, dw)
+    del cd, sd, cw, sw, dw
+    ident = np.eye(D.shape[-1])
+    residuals = {
+        "offdiagonal_rel": offdiagonal_rel,
+        "symplectic_plus": symplectic_plus,
+        "symplectic_minus": symplectic_minus,
+        "hyperbolic": _per_matrix(norm, coshK @ coshK - sinhK @ sinhK - ident),
+        "orthogonality": _per_matrix(norm, O.swapaxes(-1, -2) @ O - ident),
+        "kernel_asymmetry": _per_matrix(norm, K - K.swapaxes(-1, -2)),
+        "det_O": _per_matrix(np.linalg.det, O),
+    }
+    trace_correction = _per_matrix(np.trace, E - D - W)
+    return BogoliubovSolution(E, S1, S2, O, K, coshK, sinhK, frakK, trace_correction, residuals)
+
+
 def dense_diagonalize(ms: ModeSystem) -> BogoliubovSolution:
     """The doubled 2I x 2I solve of a mode system (the dense reference of the
     plus-side `diagonalize`), with its shift tr(E - D - W) / 2."""
-    sol = _solve(*mode_matrices(ms.u, ms.v, ms.g))
+    sol = dense_solve(*mode_matrices(ms.u, ms.v, ms.g))
     return dataclasses.replace(sol, trace_correction=0.5 * sol.trace_correction)
 
 

@@ -20,9 +20,7 @@ from fermiball.bogokernel import (
     _diag,
     _l_block_dev,
     _apply,
-    _plus_side_solve,
     _eigh_pd,
-    _same_side,
     _solve,
 )
 from fermiball.lattice import InteractionPotential, Momentum
@@ -39,12 +37,6 @@ from oracles import (
 def dense(ms):
     """The doubled D, W and W~ of a mode system."""
     return mode_matrices(ms.u, ms.v, ms.g)
-
-
-def plus_side(u, v, g):
-    """`_solve`'s plus-side input (d, b, b) of mode data u, v and couplings g."""
-    b = _same_side(v, g)
-    return _diag(u**2), b, b
 
 
 def one_plus_one_system(u=0.8, n_pairs=900.0, vhat=0.4, n_particles=10**6):
@@ -247,7 +239,7 @@ def stacked_data(systems):
 def test_stack_solves_to_the_bits_of_single_systems(side):
     systems = equal_size_systems(side)
     u, v, g = stacked_data(systems)
-    stacked = _plus_side_solve(u, v, g)
+    stacked = _solve(u, v, g)
     l_devs = _l_block_dev(u, v, g, stacked.K)
     assert set(stacked.residuals) == {
         "offdiagonal_rel",
@@ -271,21 +263,24 @@ def test_stack_solves_to_the_bits_of_single_systems(side):
 
 @pytest.mark.parametrize("stack", [None, 7])
 def test_diagonal_root_has_the_bits_of_the_eigh_root(stack):
-    # _l_block_dev takes d^1/2 entrywise; the eigh root gives the same bits
+    # _solve and _l_block_dev take d^1/2 and d^-1/2 entrywise; the eigh roots
+    # give the same bits
     rng = np.random.default_rng(5)
     for side in range(1, 31):
         for _ in range(20):
             d = rng.uniform(0.01, 3.0, size=(side,) if stack is None else (stack, side)) ** 2
-            want = _apply(*_eigh_pd(_diag(d), "d"), np.sqrt)
-            got = _diag(np.sqrt(d))
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (stack, side)
+            w, q = _eigh_pd(_diag(d), "d")
+            for fn in (np.sqrt, lambda x: 1.0 / np.sqrt(x)):
+                want = _apply(w, q, fn)
+                got = _diag(fn(d))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (stack, side)
 
 
 def test_non_pd_matrix_in_a_stack_is_named():
-    d, b, _ = plus_side(*stacked_data(equal_size_systems(4)))
-    d[1, 0, 0] = -1.0  # corrupt the second system's kinetic diagonal
+    u, v, g = stacked_data(equal_size_systems(4))
+    u[1, 0] = 0.0  # zero a kinetic entry of the second system
     with pytest.raises(DiagonalizationError, match=r"D \+ W - W~ .*\(matrix 1 of the stack\)"):
-        _solve(d, b, b)
+        _solve(u, v, g)
 
 
 # ------------------------------------------------------------ errors
@@ -304,16 +299,34 @@ def test_trace_route_builds_no_dense_matrices(monkeypatch):
     assert ground_state_shift(ms) == pytest.approx(want, rel=1e-9)
 
 
+def test_dense_reference_runs_without_the_plus_side_solve(monkeypatch):
+    import fermiball.bogokernel as bk
+
+    ms = sample_mode_system(np.random.default_rng(11))
+    sol = diagonalize(ms)
+
+    def refuse(*args):
+        raise AssertionError("the dense reference ran the plus-side solve")
+
+    monkeypatch.setattr(bk, "_solve", refuse)
+    ref = dense_diagonalize(ms)
+    for name, cross in (("K", True), ("coshK", False), ("sinhK", True), ("frakK", False)):
+        want = getattr(ref, name)
+        dev = np.abs(two_sided(getattr(sol, name), cross) - want).max() / np.abs(want).max()
+        assert dev <= 1e-9, name
+    assert ref.trace_correction == pytest.approx(sol.trace_correction, rel=1e-9)
+
+
 def test_non_pd_input_rejected():
     ms = one_plus_one_system()
-    d, b, _ = plus_side(ms.u, ms.v, ms.g)
-    d[0, 0] = -1.0  # corrupt the kinetic diagonal
-    with pytest.raises(DiagonalizationError, match="smallest eigenvalue"):
-        _solve(d, b, b)
-    # D + W - W~ stays positive definite, D + W + W~ does not
-    d, b, _ = plus_side(ms.u, ms.v, ms.g)
+    u = ms.u.copy()
+    u[0] = 0.0  # d = diag(u^2) is singular
+    with pytest.raises(DiagonalizationError, match=r"D \+ W - W~ is not positive definite"):
+        _solve(u, ms.v, ms.g)
+    # d stays positive definite; a coupling below -|u|^2/|v|^2 makes d + 2b indefinite
+    g = -1.5 * (ms.u @ ms.u) / (ms.v @ ms.v)
     with pytest.raises(DiagonalizationError, match=r"D \+ W \+ W~ is not positive definite"):
-        _solve(d, b, -2.0 * (d + b))
+        _solve(ms.u, ms.v, g)
 
 
 # ------------------------------------------------------------ dumps

@@ -505,7 +505,7 @@ SINGLE_CSV_SHA256 = {
     # 40 random systems up to side 30, solved in equal-size stacks
     "kernel_identities": (
         {"n_systems": 40, "max_side": 30},
-        "a20d0890831c4887a62d57f66a43dd91b407bd4786c81f6913a8012de94c7a09",
+        "795fdcff444016c747af1d7fee5730a168b07ea808884dcb72007135533911fa",
     ),
     # no seed and no lattice input
     "small_v_fit": ({}, "1da7fa46776fb140c8ada21d0d6f605f26f3f3cf0077b528b266e44ec2f583e9"),
@@ -662,6 +662,27 @@ def test_run_names_a_bad_patch_parameter(tmp_path, options, named):
     entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["experiments"]["patch_audit"]
     assert entry["status"] == "failed"
     assert entry["error"] == f"PatchConstructionError: {named}"
+
+
+@pytest.mark.parametrize(
+    "experiment, options, named",
+    [
+        ("hf_stability", {"n_swaps": 0}, "n_swaps must be >= 1, got 0"),
+        ("hf_stability", {"n_swaps": -1}, "n_swaps must be >= 1, got -1"),
+        ("hf_stability", {"n_check": -1}, "n_check must be >= 0, got -1"),
+        ("kernel_identities", {"max_side": 0}, "max_side must be >= 1, got 0"),
+        ("kernel_identities", {"max_side": -2}, "max_side must be >= 1, got -2"),
+        ("kernel_identities", {"n_systems": -3}, "n_systems must be >= 0, got -3"),
+    ],
+)
+def test_run_names_an_out_of_range_count(tmp_path, experiment, options, named):
+    path = write_config(
+        tmp_path, k_fermi_sq=400.5, experiments=[experiment], options={experiment: options}
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["experiments"][experiment]
+    assert entry["status"] == "failed"
+    assert entry["error"] == f"ExperimentError: {named}"
 
 
 def test_run_workers_parallel(tmp_path):
