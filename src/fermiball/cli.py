@@ -20,20 +20,20 @@ __all__ = ["main"]
 OUTPUT_DIR_ENV = "FERMIBALL_OUT"
 
 
-def _read_config(path: str, output_override=None, workers=None):
-    """The config at path; a workers override replaces its workers field
-    and is checked as that field is."""
+def _read_config(path: str, **overrides):
+    """The config at path; each override that is set replaces its field
+    before the check, so it is checked as that field is."""
     with open(path) as fh:
         doc = json.load(fh)
-    if workers is not None and isinstance(doc, dict):
-        doc = {**doc, "workers": workers}
-    return load_config(doc, output_override=output_override)
+    if isinstance(doc, dict):
+        doc.update((key, value) for key, value in overrides.items() if value is not None)
+    return load_config(doc)
 
 
 def _cmd_run(args) -> int:
     out = args.out or os.environ.get(OUTPUT_DIR_ENV)
     try:
-        config = _read_config(args.config, output_override=out, workers=args.workers)
+        config = _read_config(args.config, output_dir=out, workers=args.workers)
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

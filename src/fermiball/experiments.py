@@ -16,10 +16,11 @@ import json
 import logging
 import math
 import resource
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,6 +91,23 @@ class RunConfig:
             "workers": self.workers,
             "options": self.options,
         }
+
+
+#: each top-level key of a run config, declared once as a value of its kind
+#: (the rule of `_check`): a number, an integer, a string, or a list of such
+#: entries or of [[integer, integer, integer], number] records; `options` is
+#: declared by the experiments' keyword-only parameters
+_FIELD_KINDS = {
+    "k_fermi": 1.0,
+    "k_fermi_sq": 1.0,
+    "n_particles": 1,
+    "delta": 1.0,
+    "potential": (((0, 0, 0), 0.0),),
+    "experiments": ("",),
+    "output_dir": "",
+    "seed": 0,
+    "workers": 1,
+}
 
 
 def default_potential() -> InteractionPotential:
@@ -653,6 +671,9 @@ class SwapOracle:
 
 
 def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50):
+    # below 1 no occupied momentum lies within one unit of the Fermi surface,
+    # so the hole band of `_boundary_bands` is empty
+    _require_at_least("k_fermi_sq", k_fermi_sq, 1)
     _require_at_least("n_swaps", n_swaps, 1)
     _require_at_least("n_check", n_check, 0)
     ball = ctx.balls.get(k_fermi_sq)
@@ -724,22 +745,6 @@ EXPERIMENTS = {
 }
 
 
-def _field(key: str, convert, value):
-    """convert(value) for config field key; a wrongly typed value raises
-    ValueError naming the field. An int field takes a JSON integer only, not a
-    bool, a float or a string, so that none is truncated."""
-    try:
-        if convert is int and type(value) is not int:
-            raise TypeError(f"{type(value).__name__} is not an integer")
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ValueError(f"{key}: invalid value {value!r}") from err
-
-
-#: every top-level key `load_config` reads: the fields and the other two radii
-CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"k_fermi", "n_particles"}
-
-
 def _option_defaults(fn) -> dict:
     """The keyword-only parameters of experiment fn, its settable options,
     each with its default."""
@@ -747,124 +752,107 @@ def _option_defaults(fn) -> dict:
     return {p.name: p.default for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_number(value):
-    """value if it is a JSON number; a bool or a string is not one."""
-    if not _is_number(value):
-        raise TypeError(f"{type(value).__name__} is not a number")
-    return value
+def _is_kind(value, kind) -> bool:
+    """Whether a JSON value is of a scalar kind: a string for a str, an
+    integer for an int, and for a float a number within the finite floats (a
+    bool or a string is neither)."""
+    if isinstance(kind, str):
+        return isinstance(value, str)
+    if _is_int(kind):
+        return _is_int(value)
+    number = _is_int(value) or isinstance(value, float)
+    return number and abs(value) <= sys.float_info.max
 
 
-def _is_kind(value, default) -> bool:
-    """Whether a JSON value is of its default's kind: an integer for an int,
-    a number for a float (a bool or a string is neither), and for a tuple (a
-    record, such as a schedule point) a list of its length, entry by entry."""
-    if isinstance(default, tuple):
-        fits = isinstance(value, list) and len(value) == len(default)
-        return fits and all(map(_is_kind, value, default))
-    return _is_int(value) if _is_int(default) else _is_number(value)
+def _kind_name(kind) -> str:
+    if isinstance(kind, str):
+        return "a string"
+    return "an integer" if _is_int(kind) else "a finite number"
 
 
-def _kind_name(default) -> str:
-    if isinstance(default, tuple):
-        return "[" + ", ".join(map(_kind_name, default)) + "]"
-    return "integer" if _is_int(default) else "number"
+def _place(path) -> str:
+    """A place in a config document: its top-level key, then subscripts."""
+    return str(path[0]) + "".join(f"[{p!r}]" for p in path[1:]) if path else "config"
 
 
-def _expected_type(value, default) -> str | None:
-    """What a JSON value for an option with this default must be, or None if
-    it is that: for a tuple or range default a list whose every entry is of
-    the kind of the default's entries (`_is_kind`), else a value of the
-    default's kind; and every float in it finite."""
-    if isinstance(default, (tuple, range)):
-        entry = default[0]
-        if not (isinstance(value, list) and all(_is_kind(v, entry) for v in value)):
-            return f"a list of {_kind_name(entry)} entries"
-    elif not _is_kind(value, default):
-        return "an integer" if _is_int(default) else "a number"
-    try:
-        json.dumps(value, allow_nan=False)
-    except ValueError:
-        return "finite"
-    return None
+def _check(value, kind, path=()) -> None:
+    """Raise a ValueError naming the first key that kind does not declare, or
+    the first value not of its declared kind, with its place in the document.
+
+    A dict declares a JSON object's keys, each with its kind.  A key declared
+    as a tuple or a range takes a list whose every entry is of the kind of its
+    first entry; a tuple entry is a record, a list of its length entry by
+    entry; anything else is a scalar kind (`_is_kind`)."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{_place(path)} must be a JSON object, got {value!r}")
+        for key, entry in value.items():
+            if key not in kind:
+                raise ValueError(f"unknown key {key!r} in {_place(path)}")
+            declared, at = kind[key], (*path, key)
+            if not isinstance(declared, (tuple, range)):
+                _check(entry, declared, at)
+            elif not isinstance(entry, list):
+                raise ValueError(f"{_place(at)} must be a list, got {entry!r}")
+            else:
+                for i, item in enumerate(entry):
+                    _check(item, declared[0], (*at, i))
+    elif isinstance(kind, tuple):
+        if not (isinstance(value, list) and len(value) == len(kind)):
+            expected = f"a list of {len(kind)} entries"
+            raise ValueError(f"{_place(path)} must be {expected}, got {value!r}")
+        for i, (item, item_kind) in enumerate(zip(value, kind)):
+            _check(item, item_kind, (*path, i))
+    elif not _is_kind(value, kind):
+        raise ValueError(f"{_place(path)} must be {_kind_name(kind)}, got {value!r}")
 
 
-def load_config(doc: dict, output_override=None) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document, naming bad fields."""
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    for key in doc:
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
+def load_config(doc: dict) -> RunConfig:
+    """Build a RunConfig from a parsed JSON document: every key and value is
+    checked against its declaration, then converted and range-checked."""
+    options = {name: _option_defaults(fn) for name, fn in EXPERIMENTS.items()}
+    _check(doc, {**_FIELD_KINDS, "options": options})
     radius_keys = [k for k in ("k_fermi", "k_fermi_sq", "n_particles") if k in doc]
     if len(radius_keys) != 1:
         raise ValueError("config must set exactly one of k_fermi, k_fermi_sq, n_particles")
-    key = radius_keys[0]
-    if key == "n_particles":
-        n = _field(key, int, doc[key])
-        if n < 1:
-            raise ValueError("n_particles must be >= 1")
+    for key, least in (("n_particles", 1), ("seed", 0), ("workers", 1)):
+        if doc.get(key, least) < least:
+            raise ValueError(f"{key} must be >= {least}, got {doc[key]!r}")
+    if "n_particles" in doc:
+        n = doc["n_particles"]
         ksq, n_actual = _solve_ksq_for_n(n)
         if n_actual != n:
             log.warning("n_particles=%d not attainable; using nearest N=%d", n, n_actual)
-    elif key == "k_fermi":
-        k_fermi = _field(key, lambda v: Fraction(float(_json_number(v))), doc[key])
+    elif "k_fermi" in doc:
+        k_fermi = Fraction(float(doc["k_fermi"]))
         if k_fermi <= 0:
             raise ValueError("k_fermi must be positive")
         ksq = k_fermi**2
     else:
-        ksq = _field(key, lambda v: Fraction(str(_json_number(v))), doc[key])
+        ksq = Fraction(str(doc["k_fermi_sq"]))
         if ksq <= 0:
             raise ValueError("k_fermi_sq must be positive")
-
-    delta = _field("delta", float, doc.get("delta", DEFAULT_DELTA))
+    delta = float(doc.get("delta", DEFAULT_DELTA))
     # equator_sum_scaling, its only reader, needs the equator sum's range
     if not (0.0 < delta < float(lattice.EQUATOR_DELTA_MAX)):
         raise ValueError(f"delta must lie in (0, {lattice.EQUATOR_DELTA_MAX})")
-    try:
-        potential = InteractionPotential.from_pairs(
-            (tuple(k), v) for k, v in doc.get("potential", [])
-        )
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"potential: {err}") from err
-    experiments = _field("experiments", list, doc.get("experiments", []))
-    options = doc.get("options", {})
-    if not isinstance(options, dict) or not all(isinstance(o, dict) for o in options.values()):
-        raise ValueError("options must be a mapping of experiment names to mappings")
-    for name in experiments + list(options):
-        if not isinstance(name, str) or name not in EXPERIMENTS:
+    experiments = list(doc.get("experiments", []))
+    for name in experiments:
+        if name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
-    for name, opts in options.items():
-        defaults = _option_defaults(EXPERIMENTS[name])
-        for key, value in opts.items():
-            if key not in defaults:
-                raise ValueError(f"unknown option {key!r} of experiment {name!r}")
-            expected = _expected_type(value, defaults[key])
-            if expected:
-                raise ValueError(
-                    f"option {key!r} of experiment {name!r} must be {expected}, got {value!r}"
-                )
-    out = _field("output_dir", Path, output_override or doc.get("output_dir", "out"))
-    seed = _field("seed", int, doc.get("seed", 0))
-    workers = _field("workers", int, doc.get("workers", 1))
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     return RunConfig(
         k_fermi_sq=ksq,
         delta=delta,
-        potential=potential,
+        potential=InteractionPotential.from_pairs(doc.get("potential", [])),
         experiments=experiments,
-        output_dir=out,
-        seed=seed,
-        workers=workers,
-        options=options,
+        output_dir=Path(doc.get("output_dir", "out")),
+        seed=doc.get("seed", 0),
+        workers=doc.get("workers", 1),
+        options=doc.get("options", {}),
     )
 
 

@@ -425,14 +425,25 @@ def annulus_count_vs_area(
     return count, area
 
 
+def _potential_entry(key: Sequence[int], val: float) -> tuple[Momentum, float]:
+    """A potential entry as (momentum, value); a momentum component that is
+    not an integer (a Python or numpy int, not a bool), or a value that is not
+    finite, is a ValueError naming the entry, so that neither is truncated."""
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in key):
+        raise ValueError(f"potential momentum {tuple(key)!r} has a non-integer component")
+    v = float(val)
+    if not math.isfinite(v):
+        raise ValueError(f"potential value {val!r} at {tuple(key)!r} is not finite")
+    return _as_momentum(key), v
+
+
 class InteractionPotential:
     """Finitely supported, nonnegative, reflection-symmetric Fourier potential."""
 
     def __init__(self, values: Mapping[Sequence[int], float]):
         table: dict[Momentum, float] = {}
         for key, val in values.items():
-            k = _as_momentum(key)
-            v = float(val)
+            k, v = _potential_entry(key, val)
             if v < 0:
                 raise ValueError(f"potential must be nonnegative, got {v} at {k}")
             table[k] = v
@@ -452,16 +463,15 @@ class InteractionPotential:
         """
         table: dict[Momentum, float] = {}
         for key, val in pairs:
-            k = _as_momentum(key)
-            v = float(val)
+            k, v = _potential_entry(key, val)
             if k in table and table[k] != v:
-                raise ValueError(f"conflicting values for {k}")
+                raise ValueError(f"conflicting potential values for {k}")
             table[k] = v
         for k, v in list(table.items()):
             mk = Momentum(-k.px, -k.py, -k.pz)
             if mk in table:
                 if table[mk] != v:
-                    raise ValueError(f"conflicting symmetric values at {k}/{mk}")
+                    raise ValueError(f"conflicting symmetric potential values at {k}/{mk}")
             else:
                 table[mk] = v
         return cls(table)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -295,16 +296,36 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
         ("schedule", {"options": {"rpa_compare": {"schedule": [[400.5]]}}}),
         ("schedule", {"options": {"rpa_compare": {"schedule": [400.5, 8]}}}),
     ]
+    # top-level values are checked by the options' rule, and named with their
+    # place in the document: none is coerced, truncated or read as another
+    field_cases = [
+        ("delta must be a finite number, got '0.05'", {"delta": "0.05"}),
+        ("experiments must be a list, got {'gauss_count': 1}", {"experiments": {"gauss_count": 1}}),
+        ("potential[0][0][0] must be an integer, got 1.5", {"potential": [[[1.5, 0, 0], 0.05]]}),
+        ("potential[0][1] must be a finite number, got '0.05'", {"potential": [[[1, 0, 0], "0.05"]]}),
+        ("potential[0][1] must be a finite number, got True", {"potential": [[[1, 0, 0], True]]}),
+        ("potential[0][1] must be a finite number, got nan", {"potential": [[[1, 0, 0], math.nan]]}),
+        ("delta must be a finite number, got 1000", {"delta": 10**400}),
+        ("potential[1][0] must be a list of 3 entries", {"potential": [[[1, 0, 0], 0.1], [[1, 0], 0.1]]}),
+        ("output_dir must be a string, got 5", {"output_dir": 5}),
+        ("seed must be >= 0, got -1", {"seed": -1}),
+    ]
     out = tmp_path / "out"
-    for i, (name, extra) in enumerate(cases):
+
+    def assert_refused(i, named, extra):
         doc = {"k_fermi_sq": 400.5, "experiments": ["gauss_count"], "output_dir": str(out), **extra}
-        with pytest.raises(ValueError, match=repr(name)):
+        with pytest.raises(ValueError, match=re.escape(named)):
             load_config(doc)
         path = tmp_path / f"{i}.json"
         path.write_text(json.dumps(doc))
         for command in ("validate", "run"):
             assert main([command, "--config", str(path)]) == 1
-            assert repr(name) in capsys.readouterr().err
+            assert named in capsys.readouterr().err
+
+    for i, (name, extra) in enumerate(cases):
+        assert_refused(i, repr(name), extra)
+    for i, (named, extra) in enumerate(field_cases, len(cases)):
+        assert_refused(i, named, extra)
     assert not out.exists()
     with pytest.raises(ValueError, match="JSON object"):
         load_config([["k_fermi_sq", 400.5]])
@@ -346,13 +367,18 @@ def test_benchmark_tracer_binds(tmp_path):
         assert metrics[name] > 0, name
 
 
-def test_reach_config_loads():
-    # validated only: running it takes about 2 GB and half a minute
-    path = Path(__file__).resolve().parent.parent / "configs" / "reach.json"
+CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda path: path.name)
+def test_config_files_load(path):
+    # validated only: running reach.json takes about 2 GB and half a minute
     config = load_config(json.loads(path.read_text()))
-    assert config.experiments == ["rpa_compare"]
-    schedule = config.options["rpa_compare"]["schedule"]
-    assert schedule == [[102400.5, 128], [409600.5, 256], [1638400.5, 512]]
+    assert config.experiments
+    if path.name == "reach.json":
+        assert config.experiments == ["rpa_compare"]
+        schedule = config.options["rpa_compare"]["schedule"]
+        assert schedule == [[102400.5, 128], [409600.5, 256], [1638400.5, 512]]
 
 
 def test_list_experiments(capsys):
@@ -673,6 +699,8 @@ def test_run_names_a_bad_patch_parameter(tmp_path, options, named):
         ("kernel_identities", {"max_side": 0}, "max_side must be >= 1, got 0"),
         ("kernel_identities", {"max_side": -2}, "max_side must be >= 1, got -2"),
         ("kernel_identities", {"n_systems": -3}, "n_systems must be >= 0, got -3"),
+        # below 1 the hole band hf_stability draws from is empty
+        ("hf_stability", {"k_fermi_sq": 0.5}, "k_fermi_sq must be >= 1, got 0.5"),
     ],
 )
 def test_run_names_an_out_of_range_count(tmp_path, experiment, options, named):

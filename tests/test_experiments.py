@@ -164,8 +164,9 @@ def hf_config(tmp_path, ksq: float, **options):
         "experiments": ["hf_stability"],
         "seed": 1,
         "options": {"hf_stability": {"k_fermi_sq": ksq, **options}},
+        "output_dir": str(tmp_path / "out"),
     }
-    return load_config(doc, tmp_path / "out")
+    return load_config(doc)
 
 
 def test_hf_stability_memory_below_one_ball_array(tmp_path):

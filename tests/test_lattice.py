@@ -642,6 +642,33 @@ def test_potential_symmetrization_and_radius():
         InteractionPotential.from_pairs([((1, 0, 0), -0.3)])
 
 
+@pytest.mark.parametrize("build", [InteractionPotential, InteractionPotential.from_pairs])
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        # int() would truncate the component to (1, 0, 0)
+        ((1.5, 0, 0), 0.05, r"momentum \(1\.5, 0, 0\) has a non-integer component"),
+        ((1.0, 0, 0), 0.05, r"momentum \(1\.0, 0, 0\) has a non-integer component"),
+        ((True, 0, 0), 0.05, r"momentum \(True, 0, 0\) has a non-integer component"),
+        # NaN would fail as "not reflection symmetric", and inf be accepted
+        ((1, 0, 0), math.nan, r"value nan at \(1, 0, 0\) is not finite"),
+        ((1, 0, 0), math.inf, r"value inf at \(1, 0, 0\) is not finite"),
+    ],
+)
+def test_potential_names_a_non_integer_momentum_or_non_finite_value(build, key, value, named):
+    mirror = tuple(-c for c in key)
+    entries = [(key, value), (mirror, value)]
+    with pytest.raises(ValueError, match=named):
+        build(dict(entries) if build is InteractionPotential else entries)
+
+
+def test_potential_takes_numpy_integer_momenta():
+    k = np.array([1, 0, 0], dtype=np.int64)
+    v = InteractionPotential({tuple(k): 0.3, tuple(-k): 0.3})
+    assert v((-1, 0, 0)) == 0.3
+    assert InteractionPotential.from_pairs([(k, 0.3)]).support == v.support
+
+
 def test_gamma_nor_partitions_support(unit_potential):
     nor = unit_potential.gamma_nor()
     assert len(nor) == 3

@@ -1,7 +1,10 @@
 """Static checks of the package source."""
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 import fermiball
 
@@ -147,3 +150,26 @@ def test_dead_helper_check_catches_a_leftover():
         "lattice.py: _runs (line 3)",
         "lattice.py: _Unused (line 7)",
     ]
+
+
+def python_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's requires-python floor."""
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', pyproject.read_text(), re.M)
+    assert found, "pyproject.toml names no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def test_every_module_parses_at_the_python_floor():
+    # no interpreter at the floor may be at hand, so its grammar is checked here
+    floor = python_floor()
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=floor)
+
+
+def test_python_floor_check_catches_newer_syntax():
+    # except* is 3.11 syntax: it parses at 3.11, not at 3.10
+    code = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(code, feature_version=(3, 11))
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse(code, feature_version=(3, 10))
