@@ -15,7 +15,12 @@ sinh K = [[0, S], [S, 0]], frakK = diag(F, F), the spectrum of E is that of
 E1 twice, and tr(E - D - W) / 2 = tr(E1 - d - b).  No 2I x 2I matrix is
 built; the general solve of the doubled D, W and W~, which does not call
 `_solve`, is the test reference in `tests/oracles.py`.
-Positive definiteness is a checked precondition, never silently clamped.
+Each solve checks itself: it builds d, b and d + 2b and decomposes
+d^1/2 (d+2b) d^1/2 once, and its residuals include the spectrum of frakK
+against E's and `check_L_blocks`' rebuild of K, which takes its own roots
+and logs past those shared eigenpairs.  Positive definiteness is a checked
+precondition, never silently clamped: d by its entries, d + 2b by its
+secular value 1 + 2g v^T d^-1 v, each decomposed matrix by its eigenvalues.
 The arithmetic takes (..., I, I) arrays, so `kernel_identities` solves its
 random systems in stacks of equal size with the bits of one-by-one solves.
 The energy path solves no matrix: `rpa.ground_state_shift` reads the shift
@@ -64,10 +69,11 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _require_pd(w: np.ndarray, name: str) -> None:
-    """Raise unless the ascending eigenvalues w (..., n) of each matrix are
-    all clearly positive; the error names the first failing matrix of a
-    stack by its flat index."""
+def _require_pd(w: np.ndarray, name: str, quantity: str = "smallest eigenvalue") -> None:
+    """Raise unless the ascending values w (..., n) of each matrix, its
+    eigenvalues or one value whose sign decides, are all clearly positive;
+    the error names the quantity and the first failing matrix of a stack by
+    its flat index."""
     tol = 1e-12 * np.maximum(np.maximum(abs(w[..., 0]), abs(w[..., -1])), 1e-300)
     bad = np.flatnonzero(w[..., 0] <= tol)
     if bad.size:
@@ -75,7 +81,7 @@ def _require_pd(w: np.ndarray, name: str) -> None:
         where = f" (matrix {i} of the stack)" if w.ndim > 1 else ""
         smallest = w.reshape(-1, w.shape[-1])[i, 0]
         raise DiagonalizationError(
-            f"{name} is not positive definite{where}: smallest eigenvalue {smallest:.3e}"
+            f"{name} is not positive definite{where}: {quantity} {smallest:.3e}"
         )
 
 
@@ -247,43 +253,51 @@ class BogoliubovSolution:
     residuals: dict[str, float | np.ndarray] = field(default_factory=dict)
 
 
-def _plus_side(u: np.ndarray, v: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of d = diag(u^2), checked positive (d is D + W - W~ on the
-    plus side), b = g v v^T and d + 2b, of mode data u, v (..., I) and
-    couplings g (...)."""
-    d = u**2
-    # the eigenvalues of a diagonal matrix are its entries
-    _require_pd(np.sort(d, axis=-1), "D + W - W~")
-    b = _same_side(v, g)
-    # summed as (d + b) + b, whose rounding kernel_bound_fit's pinned bytes carry
-    return d, b, _diag(d) + b + b
-
-
 def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
     """`diagonalize` on mode data u, v (..., I) and couplings g (...): one
     system, or a stack of equal-size systems solved by stacked LAPACK and
     matmul calls.  The pair (D+W-W~, D+W+W~) is (d, d + 2b) and W = W~ = b;
     d is diagonal, so its root and inverse root are taken entrywise, with the
-    bits of its eigh roots, and its guard reads its entries.  Stacked calls, the residual norms over the last
-    two axes, det and trace give each matrix the bits of its 2-D call, so a
-    stack solves to the same bits as its systems one by one.
+    bits of its eigh roots, and its guard reads its entries.  Stacked calls,
+    the residual norms over the last two axes, det and trace give each matrix
+    the bits of its 2-D call, so a stack solves to the same bits as its
+    systems one by one.
     `trace_correction` is tr(E1 - d - b), the doubled tr(E - D - W) / 2.
     """
 
     def norm(x):
         return np.linalg.norm(x, axis=(-2, -1))
 
-    d, b, a_plus = _plus_side(u, v, g)
-    _require_pd(np.linalg.eigvalsh(a_plus), "D + W + W~")
+    d = u**2
+    # the eigenvalues of a diagonal matrix are its entries
+    _require_pd(np.sort(d, axis=-1), "D + W - W~")
+    b = _same_side(v, g)
+    # d + 2b summed as (d + b) + b, whose rounding kernel_bound_fit's pinned bytes carry
+    dw = _diag(d) + b
+    a_plus = dw + b
+    # d > 0, so d + 2 g v v^T has at most one eigenvalue below min d and is
+    # positive definite iff det(d + 2b) / det(d) = 1 + 2g v^T d^-1 v > 0 (matrix
+    # determinant lemma), the 1 + s(0) of rpa.ground_state_shift
+    secular = 1.0 + 2.0 * g * (v * v / d).sum(axis=-1)
+    _require_pd(secular[..., None], "D + W + W~", "secular value 1 + 2g v^T d^-1 v =")
     # diag(r) x as r[..., :, None] * x has the bits of the matmul
     rm = np.sqrt(d)[..., :, None]
-    e_sq = _sym(rm * a_plus * rm.swapaxes(-1, -2))
-    w_e2, q_e2 = _eigh_pd(e_sq, "(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2")
-    del e_sq
+    rmt = rm.swapaxes(-1, -2)
+    w_e2, q_e2 = _eigh_pd(rm * a_plus * rmt, "(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2")
     E = _apply(w_e2, q_e2, np.sqrt)
     S1 = rm * _apply(w_e2, q_e2, lambda x: x**-0.25)
     S2 = (1.0 / rm) * _apply(w_e2, q_e2, lambda x: x**0.25)  # equals (S1^T)^-1
-    del rm, w_e2, q_e2
+    # check_L_blocks' I + L1 from the same eigenpairs, and I + L2; their own
+    # eigh roots and logs keep the rebuild a second route to K
+    l1 = rm * _apply(w_e2, q_e2, lambda x: 1.0 / np.sqrt(x)) * rmt
+    log_l1 = 0.5 * _apply(*_eigh_pd(l1, "I + L1"), np.log)
+    del rm, rmt, w_e2, q_e2, l1
+    a_h = _apply(*_eigh_pd(a_plus, "D + W + W~"), np.sqrt)
+    l2 = a_h @ (d[..., :, None] * a_h)
+    l2 = _apply(*_eigh_pd(l2, "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x))
+    l2 = a_h @ l2 @ a_h
+    log_l2 = 0.5 * _apply(*_eigh_pd(l2, "I + L2"), np.log)
+    del a_h, l2
     # each residual is taken as soon as its inputs exist
     symplectic_plus = norm(S1.swapaxes(-1, -2) @ a_plus @ S1 - E) / norm(E)
     symplectic_minus = norm((S2.swapaxes(-1, -2) * d[..., None, :]) @ S2 - E) / norm(E)
@@ -292,18 +306,27 @@ def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
     K = _apply(w_s, q_s, lambda x: 0.5 * np.log(x))
     O = S1.swapaxes(-1, -2) @ _apply(w_s, q_s, lambda x: 1.0 / np.sqrt(x))
     del w_s, q_s
+    # the pair rotation takes [[0, K1], [K1, 0]] to diag(K1, -K1) and the
+    # rebuild to diag(log(I + L1), log(I + L2)) / 2; rotated back, their
+    # difference has the blocks (e1 +- e2) / 2
+    e1, e2 = log_l1 - K, log_l2 + K
+    l_block_dev = 0.5 * np.maximum(abs(e1 + e2).max(axis=(-2, -1)), abs(e1 - e2).max(axis=(-2, -1)))
+    del log_l1, log_l2, e1, e2
     coshK = _sym(0.5 * (S1 + S2) @ O)
     sinhK = _sym(0.5 * (S1 - S2) @ O)
-    dw = _diag(d) + b
     # a @ b @ c groups as (a @ b) @ c, so each product is taken once
     cd, sd = coshK @ dw, sinhK @ dw
     cw, sw = coshK @ b, sinhK @ b
     frakK = _sym(cd @ coshK + sd @ sinhK + cw @ sinhK + sw @ coshK)
     offdiagonal_rel = norm(cd @ sinhK + sd @ coshK + cw @ coshK + sw @ sinhK) / norm(dw)
     del cd, sd, cw, sw
+    # frakK is orthogonally equivalent to E, so their spectra agree
+    spec_f, spec_e = np.linalg.eigvalsh(np.stack([frakK, E]))
     ident = np.eye(u.shape[-1])
     residuals = {
         "offdiagonal_rel": offdiagonal_rel,
+        "spectrum_rel_dev": np.abs(spec_f - spec_e).max(axis=-1) / np.abs(spec_e).max(axis=-1),
+        "l_block_dev": l_block_dev,
         "symplectic_plus": symplectic_plus,
         "symplectic_minus": symplectic_minus,
         "hyperbolic": norm(coshK @ coshK - sinhK @ sinhK - ident),
@@ -358,36 +381,16 @@ def check_sinh_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:
     return float(_scaled_bound(sol.sinhK, ms).max())
 
 
-def _l_block_dev(u: np.ndarray, v: np.ndarray, g, K: np.ndarray):
-    """`check_L_blocks` on mode data u, v (..., I), couplings g (...) and
-    plus-side kernels K1 (..., I, I); a float for one system, an array over
-    a stack."""
-    d_diag, _, d2b = _plus_side(u, v, g)
-    # d^1/2 x d^1/2 as d_h * x * d_h^T, entrywise
-    d_h = np.sqrt(d_diag)[..., :, None]
-    d_ht = d_h.swapaxes(-1, -2)
-    d2b_h = _apply(*_eigh_pd(d2b, "d + 2b"), np.sqrt)
-    m1 = _apply(*_eigh_pd(d_h * d2b * d_ht, "d^1/2 (d+2b) d^1/2"), lambda x: 1.0 / np.sqrt(x))
-    m2 = d2b_h @ (d_diag[..., :, None] * d2b_h)
-    m2 = _apply(*_eigh_pd(m2, "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x))
-    # the pair rotation takes the doubled kernel [[0, K1], [K1, 0]] to
-    # diag(K1, -K1) and its rebuild to diag(log(I + L1), log(I + L2)) / 2
-    e1 = 0.5 * _apply(*_eigh_pd(d_h * m1 * d_ht, "I + L1"), np.log) - K
-    e2 = 0.5 * _apply(*_eigh_pd(d2b_h @ m2 @ d2b_h, "I + L2"), np.log) + K
-    # rotated back, the rebuild less the doubled kernel has the blocks (e1 +- e2) / 2
-    dev = 0.5 * np.maximum(abs(e1 + e2).max(axis=(-2, -1)), abs(e1 - e2).max(axis=(-2, -1)))
-    return dev
-
-
 def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution) -> float:
     """Max deviation between the kernel and its block-reduction reconstruction.
 
     The half-size blocks L1 = d^1/2 [d^1/2 (d+2b) d^1/2]^-1/2 d^1/2 - I and
     L2 = (d+2b)^1/2 [(d+2b)^1/2 d (d+2b)^1/2]^-1/2 (d+2b)^1/2 - I rebuild the
     doubled kernel through the plus/minus block rotation: L1 against the
-    solved K1, and L2 against the reflection identity K2 = -K1.
+    solved K1, and L2 against the reflection identity K2 = -K1.  The solve
+    of ms takes it, as its `l_block_dev` residual.
     """
-    return _l_block_dev(ms.u, ms.v, ms.g, sol.K)
+    return float(sol.residuals["l_block_dev"])
 
 
 def check_frakK_minus_D_bound(sol: BogoliubovSolution, ms: ModeSystem) -> float:

@@ -432,30 +432,22 @@ def exp_normalization_asymptotics(ctx: Context, *, k_fermi_sq=3600.5, m_patches=
 _STACK_ENTRIES = 1 << 13
 
 
+#: kernel_identities' columns after `size`, each a residual of the solve
+_IDENTITY_COLUMNS = (
+    "offdiagonal_rel", "spectrum_rel_dev", "l_block_dev", "hyperbolic", "orthogonality",
+    "symplectic_plus", "symplectic_minus", "det_O",
+)
+
+
 def _identity_rows(stack: list[bogokernel.ModeSystem]) -> list[dict]:
     """kernel_identities' rows, less the system number, of equal-size mode
     systems solved as one stack on their plus sides, built from their u, v
     and g."""
     u = np.stack([ms.u for ms in stack])
     v = np.stack([ms.v for ms in stack])
-    g = np.array([ms.g for ms in stack])
-    sol = bogokernel._solve(u, v, g)
-    l_dev = bogokernel._l_block_dev(u, v, g, sol.K)
-    spec_frak, spec_e = np.linalg.eigvalsh(np.stack([sol.frakK, sol.E]))
-    spec_dev = np.abs(spec_frak - spec_e).max(axis=-1) / np.abs(spec_e).max(axis=-1)
-    res = sol.residuals
+    res = bogokernel._solve(u, v, np.array([ms.g for ms in stack])).residuals
     return [
-        {
-            "size": stack[0].size,
-            "offdiagonal_rel": float(res["offdiagonal_rel"][j]),
-            "spectrum_rel_dev": float(spec_dev[j]),
-            "l_block_dev": float(l_dev[j]),
-            "hyperbolic": float(res["hyperbolic"][j]),
-            "orthogonality": float(res["orthogonality"][j]),
-            "symplectic_plus": float(res["symplectic_plus"][j]),
-            "symplectic_minus": float(res["symplectic_minus"][j]),
-            "det_O": float(res["det_O"][j]),
-        }
+        {"size": stack[0].size, **{name: float(res[name][j]) for name in _IDENTITY_COLUMNS}}
         for j in range(len(stack))
     ]
 
@@ -841,9 +833,12 @@ def load_config(doc: dict) -> RunConfig:
     if not (0.0 < delta < float(lattice.EQUATOR_DELTA_MAX)):
         raise ValueError(f"delta must lie in (0, {lattice.EQUATOR_DELTA_MAX})")
     experiments = list(doc.get("experiments", []))
-    for name in experiments:
+    for i, name in enumerate(experiments):
         if name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
+        # a second run would write its CSV again under one manifest entry
+        if name in experiments[:i]:
+            raise ValueError(f"experiment {name!r} is named twice in experiments")
     return RunConfig(
         k_fermi_sq=ksq,
         delta=delta,

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -692,6 +693,34 @@ def dense_bound_constants(ms: ModeSystem, sol: BogoliubovSolution) -> dict:
         "c_frak_minus_d": float((np.abs(sol.frakK - np.diag(u * u)) / frak_scale).max()),
         "scaled_kernel": scaled_k,
     }
+
+
+def exact_plus_side_solve(ms: ModeSystem, dps: int = 40) -> tuple[np.ndarray, np.ndarray, float]:
+    """K1, the ascending spectrum of E1 and tr(E1 - d - b) of a mode system,
+    from its u, v and g taken as exact, by mpmath at dps digits.
+
+    E1^2 = A = d^1/2 (d+2b) d^1/2 and S1 S1^T = d^1/2 A^-1/2 d^1/2, so the
+    kernel K1 = log(S1 S1^T) / 2 takes two symmetric eigendecompositions.
+    """
+    with mpmath.workdps(dps):
+        u = [mpmath.mpf(float(x)) for x in ms.u]
+        v = [mpmath.mpf(float(x)) for x in ms.v]
+        g = mpmath.mpf(float(ms.g))
+        n = len(u)
+        d = [x * x for x in u]
+        a = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                a[i, j] = u[i] * ((d[i] if i == j else 0) + 2 * g * v[i] * v[j]) * u[j]
+        lam, q = mpmath.eigsy(a)
+        root = mpmath.diag([1 / mpmath.sqrt(x) for x in lam])
+        du = mpmath.diag(u)
+        mu, p = mpmath.eigsy(du * q * root * q.T * du)
+        k1 = p * mpmath.diag([mpmath.log(x) / 2 for x in mu]) * p.T
+        spectrum = sorted(mpmath.sqrt(x) for x in lam)
+        trace = mpmath.fsum(spectrum) - mpmath.fsum(d) - g * mpmath.fsum(x * x for x in v)
+        kernel = np.array([[float(k1[i, j]) for j in range(n)] for i in range(n)])
+        return kernel, np.array([float(x) for x in spectrum]), float(trace)
 
 
 def eigvalsh_ground_state_shift(ms: ModeSystem) -> float:

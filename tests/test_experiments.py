@@ -267,19 +267,28 @@ def test_kernel_bound_fit_matches_the_dense_solve():
     assert len(rows) == 3
 
 
+def record_decompositions(monkeypatch, record):
+    """Route np.linalg.eigh and eigvalsh through record(name, a) before each
+    call, a the matrix argument."""
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            record(_name, a)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+
 def test_kernel_experiments_decompose_no_doubled_matrix(monkeypatch):
     # every eigh / eigvalsh call of kernel_identities and kernel_bound_fit is
     # on I x I matrices (stacked or not), I the plus side of the mode systems
     # being solved: none on the doubled 2I x 2I system
     shapes, current = [], []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-
-        def record(a, *args, _real=real, **kwargs):
-            shapes.append((current[-1] if current else None, np.shape(a)[-2:]))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, record)
+    record_decompositions(
+        monkeypatch,
+        lambda _name, a: shapes.append((current[-1] if current else None, np.shape(a)[-2:])),
+    )
 
     def solving(fn, side_of):
         def wrapped(arg, *args, **kwargs):
@@ -300,3 +309,26 @@ def test_kernel_experiments_decompose_no_doubled_matrix(monkeypatch):
     assert {side for side, _ in shapes} >= {1, 30}
     for side, shape in shapes:
         assert side is not None and shape == (side, side), (side, shape)
+
+
+def test_kernel_identities_decomposes_each_matrix_once(monkeypatch):
+    # each stack makes six eigh calls (d^1/2 (d+2b) d^1/2, S1 S1^T, d + 2b,
+    # (d+2b)^1/2 d (d+2b)^1/2, I + L1 and I + L2) and one eigvalsh (frakK
+    # and E stacked), and no two calls decompose the same matrices
+    calls, stacks = [], []
+    record_decompositions(monkeypatch, lambda name, a: calls.append((name, np.asarray(a).tobytes())))
+    real_rows = experiments._identity_rows
+
+    def rows(stack):
+        calls.clear()
+        out = real_rows(stack)
+        stacks.append(list(calls))
+        return out
+
+    monkeypatch.setattr(experiments, "_identity_rows", rows)
+    exp_kernel_identities(kernel_identities_context(1), n_systems=40)
+    assert len(stacks) > 10
+    for made in stacks:
+        names = [name for name, _ in made]
+        assert (names.count("eigh"), names.count("eigvalsh"), len(names)) == (6, 1, 7)
+        assert len({data for _, data in made}) == len(made)
