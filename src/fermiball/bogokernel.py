@@ -15,12 +15,10 @@ sinh K = [[0, S], [S, 0]], frakK = diag(F, F), the spectrum of E is that of
 E1 twice, and tr(E - D - W) / 2 = tr(E1 - d - b).  No 2I x 2I matrix is
 built; the general solve of the doubled D, W and W~, which does not call
 `_solve`, is the test reference in `tests/oracles.py`.
-Each solve checks itself: it builds d, b and d + 2b and decomposes
-d^1/2 (d+2b) d^1/2 once, and its residuals include the spectrum of frakK
-against E's and `check_L_blocks`' rebuild of K, which takes its own roots
-and logs past those shared eigenpairs.  Positive definiteness is a checked
-precondition, never silently clamped: d by its entries, d + 2b by its
-secular value 1 + 2g v^T d^-1 v, each decomposed matrix by its eigenvalues.
+A solve decomposes d^1/2 (d+2b) d^1/2 once and, unless told not to, checks
+itself on the same pieces: its residuals include `check_L_blocks`' rebuild
+of K and the spectrum of frakK against E's (see `_solve`).
+Positive definiteness is a checked precondition, never silently clamped.
 The arithmetic takes (..., I, I) arrays, so `kernel_identities` solves its
 random systems in stacks of equal size with the bits of one-by-one solves.
 The energy path solves no matrix: `rpa.ground_state_shift` reads the shift
@@ -69,11 +67,10 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _require_pd(w: np.ndarray, name: str, quantity: str = "smallest eigenvalue") -> None:
-    """Raise unless the ascending values w (..., n) of each matrix, its
-    eigenvalues or one value whose sign decides, are all clearly positive;
-    the error names the quantity and the first failing matrix of a stack by
-    its flat index."""
+def _require_pd(w: np.ndarray, name: str) -> None:
+    """Raise unless the ascending eigenvalues w (..., n) of each matrix are
+    all clearly positive; the error names the first failing matrix of a
+    stack by its flat index."""
     tol = 1e-12 * np.maximum(np.maximum(abs(w[..., 0]), abs(w[..., -1])), 1e-300)
     bad = np.flatnonzero(w[..., 0] <= tol)
     if bad.size:
@@ -81,7 +78,7 @@ def _require_pd(w: np.ndarray, name: str, quantity: str = "smallest eigenvalue")
         where = f" (matrix {i} of the stack)" if w.ndim > 1 else ""
         smallest = w.reshape(-1, w.shape[-1])[i, 0]
         raise DiagonalizationError(
-            f"{name} is not positive definite{where}: {quantity} {smallest:.3e}"
+            f"{name} is not positive definite{where}: smallest eigenvalue {smallest:.3e}"
         )
 
 
@@ -253,7 +250,7 @@ class BogoliubovSolution:
     residuals: dict[str, float | np.ndarray] = field(default_factory=dict)
 
 
-def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
+def _solve(u: np.ndarray, v: np.ndarray, g, checked: bool = True) -> BogoliubovSolution:
     """`diagonalize` on mode data u, v (..., I) and couplings g (...): one
     system, or a stack of equal-size systems solved by stacked LAPACK and
     matmul calls.  The pair (D+W-W~, D+W+W~) is (d, d + 2b) and W = W~ = b;
@@ -263,6 +260,8 @@ def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
     the bits of its 2-D call, so a stack solves to the same bits as its
     systems one by one.
     `trace_correction` is tr(E1 - d - b), the doubled tr(E - D - W) / 2.
+    When `checked`, the residuals also hold `l_block_dev` and `spectrum_rel_dev`,
+    for four more `eigh` calls: nearly twice the time at I = 2048.
     """
 
     def norm(x):
@@ -275,11 +274,11 @@ def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
     # d + 2b summed as (d + b) + b, whose rounding kernel_bound_fit's pinned bytes carry
     dw = _diag(d) + b
     a_plus = dw + b
-    # d > 0, so d + 2 g v v^T has at most one eigenvalue below min d and is
-    # positive definite iff det(d + 2b) / det(d) = 1 + 2g v^T d^-1 v > 0 (matrix
-    # determinant lemma), the 1 + s(0) of rpa.ground_state_shift
-    secular = 1.0 + 2.0 * g * (v * v / d).sum(axis=-1)
-    _require_pd(secular[..., None], "D + W + W~", "secular value 1 + 2g v^T d^-1 v =")
+    if checked:
+        # the L2 rebuild's root of d + 2b; its eigenvalues are the guard
+        a_h = _apply(*_eigh_pd(a_plus, "D + W + W~"), np.sqrt)
+    else:
+        _require_pd(np.linalg.eigvalsh(a_plus), "D + W + W~")
     # diag(r) x as r[..., :, None] * x has the bits of the matmul
     rm = np.sqrt(d)[..., :, None]
     rmt = rm.swapaxes(-1, -2)
@@ -287,18 +286,17 @@ def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
     E = _apply(w_e2, q_e2, np.sqrt)
     S1 = rm * _apply(w_e2, q_e2, lambda x: x**-0.25)
     S2 = (1.0 / rm) * _apply(w_e2, q_e2, lambda x: x**0.25)  # equals (S1^T)^-1
-    # check_L_blocks' I + L1 from the same eigenpairs, and I + L2; their own
-    # eigh roots and logs keep the rebuild a second route to K
-    l1 = rm * _apply(w_e2, q_e2, lambda x: 1.0 / np.sqrt(x)) * rmt
-    log_l1 = 0.5 * _apply(*_eigh_pd(l1, "I + L1"), np.log)
-    del rm, rmt, w_e2, q_e2, l1
-    a_h = _apply(*_eigh_pd(a_plus, "D + W + W~"), np.sqrt)
-    l2 = a_h @ (d[..., :, None] * a_h)
-    l2 = _apply(*_eigh_pd(l2, "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x))
-    l2 = a_h @ l2 @ a_h
-    log_l2 = 0.5 * _apply(*_eigh_pd(l2, "I + L2"), np.log)
-    del a_h, l2
-    # each residual is taken as soon as its inputs exist
+    if checked:
+        # I + L1 = d^1/2 E^-1 d^1/2 is S1 S1^T; only the L2 half, from its own
+        # roots of d + 2b and (d+2b)^1/2 d (d+2b)^1/2, is a second route to K
+        l1 = rm * _apply(w_e2, q_e2, lambda x: 1.0 / np.sqrt(x)) * rmt
+        log_l1 = 0.5 * _apply(*_eigh_pd(l1, "I + L1"), np.log)
+        l2 = a_h @ (d[..., :, None] * a_h)
+        l2 = _apply(*_eigh_pd(l2, "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x))
+        l2 = a_h @ l2 @ a_h
+        log_l2 = 0.5 * _apply(*_eigh_pd(l2, "I + L2"), np.log)
+        del a_h, l1, l2
+    del rm, rmt, w_e2, q_e2
     symplectic_plus = norm(S1.swapaxes(-1, -2) @ a_plus @ S1 - E) / norm(E)
     symplectic_minus = norm((S2.swapaxes(-1, -2) * d[..., None, :]) @ S2 - E) / norm(E)
     del a_plus
@@ -306,12 +304,13 @@ def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
     K = _apply(w_s, q_s, lambda x: 0.5 * np.log(x))
     O = S1.swapaxes(-1, -2) @ _apply(w_s, q_s, lambda x: 1.0 / np.sqrt(x))
     del w_s, q_s
-    # the pair rotation takes [[0, K1], [K1, 0]] to diag(K1, -K1) and the
-    # rebuild to diag(log(I + L1), log(I + L2)) / 2; rotated back, their
-    # difference has the blocks (e1 +- e2) / 2
-    e1, e2 = log_l1 - K, log_l2 + K
-    l_block_dev = 0.5 * np.maximum(abs(e1 + e2).max(axis=(-2, -1)), abs(e1 - e2).max(axis=(-2, -1)))
-    del log_l1, log_l2, e1, e2
+    if checked:
+        # the pair rotation takes [[0, K1], [K1, 0]] to diag(K1, -K1) and the
+        # rebuild to diag(log(I + L1), log(I + L2)) / 2; rotated back, their
+        # difference has the blocks (e1 +- e2) / 2
+        e1, e2 = log_l1 - K, log_l2 + K
+        l_block_dev = 0.5 * abs(np.stack([e1 + e2, e1 - e2])).max(axis=(0, -2, -1))
+        del log_l1, log_l2, e1, e2
     coshK = _sym(0.5 * (S1 + S2) @ O)
     sinhK = _sym(0.5 * (S1 - S2) @ O)
     # a @ b @ c groups as (a @ b) @ c, so each product is taken once
@@ -320,13 +319,9 @@ def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
     frakK = _sym(cd @ coshK + sd @ sinhK + cw @ sinhK + sw @ coshK)
     offdiagonal_rel = norm(cd @ sinhK + sd @ coshK + cw @ coshK + sw @ sinhK) / norm(dw)
     del cd, sd, cw, sw
-    # frakK is orthogonally equivalent to E, so their spectra agree
-    spec_f, spec_e = np.linalg.eigvalsh(np.stack([frakK, E]))
     ident = np.eye(u.shape[-1])
     residuals = {
         "offdiagonal_rel": offdiagonal_rel,
-        "spectrum_rel_dev": np.abs(spec_f - spec_e).max(axis=-1) / np.abs(spec_e).max(axis=-1),
-        "l_block_dev": l_block_dev,
         "symplectic_plus": symplectic_plus,
         "symplectic_minus": symplectic_minus,
         "hyperbolic": norm(coshK @ coshK - sinhK @ sinhK - ident),
@@ -334,19 +329,25 @@ def _solve(u: np.ndarray, v: np.ndarray, g) -> BogoliubovSolution:
         "kernel_asymmetry": norm(K - K.swapaxes(-1, -2)),
         "det_O": np.linalg.det(O),
     }
+    if checked:
+        residuals["l_block_dev"] = l_block_dev
+        # frakK is orthogonally equivalent to E, so their spectra agree
+        spec_f, spec_e = np.linalg.eigvalsh(np.stack([frakK, E]))
+        residuals["spectrum_rel_dev"] = np.abs(spec_f - spec_e).max(axis=-1) / np.abs(spec_e).max(axis=-1)
     trace_correction = np.trace(E - dw, axis1=-2, axis2=-1)
     return BogoliubovSolution(E, S1, S2, O, K, coshK, sinhK, frakK, trace_correction, residuals)
 
 
-def diagonalize(ms: ModeSystem) -> BogoliubovSolution:
+def diagonalize(ms: ModeSystem, *, checked: bool = True) -> BogoliubovSolution:
     """Solve the quadratic mode problem for one momentum, on its plus side.
 
     With (D+W-W~, D+W+W~) = (d, d + 2b): E = [d^1/2 (d+2b) d^1/2]^1/2,
     S1 = d^1/2 E^-1/2, S2 = (S1^T)^-1, polar part O of S1^T, K = log|S1^T|,
     and the transformed matrix frakK, which is orthogonally equivalent to E.
-    The doubled K, cosh K, sinh K and frakK read from these in closed form.
+    The doubled K, cosh K, sinh K and frakK read from these in closed form;
+    checked=False skips `_solve`'s checks, for callers that read only these.
     """
-    return _solve(ms.u, ms.v, ms.g)
+    return _solve(ms.u, ms.v, ms.g, checked)
 
 
 def _scaled_bound(mat: np.ndarray, ms: ModeSystem) -> np.ndarray:
@@ -387,8 +388,8 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution) -> float:
     The half-size blocks L1 = d^1/2 [d^1/2 (d+2b) d^1/2]^-1/2 d^1/2 - I and
     L2 = (d+2b)^1/2 [(d+2b)^1/2 d (d+2b)^1/2]^-1/2 (d+2b)^1/2 - I rebuild the
     doubled kernel through the plus/minus block rotation: L1 against the
-    solved K1, and L2 against the reflection identity K2 = -K1.  The solve
-    of ms takes it, as its `l_block_dev` residual.
+    solved K1 (I + L1 is S1 S1^T, so only L2 is a second route), and L2
+    against K2 = -K1; the checked solve that gave sol took it as `l_block_dev`.
     """
     return float(sol.residuals["l_block_dev"])
 

@@ -294,6 +294,31 @@ def test_stack_solves_to_the_bits_of_single_systems(side):
         assert stacked.residuals["l_block_dev"][j] == check_L_blocks(ms, single)
 
 
+@pytest.mark.parametrize("side", [1, 30])
+def test_unchecked_solve_has_the_bits_of_the_checked_one(monkeypatch, side):
+    # checked=False drops l_block_dev and spectrum_rel_dev and their LAPACK
+    # calls: d + 2b is guarded by eigvalsh, and only the sandwich and S1 S1^T
+    # are decomposed
+    u, v, g = stacked_data(equal_size_systems(side))
+    checked = _solve(u, v, g)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    unchecked = _solve(u, v, g, checked=False)
+    assert sorted(calls) == ["eigh", "eigh", "eigvalsh"]
+    for name in ("E", "S1", "S2", "O", "K", "coshK", "sinhK", "frakK", "trace_correction"):
+        assert np.array_equal(getattr(unchecked, name), getattr(checked, name)), name
+    assert set(checked.residuals) - set(unchecked.residuals) == {"l_block_dev", "spectrum_rel_dev"}
+    for name, value in unchecked.residuals.items():
+        assert np.array_equal(value, checked.residuals[name]), name
+
+
 @pytest.mark.parametrize("stack", [None, 7])
 def test_diagonal_root_has_the_bits_of_the_eigh_root(stack):
     # _solve takes d^1/2 and d^-1/2 entrywise; the eigh roots
@@ -316,14 +341,14 @@ def test_non_pd_matrix_in_a_stack_is_named():
     with pytest.raises(DiagonalizationError, match=r"D \+ W - W~ .*\(matrix 1 of the stack\)"):
         _solve(zeroed, v, g)
     # d stays positive; a coupling below -1 / (2 v^T d^-1 v) makes d + 2b
-    # indefinite, and the error names the secular value it tested
+    # indefinite, and the error names its negative eigenvalue
     g[1] = -1.5 / (2.0 * (v[1] ** 2 / u[1] ** 2).sum())
-    with pytest.raises(DiagonalizationError) as err:
-        _solve(u, v, g)
-    message = str(err.value)
-    assert re.search(r"D \+ W \+ W~ is not positive definite \(matrix 1 of the stack\)", message)
-    assert "secular value 1 + 2g v^T d^-1 v = -5.000e-01" in message
-    assert "eigenvalue" not in message
+    for checked in (True, False):
+        with pytest.raises(DiagonalizationError) as err:
+            _solve(u, v, g, checked)
+        message = str(err.value)
+        assert re.search(r"D \+ W \+ W~ is not positive definite \(matrix 1 of the stack\)", message)
+        assert re.search(r"smallest eigenvalue -\d", message)
 
 
 # ------------------------------------------------------------ errors
@@ -372,36 +397,17 @@ def test_non_pd_input_rejected():
         _solve(ms.u, ms.v, g)
 
 
-def test_secular_guard_agrees_with_the_spectrum_of_d_plus_2b():
-    # matrix determinant lemma: with d > 0, d + 2 g v v^T is positive definite
-    # iff 1 + 2 g v^T d^-1 v > 0; each coupling is set for a secular value of
-    # -0.01 or 0.01, and eigvalsh's smallest eigenvalue has the same sign
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        ms = sample_mode_system(rng, max_side=12)
-        d = ms.u**2
-        for secular in (-0.01, 0.01):
-            g = (secular - 1.0) / (2.0 * (ms.v**2 / d).sum())
-            smallest = np.linalg.eigvalsh(_diag(d) + 2.0 * g * np.outer(ms.v, ms.v))[0]
-            if secular < 0:
-                assert smallest < 0
-                with pytest.raises(DiagonalizationError, match="secular value"):
-                    _solve(ms.u, ms.v, g)
-            else:
-                assert smallest > 0
-                _solve(ms.u, ms.v, g)
-
-
 def test_nearly_singular_d_plus_2b_is_refused():
-    # a secular value of about 1e-14 is refused, by the secular guard or, if
-    # it passed, by the sandwich guard
+    # with d > 0, det(d + 2b) / det(d) = 1 + 2g v^T d^-1 v (matrix determinant
+    # lemma); at about 1e-14 the smallest eigenvalue of d + 2b is within the
+    # guard's relative tolerance, checked or not
     ms = equal_size_systems(6)[0]
     d = ms.u**2
     g = -(1.0 - 1e-14) / (2.0 * (ms.v**2 / d).sum())
     assert 0.0 < 1.0 + 2.0 * g * (ms.v**2 / d).sum() < 1e-13
-    sandwich = r"\(D\+W-W~\)\^1/2 \(D\+W\+W~\) \(D\+W-W~\)\^1/2"
-    with pytest.raises(DiagonalizationError, match=rf"D \+ W \+ W~|{sandwich}"):
-        _solve(ms.u, ms.v, g)
+    for checked in (True, False):
+        with pytest.raises(DiagonalizationError, match=r"D \+ W \+ W~ is not positive definite"):
+            _solve(ms.u, ms.v, g, checked)
 
 
 # ------------------------------------------------------------ dumps

@@ -311,10 +311,22 @@ def test_kernel_experiments_decompose_no_doubled_matrix(monkeypatch):
         assert side is not None and shape == (side, side), (side, shape)
 
 
+def test_kernel_bound_fit_solves_without_the_checks(monkeypatch):
+    # kernel_bound_fit reads only K, sinh K and frakK, so each of its solves
+    # makes two eigh calls (the sandwich and S1 S1^T) and guards d + 2b by
+    # one eigvalsh, as a solve did before it checked itself
+    names = []
+    record_decompositions(monkeypatch, lambda name, _a: names.append(name))
+    solves = len(exp_kernel_bound_fit(kernel_bound_fit_context()))
+    assert (names.count("eigh"), names.count("eigvalsh"), len(names)) == (2 * solves, solves, 3 * solves)
+
+
 def test_kernel_identities_decomposes_each_matrix_once(monkeypatch):
-    # each stack makes six eigh calls (d^1/2 (d+2b) d^1/2, S1 S1^T, d + 2b,
-    # (d+2b)^1/2 d (d+2b)^1/2, I + L1 and I + L2) and one eigvalsh (frakK
-    # and E stacked), and no two calls decompose the same matrices
+    # each stack makes six eigh calls (d + 2b, d^1/2 (d+2b) d^1/2, I + L1,
+    # (d+2b)^1/2 d (d+2b)^1/2, I + L2 and S1 S1^T) and one eigvalsh (frakK
+    # and E stacked), and no two calls decompose the same bytes; I + L1 and
+    # S1 S1^T are one matrix in exact arithmetic, built by different roundings,
+    # which a byte comparison does not see
     calls, stacks = [], []
     record_decompositions(monkeypatch, lambda name, a: calls.append((name, np.asarray(a).tobytes())))
     real_rows = experiments._identity_rows
