@@ -16,8 +16,8 @@ E1 twice, and tr(E - D - W) / 2 = tr(E1 - d - b).  No 2I x 2I matrix is
 built; the general solve of the doubled D, W and W~, which does not call
 `_solve`, is the test reference in `tests/oracles.py`.
 A solve decomposes d^1/2 (d+2b) d^1/2 once and, unless told not to, checks
-itself on the same pieces: its residuals include `check_L_blocks`' rebuild
-of K and the spectrum of frakK against E's (see `_solve`).
+itself: its residuals include the L2 block's rebuild of K, a second route,
+and the spectrum of frakK against E's (see `_solve`).
 Positive definiteness is a checked precondition, never silently clamped.
 The arithmetic takes (..., I, I) arrays, so `kernel_identities` solves its
 random systems in stacks of equal size with the bits of one-by-one solves.
@@ -260,8 +260,8 @@ def _solve(u: np.ndarray, v: np.ndarray, g, checked: bool = True) -> BogoliubovS
     the bits of its 2-D call, so a stack solves to the same bits as its
     systems one by one.
     `trace_correction` is tr(E1 - d - b), the doubled tr(E - D - W) / 2.
-    When `checked`, the residuals also hold `l_block_dev` and `spectrum_rel_dev`,
-    for four more `eigh` calls: nearly twice the time at I = 2048.
+    When `checked`, the residuals also hold `l_block_dev` (the L2 rebuild of
+    K) and `spectrum_rel_dev`, for five `eigh` calls in place of two.
     """
 
     def norm(x):
@@ -281,22 +281,11 @@ def _solve(u: np.ndarray, v: np.ndarray, g, checked: bool = True) -> BogoliubovS
         _require_pd(np.linalg.eigvalsh(a_plus), "D + W + W~")
     # diag(r) x as r[..., :, None] * x has the bits of the matmul
     rm = np.sqrt(d)[..., :, None]
-    rmt = rm.swapaxes(-1, -2)
-    w_e2, q_e2 = _eigh_pd(rm * a_plus * rmt, "(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2")
+    w_e2, q_e2 = _eigh_pd(rm * a_plus * rm.swapaxes(-1, -2), "(D+W-W~)^1/2 (D+W+W~) (D+W-W~)^1/2")
     E = _apply(w_e2, q_e2, np.sqrt)
     S1 = rm * _apply(w_e2, q_e2, lambda x: x**-0.25)
     S2 = (1.0 / rm) * _apply(w_e2, q_e2, lambda x: x**0.25)  # equals (S1^T)^-1
-    if checked:
-        # I + L1 = d^1/2 E^-1 d^1/2 is S1 S1^T; only the L2 half, from its own
-        # roots of d + 2b and (d+2b)^1/2 d (d+2b)^1/2, is a second route to K
-        l1 = rm * _apply(w_e2, q_e2, lambda x: 1.0 / np.sqrt(x)) * rmt
-        log_l1 = 0.5 * _apply(*_eigh_pd(l1, "I + L1"), np.log)
-        l2 = a_h @ (d[..., :, None] * a_h)
-        l2 = _apply(*_eigh_pd(l2, "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x))
-        l2 = a_h @ l2 @ a_h
-        log_l2 = 0.5 * _apply(*_eigh_pd(l2, "I + L2"), np.log)
-        del a_h, l1, l2
-    del rm, rmt, w_e2, q_e2
+    del rm, w_e2, q_e2
     symplectic_plus = norm(S1.swapaxes(-1, -2) @ a_plus @ S1 - E) / norm(E)
     symplectic_minus = norm((S2.swapaxes(-1, -2) * d[..., None, :]) @ S2 - E) / norm(E)
     del a_plus
@@ -305,12 +294,15 @@ def _solve(u: np.ndarray, v: np.ndarray, g, checked: bool = True) -> BogoliubovS
     O = S1.swapaxes(-1, -2) @ _apply(w_s, q_s, lambda x: 1.0 / np.sqrt(x))
     del w_s, q_s
     if checked:
-        # the pair rotation takes [[0, K1], [K1, 0]] to diag(K1, -K1) and the
-        # rebuild to diag(log(I + L1), log(I + L2)) / 2; rotated back, their
-        # difference has the blocks (e1 +- e2) / 2
-        e1, e2 = log_l1 - K, log_l2 + K
-        l_block_dev = 0.5 * abs(np.stack([e1 + e2, e1 - e2])).max(axis=(0, -2, -1))
-        del log_l1, log_l2, e1, e2
+        # from its own roots of d + 2b and (d+2b)^1/2 d (d+2b)^1/2, L2 rebuilds
+        # -K1 as log(I + L2) / 2 (I + L1 is S1 S1^T, whose log is 2 K1); rotated
+        # back, the doubled kernel's deviation has the blocks
+        # +-(log(I + L2) / 2 + K1) / 2
+        l2 = a_h @ (d[..., :, None] * a_h)
+        l2 = _apply(*_eigh_pd(l2, "(d+2b)^1/2 d (d+2b)^1/2"), lambda x: 1.0 / np.sqrt(x))
+        l2 = _apply(*_eigh_pd(a_h @ l2 @ a_h, "I + L2"), np.log)
+        l_block_dev = 0.5 * abs(0.5 * l2 + K).max(axis=(-2, -1))
+        del a_h, l2
     coshK = _sym(0.5 * (S1 + S2) @ O)
     sinhK = _sym(0.5 * (S1 - S2) @ O)
     # a @ b @ c groups as (a @ b) @ c, so each product is taken once
@@ -326,7 +318,6 @@ def _solve(u: np.ndarray, v: np.ndarray, g, checked: bool = True) -> BogoliubovS
         "symplectic_minus": symplectic_minus,
         "hyperbolic": norm(coshK @ coshK - sinhK @ sinhK - ident),
         "orthogonality": norm(O.swapaxes(-1, -2) @ O - ident),
-        "kernel_asymmetry": norm(K - K.swapaxes(-1, -2)),
         "det_O": np.linalg.det(O),
     }
     if checked:
@@ -346,6 +337,8 @@ def diagonalize(ms: ModeSystem, *, checked: bool = True) -> BogoliubovSolution:
     and the transformed matrix frakK, which is orthogonally equivalent to E.
     The doubled K, cosh K, sinh K and frakK read from these in closed form;
     checked=False skips `_solve`'s checks, for callers that read only these.
+    `trace_correction` cancels tr d against tr E1: its error is small on the
+    scale of tr d, not always on that of the correction itself.
     """
     return _solve(ms.u, ms.v, ms.g, checked)
 
@@ -387,9 +380,10 @@ def check_L_blocks(ms: ModeSystem, sol: BogoliubovSolution) -> float:
 
     The half-size blocks L1 = d^1/2 [d^1/2 (d+2b) d^1/2]^-1/2 d^1/2 - I and
     L2 = (d+2b)^1/2 [(d+2b)^1/2 d (d+2b)^1/2]^-1/2 (d+2b)^1/2 - I rebuild the
-    doubled kernel through the plus/minus block rotation: L1 against the
-    solved K1 (I + L1 is S1 S1^T, so only L2 is a second route), and L2
-    against K2 = -K1; the checked solve that gave sol took it as `l_block_dev`.
+    doubled kernel through the plus/minus block rotation, as log(I + L1) / 2
+    = K1 and log(I + L2) / 2 = K2 = -K1.  I + L1 is S1 S1^T, from which the
+    solve takes K1, so L2 is the one second route: the checked solve that
+    gave sol took its deviation from -K1 as `l_block_dev`.
     """
     return float(sol.residuals["l_block_dev"])
 

@@ -359,7 +359,9 @@ def _first_joining_length(decomp, points, labels, clearance, radius) -> float:
     # the band is symmetric and lexicographic: its upper half is the d > 0 half
     offsets = offsets[len(offsets) // 2 :]
     norms = (offsets * offsets).sum(axis=1)
-    for norm in np.unique(norms):
+    # the distinct norms in ascending order (np.unique would import numpy.ma)
+    lengths = np.sort(norms)
+    for norm in lengths[np.diff(lengths, prepend=-1) != 0]:
         length = math.sqrt(norm)
         near = np.flatnonzero(clearance <= length)
         ds = offsets[norms == norm]

@@ -663,7 +663,6 @@ def dense_solve(D: np.ndarray, W: np.ndarray, Wt: np.ndarray) -> BogoliubovSolut
         "symplectic_minus": symplectic_minus,
         "hyperbolic": _per_matrix(norm, coshK @ coshK - sinhK @ sinhK - ident),
         "orthogonality": _per_matrix(norm, O.swapaxes(-1, -2) @ O - ident),
-        "kernel_asymmetry": _per_matrix(norm, K - K.swapaxes(-1, -2)),
         "det_O": _per_matrix(np.linalg.det, O),
     }
     trace_correction = _per_matrix(np.trace, E - D - W)

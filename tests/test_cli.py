@@ -213,6 +213,7 @@ def test_run_of_every_experiment_does_not_import_scipy(tmp_path):
         f"manifest, ok = run_experiments(load_config(json.loads({json.dumps(doc)!r})))\n"
         "assert ok, manifest['experiments']\n"
         "assert 'scipy' not in sys.modules, 'a run imported scipy'\n"
+        "assert 'numpy.ma' not in sys.modules, 'a run imported numpy.ma'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
     proc = subprocess.run(
@@ -533,7 +534,7 @@ SINGLE_CSV_SHA256 = {
     # 40 random systems up to side 30, solved in equal-size stacks
     "kernel_identities": (
         {"n_systems": 40, "max_side": 30},
-        "795fdcff444016c747af1d7fee5730a168b07ea808884dcb72007135533911fa",
+        "53aa1bcf83a338f231017ad7da809771f22c80c50fe170ff8660f101690381ad",
     ),
     # no seed and no lattice input
     "small_v_fit": ({}, "1da7fa46776fb140c8ada21d0d6f605f26f3f3cf0077b528b266e44ec2f583e9"),

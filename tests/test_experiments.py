@@ -322,11 +322,9 @@ def test_kernel_bound_fit_solves_without_the_checks(monkeypatch):
 
 
 def test_kernel_identities_decomposes_each_matrix_once(monkeypatch):
-    # each stack makes six eigh calls (d + 2b, d^1/2 (d+2b) d^1/2, I + L1,
-    # (d+2b)^1/2 d (d+2b)^1/2, I + L2 and S1 S1^T) and one eigvalsh (frakK
-    # and E stacked), and no two calls decompose the same bytes; I + L1 and
-    # S1 S1^T are one matrix in exact arithmetic, built by different roundings,
-    # which a byte comparison does not see
+    # each stack makes five eigh calls (d + 2b, d^1/2 (d+2b) d^1/2, S1 S1^T,
+    # (d+2b)^1/2 d (d+2b)^1/2 and I + L2) and one eigvalsh (frakK and E
+    # stacked), and no two calls decompose the same bytes
     calls, stacks = [], []
     record_decompositions(monkeypatch, lambda name, a: calls.append((name, np.asarray(a).tobytes())))
     real_rows = experiments._identity_rows
@@ -342,5 +340,5 @@ def test_kernel_identities_decomposes_each_matrix_once(monkeypatch):
     assert len(stacks) > 10
     for made in stacks:
         names = [name for name, _ in made]
-        assert (names.count("eigh"), names.count("eigvalsh"), len(names)) == (6, 1, 7)
+        assert (names.count("eigh"), names.count("eigvalsh"), len(names)) == (5, 1, 6)
         assert len({data for _, data in made}) == len(made)
