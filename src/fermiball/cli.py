@@ -37,6 +37,11 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: output directory {config.output_dir}: {err.strerror}", file=sys.stderr)
+        return 1
     manifest, all_ok = run_experiments(config)
     for name, entry in manifest["experiments"].items():
         status = entry["status"]
@@ -74,7 +79,12 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute the experiments named in a config")
     p_run.add_argument("--config", required=True, help="path to a JSON run config")
-    p_run.add_argument("--workers", type=int, default=None, help="parallel experiment count")
+    p_run.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="checked (>= 1) but without effect: experiments run one after another",
+    )
     p_run.add_argument("--out", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or config)")
     p_run.set_defaults(fn=_cmd_run)
 

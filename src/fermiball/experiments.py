@@ -17,9 +17,7 @@ import logging
 import math
 import resource
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -75,6 +73,7 @@ class RunConfig:
     experiments: list[str]
     output_dir: Path
     seed: int = 0
+    #: checked and echoed in the manifest; experiments run one at a time
     workers: int = 1
     options: dict = field(default_factory=dict)
 
@@ -115,25 +114,16 @@ def default_potential() -> InteractionPotential:
 
 
 class BallCache:
-    """Fermi balls by exact squared radius, shared by the worker threads.
-
-    A per-radius lock makes a thread that asks for a ball under construction
-    wait for it, so each radius is built once.
-    """
+    """Fermi balls by exact squared radius, each radius built once per run."""
 
     def __init__(self):
         self._balls: dict[str, FermiBall] = {}
-        self._locks: dict[str, threading.Lock] = {}
-        self._guard = threading.Lock()
 
     def get(self, ksq) -> FermiBall:
         key = str(Fraction(ksq))
-        with self._guard:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            if key not in self._balls:
-                self._balls[key] = build_fermi_ball(k_fermi_sq=Fraction(ksq))
-            return self._balls[key]
+        if key not in self._balls:
+            self._balls[key] = build_fermi_ball(k_fermi_sq=Fraction(ksq))
+        return self._balls[key]
 
 
 @dataclass
@@ -862,40 +852,34 @@ def _sha256(path: Path) -> str:
 def run_experiments(config: RunConfig) -> tuple[dict, bool]:
     """Execute the configured experiments; returns (manifest, all_ok).
 
-    Experiments run concurrently up to the worker count; CSV rows follow the
-    parameter grids, never completion order, so outputs are reproducible.
+    Experiments run one after another in the calling thread, in config order,
+    and each writes its CSV as it finishes; the config's ``workers`` key is
+    accepted and echoed but has no effect.
     """
     t_run = time.perf_counter()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     ctx = Context(config=config, balls=BallCache())
     results: dict[str, dict] = {}
-
-    def job(name: str):
-        t0 = time.perf_counter()
-        rows = EXPERIMENTS[name](ctx, **config.options.get(name, {}))
-        return rows, time.perf_counter() - t0
-
     all_ok = True
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = {name: pool.submit(job, name) for name in config.experiments}
-        for name in config.experiments:
-            entry: dict = {}
-            try:
-                rows, elapsed = futures[name].result()
-                path = config.output_dir / f"{name}.csv"
-                _write_csv(path, rows)
-                entry = {
-                    "status": "ok",
-                    "file": path.name,
-                    "rows": len(rows),
-                    "runtime_s": round(elapsed, 3),
-                    "sha256": _sha256(path),
-                }
-            except Exception as err:  # noqa: BLE001 - recorded, run continues
-                log.error("experiment %s failed: %s", name, err)
-                entry = {"status": "failed", "error": f"{type(err).__name__}: {err}"}
-                all_ok = False
-            results[name] = entry
+    for name in config.experiments:
+        try:
+            t0 = time.perf_counter()
+            rows = EXPERIMENTS[name](ctx, **config.options.get(name, {}))
+            elapsed = time.perf_counter() - t0
+            path = config.output_dir / f"{name}.csv"
+            _write_csv(path, rows)
+            entry = {
+                "status": "ok",
+                "file": path.name,
+                "rows": len(rows),
+                "runtime_s": round(elapsed, 3),
+                "sha256": _sha256(path),
+            }
+        except Exception as err:  # noqa: BLE001 - recorded, run continues
+            log.error("experiment %s failed: %s", name, err)
+            entry = {"status": "failed", "error": f"{type(err).__name__}: {err}"}
+            all_ok = False
+        results[name] = entry
 
     from . import __version__
 

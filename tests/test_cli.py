@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,33 +225,16 @@ def test_ball_cache_builds_each_radius_once(monkeypatch):
     builds = []
     real_build = experiments.build_fermi_ball
 
-    def slow_counting_build(**kwargs):
+    def counting_build(**kwargs):
         builds.append(kwargs["k_fermi_sq"])
-        time.sleep(0.2)
         return real_build(**kwargs)
 
-    monkeypatch.setattr(experiments, "build_fermi_ball", slow_counting_build)
+    monkeypatch.setattr(experiments, "build_fermi_ball", counting_build)
     cache = experiments.BallCache()
-    start = threading.Barrier(4)
-    got = []
-
-    def worker():
-        start.wait(timeout=10)
-        got.append(cache.get(20.5))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(builds) == 1
-    assert len(got) == 4 and all(ball is got[0] for ball in got)
+    got = [cache.get(ksq) for ksq in (20.5, 4.5, 20.5, Fraction(41, 2), 4.5)]
+    assert builds == [Fraction(41, 2), Fraction(9, 2)]
+    assert got[0] is got[2] is got[3] and got[1] is got[4]
+    assert got[0] is not got[1]
 
 
 # ------------------------------------------------------------ CLI commands
@@ -375,7 +357,7 @@ CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob(
 
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda path: path.name)
 def test_config_files_load(path):
-    # validated only: running reach.json takes about 6 s (41 MB peak RSS, 2-core VM)
+    # validated only: running reach.json takes 5.1-5.3 s (39 MB peak RSS, 2-core VM)
     config = load_config(json.loads(path.read_text()))
     assert config.experiments
     if path.name == "reach.json":
@@ -716,14 +698,52 @@ def test_run_names_an_out_of_range_count(tmp_path, experiment, options, named):
     assert entry["error"] == f"ExperimentError: {named}"
 
 
-def test_run_workers_parallel(tmp_path):
-    path = write_config(
-        tmp_path,
-        experiments=["gauss_count", "small_v_fit"],
-        workers=2,
-        options={"gauss_count": {"k_fermi_sq_grid": [4.5]}},
-    )
+def test_run_workers_key_has_no_effect(tmp_path):
+    # experiments run one after another whatever the worker count
+    digests = {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        path = write_config(
+            tmp_path,
+            experiments=["gauss_count", "small_v_fit", "ellipse_count"],
+            workers=workers,
+            output_dir=str(out),
+            options={"gauss_count": {"k_fermi_sq_grid": [4.5]}},
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        digests[workers] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert len(digests[1]) == 3
+    assert digests[1] == digests[2]
+
+
+def test_run_starts_no_thread(tmp_path, monkeypatch):
+    seen = []
+
+    def probe(ctx):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return [{"x": 1}]
+
+    for name in ("gauss_count", "small_v_fit"):
+        monkeypatch.setitem(EXPERIMENTS, name, probe)
+    threads_before = threading.active_count()
+    path = write_config(tmp_path, experiments=["gauss_count", "small_v_fit"], workers=2)
     assert main(["run", "--config", str(path)]) == 0
+    assert seen == [(threading.main_thread(), threads_before)] * 2
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("below_file", [False, True], ids=["file", "below_file"])
+def test_run_names_an_unusable_output_dir(tmp_path, capsys, monkeypatch, below_file):
+    ran = []
+    monkeypatch.setitem(EXPERIMENTS, "gauss_count", lambda ctx: ran.append(ctx) or [{"x": 1}])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if below_file else blocker
+    path = write_config(tmp_path, experiments=["gauss_count"])
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert f"config error: output directory {out}: " in capsys.readouterr().err
+    assert ran == []
+    assert blocker.read_text() == "not a directory"
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
