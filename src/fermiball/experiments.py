@@ -28,13 +28,6 @@ from . import bogokernel, lattice, patches, rpa
 from .lattice import (
     FermiBall,
     InteractionPotential,
-    Momentum,
-    _ball_count,
-    _ball_kinetic_sum,
-    _band,
-    _band_blocks,
-    _band_census,
-    _band_rows,
     _solve_ksq_for_n,
     build_fermi_ball,
 )
@@ -255,116 +248,6 @@ def exp_ellipse_count(ctx: Context, *, axis_ratios=(1, 2, 5), radii=range(10, 30
 # patch experiments
 
 
-#: a lower bound on the smallest tile angle mu_min of a labelled shell (>= 0
-#: up to rounding); the patch audit keeps a point as a separation candidate
-#: when its clearance with mu_min at this bound is within the scan radius
-_MU_MIN_FLOOR = -1e-12
-
-
-@dataclass(frozen=True)
-class PatchAudit:
-    """What `audit_patches` finds of one decomposition's labelled shell."""
-
-    min_separation: float
-    max_diameter: float
-    corridor_points: int
-
-
-def audit_patches(decomp) -> PatchAudit:
-    """The smallest distance between lattice points of distinct patches, up
-    to 2 r_v + 4 (inf beyond), the largest patch diameter and the number of
-    corridor points, from one walk of the radial shell in row blocks.
-
-    Each block is labelled once, with each labelled point's tile angle mu_p
-    (`PatchDecomposition.labels_and_tile_angles`).  The block adds its
-    corridor points to the count, its smallest mu to mu_min, and each
-    patch's coordinate minima and maxima to the spans, which are exact
-    integer vectors.  The tile clearance `|p| sin(min(mu_p + mu_min,
-    pi/2))` (see `patches._clearance`) does not decrease as mu_min grows,
-    so a point whose clearance exceeds the scan radius with mu_min at
-    _MU_MIN_FLOOR is never tried; only the other points outlive their
-    block.  After the walk their clearance takes the shell's mu_min, so
-    each has the bits it has over the whole labelled shell.
-
-    Offsets d are then scanned by rising |d|^2, one half-space each (d and
-    -d join the same pairs), and the first |d|^2 that joins two labels is
-    the separation.  Both ends of a pair that joins two labels at length D
-    have a clearance of at most D, so at that length only those candidates
-    p are tried, at p + d for every offset d of that length: a p + d whose
-    integer norm lies in the shell is labelled by `assign_directions`.
-    """
-    q_lo, q_hi = decomp.shell_bounds()
-    radius = 2.0 * decomp.r_corridor + 4.0
-    lo = np.full((decomp.m_patches, 3), np.iinfo(np.int64).max)
-    hi = np.full((decomp.m_patches, 3), np.iinfo(np.int64).min)
-    corridor, mu_min = 0, math.inf
-    kept = []
-    for block in _band_blocks(q_lo, q_hi):
-        labels, r, mu = decomp.labels_and_tile_angles(block)
-        sel = labels >= 0
-        corridor += len(labels) - len(mu)
-        if not len(mu):
-            continue
-        mu_min = min(mu_min, float(mu.min()))
-        points, labels = block[sel], labels[sel]
-        # the fold is monotone in mu_min in exact arithmetic; the 1e-9 covers
-        # the few ulps by which a float sin may not be
-        near = patches._clearance(r, mu, _MU_MIN_FLOOR) <= radius * (1.0 + 1e-9)
-        kept.append((points[near].astype(np.int32), labels[near].astype(np.int32), r[near], mu[near]))
-        # each patch's rows in one run, reduced at the run starts
-        order = np.argsort(labels, kind="stable")
-        points, labels = points[order], labels[order]
-        starts = np.flatnonzero(np.diff(labels, prepend=-1))
-        patch = labels[starts]
-        lo[patch] = np.minimum(lo[patch], np.minimum.reduceat(points, starts))
-        hi[patch] = np.maximum(hi[patch], np.maximum.reduceat(points, starts))
-    if mu_min < _MU_MIN_FLOOR:
-        raise ExperimentError(
-            f"smallest tile angle {mu_min!r} lies below the separation scan's "
-            f"candidate floor {_MU_MIN_FLOOR!r}: candidates may be missing"
-        )
-    present = (lo <= hi).all(axis=1)
-    span = (hi - lo)[present]
-    diameter = float(np.sqrt((span * span).sum(axis=1)).max(initial=0.0))
-    # the clearance with the shell's mu_min; a part is replaced by its points
-    # within the radius before the next is folded
-    for i, (points, labels, r, mu) in enumerate(kept):
-        clearance = patches._clearance(r, mu, mu_min)
-        near = clearance <= radius
-        kept[i] = points[near], labels[near], clearance[near]
-    separation = math.inf
-    if kept:
-        points, labels, clearance = (np.concatenate(parts) for parts in zip(*kept))
-        del kept
-        separation = _first_joining_length(decomp, points, labels, clearance, radius)
-    return PatchAudit(separation, diameter, corridor)
-
-
-def _first_joining_length(decomp, points, labels, clearance, radius) -> float:
-    """The scan of `audit_patches` over its candidates: the first offset
-    length up to the radius at which a candidate p within its clearance
-    reaches a labelled shell point p + d of another patch (inf if none)."""
-    q_lo, q_hi = decomp.shell_bounds()
-    offsets = _band(1, math.floor(radius * radius))
-    # the band is symmetric and lexicographic: its upper half is the d > 0 half
-    offsets = offsets[len(offsets) // 2 :]
-    norms = (offsets * offsets).sum(axis=1)
-    # the distinct norms in ascending order (np.unique would import numpy.ma)
-    lengths = np.sort(norms)
-    for norm in lengths[np.diff(lengths, prepend=-1) != 0]:
-        length = math.sqrt(norm)
-        near = np.flatnonzero(clearance <= length)
-        ds = offsets[norms == norm]
-        ends = (points[near] + ds[:, None, :]).reshape(-1, 3)
-        own = np.broadcast_to(labels[near], (len(ds), len(near))).ravel()
-        ends_sq = np.einsum("ij,ij->i", ends, ends)
-        in_shell = (q_lo <= ends_sq) & (ends_sq <= q_hi)
-        lab = decomp.assign_directions(ends[in_shell])
-        if ((lab >= 0) & (lab != own[in_shell])).any():
-            return length
-    return math.inf
-
-
 def exp_patch_audit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30), r_v=2.0):
     # k_F = 40 keeps 2 r_v = 4 below the patch scale k_F / sqrt(M) at M = 30
     ball = ctx.balls.get(k_fermi_sq)
@@ -372,7 +255,7 @@ def exp_patch_audit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30), r_v=
     for m in m_grid:
         decomp = patches.build_patches(m, ball, r_v)
         areas = decomp.angular_areas()
-        audit = audit_patches(decomp)
+        audit = patches.audit_patches(decomp)
         n13 = ball.n_particles ** (1.0 / 3.0)
         rows.append(
             {
@@ -562,98 +445,6 @@ def _boundary_bands(ball: FermiBall) -> tuple[tuple[int, int], tuple[int, int]]:
     return holes, particles
 
 
-class SwapOracle:
-    """Determinant energy of the ball with one hole h swapped for a particle
-    p, re-summed from the occupation (the oracle for the closed-form gap).
-
-    Only the band a swap can touch is counted point by point. With R =
-    ceil(max |k|) over the support of V and r_in = isqrt(q_hole) - R - 1,
-    every a with |a| <= r_in has |a + k| <= r_in + R < |h| <= k_F for every
-    hole h with |h|^2 >= q_hole, so a keeps all its exchange partners after
-    any such swap; that interior enters through its exact count, and only
-    the band r_in^2 < |a|^2 <= floor(k_F^2) is walked, in row blocks, once
-    for all the swaps of an `energies` call, so no array the size of the
-    band is kept. The walk yields only the band's partner counts in the
-    unswapped ball, which hold for every swap; a swap moves them only at
-    the rows h - k and p - k, and whether those are in the band is a test
-    of their norms alone.
-    """
-
-    def __init__(self, ball: FermiBall, v: InteractionPotential, q_hole: int):
-        self.ball, self.v, self.q_hole = ball, v, int(q_hole)
-        # ceil(sqrt(m)) = isqrt(m - 1) + 1 for m >= 1
-        reach = max(
-            (math.isqrt(k.norm_sq() - 1) + 1 for k in v.support if k.norm_sq()), default=0
-        )
-        r_in = math.isqrt(self.q_hole) - reach - 1
-        # q_in = -1 leaves no interior: the band is the whole ball
-        self.q_in = r_in * r_in if r_in >= 0 else -1
-        self.n_interior = _ball_count(self.q_in)
-        self.kinetic = _ball_kinetic_sum(ball.norm_sq_max)
-        terms = [(k, val) for k, val in v.items() if val != 0.0 and k != Momentum(0, 0, 0)]
-        self.values = [val for _, val in terms]
-        self.ks = np.array([k for k, _ in terms], dtype=np.int64).reshape(-1, 3)
-
-    def energies(self, holes, particles) -> list[float]:
-        """Energy after each swap of holes[i] (|h|^2 >= q_hole) for
-        particles[i] (outside the ball), given as (n, 3) arrays."""
-        h = np.asarray(holes, dtype=np.int64).reshape(-1, 3)
-        p = np.asarray(particles, dtype=np.int64).reshape(-1, 3)
-        hh = np.einsum("ij,ij->i", h, h)
-        pp = np.einsum("ij,ij->i", p, p)
-        q = self.ball.norm_sq_max
-        bad = (hh < self.q_hole) | (hh > q)
-        if bad.any():
-            raise ValueError(
-                f"hole {h[np.argmax(bad)]} is not in the shell {self.q_hole} <= |h|^2 <= {q}"
-            )
-        if (pp <= q).any():
-            raise ValueError(f"particle {p[np.argmax(pp <= q)]} is not outside the Fermi ball")
-        ks = self.ks
-        kk = np.einsum("ij,ij->i", ks, ks)
-
-        def occupied(a: np.ndarray) -> np.ndarray:
-            """Per support vector k (rows) and row of a (columns), whether
-            a + k is in the ball, built in place in one array."""
-            n2 = ks @ a.T
-            n2 *= 2
-            n2 += np.einsum("ij,ij->i", a, a)
-            n2 += kk[:, None]
-            return n2 <= q
-
-        # one walk for every swap: the band's partner counts in the ball do
-        # not depend on the swap
-        base = np.zeros(len(ks), dtype=np.int64)
-        for band in _band_blocks(self.q_in + 1, q):
-            base += np.count_nonzero(occupied(band), axis=1)
-        # whether each swap's rows h - k and p - k are in the band: none is
-        # in the interior (|h - k| >= |h| - R > r_in, likewise for p), so
-        # each is in the band exactly when it is in the ball
-        targets = np.concatenate([h[:, None] - ks, p[:, None] - ks])
-        tt = np.einsum("ijk,ijk->ij", targets, targets)
-        lost, gained = (tt <= q).reshape(2, len(h), len(ks))
-        # counts[i, j]: rows a of the band after swap i with a + ks[j]
-        # occupied after it. The row h - k loses its partner h and the row
-        # p - k gains p; the swapped band drops the row h, partners p
-        # included, and takes the row p, whose partner h is gone.
-        counts = base - lost + gained
-        counts -= occupied(h).T
-        counts -= ((h[:, None] + ks) == p[:, None]).all(axis=2)
-        counts += occupied(p).T
-        counts -= ((p[:, None] + ks) == h[:, None]).all(axis=2)
-        n = self.ball.n_particles
-        lam = 1.0 / n
-        direct = self.v((0, 0, 0)) * n * (n - 1)
-        out = []
-        for swap_counts, h2, p2 in zip(counts.tolist(), hh.tolist(), pp.tolist()):
-            kinetic = self.ball.hbar**2 * float(self.kinetic - h2 + p2)
-            exchange = 0.0
-            for val, count in zip(self.values, swap_counts):
-                exchange += val * float(self.n_interior + count)
-            out.append(kinetic + 0.5 * lam * (direct - exchange))
-        return out
-
-
 def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50):
     # below 1 no occupied momentum lies within one unit of the Fermi surface,
     # so the hole band of `_boundary_bands` is empty
@@ -672,19 +463,14 @@ def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50
         )
     # each band is counted, and only the rows at the drawn ranks are built
     hole_band, particle_band = _boundary_bands(ball)
-    hole_sizes, q_hole = _band_census(*hole_band)
-    particle_sizes, _ = _band_census(*particle_band)
     rng = np.random.default_rng(ctx.config.seed)
-    hi = rng.integers(0, sum(hole_sizes), size=n_swaps)
-    pi = rng.integers(0, sum(particle_sizes), size=n_swaps)
-    holes = _band_rows(*hole_band, hi, hole_sizes)
-    particles = _band_rows(*particle_band, pi, particle_sizes)
+    holes = lattice.sample_band(*hole_band, rng, n_swaps)
+    particles = lattice.sample_band(*particle_band, rng, n_swaps)
     gaps = lattice.excitation_energy(ball, pot, holes, particles)
     e0 = lattice.hartree_fock_energy(ball, pot)
     rows = []
-    oracle = SwapOracle(ball, pot, q_hole)
     check_ids = np.sort(rng.choice(n_swaps, size=min(n_check, n_swaps), replace=False))
-    energies = oracle.energies(holes[check_ids], particles[check_ids])
+    energies = lattice.swap_energies(ball, pot, holes[check_ids], particles[check_ids])
     worst_rel = 0.0
     for i, energy in zip(check_ids.tolist(), energies):
         h = holes[i]

@@ -26,6 +26,8 @@ __all__ = [
     "annulus_count_vs_area",
     "hartree_fock_energy",
     "excitation_energy",
+    "sample_band",
+    "swap_energies",
 ]
 
 EQUATOR_DELTA_MAX = Fraction(77, 624)
@@ -35,9 +37,10 @@ KAPPA_IDEAL = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 #: rows a block of `_blocks` holds, plus at most one column: every row the
 #: package builds is filled in such a block of whole columns (band rows for
-#: `_band`, the Hartree-Fock oracle, `PatchDecomposition.shell_assignment` and
-#: the patch audit's walk of the shell; lune pairs for `pair_counts`), which
-#: bounds a walk's transient memory to about 1 MB at any radius
+#: `_band`, the Hartree-Fock oracle `swap_energies`,
+#: `PatchDecomposition.shell_assignment` and `patches.audit_patches`' walk of
+#: the shell; lune pairs for `pair_counts`), which bounds a walk's transient
+#: memory to about 1 MB at any radius
 _BLOCK_ROWS = 1 << 13
 
 #: columns (x, y) per x-slab of the lattice walk `_slabs`, whose column
@@ -174,48 +177,48 @@ def _band(q_lo: int, q_hi: int) -> np.ndarray:
     return np.concatenate([np.empty((0, 3), dtype=np.int64), *_band_blocks(q_lo, q_hi)])
 
 
-def _band_census(q_lo: int, q_hi: int) -> tuple[list[int], int]:
-    """_band's rows per x-slab, from one walk of its run lengths, and the
-    smallest |p|^2 in the band (q_hi + 1 when it is empty).
-
-    A column's smallest norm is that of the first z of its run for z >= 0,
-    which is nonempty whenever the column holds a point."""
-    sizes, q_min = [], q_hi + 1
-    for x, y, starts, lengths in _band_runs(q_lo, q_hi):
-        sizes.append(int(lengths.sum()))
-        full = lengths[:, 1] > 0
-        if full.any():
-            x, y, z = x[full], y[full], starts[full, 1]
-            q_min = min(q_min, int((x * x + y * y + z * z).min()))
-    return sizes, q_min
-
-
-def _band_rows(q_lo: int, q_hi: int, ranks, sizes: Sequence[int]) -> np.ndarray:
+def _band_rows(q_lo: int, q_hi: int, ranks) -> np.ndarray:
     """The rows of _band(q_lo, q_hi) at the given ranks, in the order of
-    ranks and repeats kept, as an int64 array; sizes are the rows per x-slab
-    from _band_census.
+    ranks and repeats kept, as an int64 array.
 
-    The band is walked once more and no slab is filled: a rank's slab, its
-    column there and its z are read from the cumulative row counts of the
-    slabs and of the slab's columns, and from the column's two z-runs."""
+    The band is walked once and no slab is filled: a running row offset
+    gives the ranks in each slab, and a rank's column there and its z are
+    read from the cumulative row counts of the slab's columns and from the
+    column's two z-runs."""
     ranks = np.asarray(ranks, dtype=np.int64)
     out = np.empty((len(ranks), 3), dtype=np.int64)
-    slab_end = np.cumsum(sizes)
-    slab = np.searchsorted(slab_end, ranks, side="right")
-    for i, (x, y, starts, lengths) in enumerate(_band_runs(q_lo, q_hi)):
-        mine = np.flatnonzero(slab == i)
-        if not len(mine):
-            continue
+    row = 0
+    for x, y, starts, lengths in _band_runs(q_lo, q_hi):
         per_column = lengths.sum(axis=1)
         column_end = np.cumsum(per_column)
-        offset = ranks[mine] - (slab_end[i] - sizes[i])
-        col = np.searchsorted(column_end, offset, side="right")
-        offset -= column_end[col] - per_column[col]
-        below = lengths[col, 0]
-        out[mine, 0] = x[col]
-        out[mine, 1] = y[col]
-        out[mine, 2] = np.where(offset < below, starts[col, 0] + offset, starts[col, 1] + offset - below)
+        size = int(column_end[-1])
+        mine = np.flatnonzero((row <= ranks) & (ranks < row + size))
+        if len(mine):
+            offset = ranks[mine] - row
+            col = np.searchsorted(column_end, offset, side="right")
+            offset -= column_end[col] - per_column[col]
+            below = lengths[col, 0]
+            out[mine, 0] = x[col]
+            out[mine, 1] = y[col]
+            out[mine, 2] = np.where(
+                offset < below, starts[col, 0] + offset, starts[col, 1] + offset - below
+            )
+        row += size
     return out
+
+
+def sample_band(q_lo: int, q_hi: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size rows of _band(q_lo, q_hi) drawn uniformly with repeats, as an
+    (size, 3) int64 array: the rows at the ranks rng.integers(0, count,
+    size), where count is the band's size.
+
+    The band is counted as the difference of two ball counts and walked
+    once, so only the drawn rows are built.  A band without a point raises
+    ValueError before anything is drawn."""
+    count = _ball_count(q_hi) - _ball_count(q_lo - 1)
+    if count <= 0:
+        raise ValueError(f"the band {q_lo} <= |p|^2 <= {q_hi} holds no lattice point")
+    return _band_rows(q_lo, q_hi, rng.integers(0, count, size=size))
 
 
 def _blocks(slabs):
@@ -559,3 +562,86 @@ def excitation_energy(ball: FermiBall, v: InteractionPotential, hole, particle):
         v_rel[(h + kv == p).all(axis=1)] = val
     gap = kinetic - lam * (g_p - g_h) + lam * (v_rel - v((0, 0, 0)))
     return float(gap[0]) if one else gap
+
+
+def swap_energies(ball: FermiBall, v: InteractionPotential, holes, particles) -> list[float]:
+    """Determinant energy of the ball after each swap of holes[i] (inside the
+    ball) for particles[i] (outside it), given as (n, 3) arrays, re-summed
+    from the occupation: the oracle for the closed-form gap of
+    `excitation_energy`.
+
+    Only the band a swap can touch is counted point by point. With R =
+    ceil(max |k|) over the support of V, q_hole the smallest |h|^2 of the
+    given holes and r_in = isqrt(q_hole) - R - 1, every a with |a| <= r_in
+    has |a + k| <= r_in + R < |h| <= k_F for every given hole h, so a keeps
+    all its exchange partners after any of the swaps; that interior enters
+    through its exact count, and only the band r_in^2 < |a|^2 <=
+    floor(k_F^2) is walked, in row blocks, once for all the swaps, so no
+    array the size of the band is kept. The walk yields only the band's
+    partner counts in the unswapped ball, which hold for every swap; a swap
+    moves them only at the rows h - k and p - k, and whether those are in
+    the band is a test of their norms alone. An empty batch returns []
+    without a walk.
+    """
+    h = np.asarray(holes, dtype=np.int64).reshape(-1, 3)
+    p = np.asarray(particles, dtype=np.int64).reshape(-1, 3)
+    hh = np.einsum("ij,ij->i", h, h)
+    pp = np.einsum("ij,ij->i", p, p)
+    q = ball.norm_sq_max
+    if (hh > q).any():
+        raise ValueError(f"hole {h[np.argmax(hh > q)]} is not inside the Fermi ball")
+    if (pp <= q).any():
+        raise ValueError(f"particle {p[np.argmax(pp <= q)]} is not outside the Fermi ball")
+    if not len(h):
+        return []
+    # ceil(sqrt(m)) = isqrt(m - 1) + 1 for m >= 1
+    reach = max((math.isqrt(k.norm_sq() - 1) + 1 for k in v.support if k.norm_sq()), default=0)
+    r_in = math.isqrt(int(hh.min())) - reach - 1
+    # q_in = -1 leaves no interior: the band is the whole ball
+    q_in = r_in * r_in if r_in >= 0 else -1
+    terms = [(k, val) for k, val in v.items() if val != 0.0 and k != Momentum(0, 0, 0)]
+    ks = np.array([k for k, _ in terms], dtype=np.int64).reshape(-1, 3)
+    kk = np.einsum("ij,ij->i", ks, ks)
+
+    def occupied(a: np.ndarray) -> np.ndarray:
+        """Per support vector k (rows) and row of a (columns), whether
+        a + k is in the ball, built in place in one array."""
+        n2 = ks @ a.T
+        n2 *= 2
+        n2 += np.einsum("ij,ij->i", a, a)
+        n2 += kk[:, None]
+        return n2 <= q
+
+    # one walk for every swap: the band's partner counts in the ball do
+    # not depend on the swap
+    base = np.zeros(len(ks), dtype=np.int64)
+    for band in _band_blocks(q_in + 1, q):
+        base += np.count_nonzero(occupied(band), axis=1)
+    # whether each swap's rows h - k and p - k are in the band: none is
+    # in the interior (|h - k| >= |h| - R > r_in, likewise for p), so
+    # each is in the band exactly when it is in the ball
+    targets = np.concatenate([h[:, None] - ks, p[:, None] - ks])
+    tt = np.einsum("ijk,ijk->ij", targets, targets)
+    lost, gained = (tt <= q).reshape(2, len(h), len(ks))
+    # counts[i, j]: rows a of the band after swap i with a + ks[j]
+    # occupied after it. The row h - k loses its partner h and the row
+    # p - k gains p; the swapped band drops the row h, partners p
+    # included, and takes the row p, whose partner h is gone.
+    counts = base - lost + gained
+    counts -= occupied(h).T
+    counts -= ((h[:, None] + ks) == p[:, None]).all(axis=2)
+    counts += occupied(p).T
+    counts -= ((p[:, None] + ks) == h[:, None]).all(axis=2)
+    n = ball.n_particles
+    lam = 1.0 / n
+    direct = v((0, 0, 0)) * n * (n - 1)
+    n_interior = _ball_count(q_in)
+    kinetic_sum = _ball_kinetic_sum(q)
+    out = []
+    for swap_counts, h2, p2 in zip(counts.tolist(), hh.tolist(), pp.tolist()):
+        kinetic = ball.hbar**2 * float(kinetic_sum - h2 + p2)
+        exchange = 0.0
+        for (_, val), count in zip(terms, swap_counts):
+            exchange += val * float(n_interior + count)
+        out.append(kinetic + 0.5 * lam * (direct - exchange))
+    return out

@@ -34,8 +34,9 @@ from .lattice import (
     Momentum,
     _as_ivec,
     _as_momentum,
+    _ball_count,
+    _band,
     _band_blocks,
-    _band_census,
     _blocks,
     _lune,
 )
@@ -49,6 +50,8 @@ __all__ = [
     "index_sets",
     "pair_counts",
     "pair_counts_by_layout",
+    "PatchAudit",
+    "audit_patches",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -315,8 +318,8 @@ class PatchDecomposition:
         call and kept.  No experiment calls it: the patch audit walks the
         shell in blocks and the pair counts walk the pairs."""
         if self._assignment is None:
-            bounds = self.shell_bounds()
-            points = np.empty((sum(_band_census(*bounds)[0]), 3), dtype=np.int32)
+            q_lo, q_hi = bounds = self.shell_bounds()
+            points = np.empty((_ball_count(q_hi) - _ball_count(q_lo - 1), 3), dtype=np.int32)
             labels = np.empty(len(points), dtype=np.int32)
             row = 0
             # row blocks bound the float temporaries of labelling to one block's
@@ -495,3 +498,113 @@ def pair_counts_by_layout(
             lab = lab[decomp._label(*(a[pair] for a in hole)) == lab]
             tally += np.bincount(lab, minlength=decomp.m_patches)
     return [c + np.roll(c, d.half) for c, d in zip(counts, decomps)]
+
+
+#: a lower bound on the smallest tile angle mu_min of a labelled shell (>= 0
+#: up to rounding); the patch audit keeps a point as a separation candidate
+#: when its clearance with mu_min at this bound is within the scan radius
+_MU_MIN_FLOOR = -1e-12
+
+
+@dataclass(frozen=True)
+class PatchAudit:
+    """What `audit_patches` finds of one decomposition's labelled shell."""
+
+    min_separation: float
+    max_diameter: float
+    corridor_points: int
+
+
+def audit_patches(decomp: PatchDecomposition) -> PatchAudit:
+    """The smallest distance between lattice points of distinct patches, up
+    to 2 r_v + 4 (inf beyond), the largest patch diameter and the number of
+    corridor points, from one walk of the radial shell in row blocks.
+
+    Each block is labelled once, with each labelled point's tile angle mu_p
+    (`PatchDecomposition.labels_and_tile_angles`).  The block adds its
+    corridor points to the count, its smallest mu to mu_min, and each
+    patch's coordinate minima and maxima to the spans, which are exact
+    integer vectors.  The tile clearance `|p| sin(min(mu_p + mu_min,
+    pi/2))` (see `_clearance`) does not decrease as mu_min grows, so a
+    point whose clearance exceeds the scan radius with mu_min at
+    _MU_MIN_FLOOR is never tried; only the other points outlive their
+    block.  After the walk their clearance takes the shell's mu_min, so
+    each has the bits it has over the whole labelled shell.
+
+    Offsets d are then scanned by rising |d|^2, one half-space each (d and
+    -d join the same pairs), and the first |d|^2 that joins two labels is
+    the separation.  Both ends of a pair that joins two labels at length D
+    have a clearance of at most D, so at that length only those candidates
+    p are tried, at p + d for every offset d of that length: a p + d whose
+    integer norm lies in the shell is labelled by `assign_directions`.
+    """
+    q_lo, q_hi = decomp.shell_bounds()
+    radius = 2.0 * decomp.r_corridor + 4.0
+    lo = np.full((decomp.m_patches, 3), np.iinfo(np.int64).max)
+    hi = np.full((decomp.m_patches, 3), np.iinfo(np.int64).min)
+    corridor, mu_min = 0, math.inf
+    kept = []
+    for block in _band_blocks(q_lo, q_hi):
+        labels, r, mu = decomp.labels_and_tile_angles(block)
+        sel = labels >= 0
+        corridor += len(labels) - len(mu)
+        if not len(mu):
+            continue
+        mu_min = min(mu_min, float(mu.min()))
+        points, labels = block[sel], labels[sel]
+        # the fold is monotone in mu_min in exact arithmetic; the 1e-9 covers
+        # the few ulps by which a float sin may not be
+        near = _clearance(r, mu, _MU_MIN_FLOOR) <= radius * (1.0 + 1e-9)
+        kept.append((points[near].astype(np.int32), labels[near].astype(np.int32), r[near], mu[near]))
+        # each patch's rows in one run, reduced at the run starts
+        order = np.argsort(labels, kind="stable")
+        points, labels = points[order], labels[order]
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        patch = labels[starts]
+        lo[patch] = np.minimum(lo[patch], np.minimum.reduceat(points, starts))
+        hi[patch] = np.maximum(hi[patch], np.maximum.reduceat(points, starts))
+    if mu_min < _MU_MIN_FLOOR:
+        raise RuntimeError(
+            f"smallest tile angle {mu_min!r} lies below the separation scan's "
+            f"candidate floor {_MU_MIN_FLOOR!r}: candidates may be missing"
+        )
+    present = (lo <= hi).all(axis=1)
+    span = (hi - lo)[present]
+    diameter = float(np.sqrt((span * span).sum(axis=1)).max(initial=0.0))
+    # the clearance with the shell's mu_min; a part is replaced by its points
+    # within the radius before the next is folded
+    for i, (points, labels, r, mu) in enumerate(kept):
+        clearance = _clearance(r, mu, mu_min)
+        near = clearance <= radius
+        kept[i] = points[near], labels[near], clearance[near]
+    separation = math.inf
+    if kept:
+        points, labels, clearance = (np.concatenate(parts) for parts in zip(*kept))
+        del kept
+        separation = _first_joining_length(decomp, points, labels, clearance, radius)
+    return PatchAudit(separation, diameter, corridor)
+
+
+def _first_joining_length(decomp, points, labels, clearance, radius) -> float:
+    """The scan of `audit_patches` over its candidates: the first offset
+    length up to the radius at which a candidate p within its clearance
+    reaches a labelled shell point p + d of another patch (inf if none)."""
+    q_lo, q_hi = decomp.shell_bounds()
+    offsets = _band(1, math.floor(radius * radius))
+    # the band is symmetric and lexicographic: its upper half is the d > 0 half
+    offsets = offsets[len(offsets) // 2 :]
+    norms = (offsets * offsets).sum(axis=1)
+    # the distinct norms in ascending order (np.unique would import numpy.ma)
+    lengths = np.sort(norms)
+    for norm in lengths[np.diff(lengths, prepend=-1) != 0]:
+        length = math.sqrt(norm)
+        near = np.flatnonzero(clearance <= length)
+        ds = offsets[norms == norm]
+        ends = (points[near] + ds[:, None, :]).reshape(-1, 3)
+        own = np.broadcast_to(labels[near], (len(ds), len(near))).ravel()
+        ends_sq = np.einsum("ij,ij->i", ends, ends)
+        in_shell = (q_lo <= ends_sq) & (ends_sq <= q_hi)
+        lab = decomp.assign_directions(ends[in_shell])
+        if ((lab >= 0) & (lab != own[in_shell])).any():
+            return length
+    return math.inf

@@ -509,7 +509,7 @@ def tile_clearance(
     """Per labelled point p, a length below which no other of the given
     points with another label lies from p: `patches._clearance` of |p| and
     its tile angle mu_p, with mu_min the smallest mu over the given points.
-    The reference for the clearance `experiments.audit_patches` folds block
+    The reference for the clearance `patches.audit_patches` folds block
     by block."""
     r, theta, phi, _ = _canonical_angles(points)
     mu = decomp._tile_angle(theta, phi, np.asarray(labels) % decomp.half)
@@ -543,7 +543,7 @@ def scan_min_patch_separation(decomp: PatchDecomposition) -> float:
 def shell_patch_audit(decomp: PatchDecomposition) -> tuple[float, float, int]:
     """The patch audit over the kept labelled shell: (min_separation,
     max_diameter, corridor_points), the reference for the block walk
-    `experiments.audit_patches`.
+    `patches.audit_patches`.
 
     The separation scans offsets d by rising |d|^2 and tries, at each
     length, the labelled shell points whose `tile_clearance` over the whole

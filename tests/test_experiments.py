@@ -20,12 +20,12 @@ from fermiball import (
     build_patches,
     excitation_energy,
     experiments,
+    lattice,
 )
 from fermiball.experiments import (
     ENERGY_DELTA,
     BallCache,
     Context,
-    SwapOracle,
     default_potential,
     exp_kernel_bound_fit,
     exp_kernel_identities,
@@ -55,9 +55,9 @@ POTENTIALS = {
 }
 
 
-def assert_band_oracle_exact(ball, pot, holes, particles, q_hole):
+def assert_band_oracle_exact(ball, pot, holes, particles):
     # every swap from one band walk
-    energies = SwapOracle(ball, pot, q_hole).energies(holes, particles)
+    energies = lattice.swap_energies(ball, pot, holes, particles)
     assert len(energies) == len(holes)
     occ0 = _band(0, ball.norm_sq_max)
     for h, p, energy in zip(holes, particles, energies):
@@ -74,8 +74,7 @@ def test_band_oracle_matches_full_oracle(ksq, n_swaps, name):
     rng = np.random.default_rng(2024)
     hi = rng.integers(0, len(holes), size=n_swaps)
     pi = rng.integers(0, len(particles), size=n_swaps)
-    q_hole = int((holes * holes).sum(axis=1).min())
-    assert_band_oracle_exact(ball, pot, holes[hi], particles[pi], q_hole)
+    assert_band_oracle_exact(ball, pot, holes[hi], particles[pi])
 
 
 @pytest.mark.parametrize("name", list(POTENTIALS))
@@ -104,37 +103,51 @@ def test_band_oracle_exact_on_deepest_partners(name):
     # hole whose partner h - k lies deepest.
     ball, pot = build_fermi_ball(k_fermi_sq=Fraction(441)), POTENTIALS[name]
     holes, particles = boundary_shells(ball)
-    q_hole = int((holes * holes).sum(axis=1).min())
-    assert q_hole == 400
     deepest = [np.argmin(((holes - np.asarray(k)) ** 2).sum(axis=1)) for k in pot.support]
-    assert_band_oracle_exact(ball, pot, holes[deepest], particles[: len(deepest)], q_hole)
+    # the oracle's interior is read from the innermost of these holes
+    assert int((holes[deepest] ** 2).sum(axis=1).min()) == 400
+    assert_band_oracle_exact(ball, pot, holes[deepest], particles[: len(deepest)])
 
 
-def test_band_oracle_rejects_swaps_outside_its_band(ball_400, unit_potential):
+@pytest.mark.parametrize("name", list(POTENTIALS))
+@pytest.mark.parametrize("ksq", ["400.5", "441"])
+def test_band_oracle_exact_on_deep_holes(ksq, name):
+    # holes below the boundary band: the origin, which leaves no interior,
+    # and two holes of one batch whose innermost sets a smaller interior
+    # than the band's (|h|^2 = 134 and 361; the band starts at 362 and 400)
+    ball, pot = build_fermi_ball(k_fermi_sq=Fraction(ksq)), POTENTIALS[name]
+    holes, particles = boundary_shells(ball)
+    assert int((holes * holes).sum(axis=1).min()) > 361
+    assert_band_oracle_exact(ball, pot, np.array([(0, 0, 0)]), particles[:1])
+    assert_band_oracle_exact(ball, pot, np.array([(10, 5, 3), (0, 0, 19)]), particles[1:3])
+
+
+def test_band_oracle_rejects_swaps_outside_its_band(ball_400, unit_potential, monkeypatch):
+    # a hole outside the ball, and a particle inside it
     holes, particles = boundary_shells(ball_400)
-    q_hole = int((holes * holes).sum(axis=1).min())
-    oracle = SwapOracle(ball_400, unit_potential, q_hole)
-    with pytest.raises(ValueError, match="hole"):
-        oracle.energies([holes[0], (0, 0, 0)], particles[:2])
-    with pytest.raises(ValueError, match="particle"):
-        oracle.energies(holes[:2], [particles[0], holes[1]])
+    with pytest.raises(ValueError, match="hole .* is not inside"):
+        lattice.swap_energies(ball_400, unit_potential, [holes[0], particles[1]], particles[:2])
+    with pytest.raises(ValueError, match="particle .* is not outside"):
+        lattice.swap_energies(ball_400, unit_potential, holes[:2], [particles[0], holes[1]])
+    # an empty batch is priced without a walk
+    monkeypatch.setattr(lattice, "_band_blocks", None)
+    assert lattice.swap_energies(ball_400, unit_potential, holes[:0], particles[:0]) == []
 
 
 def test_band_oracle_memory_is_kept_arrays_plus_bounded_transient(ball_6400, unit_potential):
-    # building the oracle and re-summing 50 swaps at k_F^2 = 6400.5 traces at
-    # most 3 MB in all: the band is walked once, in row blocks, and none is
-    # kept (the kept band and norms alone were 7.6 MB)
+    # re-summing 50 swaps at k_F^2 = 6400.5 traces at most 3 MB in all: the
+    # band is walked once, in row blocks, and none is kept (the kept band and
+    # norms alone were 7.6 MB)
     holes, particles = boundary_shells(ball_6400)
-    q_hole = int((holes * holes).sum(axis=1).min())
     tracemalloc.start()
     try:
-        oracle = SwapOracle(ball_6400, unit_potential, q_hole)
-        oracle.energies(holes[:50], particles[:50])
-        _, peak = tracemalloc.get_traced_memory()
+        energies = lattice.swap_energies(ball_6400, unit_potential, holes[:50], particles[:50])
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # it keeps the support vectors, not the band
-    assert sum(v.nbytes for v in vars(oracle).values() if isinstance(v, np.ndarray)) < 1024
+    assert len(energies) == 50
+    # what outlives the call is its list of energies, not the band
+    assert kept < 64 * 1024, kept
     assert peak <= 3e6, peak
 
 
@@ -167,6 +180,20 @@ def hf_config(tmp_path, ksq: float, **options):
         "output_dir": str(tmp_path / "out"),
     }
     return load_config(doc)
+
+
+def test_hf_stability_without_checks_writes_its_summary_only(tmp_path):
+    # n_check = 0 draws and prices the swaps but re-sums none of them
+    config = hf_config(tmp_path, 400.5, n_swaps=20, n_check=0)
+    manifest, ok = run_experiments(config)
+    assert ok, manifest
+    with open(tmp_path / "out" / "hf_stability.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    summary = rows[0]
+    assert (summary["swap"], summary["hole"], summary["particle"]) == ("-1", "summary", "n_swaps=20")
+    assert float(summary["excitation"]) > 0.0
+    assert float(summary["rel_dev"]) == 0.0
 
 
 def test_hf_stability_memory_below_one_ball_array(tmp_path):

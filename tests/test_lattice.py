@@ -24,14 +24,15 @@ import fermiball.lattice as lattice_mod
 from fermiball.lattice import (
     _band,
     _band_blocks,
-    _band_census,
     _band_rows,
+    _band_runs,
     _ball_count,
     _ball_kinetic_sum,
     _blocks,
     _isqrt,
     _lune,
     _lune_size,
+    sample_band,
 )
 from oracles import (
     band_shell_pairs,
@@ -212,14 +213,14 @@ def band_cases() -> list[tuple[int, int]]:
 def test_band_matches_one_pass_oracle(dtype):
     # the block-wise repeat fill gives the one-pass running-sum band's rows
     # in its order, joined by _band and copied block by block into an array
-    # of the given dtype sized from the census, as the shell assignment
-    # fills its int32 points
+    # of the given dtype sized from two ball counts, as the shell assignment
+    # fills its int32 points (an inverted band such as (5, 3) counts below 0)
     for q_lo, q_hi in band_cases():
         expected = one_pass_band(q_lo, q_hi)
         got = _band(q_lo, q_hi)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected), (q_lo, q_hi)
-        rows = np.empty((sum(_band_census(q_lo, q_hi)[0]), 3), dtype=dtype)
+        rows = np.empty((max(_ball_count(q_hi) - _ball_count(q_lo - 1), 0), 3), dtype=dtype)
         row = 0
         for block in _band_blocks(q_lo, q_hi):
             rows[row : row + len(block)] = block
@@ -261,38 +262,48 @@ def test_band_blocks_cover_the_band_in_order(monkeypatch, block_rows):
                 assert np.array_equal(rows, ref), (slab_columns, q, k)
 
 
-def assert_census_and_rows_match_band(q_lo, q_hi, rng):
+def assert_sample_band_matches_band(q_lo, q_hi, seed):
     band = _band(q_lo, q_hi)
-    sizes, q_min = _band_census(q_lo, q_hi)
-    assert sum(sizes) == len(band), (q_lo, q_hi)
-    norms = (band * band).sum(axis=1)
-    assert q_min == (int(norms.min()) if len(band) else q_hi + 1), (q_lo, q_hi)
     if not len(band):
+        with pytest.raises(ValueError, match=rf"band {q_lo} <= \|p\|\^2 <= {q_hi}"):
+            sample_band(q_lo, q_hi, np.random.default_rng(seed), 10)
         return
-    # every rank of a small band, else each slab's first and last ranks;
-    # then random ranks with repeats, in drawn order
+    # every rank of a small band, else each slab's first and last ranks
+    sizes = [int(lengths.sum()) for *_, lengths in _band_runs(q_lo, q_hi)]
     ends = np.cumsum(sizes)
     edges = np.unique(np.concatenate([ends - np.asarray(sizes), ends - 1]).clip(0, len(band) - 1))
     every = np.arange(len(band)) if len(band) <= 1 << 16 else edges
-    for ranks in (every, rng.integers(0, len(band), size=1000)):
-        got = _band_rows(q_lo, q_hi, ranks, sizes)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, band[ranks]), (q_lo, q_hi)
+    got = _band_rows(q_lo, q_hi, every)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, band[every]), (q_lo, q_hi)
+    # then the draw: the rows at the ranks the same seed gives, repeats kept
+    # and in drawn order
+    got = sample_band(q_lo, q_hi, np.random.default_rng(seed), 1000)
+    ranks = np.random.default_rng(seed).integers(0, len(band), size=1000)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, band[ranks]), (q_lo, q_hi)
 
 
-def test_band_census_and_rows_match_the_band():
-    rng = np.random.default_rng(3)
+def test_sample_band_matches_the_band():
     for q_lo, q_hi in band_cases():
-        assert_census_and_rows_match_band(q_lo, q_hi, rng)
+        assert_sample_band_matches_band(q_lo, q_hi, 3)
 
 
 @pytest.mark.parametrize("slab_columns", [1, 7])
-def test_band_census_and_rows_on_small_slabs(monkeypatch, slab_columns):
+def test_sample_band_on_small_slabs(monkeypatch, slab_columns):
     # empty slabs and slabs of one x, and bands without a point (q = 7, 15)
     monkeypatch.setattr(lattice_mod, "_SLAB_COLUMNS", slab_columns)
-    rng = np.random.default_rng(4)
     for q_lo, q_hi in [(7, 7), (15, 15), (5, 3), (0, 0), (0, 50), (30, 61), (350, 420)]:
-        assert_census_and_rows_match_band(q_lo, q_hi, rng)
+        assert_sample_band_matches_band(q_lo, q_hi, 4)
+
+
+def test_sample_band_names_a_band_without_a_point():
+    # nothing is drawn from an empty band: the generator is left as it was
+    rng = np.random.default_rng(5)
+    for q_lo, q_hi in [(7, 7), (15, 15), (5, 3)]:
+        with pytest.raises(ValueError, match=rf"band {q_lo} <= \|p\|\^2 <= {q_hi} holds no"):
+            sample_band(q_lo, q_hi, rng, 10)
+    assert rng.integers(0, 1 << 30) == np.random.default_rng(5).integers(0, 1 << 30)
 
 
 def test_walk_refuses_empty_and_out_of_range_bands_at_once():

@@ -15,10 +15,9 @@ from fermiball import (
     index_sets,
     rpa_energy_trace,
 )
-from fermiball import experiments, patches
-from fermiball.experiments import ExperimentError, audit_patches
+from fermiball import patches
 from fermiball.lattice import _BLOCK_ROWS, _band
-from fermiball.patches import pair_counts, pair_counts_by_layout
+from fermiball.patches import audit_patches, pair_counts, pair_counts_by_layout
 from oracles import (
     contains,
     contains_points,
@@ -431,8 +430,8 @@ def test_audit_walk_matches_the_full_shell_audit():
 def test_audit_names_a_tile_angle_below_the_candidate_floor(decomp_400, monkeypatch):
     # every labelled point of decomp_400 lies well inside its tile; a floor
     # above its smallest tile angle could have dropped candidates
-    monkeypatch.setattr(experiments, "_MU_MIN_FLOOR", 1.0)
-    with pytest.raises(ExperimentError, match="candidate floor"):
+    monkeypatch.setattr(patches, "_MU_MIN_FLOOR", 1.0)
+    with pytest.raises(RuntimeError, match="candidate floor"):
         audit_patches(decomp_400)
 
 

@@ -152,6 +152,65 @@ def test_dead_helper_check_catches_a_leftover():
     ]
 
 
+#: the one private lattice name experiments may use: the radius solve of
+#: `load_config`
+EXPERIMENTS_MAY_READ = {"_solve_ksq_for_n"}
+
+
+def layer_breaches(modules: dict[str, ast.Module]) -> list[str]:
+    """Private names of `lattice` (but the radius solve) or of `patches`
+    that `experiments.py` imports or reads as an attribute of the module,
+    and reads of `_clearance` by a module other than `patches.py`: each
+    engine stays behind the layer that owns it."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                owner, names = node.module, [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner, names = node.value.id, [node.attr]
+            elif isinstance(node, ast.Name):
+                owner, names = None, [node.id]
+            else:
+                continue
+            for name in names:
+                if module == "experiments.py" and name.startswith("_") and (
+                    owner == "patches" or (owner == "lattice" and name not in EXPERIMENTS_MAY_READ)
+                ):
+                    found.append(f"{module}: {owner}.{name} (line {node.lineno})")
+                elif module != "patches.py" and name == "_clearance":
+                    found.append(f"{module}: _clearance (line {node.lineno})")
+    return found
+
+
+def test_experiments_reach_no_layer_engine():
+    modules = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert layer_breaches(modules) == []
+
+
+def test_layer_check_catches_a_leftover():
+    experiments = (
+        "from . import lattice, patches\n"
+        "from .lattice import FermiBall, _band_blocks, _solve_ksq_for_n\n"
+        "from .patches import _MU_MIN_FLOOR\n"
+        "def f(r, mu):\n"
+        "    return patches._clearance(r, mu, 0.0), lattice._ball_count(4), lattice.sample_band\n"
+    )
+    rpa = "from .patches import _clearance\ndef g(r, mu):\n    return _clearance(r, mu, 0.0)\n"
+    patches = "def _clearance(r, mu, mu_min):\n    return r\ndef h(r):\n    return _clearance(r, r, 0.0)\n"
+    modules = {name: ast.parse(code) for name, code in [
+        ("experiments.py", experiments), ("rpa.py", rpa), ("patches.py", patches)
+    ]}
+    assert layer_breaches(modules) == [
+        "experiments.py: lattice._band_blocks (line 2)",
+        "experiments.py: patches._MU_MIN_FLOOR (line 3)",
+        "experiments.py: patches._clearance (line 5)",
+        "experiments.py: lattice._ball_count (line 5)",
+        "rpa.py: _clearance (line 1)",
+        "rpa.py: _clearance (line 3)",
+    ]
+
+
 def python_floor() -> tuple[int, int]:
     """The (major, minor) of pyproject.toml's requires-python floor."""
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
