@@ -25,18 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bogokernel, lattice, patches, rpa
-from .lattice import (
-    FermiBall,
-    InteractionPotential,
-    _solve_ksq_for_n,
-    build_fermi_ball,
-)
+from .lattice import FermiBall, InteractionPotential, build_fermi_ball
 
 __all__ = ["RunConfig", "ExperimentError", "EXPERIMENTS", "run_experiments", "load_config"]
 
 log = logging.getLogger(__name__)
 
-DEFAULT_DELTA = 1.0 / 24.0
 #: equator-cut exponent used by the patched-energy experiments; near the top
 #: of the admissible range (0, 1/6) so the cut removes only genuinely
 #: tangential modes at reachable particle numbers
@@ -60,8 +54,7 @@ def _require_at_least(name: str, value, least: int) -> None:
 class RunConfig:
     """Validated run configuration."""
 
-    k_fermi_sq: Fraction
-    delta: float
+    #: the config's potential, or `default_potential()` where it sets none
     potential: InteractionPotential
     experiments: list[str]
     output_dir: Path
@@ -72,8 +65,6 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {
-            "k_fermi_sq": str(self.k_fermi_sq),
-            "delta": self.delta,
             "potential": [
                 [list(k), v] for k, v in sorted(self.potential.items())
             ],
@@ -88,12 +79,10 @@ class RunConfig:
 #: each top-level key of a run config, declared once as a value of its kind
 #: (the rule of `_check`): a number, an integer, a string, or a list of such
 #: entries or of [[integer, integer, integer], number] records; `options` is
-#: declared by the experiments' keyword-only parameters
+#: declared by the experiments' keyword-only parameters; `n_particles` is
+#: accepted and read by nothing
 _FIELD_KINDS = {
-    "k_fermi": 1.0,
-    "k_fermi_sq": 1.0,
     "n_particles": 1,
-    "delta": 1.0,
     "potential": (((0, 0, 0), 0.0),),
     "experiments": ("",),
     "output_dir": "",
@@ -181,8 +170,9 @@ def exp_kinetic_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600
     return rows
 
 
-def exp_equator_sum_scaling(ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600.5, 6400.5)):
-    delta = ctx.config.delta
+def exp_equator_sum_scaling(
+    ctx: Context, *, k_fermi_sq_grid=(100.5, 400.5, 1600.5, 6400.5), delta=1.0 / 24.0
+):
     rows = []
     for ksq in k_fermi_sq_grid:
         ball = ctx.balls.get(ksq)
@@ -347,10 +337,11 @@ def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
 
 def _counts_by_point(layouts, ks) -> list[dict]:
     """Each layout's pair counts at each k, keyed by k, from one walk of each
-    lune per ball: the layouts are grouped by the ball they tile."""
-    groups: dict[int, list[int]] = {}
+    lune per ball and radial shell: the layouts are grouped by the ball they
+    tile and by their shell bounds."""
+    groups: dict[tuple, list[int]] = {}
     for i, decomp in enumerate(layouts):
-        groups.setdefault(id(decomp.ball), []).append(i)
+        groups.setdefault((id(decomp.ball), decomp.shell_bounds()), []).append(i)
     out: list[dict] = [{} for _ in layouts]
     for members in groups.values():
         for k in ks:
@@ -414,10 +405,7 @@ def exp_rpa_compare(ctx: Context, *, schedule=((400.5, 8), (1600.5, 16), (6400.5
 
 
 def exp_small_v_fit(ctx: Context):
-    pot = ctx.config.potential
-    if not pot.support:
-        pot = default_potential()
-    chi = rpa.small_v_quadratic_coefficient(pot)
+    chi = rpa.small_v_quadratic_coefficient(ctx.config.potential)
     ref = rpa.SMALL_V_REFERENCE_MAGNITUDE
     k2 = rpa.g_power_integral(2) / (2.0 * math.pi)
     rows = [
@@ -453,8 +441,6 @@ def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50
     _require_at_least("n_check", n_check, 0)
     ball = ctx.balls.get(k_fermi_sq)
     pot = ctx.config.potential
-    if not pot.support:
-        pot = default_potential()
     lam_v1 = pot.ell1() / ball.n_particles
     if not lam_v1 < ball.hbar**2 / 2.0:
         raise ExperimentError(
@@ -586,30 +572,10 @@ def load_config(doc: dict) -> RunConfig:
     checked against its declaration, then converted and range-checked."""
     options = {name: _option_defaults(fn) for name, fn in EXPERIMENTS.items()}
     _check(doc, {**_FIELD_KINDS, "options": options})
-    radius_keys = [k for k in ("k_fermi", "k_fermi_sq", "n_particles") if k in doc]
-    if len(radius_keys) != 1:
-        raise ValueError("config must set exactly one of k_fermi, k_fermi_sq, n_particles")
-    for key, least in (("n_particles", 1), ("seed", 0), ("workers", 1)):
+    for key, least in (("seed", 0), ("workers", 1)):
         if doc.get(key, least) < least:
             raise ValueError(f"{key} must be >= {least}, got {doc[key]!r}")
-    if "n_particles" in doc:
-        n = doc["n_particles"]
-        ksq, n_actual = _solve_ksq_for_n(n)
-        if n_actual != n:
-            log.warning("n_particles=%d not attainable; using nearest N=%d", n, n_actual)
-    elif "k_fermi" in doc:
-        k_fermi = Fraction(float(doc["k_fermi"]))
-        if k_fermi <= 0:
-            raise ValueError("k_fermi must be positive")
-        ksq = k_fermi**2
-    else:
-        ksq = Fraction(str(doc["k_fermi_sq"]))
-        if ksq <= 0:
-            raise ValueError("k_fermi_sq must be positive")
-    delta = float(doc.get("delta", DEFAULT_DELTA))
-    # equator_sum_scaling, its only reader, needs the equator sum's range
-    if not (0.0 < delta < float(lattice.EQUATOR_DELTA_MAX)):
-        raise ValueError(f"delta must lie in (0, {lattice.EQUATOR_DELTA_MAX})")
+    potential = InteractionPotential.from_pairs(doc.get("potential", []))
     experiments = list(doc.get("experiments", []))
     for i, name in enumerate(experiments):
         if name not in EXPERIMENTS:
@@ -618,9 +584,7 @@ def load_config(doc: dict) -> RunConfig:
         if name in experiments[:i]:
             raise ValueError(f"experiment {name!r} is named twice in experiments")
     return RunConfig(
-        k_fermi_sq=ksq,
-        delta=delta,
-        potential=InteractionPotential.from_pairs(doc.get("potential", [])),
+        potential=potential if potential.support else default_potential(),
         experiments=experiments,
         output_dir=Path(doc.get("output_dir", "out")),
         seed=doc.get("seed", 0),
@@ -648,11 +612,13 @@ def run_experiments(config: RunConfig) -> tuple[dict, bool]:
     results: dict[str, dict] = {}
     all_ok = True
     for name in config.experiments:
+        path = config.output_dir / f"{name}.csv"
         try:
+            # a failed experiment leaves no CSV of an earlier run beside its entry
+            path.unlink(missing_ok=True)
             t0 = time.perf_counter()
             rows = EXPERIMENTS[name](ctx, **config.options.get(name, {}))
             elapsed = time.perf_counter() - t0
-            path = config.output_dir / f"{name}.csv"
             _write_csv(path, rows)
             entry = {
                 "status": "ok",

@@ -7,7 +7,6 @@ immutable after construction and safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -289,25 +288,6 @@ def _ball_kinetic_sum(m: int) -> int:
         return int(((2 * h + 1) * s + h * (h + 1) * (2 * h + 1) // 3).sum())
 
     return sum(itertools.starmap(slab, _slabs(m)))
-
-
-def _solve_ksq_for_n(n_target: int) -> tuple[Fraction, int]:
-    """Smallest half-integer squared radius whose ball has n_target points,
-    or the nearest attainable count (the smaller radius on a tie)."""
-    if n_target < 1:
-        raise ValueError("n_target must be >= 1")
-    hi = 1
-    while _ball_count(hi) < n_target:
-        hi *= 2
-    radii = range(hi + 1)  # _ball_count is nondecreasing on it
-    m = bisect.bisect_left(radii, n_target, key=_ball_count)
-    n_above = _ball_count(m)
-    if n_above != n_target:
-        n_below = _ball_count(m - 1)
-        if n_target - n_below <= n_above - n_target:
-            m_below = bisect.bisect_left(radii, n_below, key=_ball_count)
-            return Fraction(2 * m_below + 1, 2), n_below
-    return Fraction(2 * m + 1, 2), n_above
 
 
 def build_fermi_ball(k_fermi: float | None = None, *, k_fermi_sq=None) -> FermiBall:

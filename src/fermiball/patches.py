@@ -421,24 +421,18 @@ def index_sets(decomp: PatchDecomposition, k: Sequence[int], delta: float) -> Mo
     return ModeIndexSet(_as_momentum(k), float(delta), plus, minus)
 
 
-def _shell_pair_ends(part: np.ndarray, k: np.ndarray, bounds: Sequence[tuple[int, int]]):
-    """The lune pairs (p, p - k) of one block of particles p that have both
-    ends in the radial shell of at least one of the (q_lo, q_hi) bounds: per
-    bound the mask of its own pairs among those kept (None for one bound),
-    then `_canonical_angles` of the kept particles and of their holes."""
+def _shell_pair_ends(part: np.ndarray, k: np.ndarray, q_lo: int, q_hi: int):
+    """`_canonical_angles` of the particles p of one block of lune pairs
+    (p, p - k) that have both ends in the radial shell q_lo <= |.|^2 <= q_hi,
+    and of their holes."""
     # both ends in the shell: the particle already lies above
     # k_F^2 >= q_lo and the hole below q_hi; |p - k|^2 is exact in int64
     pp = np.einsum("ij,ij->i", part, part)
     hh = pp - 2 * (part @ k) + int(k @ k)
-    keeps = [(pp <= q_hi) & (hh >= q_lo) for q_lo, q_hi in bounds]
-    keep, mines = keeps[0], None
-    if len(keeps) > 1:
-        keep = np.logical_or.reduce(keeps)
-        mines = [m[keep] for m in keeps]
-    part = part[keep]
+    part = part[(pp <= q_hi) & (hh >= q_lo)]
     part_angles = _canonical_angles(part)
     part -= k
-    return mines, part_angles, _canonical_angles(part)
+    return part_angles, _canonical_angles(part)
 
 
 def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
@@ -464,14 +458,15 @@ def pair_counts_by_layout(
     decomps: Sequence[PatchDecomposition], k: Sequence[int]
 ) -> list[np.ndarray]:
     """`pair_counts` of each layout at relative momentum k, from one walk of
-    the lune of the Fermi ball they all tile.
+    the lune of the Fermi ball they all tile, cut to the radial shell they
+    all share.
 
     The lune and its pair-end angles do not depend on the layout: each block
-    of the lune is cut to the radial shell once per distinct
-    `PatchDecomposition.shell_bounds`, its kept particles and their holes
-    pass `_canonical_angles` once, and only the labels, the plus-side test,
-    the agreement of the two ends and the tally are taken per layout.  Layouts
-    built from different `FermiBall` objects raise ValueError.
+    of the lune is cut to the shell, its kept particles and their holes pass
+    `_canonical_angles` once, and only the labels, the plus-side test, the
+    agreement of the two ends and the tally are taken per layout.  Layouts
+    built from different `FermiBall` objects, or with different
+    `PatchDecomposition.shell_bounds`, raise ValueError.
     """
     kv = _as_ivec(k)
     if not kv.any():
@@ -481,17 +476,16 @@ def pair_counts_by_layout(
     ball = decomps[0].ball
     if any(d.ball is not ball for d in decomps):
         raise ValueError("layouts counted in one walk must tile one FermiBall")
-    bounds = sorted({d.shell_bounds() for d in decomps})
-    shell = [bounds.index(d.shell_bounds()) for d in decomps]
+    shells = sorted({d.shell_bounds() for d in decomps})
+    if len(shells) > 1:
+        raise ValueError(f"layouts counted in one walk must share one shell, got {shells}")
+    q_lo, q_hi = shells[0]
     plus = [d.k_dots(kv) > 0 for d in decomps]
     counts = [np.zeros(d.m_patches, dtype=np.int64) for d in decomps]
     # map drops each block once its pair ends are taken
     blocks = _blocks(_lune(ball.norm_sq_max, kv))
-    for mines, *ends in map(_shell_pair_ends, blocks, repeat(kv), repeat(bounds)):
-        for decomp, s, side, tally in zip(decomps, shell, plus, counts):
-            part, hole = ends
-            if mines is not None:
-                part, hole = ([a[mines[s]] for a in angles] for angles in ends)
+    for part, hole in map(_shell_pair_ends, blocks, repeat(kv), repeat(q_lo), repeat(q_hi)):
+        for decomp, side, tally in zip(decomps, plus, counts):
             lab = decomp._label(*part)
             pair = np.flatnonzero((lab >= 0) & side[lab])
             lab = lab[pair]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -260,14 +260,18 @@ def rpa_energy_trace(
     )
 
 
-def small_v_quadratic_coefficient(
-    v: InteractionPotential, eps_pair: Sequence[float] = (1e-3, 1e-4)
-) -> float:
+#: the two couplings, as fractions of the potential, from which
+#: `small_v_quadratic_coefficient` extrapolates to zero coupling
+SMALL_V_EPS_PAIR = (1e-3, 1e-4)
+
+
+def small_v_quadratic_coefficient(v: InteractionPotential) -> float:
     """Quadratic coefficient chi of the correlation energy at weak coupling.
 
     Fits rpa_energy_analytic ~ hbar chi sum_k |k| V(k)^2 by scaling the
-    potential down by each epsilon and Richardson-extrapolating the two-point
-    values to zero coupling.  Returns 0 for a vanishing potential.
+    potential down by each epsilon of `SMALL_V_EPS_PAIR` and
+    Richardson-extrapolating the two-point values to zero coupling.  Returns
+    0 for a vanishing potential.
     """
     weights = [
         (math.sqrt(Momentum(*k).norm_sq()), val)
@@ -277,7 +281,7 @@ def small_v_quadratic_coefficient(
     denom0 = math.fsum(w * val * val for w, val in weights)
     if denom0 == 0.0:
         return 0.0
-    eps1, eps2 = (float(e) for e in eps_pair)
+    eps1, eps2 = SMALL_V_EPS_PAIR
 
     def chi_at(eps: float) -> float:
         num = math.fsum(

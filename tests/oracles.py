@@ -4,7 +4,6 @@ against; they live here because no experiment needs them."""
 import csv
 import dataclasses
 import json
-import logging
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -36,7 +35,6 @@ from fermiball.lattice import (
     _band,
     _isqrt,
     _lune,
-    _solve_ksq_for_n,
 )
 from fermiball.patches import (
     TWO_PI,
@@ -49,8 +47,6 @@ from fermiball.patches import (
     pair_counts,
 )
 from fermiball.rpa import _NODES, RpaReport, _g, _integrate, _log1p_minus
-
-log = logging.getLogger(__name__)
 
 
 def hf_energy_of_occupation(ball: FermiBall, v: InteractionPotential, occupied: np.ndarray) -> float:
@@ -255,19 +251,6 @@ def dispersion(ball: FermiBall, p: Sequence[int]) -> float:
     """
     gap = Fraction(_as_momentum(p).norm_sq()) - ball.k_fermi_sq
     return ball.hbar**2 * abs(float(gap))
-
-
-def solve_kfermi_for_n(n_target: int) -> float:
-    """Fermi radius whose ball holds n_target momenta (nearest match, warned)."""
-    ksq, n_actual = _solve_ksq_for_n(n_target)
-    if n_actual != n_target:
-        log.warning(
-            "no radius yields exactly N=%d; nearest attainable is N=%d at k_F^2=%s",
-            n_target,
-            n_actual,
-            ksq,
-        )
-    return math.sqrt(float(ksq))
 
 
 class PatchSpec(NamedTuple):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,21 +9,16 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fermiball
 from fermiball import experiments
 from fermiball.cli import main
 from fermiball.experiments import EXPERIMENTS, load_config, run_experiments
-from fermiball.lattice import _solve_ksq_for_n
-from oracles import solve_kfermi_for_n
 
 
 def write_config(tmp_path, **overrides):
     doc = {
-        "k_fermi_sq": 20.5,
-        "delta": 1.0 / 24.0,
         "potential": [[[0, 0, 1], 0.05], [[0, 1, 0], 0.05], [[1, 0, 0], 0.05]],
         "experiments": [],
         "seed": 42,
@@ -34,41 +30,6 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-# ------------------------------------------------------------ radius solver
-
-
-def test_solve_ksq_examples():
-    assert _solve_ksq_for_n(1) == (Fraction(1, 2), 1)
-    assert _solve_ksq_for_n(7) == (Fraction(3, 2), 7)
-    assert _solve_ksq_for_n(33) == (Fraction(9, 2), 33)
-
-
-def test_solve_kfermi_roundtrip():
-    assert solve_kfermi_for_n(33) == pytest.approx(math.sqrt(4.5))
-
-
-def test_solve_unattainable_returns_nearest(caplog):
-    # no radius yields exactly 2 points; nearest attainable is 1
-    ksq, n = _solve_ksq_for_n(2)
-    assert n == 1 and ksq == Fraction(1, 2)
-    with caplog.at_level("WARNING"):
-        solve_kfermi_for_n(2)
-    assert "nearest attainable" in caplog.text
-
-
-def test_solve_ksq_matches_brute_force():
-    # first exact count, else the first nearest, over cumulative shell counts;
-    # the cube of half-width r holds every |p|^2 <= r^2, far beyond N = 3000
-    r = 12
-    ax = np.arange(-r, r + 1)
-    q = (ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2).ravel()
-    cum = np.cumsum(np.bincount(q[q <= r * r]))
-    for n in range(1, 3001):
-        exact = np.nonzero(cum == n)[0]
-        m = int(exact[0]) if len(exact) else int(np.argmin(np.abs(cum - n)))
-        assert _solve_ksq_for_n(n) == (Fraction(2 * m + 1, 2), int(cum[m])), n
-
-
 # ------------------------------------------------------------ config
 
 
@@ -76,7 +37,6 @@ def test_load_config_potential_symmetrized(tmp_path):
     path = write_config(tmp_path)
     config = load_config(json.loads(path.read_text()))
     assert config.potential((0, 0, -1)) == 0.05
-    assert config.k_fermi_sq == Fraction("20.5")
 
 
 def test_load_config_conflicting_potential(tmp_path):
@@ -90,73 +50,38 @@ def test_load_config_conflicting_potential(tmp_path):
 def test_load_config_field_errors(tmp_path):
     base = json.loads(write_config(tmp_path).read_text())
     bad = dict(base)
-    bad["delta"] = 0.5
-    with pytest.raises(ValueError, match="delta"):
-        load_config(bad)
-    # inside (0, 1/6) but outside equator_sum_scaling's range (0, 77/624)
-    bad = dict(base)
-    bad["delta"] = 0.14
-    with pytest.raises(ValueError, match="delta must lie in"):
-        load_config(bad)
-    bad = dict(base)
     bad["experiments"] = ["no_such_thing"]
     with pytest.raises(ValueError, match="no_such_thing"):
         load_config(bad)
-    bad = dict(base)
-    bad["n_particles"] = 10
-    with pytest.raises(ValueError, match="exactly one"):
-        load_config(bad)
     # wrongly typed JSON values name their field instead of raising TypeError;
-    # an integer field takes no bool, float or string, so none is truncated,
-    # and a radius takes a JSON number only, not a numeric string or a bool
-    radius_free = {k: v for k, v in base.items() if k != "k_fermi_sq"}
-    radius_cases = (
-        ("k_fermi", "abc"),
-        ("k_fermi_sq", "abc"),
+    # an integer field takes no bool, float or string, so none is truncated
+    cases = (
         ("n_particles", None),
         ("n_particles", 33401.9),
-        ("k_fermi_sq", "400.5"),
-        ("k_fermi", "20"),
-        ("k_fermi", True),
+        ("n_particles", "33401"),
+        ("workers", None),
+        ("seed", [1]),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "7"),
+        ("workers", 2.7),
+        ("potential", 5),
+        ("potential", None),
+        ("experiments", 5),
+        ("experiments", None),
+        ("options", {"patch_audit": 3}),
     )
-    cases = [(radius_free, f, v) for f, v in radius_cases]
-    cases += [
-        (base, f, v)
-        for f, v in (
-            ("workers", None),
-            ("delta", "x"),
-            ("seed", [1]),
-            ("seed", 1.5),
-            ("seed", True),
-            ("seed", "7"),
-            ("workers", 2.7),
-            ("potential", 5),
-            ("potential", None),
-            ("experiments", 5),
-            ("experiments", None),
-            ("options", {"patch_audit": 3}),
-        )
-    ]
-    for doc, field, value in cases:
+    for field, value in cases:
         with pytest.raises(ValueError, match=field):
-            load_config(dict(doc, **{field: value}))
-
-
-def test_config_from_particle_number(tmp_path):
-    doc = json.loads(write_config(tmp_path).read_text())
-    del doc["k_fermi_sq"]
-    doc["n_particles"] = 33
-    config = load_config(doc)
-    assert config.k_fermi_sq == Fraction(9, 2)
+            load_config(dict(base, **{field: value}))
 
 
 def test_load_config_does_not_import_cli():
-    # the radius solve lives in the lattice layer, so experiments -> cli
-    # carries no import cycle
+    # experiments -> cli carries no import cycle
     code = (
         "import sys\n"
         "from fermiball.experiments import load_config\n"
-        "load_config({'n_particles': 33})\n"
+        "load_config({'experiments': ['gauss_count']})\n"
         "assert 'fermiball.cli' not in sys.modules, 'load_config imported fermiball.cli'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
@@ -171,7 +96,7 @@ def test_load_config_does_not_import_scipy():
     code = (
         "import sys\n"
         "from fermiball.experiments import load_config\n"
-        "load_config({'n_particles': 33})\n"
+        "load_config({'experiments': ['gauss_count']})\n"
         "assert 'scipy' not in sys.modules, 'load_config imported scipy'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
@@ -200,7 +125,6 @@ SMALLEST_OPTIONS = {
 def test_run_of_every_experiment_does_not_import_scipy(tmp_path):
     assert set(SMALLEST_OPTIONS) | {"small_v_fit"} == set(EXPERIMENTS)
     doc = {
-        "k_fermi_sq": 20.5,
         "experiments": list(EXPERIMENTS),
         "seed": 1,
         "options": SMALLEST_OPTIONS,
@@ -248,6 +172,10 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
     cases = [
         ("gauss_cout", {"options": {"gauss_cout": {"k_fermi_sq_grid": [25.5]}}}),
         ("m_patch", {"m_patch": 16}),
+        # the radius and the equator exponent are set per experiment, in its options
+        ("k_fermi", {"k_fermi": 20.0}),
+        ("k_fermi_sq", {"k_fermi_sq": 400.5}),
+        ("delta", {"delta": 1.0 / 24.0}),
         ("m_patches", {"m_patches": 8}),
         ("m_patches", {"m_patches": 7}),
         ("m_patches", {"m_patches": None}),
@@ -279,16 +207,22 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
         ("schedule", {"options": {"rpa_compare": {"schedule": [[400.5]]}}}),
         ("schedule", {"options": {"rpa_compare": {"schedule": [400.5, 8]}}}),
     ]
-    # top-level values are checked by the options' rule, and named with their
-    # place in the document: none is coerced, truncated or read as another
+    # top-level values are checked by the options' rule, and every value is
+    # named with its place in the document: none is coerced, truncated or
+    # read as another
+    delta_at = "options['equator_sum_scaling']['delta']"
+
+    def equator_delta(value):
+        return {"options": {"equator_sum_scaling": {"delta": value}}}
+
     field_cases = [
-        ("delta must be a finite number, got '0.05'", {"delta": "0.05"}),
+        (f"{delta_at} must be a finite number, got '0.05'", equator_delta("0.05")),
         ("experiments must be a list, got {'gauss_count': 1}", {"experiments": {"gauss_count": 1}}),
         ("potential[0][0][0] must be an integer, got 1.5", {"potential": [[[1.5, 0, 0], 0.05]]}),
         ("potential[0][1] must be a finite number, got '0.05'", {"potential": [[[1, 0, 0], "0.05"]]}),
         ("potential[0][1] must be a finite number, got True", {"potential": [[[1, 0, 0], True]]}),
         ("potential[0][1] must be a finite number, got nan", {"potential": [[[1, 0, 0], math.nan]]}),
-        ("delta must be a finite number, got 1000", {"delta": 10**400}),
+        (f"{delta_at} must be a finite number, got 1000", equator_delta(10**400)),
         ("potential[1][0] must be a list of 3 entries", {"potential": [[[1, 0, 0], 0.1], [[1, 0], 0.1]]}),
         ("output_dir must be a string, got 5", {"output_dir": 5}),
         ("seed must be >= 0, got -1", {"seed": -1}),
@@ -298,7 +232,7 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
     out = tmp_path / "out"
 
     def assert_refused(i, named, extra):
-        doc = {"k_fermi_sq": 400.5, "experiments": ["gauss_count"], "output_dir": str(out), **extra}
+        doc = {"experiments": ["gauss_count"], "output_dir": str(out), **extra}
         with pytest.raises(ValueError, match=re.escape(named)):
             load_config(doc)
         path = tmp_path / f"{i}.json"
@@ -313,10 +247,10 @@ def test_unread_config_keys_are_named_errors(tmp_path, capsys):
         assert_refused(i, named, extra)
     assert not out.exists()
     with pytest.raises(ValueError, match="JSON object"):
-        load_config([["k_fermi_sq", 400.5]])
+        load_config([["seed", 1]])
 
 
-def test_benchmark_workload_configs_load():
+def test_benchmark_workload_configs_load(tmp_path, capsys):
     # the benchmark's configs must stay valid under the config key checks
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     sys.path.insert(0, str(perfbench))
@@ -326,7 +260,14 @@ def test_benchmark_workload_configs_load():
         sys.path.remove(str(perfbench))
     assert WORKLOADS
     for workload in WORKLOADS.values():
-        load_config(workload.config(1))
+        doc = workload.config(1)
+        # the benchmark writes both keys; neither has an effect
+        assert {"n_particles", "workers"} <= set(doc)
+        assert load_config(doc).experiments == workload.experiments
+        path = tmp_path / f"{workload.name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == f"ok: experiments={workload.experiments}\n"
 
 
 def test_benchmark_tracer_binds(tmp_path):
@@ -334,7 +275,6 @@ def test_benchmark_tracer_binds(tmp_path):
     # parameters and results; a renamed hook target would leave its metrics at 0
     root = Path(__file__).resolve().parent.parent
     doc = {
-        "k_fermi_sq": 400.5,
         "experiments": ["rpa_compare", "kernel_bound_fit", "kernel_identities", "patch_audit"],
         "seed": 1,
         "options": {"rpa_compare": {"schedule": [[400.5, 8]]}, "kernel_identities": {"n_systems": 8}},
@@ -373,12 +313,75 @@ def test_list_experiments(capsys):
 
 
 def test_validate_ok_and_fail(tmp_path, capsys):
-    path = write_config(tmp_path)
+    path = write_config(tmp_path, experiments=["gauss_count"])
     assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: experiments=['gauss_count']\n"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"k_fermi_sq": 20.5, "delta": 9}))
+    bad.write_text(json.dumps({"seed": -1}))
     assert main(["validate", "--config", str(bad)]) == 1
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+def test_config_without_a_potential_echoes_the_default(tmp_path):
+    # small_v_fit and hf_stability read the default potential when the config
+    # sets none, and the manifest echoes the potential the run used
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
+    config = load_config(json.loads(path.read_text()))
+    assert dict(config.potential.items()) == dict(experiments.default_potential().items())
+    assert main(["run", "--config", str(path)]) == 0
+    echoed = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["potential"]
+    assert echoed == [[list(k), 0.05] for k in sorted(experiments.UNIT_VECTORS)]
+    assert len(echoed) == 6
+
+
+def test_equator_delta_is_an_option_of_its_experiment(tmp_path):
+    grid = {"k_fermi_sq_grid": [20.5, 100.5]}
+    path = write_config(
+        tmp_path,
+        experiments=["equator_sum_scaling"],
+        options={"equator_sum_scaling": {**grid, "delta": 0.05}},
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    with open(tmp_path / "out" / "equator_sum_scaling.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["delta"] for row in rows] == ["0.05", "0.05"]
+    # inside (0, 1/6) but outside the equator sum's range (0, 77/624): the
+    # library call refuses it when the experiment runs, and the run goes on
+    path = write_config(
+        tmp_path,
+        experiments=["equator_sum_scaling", "gauss_count"],
+        options={"equator_sum_scaling": {**grid, "delta": 0.14}, "gauss_count": grid},
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    out = tmp_path / "out"
+    entries = json.loads((out / "manifest.json").read_text())["experiments"]
+    assert entries["equator_sum_scaling"]["status"] == "failed"
+    assert "delta must lie in (0, 77/624)" in entries["equator_sum_scaling"]["error"]
+    assert entries["gauss_count"]["status"] == "ok"
+    assert not (out / "equator_sum_scaling.csv").exists()
+
+
+def test_failed_experiment_leaves_no_stale_csv(tmp_path):
+    # a run into a directory that holds an earlier run's CSV of an experiment
+    # that now fails must not leave that CSV beside a failed manifest entry
+    path = write_config(
+        tmp_path, experiments=["gauss_count"], options={"gauss_count": {"k_fermi_sq_grid": [4.5]}}
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert (out / "gauss_count.csv").exists()
+    path = write_config(
+        tmp_path,
+        experiments=["gauss_count", "small_v_fit"],
+        options={"gauss_count": {"k_fermi_sq_grid": [-1.0]}},
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    entries = json.loads((out / "manifest.json").read_text())["experiments"]
+    assert entries["gauss_count"]["status"] == "failed"
+    assert not (out / "gauss_count.csv").exists()
+    assert entries["small_v_fit"]["status"] == "ok"
+    assert (out / "small_v_fit.csv").exists()
 
 
 def test_run_empty_experiments_writes_manifest(tmp_path):
@@ -481,7 +484,7 @@ def test_lattice_csv_golden_bytes(tmp_path):
 
     path = tmp_path / "config.json"
     path.write_text(
-        json.dumps({"k_fermi_sq": 400.5, "experiments": list(LATTICE_CSV_SHA256), "seed": 1})
+        json.dumps({"experiments": list(LATTICE_CSV_SHA256), "seed": 1})
     )
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
@@ -500,7 +503,7 @@ def test_hf_stability_golden_bytes_at_benchmark_radius(tmp_path):
     options = {"hf_stability": {"k_fermi_sq": 6400.5, "n_check": 1}}
     path.write_text(
         json.dumps(
-            {"k_fermi_sq": 400.5, "experiments": ["hf_stability"], "seed": 1, "options": options}
+            {"experiments": ["hf_stability"], "seed": 1, "options": options}
         )
     )
     out = tmp_path / "out"
@@ -528,7 +531,7 @@ def assert_single_csv_golden_bytes(tmp_path, name):
 
     options, digest = SINGLE_CSV_SHA256[name]
     path = tmp_path / "config.json"
-    doc = {"k_fermi_sq": 400.5, "experiments": [name], "seed": 1, "options": {name: options}}
+    doc = {"experiments": [name], "seed": 1, "options": {name: options}}
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
@@ -561,7 +564,7 @@ def test_fixed_setting_csv_golden_bytes(tmp_path):
 
     path = tmp_path / "config.json"
     path.write_text(
-        json.dumps({"k_fermi_sq": 400.5, "experiments": list(FIXED_SETTING_CSV_SHA256), "seed": 1})
+        json.dumps({"experiments": list(FIXED_SETTING_CSV_SHA256), "seed": 1})
     )
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
@@ -582,7 +585,7 @@ def test_rpa_compare_golden_bytes_at_many_patches(tmp_path):
     options = {"rpa_compare": {"schedule": schedule}}
     path.write_text(
         json.dumps(
-            {"k_fermi_sq": 400.5, "experiments": ["rpa_compare"], "seed": 1, "options": options}
+            {"experiments": ["rpa_compare"], "seed": 1, "options": options}
         )
     )
     out = tmp_path / "out"
@@ -665,7 +668,6 @@ def test_run_names_a_bad_patch_parameter(tmp_path, options, named):
     # values that pass load_config but that build_patches refuses
     path = write_config(
         tmp_path,
-        k_fermi_sq=400.5,
         experiments=["patch_audit"],
         options={"patch_audit": {"k_fermi_sq": 400.5, **options}},
     )
@@ -690,7 +692,7 @@ def test_run_names_a_bad_patch_parameter(tmp_path, options, named):
 )
 def test_run_names_an_out_of_range_count(tmp_path, experiment, options, named):
     path = write_config(
-        tmp_path, k_fermi_sq=400.5, experiments=[experiment], options={experiment: options}
+        tmp_path, experiments=[experiment], options={experiment: options}
     )
     assert main(["run", "--config", str(path)]) == 2
     entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["experiments"][experiment]

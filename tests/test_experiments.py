@@ -173,7 +173,6 @@ def test_slice_counts_match_count_slice(ksq, k):
 
 def hf_config(tmp_path, ksq: float, **options):
     doc = {
-        "k_fermi_sq": ksq,
         "experiments": ["hf_stability"],
         "seed": 1,
         "options": {"hf_stability": {"k_fermi_sq": ksq, **options}},
@@ -242,7 +241,7 @@ def test_hf_stability_reaches_n_1e7(tmp_path):
 
 
 def kernel_identities_context(seed):
-    config = load_config({"k_fermi_sq": 20.5, "experiments": ["kernel_identities"], "seed": seed})
+    config = load_config({"experiments": ["kernel_identities"], "seed": seed})
     return Context(config, BallCache())
 
 
@@ -269,7 +268,7 @@ def test_kernel_identities_memory_is_bounded_by_its_stacks():
 
 
 def kernel_bound_fit_context():
-    config = load_config({"k_fermi_sq": 20.5, "experiments": ["kernel_bound_fit"], "seed": 1})
+    config = load_config({"experiments": ["kernel_bound_fit"], "seed": 1})
     return Context(config, BallCache())
 
 

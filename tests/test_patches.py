@@ -605,8 +605,9 @@ def test_pair_counts_memory_does_not_grow_with_the_shell():
     assert peak <= 10e6, peak
 
 
-#: (M, r_v) layouts of one ball, counted in one walk: shell half-widths 1
-#: and 2, so two shell bounds share it
+#: (M, r_v) layouts of one ball, counted in one walk: r_v = 0 and 1 have
+#: shell half-width 1, r_v = 2 half-width 2, so they make two single-shell
+#: groups
 SHARED_WALK_LAYOUTS = {
     "ball_400": [(2, 2.0), (8, 2.0), (8, 0.0), (30, 1.0), (512, 0.0), (2048, 0.0)],
     "ball_6400": [(2, 2.0), (8, 0.0), (30, 2.0), (30, 1.0), (512, 1.0), (2048, 0.0)],
@@ -617,14 +618,21 @@ SHARED_WALK_LAYOUTS = {
 def test_shared_walk_equals_one_count_per_layout(ball_name, request):
     ball = request.getfixturevalue(ball_name)
     layouts = [build_patches(m, ball, r_v) for m, r_v in SHARED_WALK_LAYOUTS[ball_name]]
-    assert len({d.shell_bounds() for d in layouts}) == 2
+    groups: dict[tuple[int, int], list] = {}
+    for decomp in layouts:
+        groups.setdefault(decomp.shell_bounds(), []).append(decomp)
+    assert len(groups) == 2
     for k in ((0, 0, 1), (1, 0, 0), (1, -2, 3)):
-        shared = pair_counts_by_layout(layouts, k)
-        assert len(shared) == len(layouts)
-        for decomp, got in zip(layouts, shared):
-            assert np.array_equal(got, pair_counts(decomp, k)), (decomp, k)
-        # M = 2 is orthogonal to (1, 0, 0); every other layout pairs at each k
-        assert sum(got.sum() > 0 for got in shared) >= len(layouts) - 1
+        for group in groups.values():
+            shared = pair_counts_by_layout(group, k)
+            assert len(shared) == len(group)
+            for decomp, got in zip(group, shared):
+                assert np.array_equal(got, pair_counts(decomp, k)), (decomp, k)
+            # M = 2 is orthogonal to (1, 0, 0); every other layout pairs at each k
+            assert sum(got.sum() > 0 for got in shared) >= len(group) - 1
+        # a walk counts one radial shell: a mixed-shell list is refused
+        with pytest.raises(ValueError, match="one shell"):
+            pair_counts_by_layout(layouts, k)
     assert pair_counts_by_layout([], (0, 0, 1)) == []
 
 

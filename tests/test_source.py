@@ -152,16 +152,15 @@ def test_dead_helper_check_catches_a_leftover():
     ]
 
 
-#: the one private lattice name experiments may use: the radius solve of
-#: `load_config`
-EXPERIMENTS_MAY_READ = {"_solve_ksq_for_n"}
+#: the private lattice names experiments may use: none
+EXPERIMENTS_MAY_READ: set[str] = set()
 
 
 def layer_breaches(modules: dict[str, ast.Module]) -> list[str]:
-    """Private names of `lattice` (but the radius solve) or of `patches`
-    that `experiments.py` imports or reads as an attribute of the module,
-    and reads of `_clearance` by a module other than `patches.py`: each
-    engine stays behind the layer that owns it."""
+    """Private names of `lattice` (but those of `EXPERIMENTS_MAY_READ`) or of
+    `patches` that `experiments.py` imports or reads as an attribute of the
+    module, and reads of `_clearance` by a module other than `patches.py`:
+    each engine stays behind the layer that owns it."""
     found = []
     for module, tree in modules.items():
         for node in ast.walk(tree):
@@ -191,7 +190,7 @@ def test_experiments_reach_no_layer_engine():
 def test_layer_check_catches_a_leftover():
     experiments = (
         "from . import lattice, patches\n"
-        "from .lattice import FermiBall, _band_blocks, _solve_ksq_for_n\n"
+        "from .lattice import FermiBall, _band_blocks, _isqrt\n"
         "from .patches import _MU_MIN_FLOOR\n"
         "def f(r, mu):\n"
         "    return patches._clearance(r, mu, 0.0), lattice._ball_count(4), lattice.sample_band\n"
@@ -203,6 +202,7 @@ def test_layer_check_catches_a_leftover():
     ]}
     assert layer_breaches(modules) == [
         "experiments.py: lattice._band_blocks (line 2)",
+        "experiments.py: lattice._isqrt (line 2)",
         "experiments.py: patches._MU_MIN_FLOOR (line 3)",
         "experiments.py: patches._clearance (line 5)",
         "experiments.py: lattice._ball_count (line 5)",
