@@ -19,8 +19,8 @@ A solve decomposes d^1/2 (d+2b) d^1/2 once and, unless told not to, checks
 itself: its residuals include the L2 block's rebuild of K, a second route,
 and the spectrum of frakK against E's (see `_solve`).
 Positive definiteness is a checked precondition, never silently clamped.
-The arithmetic takes (..., I, I) arrays, so `kernel_identities` solves its
-random systems in stacks of equal size with the bits of one-by-one solves.
+The arithmetic takes (..., I, I) arrays, so `stacked_residuals` solves many
+systems in stacks of equal size with the bits of one-by-one solves.
 The energy path solves no matrix: `rpa.ground_state_shift` reads the shift
 from u, v and g by quadrature, and the tests use `diagonalize` as its dense
 reference.
@@ -46,6 +46,7 @@ __all__ = [
     "build_mode_system",
     "sample_mode_system",
     "diagonalize",
+    "stacked_residuals",
     "check_kernel_bound",
     "check_L_blocks",
     "check_frakK_minus_D_bound",
@@ -341,6 +342,33 @@ def diagonalize(ms: ModeSystem, *, checked: bool = True) -> BogoliubovSolution:
     scale of tr d, not always on that of the correction itself.
     """
     return _solve(ms.u, ms.v, ms.g, checked)
+
+
+#: matrix entries per stack of `stacked_residuals`: a stack of equal-size
+#: systems holds at most this many, or one system, so each of the solve's
+#: transient arrays stays within 64 kB
+_STACK_ENTRIES = 1 << 13
+
+
+def stacked_residuals(systems: Sequence[ModeSystem]) -> list[dict[str, float]]:
+    """Each system's checked-solve residuals, in input order, from stacked
+    solves: the systems are grouped by side and each group is solved in
+    stacks of at most `_STACK_ENTRIES` entries, each stack by one `_solve`
+    call, with the bits of `diagonalize(ms).residuals`."""
+    by_side: dict[int, list[int]] = {}
+    for i, ms in enumerate(systems):
+        by_side.setdefault(ms.side, []).append(i)
+    out: list[dict[str, float]] = [{} for _ in systems]
+    for side, members in by_side.items():
+        per_stack = max(1, _STACK_ENTRIES // side**2)
+        for lo in range(0, len(members), per_stack):
+            chunk = members[lo : lo + per_stack]
+            u = np.stack([systems[i].u for i in chunk])
+            v = np.stack([systems[i].v for i in chunk])
+            res = _solve(u, v, np.array([systems[i].g for i in chunk])).residuals
+            for j, i in enumerate(chunk):
+                out[i] = {name: float(value[j]) for name, value in res.items()}
+    return out
 
 
 def _scaled_bound(mat: np.ndarray, ms: ModeSystem) -> np.ndarray:

@@ -291,12 +291,6 @@ def exp_normalization_asymptotics(ctx: Context, *, k_fermi_sq=3600.5, m_patches=
 # kernel experiments
 
 
-#: matrix entries per stacked array of `exp_kernel_identities`' solves: a
-#: stack of equal-size systems holds at most this many, or one system, so each
-#: of the solve's transient arrays stays within 64 kB
-_STACK_ENTRIES = 1 << 13
-
-
 #: kernel_identities' columns after `size`, each a residual of the solve
 _IDENTITY_COLUMNS = (
     "offdiagonal_rel", "spectrum_rel_dev", "l_block_dev", "hyperbolic", "orthogonality",
@@ -304,51 +298,15 @@ _IDENTITY_COLUMNS = (
 )
 
 
-def _identity_rows(stack: list[bogokernel.ModeSystem]) -> list[dict]:
-    """kernel_identities' rows, less the system number, of equal-size mode
-    systems solved as one stack on their plus sides, built from their u, v
-    and g."""
-    u = np.stack([ms.u for ms in stack])
-    v = np.stack([ms.v for ms in stack])
-    res = bogokernel._solve(u, v, np.array([ms.g for ms in stack])).residuals
-    return [
-        {"size": stack[0].size, **{name: float(res[name][j]) for name in _IDENTITY_COLUMNS}}
-        for j in range(len(stack))
-    ]
-
-
 def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
     _require_at_least("n_systems", n_systems, 0)
     _require_at_least("max_side", max_side, 1)
     rng = np.random.default_rng(ctx.config.seed)
     systems = [bogokernel.sample_mode_system(rng, max_side=max_side) for _ in range(n_systems)]
-    by_side: dict[int, list[int]] = {}
-    for i, ms in enumerate(systems):
-        by_side.setdefault(ms.side, []).append(i)
-    rows: list[dict] = [{} for _ in systems]
-    for side, members in by_side.items():
-        per_stack = max(1, _STACK_ENTRIES // side**2)
-        for lo in range(0, len(members), per_stack):
-            chunk = members[lo : lo + per_stack]
-            for i, row in zip(chunk, _identity_rows([systems[i] for i in chunk])):
-                rows[i] = {"system": i, **row}
-    return rows
-
-
-def _counts_by_point(layouts, ks) -> list[dict]:
-    """Each layout's pair counts at each k, keyed by k, from one walk of each
-    lune per ball and radial shell: the layouts are grouped by the ball they
-    tile and by their shell bounds."""
-    groups: dict[tuple, list[int]] = {}
-    for i, decomp in enumerate(layouts):
-        groups.setdefault((id(decomp.ball), decomp.shell_bounds()), []).append(i)
-    out: list[dict] = [{} for _ in layouts]
-    for members in groups.values():
-        for k in ks:
-            walked = patches.pair_counts_by_layout([layouts[i] for i in members], k)
-            for i, counts in zip(members, walked):
-                out[i][k] = counts
-    return out
+    return [
+        {"system": i, "size": ms.size, **{name: res[name] for name in _IDENTITY_COLUMNS}}
+        for i, (ms, res) in enumerate(zip(systems, bogokernel.stacked_residuals(systems)))
+    ]
 
 
 def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30)):
@@ -357,11 +315,11 @@ def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30))
     pot = InteractionPotential({(0, 0, 1): 0.1, (0, 0, -1): 0.1})
     ball = ctx.balls.get(k_fermi_sq)
     layouts = [patches.build_patches(m, ball, r_v=1.0) for m in m_grid]
-    counts = _counts_by_point(layouts, pot.gamma_nor())
+    counts = {k: patches.pair_counts_by_layout(layouts, k) for k in pot.gamma_nor()}
     rows = []
-    for m, decomp, layout_counts in zip(m_grid, layouts, counts):
+    for i, (m, decomp) in enumerate(zip(m_grid, layouts)):
         for k in pot.gamma_nor():
-            ms = bogokernel.build_mode_system(decomp, pot, k, ENERGY_DELTA, layout_counts[k])
+            ms = bogokernel.build_mode_system(decomp, pot, k, ENERGY_DELTA, counts[k][i])
             sol = bogokernel.diagonalize(ms, checked=False)
             c_star, worst = bogokernel.check_kernel_bound(sol, ms)
             rows.append(
@@ -386,10 +344,11 @@ def exp_kernel_bound_fit(ctx: Context, *, k_fermi_sq=1600.5, m_grid=(6, 16, 30))
 def exp_rpa_compare(ctx: Context, *, schedule=((400.5, 8), (1600.5, 16), (6400.5, 30))):
     pot = default_potential()
     layouts = [patches.build_patches(m, ctx.balls.get(ksq), r_v=0.0) for ksq, m in schedule]
-    counts = _counts_by_point(layouts, pot.gamma_nor())
+    counts = {k: patches.pair_counts_by_layout(layouts, k) for k in pot.gamma_nor()}
     rows = []
-    for (ksq, m), decomp, point_counts in zip(schedule, layouts, counts):
-        report = rpa.rpa_energy_trace(decomp, pot, ENERGY_DELTA, point_counts)
+    for i, ((ksq, m), decomp) in enumerate(zip(schedule, layouts)):
+        layout_counts = {k: walked[i] for k, walked in counts.items()}
+        report = rpa.rpa_energy_trace(decomp, pot, ENERGY_DELTA, layout_counts)
         rows.append(
             {
                 "k_fermi_sq": str(Fraction(ksq)),
@@ -575,7 +534,7 @@ def load_config(doc: dict) -> RunConfig:
     for key, least in (("seed", 0), ("workers", 1)):
         if doc.get(key, least) < least:
             raise ValueError(f"{key} must be >= {least}, got {doc[key]!r}")
-    potential = InteractionPotential.from_pairs(doc.get("potential", []))
+    potential = InteractionPotential(doc.get("potential", []))
     experiments = list(doc.get("experiments", []))
     for i, name in enumerate(experiments):
         if name not in EXPERIMENTS:

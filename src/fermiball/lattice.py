@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,22 +290,14 @@ def _ball_kinetic_sum(m: int) -> int:
     return sum(itertools.starmap(slab, _slabs(m)))
 
 
-def build_fermi_ball(k_fermi: float | None = None, *, k_fermi_sq=None) -> FermiBall:
-    """Construct the Fermi ball from a radius or an exact squared radius.
+def build_fermi_ball(*, k_fermi_sq) -> FermiBall:
+    """Construct the Fermi ball of an exact squared radius.
 
     Half-integer squared radii (e.g. ``k_fermi_sq=Fraction(801, 2)``) make
-    every run tie-free; a float radius is squared exactly through its binary
-    value.
+    every run tie-free.  The argument is keyword-only, so that a radius is
+    never taken for a squared radius.
     """
-    if (k_fermi is None) == (k_fermi_sq is None):
-        raise ValueError("pass exactly one of k_fermi, k_fermi_sq")
-    if k_fermi_sq is not None:
-        ksq = Fraction(k_fermi_sq)
-    else:
-        if k_fermi <= 0:
-            raise ValueError("k_fermi must be positive")
-        ksq = Fraction(k_fermi) ** 2
-    return FermiBall(ksq)
+    return FermiBall(Fraction(k_fermi_sq))
 
 
 def pair_gap_histogram(ball: FermiBall, k: Sequence[int]) -> tuple[int, np.ndarray]:
@@ -423,41 +415,28 @@ def _potential_entry(key: Sequence[int], val: float) -> tuple[Momentum, float]:
 class InteractionPotential:
     """Finitely supported, nonnegative, reflection-symmetric Fourier potential."""
 
-    def __init__(self, values: Mapping[Sequence[int], float]):
+    def __init__(
+        self, values: Mapping[Sequence[int], float] | Iterable[tuple[Sequence[int], float]]
+    ):
+        """From a mapping or (k, value) pairs; a missing mirror entry is
+        completed with its partner's value.  A repeated or mirror entry of
+        another value, a negative value or a non-finite one is a ValueError
+        naming the entry.  The table holds the given entries first, then the
+        completed mirrors, each in order."""
         table: dict[Momentum, float] = {}
-        for key, val in values.items():
+        for key, val in values.items() if isinstance(values, Mapping) else values:
             k, v = _potential_entry(key, val)
             if v < 0:
-                raise ValueError(f"potential must be nonnegative, got {v} at {k}")
+                raise ValueError(f"potential must be nonnegative, got {v} at {tuple(k)}")
+            if table.get(k, v) != v:
+                raise ValueError(f"conflicting potential values for {tuple(k)}")
             table[k] = v
         for k, v in list(table.items()):
             mk = Momentum(-k.px, -k.py, -k.pz)
-            if mk not in table:
-                raise ValueError(f"potential not reflection symmetric: missing {mk}")
-            if table[mk] != v:
-                raise ValueError(f"potential not reflection symmetric at {k}")
+            if table.setdefault(mk, v) != v:
+                mirror = f"{tuple(k)}/{tuple(mk)}"
+                raise ValueError(f"conflicting symmetric potential values at {mirror}")
         self._table = table
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "InteractionPotential":
-        """Build from (k, value) pairs, completing missing mirror entries.
-
-        A mirror entry that is present with a conflicting value is an error.
-        """
-        table: dict[Momentum, float] = {}
-        for key, val in pairs:
-            k, v = _potential_entry(key, val)
-            if k in table and table[k] != v:
-                raise ValueError(f"conflicting potential values for {k}")
-            table[k] = v
-        for k, v in list(table.items()):
-            mk = Momentum(-k.px, -k.py, -k.pz)
-            if mk in table:
-                if table[mk] != v:
-                    raise ValueError(f"conflicting symmetric potential values at {k}/{mk}")
-            else:
-                table[mk] = v
-        return cls(table)
 
     def __call__(self, k: Sequence[int]) -> float:
         return self._table.get(_as_momentum(k), 0.0)
@@ -503,6 +482,27 @@ def hartree_fock_energy(ball: FermiBall, v: InteractionPotential) -> float:
     return kinetic + 0.5 * lam * (direct - exchange)
 
 
+def _swap_rows(ball: FermiBall, holes, particles):
+    """The swaps' hole and particle rows (n, 3) and their squared norms, from
+    one momentum each or (n, 3) arrays of one shape; holes and particles of
+    different shapes, a hole outside the ball or a particle inside it is a
+    ValueError."""
+    h = np.asarray(holes, dtype=np.int64)
+    p = np.asarray(particles, dtype=np.int64)
+    if h.shape != p.shape:
+        shapes = f"holes of shape {h.shape} and particles of shape {p.shape}"
+        raise ValueError(f"{shapes} do not pair up")
+    h, p = h.reshape(-1, 3), p.reshape(-1, 3)
+    hh = np.einsum("ij,ij->i", h, h)
+    pp = np.einsum("ij,ij->i", p, p)
+    q = ball.norm_sq_max
+    if (hh > q).any():
+        raise ValueError(f"hole {h[np.argmax(hh > q)]} is not inside the Fermi ball")
+    if (pp <= q).any():
+        raise ValueError(f"particle {p[np.argmax(pp <= q)]} is not outside the Fermi ball")
+    return h, p, hh, pp
+
+
 def excitation_energy(ball: FermiBall, v: InteractionPotential, hole, particle):
     """Energy cost of moving one particle from `hole` to `particle`.
 
@@ -512,17 +512,9 @@ def excitation_energy(ball: FermiBall, v: InteractionPotential, hole, particle):
     exchange fields sum_{a in B_F} V(q - a) add the support values in
     ``v.items()`` order, so a batch gives every swap's gap to the bit.
     """
-    h = np.asarray(hole, dtype=np.int64)
-    p = np.asarray(particle, dtype=np.int64)
-    one = h.shape == (3,)
-    h, p = h.reshape(-1, 3), p.reshape(-1, 3)
+    one = np.shape(hole) == (3,)
+    h, p, hh, pp = _swap_rows(ball, hole, particle)
     q = ball.norm_sq_max
-    hh = (h * h).sum(axis=1)
-    pp = (p * p).sum(axis=1)
-    if (hh > q).any():
-        raise ValueError(f"hole {h[np.argmax(hh > q)]} is not inside the Fermi ball")
-    if (pp <= q).any():
-        raise ValueError(f"particle {p[np.argmax(pp <= q)]} is not outside the Fermi ball")
     lam = 1.0 / ball.n_particles
     kinetic = ball.hbar**2 * (pp - hh).astype(np.float64)
     g_p = np.zeros(len(p))
@@ -563,15 +555,8 @@ def swap_energies(ball: FermiBall, v: InteractionPotential, holes, particles) ->
     the band is a test of their norms alone. An empty batch returns []
     without a walk.
     """
-    h = np.asarray(holes, dtype=np.int64).reshape(-1, 3)
-    p = np.asarray(particles, dtype=np.int64).reshape(-1, 3)
-    hh = np.einsum("ij,ij->i", h, h)
-    pp = np.einsum("ij,ij->i", p, p)
+    h, p, hh, pp = _swap_rows(ball, holes, particles)
     q = ball.norm_sq_max
-    if (hh > q).any():
-        raise ValueError(f"hole {h[np.argmax(hh > q)]} is not inside the Fermi ball")
-    if (pp <= q).any():
-        raise ValueError(f"particle {p[np.argmax(pp <= q)]} is not outside the Fermi ball")
     if not len(h):
         return []
     # ceil(sqrt(m)) = isqrt(m - 1) + 1 for m >= 1

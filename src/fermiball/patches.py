@@ -457,41 +457,39 @@ def pair_counts(decomp: PatchDecomposition, k: Sequence[int]) -> np.ndarray:
 def pair_counts_by_layout(
     decomps: Sequence[PatchDecomposition], k: Sequence[int]
 ) -> list[np.ndarray]:
-    """`pair_counts` of each layout at relative momentum k, from one walk of
-    the lune of the Fermi ball they all tile, cut to the radial shell they
-    all share.
+    """`pair_counts` of each layout at relative momentum k, in input order,
+    from one walk of the lune per group of layouts that tile one `FermiBall`
+    object and share one radial shell (`PatchDecomposition.shell_bounds`).
 
     The lune and its pair-end angles do not depend on the layout: each block
-    of the lune is cut to the shell, its kept particles and their holes pass
-    `_canonical_angles` once, and only the labels, the plus-side test, the
-    agreement of the two ends and the tally are taken per layout.  Layouts
-    built from different `FermiBall` objects, or with different
-    `PatchDecomposition.shell_bounds`, raise ValueError.
+    of a group's lune is cut to the group's shell, its kept particles and
+    their holes pass `_canonical_angles` once, and only the labels, the
+    plus-side test, the agreement of the two ends and the tally are taken
+    per layout.
     """
     kv = _as_ivec(k)
     if not kv.any():
         raise ValueError("k = 0 admits no particle-hole pairs")
-    if not decomps:
-        return []
-    ball = decomps[0].ball
-    if any(d.ball is not ball for d in decomps):
-        raise ValueError("layouts counted in one walk must tile one FermiBall")
-    shells = sorted({d.shell_bounds() for d in decomps})
-    if len(shells) > 1:
-        raise ValueError(f"layouts counted in one walk must share one shell, got {shells}")
-    q_lo, q_hi = shells[0]
-    plus = [d.k_dots(kv) > 0 for d in decomps]
-    counts = [np.zeros(d.m_patches, dtype=np.int64) for d in decomps]
-    # map drops each block once its pair ends are taken
-    blocks = _blocks(_lune(ball.norm_sq_max, kv))
-    for part, hole in map(_shell_pair_ends, blocks, repeat(kv), repeat(q_lo), repeat(q_hi)):
-        for decomp, side, tally in zip(decomps, plus, counts):
-            lab = decomp._label(*part)
-            pair = np.flatnonzero((lab >= 0) & side[lab])
-            lab = lab[pair]
-            lab = lab[decomp._label(*(a[pair] for a in hole)) == lab]
-            tally += np.bincount(lab, minlength=decomp.m_patches)
-    return [c + np.roll(c, d.half) for c, d in zip(counts, decomps)]
+    groups: dict[tuple, list[int]] = {}
+    for i, decomp in enumerate(decomps):
+        groups.setdefault((decomp.ball, decomp.shell_bounds()), []).append(i)
+    out = [None] * len(decomps)
+    for (ball, (q_lo, q_hi)), members in groups.items():
+        group = [decomps[i] for i in members]
+        plus = [d.k_dots(kv) > 0 for d in group]
+        counts = [np.zeros(d.m_patches, dtype=np.int64) for d in group]
+        # map drops each block once its pair ends are taken
+        blocks = _blocks(_lune(ball.norm_sq_max, kv))
+        for part, hole in map(_shell_pair_ends, blocks, repeat(kv), repeat(q_lo), repeat(q_hi)):
+            for decomp, side, tally in zip(group, plus, counts):
+                lab = decomp._label(*part)
+                pair = np.flatnonzero((lab >= 0) & side[lab])
+                lab = lab[pair]
+                lab = lab[decomp._label(*(a[pair] for a in hole)) == lab]
+                tally += np.bincount(lab, minlength=decomp.m_patches)
+        for i, c, d in zip(members, counts, group):
+            out[i] = c + np.roll(c, d.half)
+    return out
 
 
 #: a lower bound on the smallest tile angle mu_min of a labelled shell (>= 0

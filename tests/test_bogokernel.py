@@ -16,6 +16,7 @@ from fermiball import (
     ground_state_shift,
     sample_mode_system,
 )
+from fermiball import bogokernel
 from fermiball.bogokernel import (
     _assemble,
     _diag,
@@ -23,6 +24,7 @@ from fermiball.bogokernel import (
     _eigh_pd,
     _scaled_bound,
     _solve,
+    stacked_residuals,
 )
 from fermiball.lattice import InteractionPotential, Momentum
 from oracles import (
@@ -297,6 +299,36 @@ def test_stack_solves_to_the_bits_of_single_systems(side):
         for name, value in single.residuals.items():
             assert stacked.residuals[name][j] == value, name
         assert stacked.residuals["l_block_dev"][j] == check_L_blocks(ms, single)
+
+
+@pytest.mark.parametrize("entries", [None, 64])
+def test_stacked_residuals_have_the_bits_of_single_solves(monkeypatch, entries):
+    # systems of mixed sides, in draw order; 64 entries per stack splits
+    # every side above 2 into several stacks, and sides above 8 into one
+    # system a stack
+    if entries is not None:
+        monkeypatch.setattr(bogokernel, "_STACK_ENTRIES", entries)
+    rng = np.random.default_rng(11)
+    systems = [sample_mode_system(rng, max_side=12) for _ in range(60)]
+    assert len({ms.side for ms in systems}) > 6
+    stacks = []
+    real_solve = bogokernel._solve
+
+    def counted(u, *args, **kwargs):
+        stacks.append(len(u))
+        return real_solve(u, *args, **kwargs)
+
+    monkeypatch.setattr(bogokernel, "_solve", counted)
+    got = stacked_residuals(systems)
+    assert sum(stacks) == len(systems) and len(stacks) < len(systems)
+    assert len(got) == len(systems)
+    for ms, res in zip(systems, got):
+        single = real_solve(ms.u, ms.v, ms.g).residuals
+        # repr tells -0.0 from 0.0, so equal reprs are equal bits
+        assert {name: repr(value) for name, value in res.items()} == {
+            name: repr(float(value)) for name, value in single.items()
+        }
+    assert stacked_residuals([]) == []
 
 
 @pytest.mark.parametrize("side", [1, 30])

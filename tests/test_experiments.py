@@ -19,7 +19,6 @@ from fermiball import (
     build_mode_system,
     build_patches,
     excitation_energy,
-    experiments,
     lattice,
 )
 from fermiball.experiments import (
@@ -48,10 +47,8 @@ from oracles import (
 POTENTIALS = {
     "unit": default_potential(),
     # reach 2: ceil(|k|) = 2 on every support vector
-    "reach_2": InteractionPotential.from_pairs(
-        [((2, 0, 0), 0.05), ((0, 1, 1), 0.05), ((0, 1, -1), 0.05)]
-    ),
-    "with_v0": InteractionPotential.from_pairs([((0, 0, 0), 0.3), *default_potential().items()]),
+    "reach_2": InteractionPotential([((2, 0, 0), 0.05), ((0, 1, 1), 0.05), ((0, 1, -1), 0.05)]),
+    "with_v0": InteractionPotential([((0, 0, 0), 0.3), *default_potential().items()]),
 }
 
 
@@ -326,9 +323,7 @@ def test_kernel_experiments_decompose_no_doubled_matrix(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(
-        experiments, "_identity_rows", solving(experiments._identity_rows, lambda s: s[0].side)
-    )
+    monkeypatch.setattr(bogokernel, "_solve", solving(bogokernel._solve, lambda u: np.shape(u)[-1]))
     monkeypatch.setattr(bogokernel, "diagonalize", solving(bogokernel.diagonalize, lambda ms: ms.side))
     exp_kernel_identities(kernel_identities_context(1))
     exp_kernel_bound_fit(kernel_bound_fit_context())
@@ -353,15 +348,15 @@ def test_kernel_identities_decomposes_each_matrix_once(monkeypatch):
     # stacked), and no two calls decompose the same bytes
     calls, stacks = [], []
     record_decompositions(monkeypatch, lambda name, a: calls.append((name, np.asarray(a).tobytes())))
-    real_rows = experiments._identity_rows
+    real_solve = bogokernel._solve
 
-    def rows(stack):
+    def solve(*args, **kwargs):
         calls.clear()
-        out = real_rows(stack)
+        out = real_solve(*args, **kwargs)
         stacks.append(list(calls))
         return out
 
-    monkeypatch.setattr(experiments, "_identity_rows", rows)
+    monkeypatch.setattr(bogokernel, "_solve", solve)
     exp_kernel_identities(kernel_identities_context(1), n_systems=40)
     assert len(stacks) > 10
     for made in stacks:

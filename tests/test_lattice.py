@@ -33,6 +33,7 @@ from fermiball.lattice import (
     _lune,
     _lune_size,
     sample_band,
+    swap_energies,
 )
 from oracles import (
     band_shell_pairs,
@@ -106,15 +107,22 @@ def brute_hf_energy(ball, v):
 
 
 def test_ball_trivial_counts():
-    assert build_fermi_ball(0.5).n_particles == 1
-    assert build_fermi_ball(1.0).n_particles == 7
+    assert build_fermi_ball(k_fermi_sq=Fraction(1, 4)).n_particles == 1
+    assert build_fermi_ball(k_fermi_sq=1).n_particles == 7
 
 
 def test_ball_matches_brute_force_and_gauss():
-    ball = build_fermi_ball(10.0)
+    ball = build_fermi_ball(k_fermi_sq=100)
     assert ball.n_particles == brute_ball_count(100)
     volume = 4.0 * math.pi / 3.0 * 1000.0
     assert abs(ball.n_particles - volume) / 100.0 < 1.0
+
+
+def test_ball_builder_takes_only_a_squared_radius():
+    # a positional argument, once a radius, would silently be squared
+    with pytest.raises(TypeError):
+        build_fermi_ball(10.0)
+    assert build_fermi_ball(k_fermi_sq=100.0).k_fermi_sq == Fraction(100)
 
 
 def test_ball_integer_radius_includes_boundary():
@@ -377,7 +385,7 @@ def test_scaling_constants(ball_100):
 
 
 def test_dispersion_vanishes_on_sphere():
-    ball = build_fermi_ball(3.0)
+    ball = build_fermi_ball(k_fermi_sq=9)
     assert dispersion(ball, (3, 0, 0)) == 0.0
     assert dispersion(ball, (0, 0, 0)) == pytest.approx(ball.kappa_eff**2, rel=1e-15)
 
@@ -395,7 +403,7 @@ def test_shell_pairs_k_zero_empty(ball_tiny):
 
 
 def test_shell_pairs_brute_force():
-    ball = build_fermi_ball(1.0)
+    ball = build_fermi_ball(k_fermi_sq=1)
     got = {tuple(p) for p in shell_pairs(ball, (1, 0, 0)).tolist()}
     expected = {(2, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)}
     assert got == expected
@@ -524,7 +532,7 @@ def test_shell_cardinality_scales_like_surface():
 
 
 def test_kinetic_sum_example(ball_tiny):
-    ball = build_fermi_ball(1.0)
+    ball = build_fermi_ball(k_fermi_sq=1)
     assert kinetic_reciprocal_sum(ball, (1, 0, 0)) == pytest.approx(13.0 / 3.0, abs=1e-15)
 
 
@@ -545,7 +553,7 @@ def test_equator_sum_bounds_and_validation(ball_100):
 
 def test_equator_sum_inactive_threshold_equals_full():
     # cut 4 N^(1/3 - delta) exceeds every integer gap on a small ball
-    ball = build_fermi_ball(1.0)
+    ball = build_fermi_ball(k_fermi_sq=1)
     k = (1, 0, 0)
     assert equator_reciprocal_sum(ball, k, 0.01) == kinetic_reciprocal_sum(ball, k)
 
@@ -565,7 +573,7 @@ def test_reciprocal_sums_bit_equal_fsum_over_oracle(ksq, k):
 
 def test_equator_sum_empty_restriction():
     # large |k| pushes every gap above the cut: gaps at k=(0,0,4) are >= 8
-    ball = build_fermi_ball(1.0)
+    ball = build_fermi_ball(k_fermi_sq=1)
     k = (0, 0, 4)
     assert kinetic_reciprocal_sum(ball, k) > 0
     assert equator_reciprocal_sum(ball, k, 0.12) == 0.0
@@ -575,7 +583,7 @@ def test_equator_sum_empty_restriction():
 
 
 def test_count_slice_example():
-    ball = build_fermi_ball(1.0)
+    ball = build_fermi_ball(k_fermi_sq=1)
     k = (1, 0, 0)
     assert count_slice(ball, k, 1) == 4
     assert count_slice(ball, k, 2) == 1
@@ -641,19 +649,24 @@ def test_annulus_validation():
 
 
 def test_potential_symmetrization_and_radius():
-    v = InteractionPotential.from_pairs([((1, 0, 0), 0.3), ((0, 0, 1), 0.2), ((0, 0, -1), 0.2)])
+    v = InteractionPotential([((1, 0, 0), 0.3), ((0, 0, 1), 0.2), ((0, 0, -1), 0.2)])
     assert v((-1, 0, 0)) == 0.3
     assert support_diameter(v) == 2.0
     assert v.ell1() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        InteractionPotential.from_pairs([((1, 0, 0), 0.3), ((-1, 0, 0), 0.4)])
-    with pytest.raises(ValueError):
-        InteractionPotential({(1, 0, 0): 0.3})  # missing mirror
-    with pytest.raises(ValueError):
-        InteractionPotential.from_pairs([((1, 0, 0), -0.3)])
+    # a mapping is completed as pairs are: the given entries, then the mirrors
+    completed = InteractionPotential({(1, 0, 0): 0.3, (0, 2, 0): 0.1, (0, -2, 0): 0.1})
+    assert list(completed.items()) == [
+        ((1, 0, 0), 0.3), ((0, 2, 0), 0.1), ((0, -2, 0), 0.1), ((-1, 0, 0), 0.3)
+    ]
+    with pytest.raises(ValueError, match=r"conflicting symmetric potential values at \(1, 0, 0\)"):
+        InteractionPotential([((1, 0, 0), 0.3), ((-1, 0, 0), 0.4)])
+    with pytest.raises(ValueError, match=r"conflicting potential values for \(1, 0, 0\)"):
+        InteractionPotential([((1, 0, 0), 0.3), ((1, 0, 0), 0.4)])
+    with pytest.raises(ValueError, match=r"nonnegative, got -0.3 at \(1, 0, 0\)"):
+        InteractionPotential({(1, 0, 0): -0.3})
 
 
-@pytest.mark.parametrize("build", [InteractionPotential, InteractionPotential.from_pairs])
+@pytest.mark.parametrize("form", ["mapping", "pairs"])
 @pytest.mark.parametrize(
     "key, value, named",
     [
@@ -666,18 +679,18 @@ def test_potential_symmetrization_and_radius():
         ((1, 0, 0), math.inf, r"value inf at \(1, 0, 0\) is not finite"),
     ],
 )
-def test_potential_names_a_non_integer_momentum_or_non_finite_value(build, key, value, named):
+def test_potential_names_a_non_integer_momentum_or_non_finite_value(form, key, value, named):
     mirror = tuple(-c for c in key)
     entries = [(key, value), (mirror, value)]
     with pytest.raises(ValueError, match=named):
-        build(dict(entries) if build is InteractionPotential else entries)
+        InteractionPotential(dict(entries) if form == "mapping" else entries)
 
 
 def test_potential_takes_numpy_integer_momenta():
     k = np.array([1, 0, 0], dtype=np.int64)
     v = InteractionPotential({tuple(k): 0.3, tuple(-k): 0.3})
     assert v((-1, 0, 0)) == 0.3
-    assert InteractionPotential.from_pairs([(k, 0.3)]).support == v.support
+    assert InteractionPotential([(k, 0.3)]).support == v.support
 
 
 def test_gamma_nor_partitions_support(unit_potential):
@@ -701,7 +714,7 @@ def test_hf_energy_free_case(ball_tiny):
 
 def test_hf_energy_contact_example():
     # k_F = 1, N = 7, support {0}: E = kinetic + (1/14) * 42 * v0
-    ball = build_fermi_ball(1.0)
+    ball = build_fermi_ball(k_fermi_sq=1)
     v0 = 0.7
     v = InteractionPotential({(0, 0, 0): v0})
     expected = ball.hbar**2 * 6.0 + 3.0 * v0
@@ -731,7 +744,7 @@ def enumerated_hf_energy(ball, v):
 @pytest.mark.parametrize("ksq", ["400.5", "6400.5"])
 def test_hf_energy_bit_identical_to_enumeration(ksq, unit_potential):
     ball = build_fermi_ball(k_fermi_sq=Fraction(ksq))
-    v = InteractionPotential.from_pairs([((0, 0, 0), 0.3), *unit_potential.items()])
+    v = InteractionPotential([((0, 0, 0), 0.3), *unit_potential.items()])
     for pot in (unit_potential, v):
         assert hartree_fock_energy(ball, pot) == enumerated_hf_energy(ball, pot)
 
@@ -750,6 +763,23 @@ def test_excitation_validates_membership(ball_small, unit_potential):
         excitation_energy(ball_small, unit_potential, (5, 0, 0), (5, 1, 0))
     with pytest.raises(ValueError):
         excitation_energy(ball_small, unit_potential, (4, 0, 0), (4, 1, 0))
+
+
+def test_swaps_must_pair_holes_with_particles(ball_400, unit_potential):
+    # one hole against three particles, or two against three, is refused with
+    # both shapes named, not cut to one swap or left to numpy's broadcasting
+    particles = [(0, 0, 21), (0, 21, 0), (21, 0, 0)]
+    for holes, shapes in [
+        ((0, 0, 20), r"\(3,\) and particles of shape \(3, 3\)"),
+        ([(0, 0, 20), (0, 20, 0)], r"\(2, 3\) and particles of shape \(3, 3\)"),
+    ]:
+        with pytest.raises(ValueError, match=f"holes of shape {shapes}"):
+            excitation_energy(ball_400, unit_potential, holes, particles)
+        with pytest.raises(ValueError, match=f"holes of shape {shapes}"):
+            swap_energies(ball_400, unit_potential, holes, particles)
+    # the one-swap form stays a float
+    gap = excitation_energy(ball_400, unit_potential, (0, 0, 20), (0, 0, 21))
+    assert isinstance(gap, float) and gap > 0
 
 
 def test_excitation_matches_full_difference(ball_small, unit_potential):

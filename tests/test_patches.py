@@ -605,9 +605,9 @@ def test_pair_counts_memory_does_not_grow_with_the_shell():
     assert peak <= 10e6, peak
 
 
-#: (M, r_v) layouts of one ball, counted in one walk: r_v = 0 and 1 have
-#: shell half-width 1, r_v = 2 half-width 2, so they make two single-shell
-#: groups
+#: (M, r_v) layouts of one ball: r_v = 0 and 1 have shell half-width 1,
+#: r_v = 2 half-width 2, so each list, and each list's first three, holds
+#: two shells
 SHARED_WALK_LAYOUTS = {
     "ball_400": [(2, 2.0), (8, 2.0), (8, 0.0), (30, 1.0), (512, 0.0), (2048, 0.0)],
     "ball_6400": [(2, 2.0), (8, 0.0), (30, 2.0), (30, 1.0), (512, 1.0), (2048, 0.0)],
@@ -615,36 +615,33 @@ SHARED_WALK_LAYOUTS = {
 
 
 @pytest.mark.parametrize("ball_name", list(SHARED_WALK_LAYOUTS))
-def test_shared_walk_equals_one_count_per_layout(ball_name, request):
+def test_shared_walk_equals_one_count_per_layout(ball_name, request, monkeypatch):
+    # one list of mixed shells over three balls: this one, another radius and
+    # a twin of equal radius in another object; each (ball, shell) group is
+    # walked once and each layout gets its own counts, in input order
     ball = request.getfixturevalue(ball_name)
-    layouts = [build_patches(m, ball, r_v) for m, r_v in SHARED_WALK_LAYOUTS[ball_name]]
-    groups: dict[tuple[int, int], list] = {}
-    for decomp in layouts:
-        groups.setdefault(decomp.shell_bounds(), []).append(decomp)
-    assert len(groups) == 2
+    other = build_fermi_ball(k_fermi_sq=ball.k_fermi_sq + 20)
+    twin = build_fermi_ball(k_fermi_sq=ball.k_fermi_sq)
+    specs = SHARED_WALK_LAYOUTS[ball_name]
+    layouts = [build_patches(m, ball, r_v) for m, r_v in specs]
+    layouts += [build_patches(m, b, r_v) for b in (other, twin) for m, r_v in specs[:3]]
+    groups = {(id(d.ball), d.shell_bounds()) for d in layouts}
+    assert len(groups) == 6
+    walks = []
+    real_lune = patches._lune
+    monkeypatch.setattr(patches, "_lune", lambda *args: walks.append(args) or real_lune(*args))
     for k in ((0, 0, 1), (1, 0, 0), (1, -2, 3)):
-        for group in groups.values():
-            shared = pair_counts_by_layout(group, k)
-            assert len(shared) == len(group)
-            for decomp, got in zip(group, shared):
-                assert np.array_equal(got, pair_counts(decomp, k)), (decomp, k)
-            # M = 2 is orthogonal to (1, 0, 0); every other layout pairs at each k
-            assert sum(got.sum() > 0 for got in shared) >= len(group) - 1
-        # a walk counts one radial shell: a mixed-shell list is refused
-        with pytest.raises(ValueError, match="one shell"):
-            pair_counts_by_layout(layouts, k)
+        walks.clear()
+        shared = pair_counts_by_layout(layouts, k)
+        assert len(walks) == len(groups)
+        assert len(shared) == len(layouts)
+        for decomp, got in zip(layouts, shared):
+            assert np.array_equal(got, pair_counts(decomp, k)), (decomp, k)
+        # M = 2 is orthogonal to (1, 0, 0); at most one layout a group pairs nowhere
+        assert sum(got.sum() > 0 for got in shared) >= len(layouts) - len(groups)
     assert pair_counts_by_layout([], (0, 0, 1)) == []
-
-
-def test_shared_walk_needs_one_ball(ball_400):
-    other = build_fermi_ball(k_fermi_sq=Fraction("420.5"))
-    twin = build_fermi_ball(k_fermi_sq=ball_400.k_fermi_sq)
-    for ball in (other, twin):
-        layouts = [build_patches(8, ball_400, 0.0), build_patches(8, ball, 0.0)]
-        with pytest.raises(ValueError, match="one FermiBall"):
-            pair_counts_by_layout(layouts, (0, 0, 1))
     with pytest.raises(ValueError, match="k = 0"):
-        pair_counts_by_layout([build_patches(8, ball_400, 0.0)], (0, 0, 0))
+        pair_counts_by_layout(layouts[:1], (0, 0, 0))
 
 
 def test_shared_walk_memory_is_that_of_one_layout():

@@ -152,15 +152,15 @@ def test_dead_helper_check_catches_a_leftover():
     ]
 
 
-#: the private lattice names experiments may use: none
-EXPERIMENTS_MAY_READ: set[str] = set()
+#: the layer modules whose private names `experiments.py` may not read
+LAYERS = {"lattice", "patches", "bogokernel", "rpa"}
 
 
 def layer_breaches(modules: dict[str, ast.Module]) -> list[str]:
-    """Private names of `lattice` (but those of `EXPERIMENTS_MAY_READ`) or of
-    `patches` that `experiments.py` imports or reads as an attribute of the
-    module, and reads of `_clearance` by a module other than `patches.py`:
-    each engine stays behind the layer that owns it."""
+    """Private names of a layer module (`LAYERS`) that `experiments.py`
+    imports or reads as an attribute of the module, and reads of
+    `_clearance` by a module other than `patches.py`: each engine stays
+    behind the layer that owns it."""
     found = []
     for module, tree in modules.items():
         for node in ast.walk(tree):
@@ -173,9 +173,7 @@ def layer_breaches(modules: dict[str, ast.Module]) -> list[str]:
             else:
                 continue
             for name in names:
-                if module == "experiments.py" and name.startswith("_") and (
-                    owner == "patches" or (owner == "lattice" and name not in EXPERIMENTS_MAY_READ)
-                ):
+                if module == "experiments.py" and name.startswith("_") and owner in LAYERS:
                     found.append(f"{module}: {owner}.{name} (line {node.lineno})")
                 elif module != "patches.py" and name == "_clearance":
                     found.append(f"{module}: _clearance (line {node.lineno})")
@@ -189,11 +187,13 @@ def test_experiments_reach_no_layer_engine():
 
 def test_layer_check_catches_a_leftover():
     experiments = (
-        "from . import lattice, patches\n"
+        "from . import bogokernel, lattice, patches\n"
         "from .lattice import FermiBall, _band_blocks, _isqrt\n"
         "from .patches import _MU_MIN_FLOOR\n"
         "def f(r, mu):\n"
         "    return patches._clearance(r, mu, 0.0), lattice._ball_count(4), lattice.sample_band\n"
+        "def g(u, v):\n"
+        "    return bogokernel._solve(u, v, 0.1), bogokernel.diagonalize, np._NoValue\n"
     )
     rpa = "from .patches import _clearance\ndef g(r, mu):\n    return _clearance(r, mu, 0.0)\n"
     patches = "def _clearance(r, mu, mu_min):\n    return r\ndef h(r):\n    return _clearance(r, r, 0.0)\n"
@@ -206,6 +206,7 @@ def test_layer_check_catches_a_leftover():
         "experiments.py: patches._MU_MIN_FLOOR (line 3)",
         "experiments.py: patches._clearance (line 5)",
         "experiments.py: lattice._ball_count (line 5)",
+        "experiments.py: bogokernel._solve (line 7)",
         "rpa.py: _clearance (line 1)",
         "rpa.py: _clearance (line 3)",
     ]
