@@ -10,7 +10,6 @@ names is a config error.
 from __future__ import annotations
 
 import csv
-import hashlib
 import inspect
 import json
 import logging
@@ -26,6 +25,16 @@ import numpy as np
 
 from . import bogokernel, lattice, patches, rpa
 from .lattice import FermiBall, InteractionPotential, build_fermi_ball
+
+# hashlib loads _hashlib, which maps OpenSSL for the CSV digests alone: the
+# interpreter's built-in SHA-256 gives the same digests without it
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in module
 
 __all__ = ["RunConfig", "ExperimentError", "EXPERIMENTS", "run_experiments", "load_config"]
 
@@ -124,8 +133,16 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
     """The rows under a header of the first row's keys, in its order; no
-    rows make an empty file."""
+    rows make an empty file.  A row whose keys are not the header's is
+    refused before the file is opened."""
     columns = list(rows[0]) if rows else []
+    for i, row in enumerate(rows):
+        if row.keys() != rows[0].keys():
+            missing = [c for c in columns if c not in row]
+            extra = [c for c in row if c not in rows[0]]
+            raise ValueError(
+                f"row {i} has other keys than the header: missing {missing}, extra {extra}"
+            )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         if rows:
@@ -553,9 +570,7 @@ def load_config(doc: dict) -> RunConfig:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def run_experiments(config: RunConfig) -> tuple[dict, bool]:
@@ -599,8 +614,13 @@ def run_experiments(config: RunConfig) -> tuple[dict, bool]:
         "version": __version__,
         "experiments": results,
         "wall_s": time.perf_counter() - t_run,
-        # ru_maxrss is in KiB on Linux: the process's peak, not this run's alone
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        # ru_maxrss is the process's peak, not this run's alone: in bytes on
+        # macOS, in KiB on Linux
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            / (1 << 20 if sys.platform == "darwin" else 1 << 10),
+            1,
+        ),
     }
     manifest_path = config.output_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -143,6 +144,61 @@ def test_run_of_every_experiment_does_not_import_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: the experiments that draw no random number: numpy.random, which they
+#: never load, imports secrets -> hmac -> _hashlib (OpenSSL)
+UNDRAWN = ("gauss_count", "patch_audit", "rpa_compare", "small_v_fit")
+
+
+def test_validate_and_an_undrawn_run_leave_openssl_unloaded(tmp_path):
+    # the manifest digests come from the interpreter's built-in SHA-256
+    path = write_config(
+        tmp_path,
+        experiments=list(UNDRAWN),
+        options={name: SMALLEST_OPTIONS[name] for name in UNDRAWN if name in SMALLEST_OPTIONS},
+    )
+    code = (
+        "import sys\n"
+        "from fermiball.cli import main\n"
+        f"assert main(['validate', '--config', {str(path)!r}]) == 0\n"
+        "assert '_hashlib' not in sys.modules, 'validate loaded _hashlib'\n"
+        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
+        "assert '_hashlib' not in sys.modules, 'a run that draws nothing loaded _hashlib'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_manifest_hashes_fall_back_to_hashlib(tmp_path):
+    # an interpreter built without the built-in SHA-256 module hashes with
+    # hashlib, to the same digests
+    path = write_config(
+        tmp_path,
+        experiments=["gauss_count", "small_v_fit"],
+        options={"gauss_count": SMALLEST_OPTIONS["gauss_count"]},
+    )
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from fermiball.cli import main\n"
+        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
+        "assert '_hashlib' in sys.modules, 'the run did not hash with hashlib'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out"
+    entries = json.loads((out / "manifest.json").read_text())["experiments"]
+    assert {name: entry["sha256"] for name, entry in entries.items()} == {
+        name: hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+        for name in ("gauss_count", "small_v_fit")
+    }
 
 
 def test_ball_cache_builds_each_radius_once(monkeypatch):
@@ -445,11 +501,22 @@ def test_run_empty_grid_writes_empty_file(tmp_path):
     entry = json.loads((out / "manifest.json").read_text())["experiments"]["gauss_count"]
     assert entry["status"] == "ok" and entry["rows"] == 0
     assert (out / entry["file"]).read_bytes() == b""
+    assert entry["sha256"] == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
 def test_write_csv_row_missing_a_header_key_raises(tmp_path):
-    with pytest.raises(KeyError, match="b"):
-        experiments._write_csv(tmp_path / "x.csv", [{"a": 1, "b": 2}, {"a": 3}])
+    rows = [{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"a": 5}]
+    with pytest.raises(ValueError, match=r"^row 2 .*: missing \['b'\], extra \[\]$"):
+        experiments._write_csv(tmp_path / "x.csv", rows)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_write_csv_row_with_an_extra_key_raises(tmp_path):
+    # the extra column would be dropped without a word
+    rows = [{"a": 1, "b": 2}, {"c": 0, "b": 3, "a": 4}]
+    with pytest.raises(ValueError, match=r"^row 1 .*: missing \[\], extra \['c'\]$"):
+        experiments._write_csv(tmp_path / "x.csv", rows)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_run_reproducible_csv_bytes(tmp_path):
@@ -480,8 +547,6 @@ LATTICE_CSV_SHA256 = {
 
 
 def test_lattice_csv_golden_bytes(tmp_path):
-    import hashlib
-
     path = tmp_path / "config.json"
     path.write_text(
         json.dumps({"experiments": list(LATTICE_CSV_SHA256), "seed": 1})
@@ -497,8 +562,6 @@ def test_lattice_csv_golden_bytes(tmp_path):
 
 def test_hf_stability_golden_bytes_at_benchmark_radius(tmp_path):
     # the hf_stability options of perfbench's lattice_reach workload
-    import hashlib
-
     path = tmp_path / "config.json"
     options = {"hf_stability": {"k_fermi_sq": 6400.5, "n_check": 1}}
     path.write_text(
@@ -527,8 +590,6 @@ SINGLE_CSV_SHA256 = {
 
 
 def assert_single_csv_golden_bytes(tmp_path, name):
-    import hashlib
-
     options, digest = SINGLE_CSV_SHA256[name]
     path = tmp_path / "config.json"
     doc = {"experiments": [name], "seed": 1, "options": {name: options}}
@@ -560,8 +621,6 @@ FIXED_SETTING_CSV_SHA256 = {
 
 
 def test_fixed_setting_csv_golden_bytes(tmp_path):
-    import hashlib
-
     path = tmp_path / "config.json"
     path.write_text(
         json.dumps({"experiments": list(FIXED_SETTING_CSV_SHA256), "seed": 1})
@@ -578,8 +637,6 @@ def test_fixed_setting_csv_golden_bytes(tmp_path):
 def test_rpa_compare_golden_bytes_at_many_patches(tmp_path):
     # the schedule of perfbench's rpa_many_patches workload, M = 512..2048;
     # rpa_compare draws nothing from the seed
-    import hashlib
-
     path = tmp_path / "config.json"
     schedule = [[6400.5, 512], [6400.5, 1024], [6400.5, 2048]]
     options = {"rpa_compare": {"schedule": schedule}}
@@ -623,19 +680,30 @@ def test_manifest_records_wall_time_and_peak_rss(tmp_path):
 
 
 def test_run_manifest_hashes_match(tmp_path):
-    import hashlib
-
     path = write_config(
-        tmp_path,
-        experiments=["gauss_count"],
-        options={"gauss_count": {"k_fermi_sq_grid": [4.5]}},
+        tmp_path, experiments=list(EXPERIMENTS), seed=1, options=SMALLEST_OPTIONS
     )
     assert main(["run", "--config", str(path)]) == 0
     out = tmp_path / "out"
-    manifest = json.loads((out / "manifest.json").read_text())
-    entry = manifest["experiments"]["gauss_count"]
-    digest = hashlib.sha256((out / entry["file"]).read_bytes()).hexdigest()
-    assert digest == entry["sha256"]
+    entries = json.loads((out / "manifest.json").read_text())["experiments"]
+    assert set(entries) == set(EXPERIMENTS)
+    for name, entry in entries.items():
+        digest = hashlib.sha256((out / entry["file"]).read_bytes()).hexdigest()
+        assert entry["sha256"] == digest, name
+
+
+@pytest.mark.parametrize(
+    "platform, maxrss", [("linux", 50 << 10), ("darwin", 50 << 20)], ids=["linux", "macos"]
+)
+def test_manifest_peak_rss_reads_the_platform_unit(tmp_path, monkeypatch, platform, maxrss):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    class Usage:
+        ru_maxrss = maxrss
+
+    monkeypatch.setattr(experiments.resource, "getrusage", lambda who: Usage)
+    monkeypatch.setattr(experiments.sys, "platform", platform)
+    manifest, ok = run_experiments(load_config({"output_dir": str(tmp_path)}))
+    assert ok and manifest["peak_rss_mb"] == 50.0
 
 
 def test_run_failure_sets_exit_code_and_continues(tmp_path):

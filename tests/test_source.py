@@ -212,6 +212,82 @@ def test_layer_check_catches_a_leftover():
     ]
 
 
+#: the interpreter's built-in SHA-256 modules, which load no OpenSSL
+BUILTIN_SHA = {"_sha2", "_sha256"}
+
+
+def hashlib_imports(modules: dict[str, ast.Module]) -> list[str]:
+    """Imports of hashlib, which loads OpenSSL through _hashlib, except the
+    fallback of `experiments.py`: a statement of an `except ImportError`
+    handler whose `try` imports a built-in SHA-256 module (`BUILTIN_SHA`)."""
+    found = []
+    for module, tree in modules.items():
+        fallback = set()
+        for node in ast.walk(tree):
+            if (
+                module == "experiments.py"
+                and isinstance(node, ast.Try)
+                and any(isinstance(s, ast.ImportFrom) and s.module in BUILTIN_SHA for s in node.body)
+            ):
+                fallback |= {
+                    id(stmt)
+                    for handler in node.handlers
+                    if isinstance(handler.type, ast.Name)
+                    and handler.type.id in {"ImportError", "ModuleNotFoundError"}
+                    for stmt in handler.body
+                }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if id(node) not in fallback and any(n.split(".")[0] == "hashlib" for n in names):
+                found.append((module, node.lineno))
+    return [f"{module}: hashlib (line {line})" for module, line in sorted(found)]
+
+
+def test_no_module_imports_hashlib():
+    modules = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert hashlib_imports(modules) == []
+
+
+def test_hashlib_check_catches_a_leftover():
+    fallback = (
+        "try:\n"
+        "    from _sha2 import sha256\n"
+        "except ImportError:\n"
+        "    try:\n"
+        "        from _sha256 import sha256\n"
+        "    except ImportError:\n"
+        "        from hashlib import sha256\n"
+    )
+    experiments = (
+        "import hashlib\n"
+        + fallback
+        + "try:\n"
+        "    from _sha256 import sha256\n"
+        "except ValueError:\n"
+        "    import hashlib.sha256\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    import hashlib as h\n"
+        "def f(data):\n"
+        "    from hashlib import sha256\n"
+        "    return sha256(data)\n"
+    )
+    modules = {"experiments.py": ast.parse(experiments), "rpa.py": ast.parse(fallback)}
+    assert hashlib_imports(modules) == [
+        "experiments.py: hashlib (line 1)",
+        "experiments.py: hashlib (line 12)",
+        "experiments.py: hashlib (line 16)",
+        "experiments.py: hashlib (line 18)",
+        "rpa.py: hashlib (line 7)",
+    ]
+
+
 def python_floor() -> tuple[int, int]:
     """The (major, minor) of pyproject.toml's requires-python floor."""
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
