@@ -209,11 +209,14 @@ def build_mode_system(
     )
 
 
-def sample_mode_system(rng: np.random.Generator, max_side: int = 30) -> ModeSystem:
+def sample_mode_system(rng, max_side: int = 30) -> ModeSystem:
     """Random valid mode system for identity-check suites.
 
     Mode shapes mimic the lattice-built ones: u in (0, 1], pair counts near
-    the surface-area heuristic, coupling below 1.
+    the surface-area heuristic, coupling below 1.  rng is any source with
+    the methods integers(low, high, size=None) and uniform(low, high,
+    size=None) of a numpy Generator, such as `experiments.SeededDraws`;
+    they are called in a fixed order, so one seed gives one system.
     """
     side = int(rng.integers(1, max_side + 1))
     m_patches = int(2 * side + 2 * rng.integers(0, side + 2))

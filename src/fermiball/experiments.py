@@ -14,6 +14,7 @@ import inspect
 import json
 import logging
 import math
+import random
 import resource
 import sys
 import time
@@ -51,6 +52,37 @@ AXIS_K = (0, 0, 1)
 
 class ExperimentError(RuntimeError):
     pass
+
+
+class SeededDraws:
+    """The run's seeded draws, from the interpreter's Mersenne Twister.
+
+    It offers the three methods of a numpy Generator that the samplers
+    (`lattice.sample_band`, `bogokernel.sample_mode_system`) and the swap
+    check call, so no run loads numpy.random, which maps OpenSSL through
+    secrets -> hmac -> _hashlib.  With size None a method draws one number.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def integers(self, low: int, high: int, size: int | None = None):
+        """Integers uniform on [low, high), as an int64 array of size."""
+        if size is None:
+            return self._random.randrange(low, high)
+        return np.fromiter((self._random.randrange(low, high) for _ in range(size)), np.int64, size)
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """Floats uniform on [low, high), as a float64 array of size."""
+        if size is None:
+            return self._random.uniform(low, high)
+        return np.fromiter((self._random.uniform(low, high) for _ in range(size)), np.float64, size)
+
+    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
+        """size distinct integers of [0, n) in drawn order, as int64."""
+        if replace:
+            raise ValueError("only draws without replacement are offered")
+        return np.array(self._random.sample(range(n), size), dtype=np.int64)
 
 
 def _require_at_least(name: str, value, least: int) -> None:
@@ -318,7 +350,7 @@ _IDENTITY_COLUMNS = (
 def exp_kernel_identities(ctx: Context, *, n_systems=200, max_side=30):
     _require_at_least("n_systems", n_systems, 0)
     _require_at_least("max_side", max_side, 1)
-    rng = np.random.default_rng(ctx.config.seed)
+    rng = SeededDraws(ctx.config.seed)
     systems = [bogokernel.sample_mode_system(rng, max_side=max_side) for _ in range(n_systems)]
     return [
         {"system": i, "size": ms.size, **{name: res[name] for name in _IDENTITY_COLUMNS}}
@@ -425,7 +457,7 @@ def exp_hf_stability(ctx: Context, *, k_fermi_sq=400.5, n_swaps=1000, n_check=50
         )
     # each band is counted, and only the rows at the drawn ranks are built
     hole_band, particle_band = _boundary_bands(ball)
-    rng = np.random.default_rng(ctx.config.seed)
+    rng = SeededDraws(ctx.config.seed)
     holes = lattice.sample_band(*hole_band, rng, n_swaps)
     particles = lattice.sample_band(*particle_band, rng, n_swaps)
     gaps = lattice.excitation_energy(ball, pot, holes, particles)

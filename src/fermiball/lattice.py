@@ -206,10 +206,12 @@ def _band_rows(q_lo: int, q_hi: int, ranks) -> np.ndarray:
     return out
 
 
-def sample_band(q_lo: int, q_hi: int, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_band(q_lo: int, q_hi: int, rng, size: int) -> np.ndarray:
     """size rows of _band(q_lo, q_hi) drawn uniformly with repeats, as an
     (size, 3) int64 array: the rows at the ranks rng.integers(0, count,
-    size), where count is the band's size.
+    size=size), where count is the band's size.  rng is any source with the
+    integers(low, high, size=None) method of a numpy Generator, such as
+    `experiments.SeededDraws`.
 
     The band is counted as the difference of two ball counts and walked
     once, so only the drawn rows are built.  A band without a point raises

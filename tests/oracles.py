@@ -27,6 +27,7 @@ from fermiball.bogokernel import (
     diagonalize,
     sample_mode_system,
 )
+from fermiball.experiments import SeededDraws
 from fermiball.lattice import (
     FermiBall,
     InteractionPotential,
@@ -780,8 +781,8 @@ def check_frakK_vs_E(sol: BogoliubovSolution) -> float:
 def per_system_kernel_identities(seed: int, n_systems: int, max_side: int) -> list[dict]:
     """kernel_identities' rows from one system at a time: each is drawn,
     diagonalized and checked before the next is drawn (the stacked solve's
-    reference)."""
-    rng = np.random.default_rng(seed)
+    reference), from the run's stream at that seed."""
+    rng = SeededDraws(seed)
     rows = []
     for i in range(n_systems):
         ms = sample_mode_system(rng, max_side=max_side)

@@ -190,6 +190,17 @@ def test_solve_matches_a_40_digit_reference(ball_1600):
     assert abs(c_star - _scaled_bound(kernel, ms).max()) <= 3e-14 * c_star
 
 
+def test_sample_mode_system_draws_in_a_fixed_order():
+    # the tests' own numpy Generators and the run's stream feed one sampler:
+    # a reordered or extra draw changes the systems every suite checks
+    ms = sample_mode_system(np.random.default_rng(11))
+    assert (ms.side, ms.m_patches, ms.plus_modes) == (5, 10, (0, 1, 2, 3, 4))
+    assert ms.vhat_k == 0.5453335382847881
+    assert ms.u[0] == 0.19596458427028365
+    assert ms.n[-1] == pytest.approx(54.957379698759375, rel=1e-13)
+    assert ms.v[0] == pytest.approx(0.2560580058134925, rel=1e-13)
+
+
 # ------------------------------------------------- randomized identities
 
 

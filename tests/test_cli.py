@@ -138,6 +138,11 @@ def test_run_of_every_experiment_does_not_import_scipy(tmp_path):
         "assert ok, manifest['experiments']\n"
         "assert 'scipy' not in sys.modules, 'a run imported scipy'\n"
         "assert 'numpy.ma' not in sys.modules, 'a run imported numpy.ma'\n"
+        # the draws come from the interpreter's random.Random; numpy.random
+        # would import secrets -> hmac -> _hashlib (OpenSSL), and the manifest
+        # digests come from the interpreter's built-in SHA-256
+        "for name in ('numpy.random', 'secrets', '_hashlib'):\n"
+        "    assert name not in sys.modules, f'a run imported {name}'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
     proc = subprocess.run(
@@ -146,25 +151,13 @@ def test_run_of_every_experiment_does_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-#: the experiments that draw no random number: numpy.random, which they
-#: never load, imports secrets -> hmac -> _hashlib (OpenSSL)
-UNDRAWN = ("gauss_count", "patch_audit", "rpa_compare", "small_v_fit")
-
-
-def test_validate_and_an_undrawn_run_leave_openssl_unloaded(tmp_path):
-    # the manifest digests come from the interpreter's built-in SHA-256
-    path = write_config(
-        tmp_path,
-        experiments=list(UNDRAWN),
-        options={name: SMALLEST_OPTIONS[name] for name in UNDRAWN if name in SMALLEST_OPTIONS},
-    )
+def test_validate_leaves_openssl_unloaded(tmp_path):
+    path = write_config(tmp_path, experiments=list(EXPERIMENTS))
     code = (
         "import sys\n"
         "from fermiball.cli import main\n"
         f"assert main(['validate', '--config', {str(path)!r}]) == 0\n"
         "assert '_hashlib' not in sys.modules, 'validate loaded _hashlib'\n"
-        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
-        "assert '_hashlib' not in sys.modules, 'a run that draws nothing loaded _hashlib'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fermiball.__file__).parents[1]))
     proc = subprocess.run(
@@ -533,6 +526,27 @@ def test_run_reproducible_csv_bytes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_hf_stability_draws_follow_the_seed(tmp_path):
+    # one seed gives one byte-identical CSV, another seed other swaps
+    outputs = {}
+    for sub, seed in (("a", 42), ("b", 42), ("c", 43)):
+        path = write_config(
+            tmp_path,
+            output_dir=str(tmp_path / sub),
+            experiments=["hf_stability"],
+            seed=seed,
+            options={"hf_stability": {"n_swaps": 50, "n_check": 5}},
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        outputs[sub] = (tmp_path / sub / "hf_stability.csv").read_bytes()
+    assert outputs["a"] == outputs["b"]
+    swaps = {
+        sub: [(row["hole"], row["particle"]) for row in csv.DictReader(out.decode().splitlines())][1:]
+        for sub, out in outputs.items()
+    }
+    assert len(swaps["a"]) == len(swaps["c"]) == 5 and swaps["a"] != swaps["c"]
+
+
 #: sha256 of each integer-driven lattice CSV at seed 1 with default options.
 #: These experiments feed exact lattice counts into fixed float expressions, so
 #: a change to the lattice layer that keeps the counts keeps these bytes.
@@ -542,7 +556,7 @@ LATTICE_CSV_SHA256 = {
     "equator_sum_scaling": "12e2a424cde6496fe8d63082967f82317263ce01d788b9ec5c7325ee6175838b",
     "slice_count_bound": "b42087a2288c5bea414cf931993c3551b7e1b77db9de24c6f56819d705a02de6",
     "ellipse_count": "066a45cf532d07fc003577769e4aaa52f5eac0b0931ba03d849ac5f084a3675c",
-    "hf_stability": "ddaffa8f9a8d66f46b3661803a86eb5ccd4f2360c7b6d05e661e488b63151dfe",
+    "hf_stability": "1172d500af990416cef1fad94dcbf98725e4ab2171a4e9c8538162ab103ff254",
 }
 
 
@@ -572,7 +586,7 @@ def test_hf_stability_golden_bytes_at_benchmark_radius(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "hf_stability.csv").read_bytes()).hexdigest()
-    assert digest == "52659c9810fe91d6ff24f75f8f980680484228b6a95fa9dde49fe2f4dff72dbe"
+    assert digest == "33aa0b3d5edf1cbb0bf2dd5605cc503a8e6c93b4adb073854520ea0ea681185e"
 
 
 #: sha256 of each CSV pinned on its own below, at seed 1 with these options
@@ -582,7 +596,7 @@ SINGLE_CSV_SHA256 = {
     # 40 random systems up to side 30, solved in equal-size stacks
     "kernel_identities": (
         {"n_systems": 40, "max_side": 30},
-        "53aa1bcf83a338f231017ad7da809771f22c80c50fe170ff8660f101690381ad",
+        "a5c016242f58bb2dedb9391881bfacc966864f8b327da5d5b7e06084aafe077e",
     ),
     # no seed and no lattice input
     "small_v_fit": ({}, "1da7fa46776fb140c8ada21d0d6f605f26f3f3cf0077b528b266e44ec2f583e9"),

@@ -21,6 +21,7 @@ from fermiball import (
     pair_gap_histogram,
 )
 import fermiball.lattice as lattice_mod
+from fermiball.experiments import SeededDraws
 from fermiball.lattice import (
     _band,
     _band_blocks,
@@ -284,12 +285,13 @@ def assert_sample_band_matches_band(q_lo, q_hi, seed):
     got = _band_rows(q_lo, q_hi, every)
     assert got.dtype == np.int64
     assert np.array_equal(got, band[every]), (q_lo, q_hi)
-    # then the draw: the rows at the ranks the same seed gives, repeats kept
-    # and in drawn order
-    got = sample_band(q_lo, q_hi, np.random.default_rng(seed), 1000)
-    ranks = np.random.default_rng(seed).integers(0, len(band), size=1000)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, band[ranks]), (q_lo, q_hi)
+    # then the draw, from a numpy Generator and from the run's stream: the
+    # rows at the ranks the same seed gives, repeats kept and in drawn order
+    for stream in (np.random.default_rng, SeededDraws):
+        got = sample_band(q_lo, q_hi, stream(seed), 1000)
+        ranks = stream(seed).integers(0, len(band), size=1000)
+        assert ranks.dtype == got.dtype == np.int64
+        assert np.array_equal(got, band[ranks]), (q_lo, q_hi, stream)
 
 
 def test_sample_band_matches_the_band():
@@ -307,11 +309,12 @@ def test_sample_band_on_small_slabs(monkeypatch, slab_columns):
 
 def test_sample_band_names_a_band_without_a_point():
     # nothing is drawn from an empty band: the generator is left as it was
-    rng = np.random.default_rng(5)
-    for q_lo, q_hi in [(7, 7), (15, 15), (5, 3)]:
-        with pytest.raises(ValueError, match=rf"band {q_lo} <= \|p\|\^2 <= {q_hi} holds no"):
-            sample_band(q_lo, q_hi, rng, 10)
-    assert rng.integers(0, 1 << 30) == np.random.default_rng(5).integers(0, 1 << 30)
+    for stream in (np.random.default_rng, SeededDraws):
+        rng = stream(5)
+        for q_lo, q_hi in [(7, 7), (15, 15), (5, 3)]:
+            with pytest.raises(ValueError, match=rf"band {q_lo} <= \|p\|\^2 <= {q_hi} holds no"):
+                sample_band(q_lo, q_hi, rng, 10)
+        assert rng.integers(0, 1 << 30) == stream(5).integers(0, 1 << 30)
 
 
 def test_walk_refuses_empty_and_out_of_range_bands_at_once():

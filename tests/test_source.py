@@ -288,6 +288,63 @@ def test_hashlib_check_catches_a_leftover():
     ]
 
 
+def numpy_random_uses(modules: dict[str, ast.Module]) -> list[str]:
+    """Imports of numpy.random, which maps OpenSSL through secrets -> hmac
+    -> _hashlib, and reads of it as an attribute of a name bound to numpy:
+    the run's draws come from the interpreter's random.Random."""
+    found = []
+    for module, tree in modules.items():
+        numpy_names = {
+            alias.asname or "numpy"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "numpy" or (alias.name.startswith("numpy.") and not alias.asname)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                hit = (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                hit = node.value.id in numpy_names and node.attr == "random"
+            else:
+                continue
+            if hit:
+                found.append((module, node.lineno))
+    return [f"{module}: numpy.random (line {line})" for module, line in sorted(found)]
+
+
+def test_no_module_uses_numpy_random():
+    modules = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert numpy_random_uses(modules) == []
+
+
+def test_numpy_random_check_catches_a_leftover():
+    experiments = (
+        "import random\n"
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random as npr, zeros\n"
+        "from numpy.random import default_rng\n"
+        "def f(seed):\n"
+        "    import numpy as xp\n"
+        "    return np.random.default_rng(seed), xp.random, np.zeros(1), random.Random(seed)\n"
+    )
+    lattice = "import numpy.linalg\nimport random as np\ndef g(ranks):\n    return numpy.random, np.random\n"
+    modules = {"experiments.py": ast.parse(experiments), "lattice.py": ast.parse(lattice)}
+    assert numpy_random_uses(modules) == [
+        "experiments.py: numpy.random (line 3)",
+        "experiments.py: numpy.random (line 4)",
+        "experiments.py: numpy.random (line 5)",
+        "experiments.py: numpy.random (line 8)",
+        "experiments.py: numpy.random (line 8)",
+        "lattice.py: numpy.random (line 4)",
+    ]
+
+
 def python_floor() -> tuple[int, int]:
     """The (major, minor) of pyproject.toml's requires-python floor."""
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
